@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p c3-bench --bin ablation`
 
 use c3::system::GlobalProtocol;
-use c3_bench::{run_workload, RunConfig};
+use c3_bench::{cli, run_workload, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
@@ -24,6 +24,7 @@ fn cxl_cfg() -> RunConfig {
 }
 
 fn main() {
+    cli::parse("usage: ablation\n", |_| Ok(()));
     println!("== Ablation 1: S2M channel ordering (contention-boosted histogram) ==");
     // Crank the hot-line contention so request/snoop races are frequent.
     let mut spec = WorkloadSpec::by_name("histogram").expect("workload");

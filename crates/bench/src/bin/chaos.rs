@@ -21,6 +21,7 @@
 
 use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
 use c3::ResilienceConfig;
+use c3_bench::cli;
 use c3_protocol::ops::{Addr, Reg, ThreadProgram};
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::fabric::LinkId;
@@ -36,15 +37,11 @@ const PRIVATE_BASE: u64 = 100;
 const CORES_PER_CLUSTER: usize = 2;
 const CLUSTERS: usize = 2;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--seed N] [--iters N] [--threads N] [--drop P] [--dup P] [--delay P] \
-         [--poison P]"
-    );
-    eprintln!("       with no rate flags, sweeps drop rates 0 / 1% / 2% / 5%");
-    eprintln!("       plus one mixed dup+delay+poison round");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: chaos [--seed N] [--iters N] [--threads N] [--drop P] [--dup P] \
+                     [--delay P] [--poison P]
+       with no rate flags, sweeps drop rates 0 / 1% / 2% / 5%
+       plus one mixed dup+delay+poison round
+";
 
 /// One soak run; panics (→ nonzero exit) on any violated invariant.
 /// Returns the summary line (printed by the caller in sweep order, so
@@ -168,34 +165,29 @@ fn run_once(seed: u64, iters: u64, faults: LinkFaults, label: &str) -> (String, 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut iters = 60u64;
-    let mut threads = c3_bench::runner::default_threads();
-    let mut explicit: Option<LinkFaults> = None;
-    let mut it = args.iter();
-    fn num<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage())
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = num(&mut it),
-            "--iters" => iters = num(&mut it),
-            "--threads" => threads = num(&mut it),
-            "--drop" => explicit.get_or_insert_with(LinkFaults::default).drop_p = num(&mut it),
-            "--dup" => explicit.get_or_insert_with(LinkFaults::default).dup_p = num(&mut it),
-            "--delay" => {
-                let f = explicit.get_or_insert_with(LinkFaults::default);
-                f.delay_p = num(&mut it);
-                f.delay = Delay::from_ns(200);
+    let (seed, iters, threads, explicit) = cli::parse(USAGE, |args| {
+        let seed = args.value::<u64>("--seed")?.unwrap_or(42);
+        let iters = args.value::<u64>("--iters")?.unwrap_or(60);
+        let threads = args.threads()?;
+        let rates = [
+            args.value("--drop")?,
+            args.value("--dup")?,
+            args.value("--delay")?,
+            args.value("--poison")?,
+        ];
+        let explicit = rates.iter().any(Option::is_some).then(|| {
+            let [drop_p, dup_p, delay_p, poison_p] = rates.map(|p| p.unwrap_or(0.0));
+            LinkFaults {
+                drop_p,
+                dup_p,
+                delay_p,
+                delay: Delay::from_ns(200),
+                poison_p,
+                ..LinkFaults::default()
             }
-            "--poison" => explicit.get_or_insert_with(LinkFaults::default).poison_p = num(&mut it),
-            "-h" | "--help" => usage(),
-            _ => usage(),
-        }
-    }
+        });
+        Ok((seed, iters, threads, explicit))
+    });
 
     let sweeps: Vec<(String, LinkFaults)> = if let Some(f) = explicit {
         vec![("explicit".to_string(), f)]

@@ -15,44 +15,24 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{geomean, RunConfig};
+use c3_bench::{cli, geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::{Suite, WorkloadSpec};
+use c3_workloads::Suite;
+
+const USAGE: &str =
+    "usage: fig10 [--ops N] [--workloads a,b,c] [--csv PATH] [--json PATH] [--threads N]\n";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1500usize;
-    let mut filter: Option<Vec<String>> = None;
-    let mut csv: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--workloads" => {
-                filter = Some(args[i + 1].split(',').map(|s| s.to_string()).collect());
-                i += 2;
-            }
-            "--csv" => {
-                csv = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+    let (ops, specs, csv, json, threads) = cli::parse(USAGE, |args| {
+        Ok((
+            args.value::<usize>("--ops")?.unwrap_or(1500),
+            cli::workload_filter(args.list("--workloads")?)?,
+            args.value::<String>("--csv")?,
+            args.value::<String>("--json")?,
+            args.threads()?,
+        ))
+    });
     let mut csv_rows =
         vec!["workload,suite,base_ns,mesi_cxl_mesi,mesi_cxl_moesi,mesi_cxl_mesif".to_string()];
 
@@ -90,16 +70,6 @@ fn main() {
             ),
         ),
     ];
-
-    let specs: Vec<WorkloadSpec> = WorkloadSpec::all()
-        .into_iter()
-        .filter(|spec| {
-            filter
-                .as_ref()
-                .map(|f| f.iter().any(|n| n == spec.name))
-                .unwrap_or(true)
-        })
-        .collect();
 
     // Row-major grid: results[4*w + c] is workload w under config c.
     let mut grid = Vec::new();

@@ -17,29 +17,20 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{miss_breakdown, RunConfig};
+use c3_bench::{cli, miss_breakdown, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
 
+const USAGE: &str = "usage: fig11 [--ops N] [--threads N]\n";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1500usize;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+    let (ops, threads) = cli::parse(USAGE, |args| {
+        Ok((
+            args.value::<usize>("--ops")?.unwrap_or(1500),
+            args.threads()?,
+        ))
+    });
     let workloads = ["histogram", "barnes", "lu-ncont", "vips"];
     let globals = [
         GlobalProtocol::Hierarchical(ProtocolFamily::Mesi),

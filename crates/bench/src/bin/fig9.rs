@@ -17,43 +17,21 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{geomean, RunConfig};
+use c3_bench::{cli, geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::{Suite, WorkloadSpec};
+use c3_workloads::Suite;
+
+const USAGE: &str = "usage: fig9 [--ops N] [--workloads a,b,c] [--threads N]\n";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1200usize;
-    let mut filter: Option<Vec<String>> = None;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--workloads" => {
-                filter = Some(args[i + 1].split(',').map(|s| s.to_string()).collect());
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
-    let specs: Vec<WorkloadSpec> = WorkloadSpec::all()
-        .into_iter()
-        .filter(|spec| {
-            filter
-                .as_ref()
-                .map(|f| f.iter().any(|n| n == spec.name))
-                .unwrap_or(true)
-        })
-        .collect();
+    let (ops, specs, threads) = cli::parse(USAGE, |args| {
+        Ok((
+            args.value::<usize>("--ops")?.unwrap_or(1200),
+            cli::workload_filter(args.list("--workloads")?)?,
+            args.threads()?,
+        ))
+    });
     let mcm_combos = [
         (Mcm::Weak, Mcm::Weak),
         (Mcm::Tso, Mcm::Tso),

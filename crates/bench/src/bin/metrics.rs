@@ -14,36 +14,44 @@
 //! — all sampled on simulated-time boundaries, so same-seed runs emit
 //! byte-identical files. `--trace` additionally writes a Perfetto trace
 //! with the sampled series appended as counter tracks.
+//!
+//! Over CXL the summary ends with the §VI-C1 hot-line profile: the
+//! DCOH's most-requested lines over the whole run. CXL-sensitive
+//! workloads (histogram, barnes) show lines read and written by several
+//! hosts; vips shows none.
+
+use std::num::NonZeroU64;
 
 use c3::system::GlobalProtocol;
-use c3_bench::{build_sim, RunConfig};
+use c3_bench::{build_sim, cli, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
 use c3_sim::metrics::MetricsHub;
 use c3_workloads::WorkloadSpec;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: metrics <workload> [--interval-ns N] [--out FILE] [--json] [--quick|--full]\n\
-         \x20                 [--baseline] [--trace FILE] [--max-windows N]"
-    );
-    eprintln!(
-        "       --interval-ns N   sample interval in simulated ns (default: 25 quick, 100 full)"
-    );
-    eprintln!("       --out FILE        timeseries path (default: metrics-<workload>.csv/.json)");
-    eprintln!("       --json            write the JSON export (with per-window hot addresses)");
-    eprintln!("       --quick           quick configuration (the default; kept for CI clarity)");
-    eprintln!("       --full            paper-scale run instead of the quick configuration");
-    eprintln!("       --baseline        hierarchical MESI global instead of CXL");
-    eprintln!("       --trace FILE      also write a Perfetto trace with counter tracks");
-    eprintln!("       --max-windows N   decimation cap on stored windows (default: 4096)");
-    eprintln!("workloads:");
-    let mut names: Vec<&str> = WorkloadSpec::all().iter().map(|w| w.name).collect();
-    names.sort_unstable();
-    names.dedup();
-    eprintln!("  {}", names.join(" "));
-    std::process::exit(2);
+const USAGE: &str =
+    "usage: metrics <workload> [--interval-ns N] [--out FILE] [--json] [--quick|--full]
+                  [--baseline] [--trace FILE] [--max-windows N]
+       --interval-ns N   sample interval in simulated ns (default: 25 quick, 100 full)
+       --out FILE        timeseries path (default: metrics-<workload>.csv/.json)
+       --json            write the JSON export (with per-window hot addresses)
+       --quick           quick configuration (the default; kept for CI clarity)
+       --full            paper-scale run instead of the quick configuration
+       --baseline        hierarchical MESI global instead of CXL
+       --trace FILE      also write a Perfetto trace with counter tracks
+       --max-windows N   decimation cap on stored windows (default: 4096)
+";
+
+struct Opts {
+    interval_ns: Option<NonZeroU64>,
+    out_path: Option<String>,
+    json: bool,
+    full: bool,
+    baseline: bool,
+    trace_path: Option<String>,
+    max_windows: Option<usize>,
+    spec: WorkloadSpec,
 }
 
 /// Columns of interest, resolved once from the registered metric names.
@@ -122,51 +130,23 @@ fn attribute(hub: &MetricsHub, cols: &Columns, w: usize) -> (f64, Best, Best) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = None;
-    let mut out_path = None;
-    let mut interval_ns = None;
-    let mut json = false;
-    let mut full = false;
-    let mut baseline = false;
-    let mut trace_path = None;
-    let mut max_windows = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--interval-ns" => {
-                interval_ns = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--max-windows" => {
-                max_windows = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--trace" => trace_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--json" => json = true,
-            "--quick" => full = false,
-            "--full" => full = true,
-            "--baseline" => baseline = true,
-            "-h" | "--help" => usage(),
-            name if workload.is_none() => workload = Some(name.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(name) = workload else { usage() };
-    let Some(spec) = WorkloadSpec::by_name(&name) else {
-        eprintln!("unknown workload: {name}");
-        usage();
-    };
+    let usage = format!("{USAGE}{}", cli::workload_names());
+    let o = cli::parse(&usage, |args| {
+        Ok(Opts {
+            interval_ns: args.value("--interval-ns")?,
+            out_path: args.value("--out")?,
+            json: args.flag("--json"),
+            // `--quick` is the default; given with `--full`, it wins.
+            full: args.flag("--full") & !args.flag("--quick"),
+            baseline: args.flag("--baseline"),
+            trace_path: args.value("--trace")?,
+            max_windows: args.value("--max-windows")?,
+            spec: args.workload()?,
+        })
+    });
+    let (name, full, json) = (o.spec.name, o.full, o.json);
 
-    let global = if baseline {
+    let global = if o.baseline {
         GlobalProtocol::Hierarchical(ProtocolFamily::Mesi)
     } else {
         GlobalProtocol::Cxl
@@ -179,13 +159,16 @@ fn main() {
     if !full {
         cfg = cfg.quick();
     }
-    cfg = cfg.metrics_ns(interval_ns.unwrap_or(if full { 100 } else { 25 }));
+    cfg = cfg.metrics_ns(
+        o.interval_ns
+            .map_or(if full { 100 } else { 25 }, NonZeroU64::get),
+    );
 
-    let (mut sim, _handles) = build_sim(&spec, &cfg);
-    if let Some(cap) = max_windows {
+    let (mut sim, handles) = build_sim(&o.spec, &cfg);
+    if let Some(cap) = o.max_windows {
         sim.metrics_mut().set_max_windows(cap);
     }
-    if trace_path.is_some() {
+    if o.trace_path.is_some() {
         sim.set_tracing(1_000_000);
     }
     let outcome = sim.run();
@@ -195,8 +178,9 @@ fn main() {
 
     // Write the timeseries before anything else — a truncated run is
     // exactly when the occupancy history is most valuable.
-    let path =
-        out_path.unwrap_or_else(|| format!("metrics-{name}.{}", if json { "json" } else { "csv" }));
+    let path = o
+        .out_path
+        .unwrap_or_else(|| format!("metrics-{name}.{}", if json { "json" } else { "csv" }));
     let body = if json {
         sim.metrics().to_json()
     } else {
@@ -206,7 +190,7 @@ fn main() {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     });
-    if let Some(tp) = &trace_path {
+    if let Some(tp) = &o.trace_path {
         std::fs::write(tp, sim.trace_json()).unwrap_or_else(|e| {
             eprintln!("cannot write {tp}: {e}");
             std::process::exit(1);
@@ -326,4 +310,26 @@ fn main() {
             parts.join("; ")
         }
     );
+
+    if let Some(dcoh) = sim.component_as::<c3_cxl::CxlDirectory>(handles.global_dir) {
+        println!("\nhot lines at the DCOH (whole run):");
+        println!(
+            "   {:<8} {:>8} {:>8} {:>8}",
+            "line", "reads", "writes", "hosts"
+        );
+        for h in dcoh.engine().hottest(8) {
+            let marker = if h.sharers > 1 && h.writes > 0 {
+                "  <- multi-host hot-spot"
+            } else {
+                ""
+            };
+            println!(
+                "   {:<8} {:>8} {:>8} {:>8}{marker}",
+                h.addr.to_string(),
+                h.reads,
+                h.writes,
+                h.sharers
+            );
+        }
+    }
 }

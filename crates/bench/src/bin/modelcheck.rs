@@ -1,5 +1,4 @@
-//! `modelcheck` — symmetry-reduced exhaustive exploration of the
-//! resilient protocol model.
+//! `modelcheck` — exhaustive model checking of the C³ design (§VI-A).
 //!
 //! Drives `c3-verif::resilient` over a battery of cluster × address
 //! configurations, printing per-config canonical/unreduced state counts,
@@ -8,6 +7,11 @@
 //! collected against the declarative PR-5 transition tables
 //! (`check_model_conformance`), so the abstract model and the concrete
 //! controllers cannot silently drift apart.
+//!
+//! Without `--config`, the battery also explores the fault-free
+//! Murphi-style model (`c3-verif::model`): both design rules on, then
+//! each ablated — Rule II off must hit the Fig. 4 race and the
+//! BIConflict handshake off the Fig. 2 race.
 //!
 //! ```text
 //! cargo run --release -p c3-bench --bin modelcheck            # fast battery
@@ -19,12 +23,16 @@
 //!
 //! Exit codes: `0` clean (or the injected bug was caught, under
 //! `--inject`/`--self-test`), `1` an invariant violation was found (or
-//! an injected bug was *missed*, or a witness diverged from the tables),
-//! `2` bad usage.
+//! an injected bug or ablated race was *missed*, or a witness diverged
+//! from the tables), `2` bad usage.
+
+use std::str::FromStr;
 
 use c3::bridge::bridge_transition_table;
+use c3_bench::cli;
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_protocol::states::ProtocolFamily;
+use c3_verif::model::{check, ModelConfig};
 use c3_verif::resilient::{check_resilient, Injection, RViolation, ResilientConfig};
 use c3_verif::static_checks::check_model_conformance;
 
@@ -33,8 +41,20 @@ use c3_verif::static_checks::check_model_conformance;
 /// well under a second in release builds.
 const BATTERY: [(usize, usize); 4] = [(2, 1), (2, 2), (3, 1), (3, 2)];
 
+/// `--config CLUSTERSxADDRS`, e.g. `3x2`.
+#[derive(Clone, Copy)]
+struct Shape(usize, usize);
+
+impl FromStr for Shape {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Shape, ()> {
+        let (c, a) = s.split_once('x').ok_or(())?;
+        Ok(Shape(c.parse().map_err(drop)?, a.parse().map_err(drop)?))
+    }
+}
+
 struct Args {
-    config: Option<(usize, usize)>,
+    config: Option<Shape>,
     ops: Option<u8>,
     faults: Option<u8>,
     retries: Option<u8>,
@@ -47,103 +67,65 @@ struct Args {
     min_reduction: Option<f64>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: modelcheck [--config CxA] [--ops N] [--faults N] [--retries N]\n\
-         \x20                 [--max-states N] [--no-symmetry] [--spill PATH]\n\
-         \x20                 [--min-reduction F] [--deep]\n\
-         \x20                 [--inject lost-grant-livelock|poison-launder] [--self-test]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: modelcheck [--config CxA] [--ops N] [--faults N] [--retries N]
+                  [--max-states N] [--no-symmetry] [--spill PATH]
+                  [--min-reduction F] [--deep]
+                  [--inject lost-grant-livelock|poison-launder] [--self-test]
+";
 
 fn parse_args() -> Args {
-    let mut out = Args {
-        config: None,
-        ops: None,
-        faults: None,
-        retries: None,
-        max_states: None,
-        no_symmetry: false,
-        spill: None,
-        inject: None,
-        self_test: false,
-        deep: false,
-        min_reduction: None,
-    };
-    let mut args = std::env::args().skip(1);
-    fn next_val(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("modelcheck: {flag} needs a value");
-            usage();
+    cli::parse(USAGE, |args| {
+        Ok(Args {
+            config: args.value("--config")?,
+            ops: args.value("--ops")?,
+            faults: args.value("--faults")?,
+            retries: args.value("--retries")?,
+            max_states: args.value("--max-states")?,
+            no_symmetry: args.flag("--no-symmetry"),
+            spill: args.value("--spill")?,
+            inject: args
+                .value::<String>("--inject")?
+                .map(|n| cli::lookup("injection", &n, Injection::parse))
+                .transpose()?,
+            self_test: args.flag("--self-test"),
+            deep: args.flag("--deep"),
+            min_reduction: args.value("--min-reduction")?,
         })
+    })
+}
+
+/// The fault-free abstract model: `(label, config, expect_violation)`.
+/// The two ablations must each find their paper race.
+fn abstract_battery() -> [(&'static str, ModelConfig, bool); 5] {
+    let mut cfg = [ModelConfig::default(); 5];
+    cfg[1].ops_per_core = 3;
+    cfg[2].second_core = true;
+    cfg[3].rule2_nesting = false;
+    cfg[4].conflict_handshake = false;
+    [
+        ("rules on, 2 ops/core", cfg[0], false),
+        ("rules on, 3 ops/core", cfg[1], false),
+        ("rules on, 2 cores in cluster 0", cfg[2], false),
+        ("Rule II (nesting) disabled -> Fig. 4 race", cfg[3], true),
+        ("BIConflict handshake disabled -> Fig. 2 race", cfg[4], true),
+    ]
+}
+
+/// Explore one abstract-model config; `true` if the verdict is the
+/// expected one.
+fn run_abstract(label: &str, cfg: &ModelConfig, expect_violation: bool) -> bool {
+    let r = check(cfg);
+    let (ok, verdict) = match (&r.violation, expect_violation) {
+        (None, false) => (true, "OK (no violation)"),
+        (Some(_), true) => (true, "OK (violation found, as designed)"),
+        (None, true) => (false, "FAIL (expected a violation)"),
+        (Some(_), false) => (false, "FAIL (unexpected violation)"),
+    };
+    println!("abstract {label}: {} states, {verdict}", r.states);
+    if let Some(v) = r.violation {
+        println!("  -> {v}");
     }
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--config" => {
-                let v = next_val(&mut args, "--config");
-                let Some((c, n)) = v.split_once('x') else {
-                    eprintln!("modelcheck: --config wants CLUSTERSxADDRS, e.g. 3x2");
-                    usage();
-                };
-                match (c.parse(), n.parse()) {
-                    (Ok(c), Ok(n)) => out.config = Some((c, n)),
-                    _ => {
-                        eprintln!("modelcheck: bad --config {v:?}");
-                        usage();
-                    }
-                }
-            }
-            "--ops" => {
-                out.ops = next_val(&mut args, "--ops")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--faults" => {
-                out.faults = next_val(&mut args, "--faults")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--retries" => {
-                out.retries = next_val(&mut args, "--retries")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--max-states" => {
-                out.max_states = next_val(&mut args, "--max-states")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--min-reduction" => {
-                out.min_reduction = next_val(&mut args, "--min-reduction")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--no-symmetry" => out.no_symmetry = true,
-            "--spill" => out.spill = Some(next_val(&mut args, "--spill")),
-            "--inject" => {
-                let v = next_val(&mut args, "--inject");
-                out.inject = Some(Injection::parse(&v).unwrap_or_else(|| {
-                    eprintln!("modelcheck: unknown injection {v:?}");
-                    eprintln!("  (expected lost-grant-livelock or poison-launder)");
-                    std::process::exit(2);
-                }));
-            }
-            "--self-test" => out.self_test = true,
-            "--deep" => out.deep = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("modelcheck: unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-    out
+    ok
 }
 
 /// The invariant class each seeded bug must trip.
@@ -244,7 +226,9 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
                     r.witnesses.len()
                 );
                 if let Some(min) = min_reduction {
-                    if cfg.symmetry && r.reduction_factor < min {
+                    // The reduction factor is bounded by the group order,
+                    // so the bar binds only where the group exceeds it.
+                    if cfg.symmetry && r.group_order as f64 > min && r.reduction_factor < min {
                         println!(
                             "  FAIL: reduction factor {:.2}x below required {min:.2}x",
                             r.reduction_factor
@@ -302,19 +286,24 @@ fn main() {
     let args = parse_args();
 
     if args.self_test {
-        // Both seeded protocol bugs must be detected on a small config;
-        // CI runs this so a checker regression cannot hide behind
-        // all-clean output.
+        // Both seeded protocol bugs and both design-rule ablations must
+        // be detected on small configs; CI runs this so a checker
+        // regression cannot hide behind all-clean output.
         let mut ok = true;
         for inj in Injection::ALL {
             let mut cfg = build_config(&args, 2, 1);
             cfg.inject = Some(inj);
             ok &= run_one(&cfg, None);
         }
+        for (label, cfg, expect_violation) in abstract_battery() {
+            if expect_violation {
+                ok &= run_abstract(label, &cfg, true);
+            }
+        }
         println!(
             "modelcheck self-test: {}",
             if ok {
-                "both injections caught"
+                "both injections and both ablated races caught"
             } else {
                 "FAILED"
             }
@@ -323,7 +312,7 @@ fn main() {
     }
 
     let configs: Vec<(usize, usize)> = match args.config {
-        Some(ca) => vec![ca],
+        Some(Shape(c, a)) => vec![(c, a)],
         None => BATTERY.to_vec(),
     };
 
@@ -331,6 +320,11 @@ fn main() {
     for (clusters, addrs) in &configs {
         let cfg = build_config(&args, *clusters, *addrs);
         ok &= run_one(&cfg, args.min_reduction);
+    }
+    if args.config.is_none() {
+        for (label, cfg, expect_violation) in abstract_battery() {
+            ok &= run_abstract(label, &cfg, expect_violation);
+        }
     }
     if args.deep {
         // The headline exhaustive run: 3 hosts × 2 addresses with two

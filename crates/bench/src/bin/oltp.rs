@@ -16,7 +16,7 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, json_escape};
-use c3_bench::{run_workload_with, RunConfig};
+use c3_bench::{cli, run_workload_with, RunConfig};
 use c3_memsys::{AccessKind, L1Controller};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
@@ -88,34 +88,17 @@ fn run_cell(cell: &Cell) -> CellResult {
     }
 }
 
+const USAGE: &str = "usage: oltp [--quick] [--threads N] [--ops N] [--json PATH]\n";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut quick = false;
-    let mut threads = runner::default_threads();
-    let mut ops: Option<usize> = None;
-    let mut json: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            "--ops" => {
-                ops = Some(args[i + 1].parse().expect("ops"));
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+    let (quick, threads, ops, json) = cli::parse(USAGE, |args| {
+        Ok((
+            args.flag("--quick"),
+            args.threads()?,
+            args.value::<usize>("--ops")?,
+            args.value::<String>("--json")?,
+        ))
+    });
 
     // Full sweep: the 2²⁰-key engine (≥10⁶ distinct hot lines) across
     // YCSB-style skews, two topology scales and both host families.

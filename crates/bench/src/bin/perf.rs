@@ -46,7 +46,7 @@ use std::any::Any;
 use c3::system::GlobalProtocol;
 use c3_bench::alloc::{alloc_count, CountingAlloc};
 use c3_bench::runner::{self, json_escape, Experiment};
-use c3_bench::RunConfig;
+use c3_bench::{cli, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::prelude::*;
@@ -359,52 +359,24 @@ fn parse_budget(path: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
+const USAGE: &str = "usage: perf [--quick] [--exchanges N] [--out PATH] [--label TEXT]\n\
+     \x20           [--alloc-budget FILE] [--shards n1,n2,...] [--floor-label TEXT]\n";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut quick = false;
-    let mut exchanges: Option<u64> = None;
-    let mut out = "BENCH_perf.json".to_string();
-    let mut label = "local".to_string();
-    let mut budget_file: Option<String> = None;
-    let mut shard_counts: Vec<usize> = Vec::new();
-    let mut floor_label: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--exchanges" => {
-                exchanges = Some(args[i + 1].parse().expect("exchanges"));
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
-            "--label" => {
-                label = args[i + 1].clone();
-                i += 2;
-            }
-            "--alloc-budget" => {
-                budget_file = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--shards" => {
-                shard_counts = args[i + 1]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("shard count"))
-                    .collect();
-                i += 2;
-            }
-            "--floor-label" => {
-                floor_label = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+    let (quick, exchanges, out, label, budget_file, shard_counts, floor_label) =
+        cli::parse(USAGE, |args| {
+            Ok((
+                args.flag("--quick"),
+                args.value::<u64>("--exchanges")?,
+                args.value("--out")?
+                    .unwrap_or_else(|| "BENCH_perf.json".to_string()),
+                args.value("--label")?
+                    .unwrap_or_else(|| "local".to_string()),
+                args.value::<String>("--alloc-budget")?,
+                args.list::<usize>("--shards")?.unwrap_or_default(),
+                args.value::<String>("--floor-label")?,
+            ))
+        });
     let exchanges = exchanges.unwrap_or(if quick { 200_000 } else { 2_000_000 }) | 1;
 
     let pp = pingpong(exchanges);

@@ -27,6 +27,7 @@
 
 use c3::bridge::bridge_transition_table;
 use c3::generator::{baseline_fsm, bridge_fsm};
+use c3_bench::cli;
 use c3_bench::runner::json_escape;
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_memsys::l1::l1_transition_table;
@@ -54,6 +55,19 @@ enum Inject {
     /// `Cmp` itself — an unreleasable self-cycle.
     Cycle,
 }
+
+impl Inject {
+    fn parse(name: &str) -> Option<Inject> {
+        match name {
+            "missing-row" => Some(Inject::MissingRow),
+            "forbidden-state" => Some(Inject::ForbiddenState),
+            "cycle" => Some(Inject::Cycle),
+            _ => None,
+        }
+    }
+}
+
+const USAGE: &str = "usage: protocheck [--json] [--inject missing-row|forbidden-state|cycle]\n";
 
 fn apply_injection(inject: Inject, l1: &mut TransitionTable, bridge: &mut TransitionTable) {
     match inject {
@@ -104,35 +118,13 @@ struct FsmResult {
 }
 
 fn main() {
-    let mut inject = None;
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--inject" => {
-                let kind = args.next().unwrap_or_default();
-                inject = Some(match kind.as_str() {
-                    "missing-row" => Inject::MissingRow,
-                    "forbidden-state" => Inject::ForbiddenState,
-                    "cycle" => Inject::Cycle,
-                    other => {
-                        eprintln!("protocheck: unknown injection {other:?}");
-                        eprintln!("  (expected missing-row, forbidden-state or cycle)");
-                        std::process::exit(2);
-                    }
-                });
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                println!("usage: protocheck [--json] [--inject missing-row|forbidden-state|cycle]");
-                return;
-            }
-            other => {
-                eprintln!("protocheck: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (inject, json) = cli::parse(USAGE, |args| {
+        let inject = args
+            .value::<String>("--inject")?
+            .map(|n| cli::lookup("injection", &n, Inject::parse))
+            .transpose()?;
+        Ok((inject, args.flag("--json")))
+    });
 
     let mut families: Vec<FamilyResult> = Vec::new();
     for fam in FAMILIES {

@@ -17,35 +17,21 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::RunConfig;
+use c3_bench::{cli, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::WorkloadSpec;
+
+const USAGE: &str = "usage: sweep [--workload W] [--threads N] [--json PATH]\n";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut wname = "histogram".to_string();
-    let mut threads = runner::default_threads();
-    let mut json: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                wname = args[i + 1].clone();
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
-    let spec = WorkloadSpec::by_name(&wname).expect("workload");
+    let (spec, threads, json) = cli::parse(USAGE, |args| {
+        let name = args.value::<String>("--workload")?;
+        Ok((
+            cli::workload(name.as_deref().unwrap_or("histogram"))?,
+            args.threads()?,
+            args.value::<String>("--json")?,
+        ))
+    });
 
     let link_points: [u64; 6] = [5, 15, 35, 70, 140, 280];
     let mut grid = Vec::new();
@@ -67,7 +53,10 @@ fn main() {
 
     let results = runner::run_grid(threads, &grid);
 
-    println!("Link-latency sweep, workload {wname} (normalized CXL/baseline):");
+    println!(
+        "Link-latency sweep, workload {} (normalized CXL/baseline):",
+        spec.name
+    );
     println!(
         "{:>9} {:>12} {:>12} {:>8}",
         "link(ns)", "baseline(ns)", "cxl(ns)", "ratio"

@@ -2,9 +2,11 @@
 //!
 //! Usage: `cargo run -p c3-bench --bin table1`
 
+use c3_bench::cli;
 use c3_protocol::msg::{direction, mesi_equivalent, CxlOpcode};
 
 fn main() {
+    cli::parse("usage: table1\n", |_| Ok(()));
     println!("Table I: CXL.mem coherence messages and MESI equivalents");
     println!(
         "{:<12} {:<5} {:<10} Description",

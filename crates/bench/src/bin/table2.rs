@@ -4,17 +4,25 @@
 //! Usage: `cargo run -p c3-bench --bin table2 [-- MESI|MESIF|MOESI|RCC]`
 
 use c3::generator::bridge_fsm;
+use c3_bench::cli;
 use c3_protocol::states::ProtocolFamily;
 
+const USAGE: &str = "usage: table2 [MESI|MESIF|MOESI|RCC]   (host family, default MOESI)\n";
+
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "MOESI".into());
-    let family = match arg.to_uppercase().as_str() {
-        "MESI" => ProtocolFamily::Mesi,
-        "MESIF" => ProtocolFamily::Mesif,
-        "MOESI" => ProtocolFamily::Moesi,
-        "RCC" => ProtocolFamily::Rcc,
-        other => panic!("unknown family {other}"),
-    };
+    let family = cli::parse(USAGE, |args| match args.positional() {
+        None => Ok(ProtocolFamily::Moesi),
+        Some(name) => cli::lookup("family", &name, |n| {
+            [
+                ProtocolFamily::Mesi,
+                ProtocolFamily::Mesif,
+                ProtocolFamily::Moesi,
+                ProtocolFamily::Rcc,
+            ]
+            .into_iter()
+            .find(|f| f.label().eq_ignore_ascii_case(n))
+        }),
+    });
     let fsm = bridge_fsm(family);
     println!("{}", fsm.dump_table());
     println!(

@@ -16,30 +16,21 @@
 //! (the paper uses 100 000 runs per cell; the default here is 400)
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner;
+use c3_bench::{cli, runner};
 use c3_mcm::harness::{reference_allowed, run_litmus, LitmusConfig};
 use c3_mcm::litmus::LitmusTest;
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 
+const USAGE: &str = "usage: table4 [--runs N] [--threads N]\n";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut runs = 400usize;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                runs = args[i + 1].parse().expect("runs");
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+    let (runs, threads) = cli::parse(USAGE, |args| {
+        Ok((
+            args.value::<usize>("--runs")?.unwrap_or(400),
+            args.threads()?,
+        ))
+    });
     let protocol_combos = [
         (
             "MESI-CXL-MESI",

@@ -5,7 +5,13 @@
 //! ```text
 //! cargo run -p c3-bench --bin trace -- vips
 //! cargo run -p c3-bench --bin trace -- histogram --out /tmp/hist.json --cap 500000 --full
+//! cargo run -p c3-bench --bin trace -- vips --report > /tmp/a.txt
 //! ```
+//!
+//! `--report` prints the run's complete statistics report instead (one
+//! sorted `key=value` per line, via `c3_bench::render_report`) for
+//! byte-identity diffs between builds; with `--baseline` it reports the
+//! hierarchical-MESI run, so diffing the two compares baseline vs CXL.
 //!
 //! Load the emitted JSON at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`): one track per component, `bridge` spans showing
@@ -17,71 +23,52 @@
 //! chain) is printed instead of a trace summary.
 
 use c3::system::GlobalProtocol;
-use c3_bench::{build_sim, RunConfig};
+use c3_bench::{build_sim, cli, exec_times, render_report, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
 use c3_workloads::WorkloadSpec;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace <workload> [--out FILE] [--cap N] [--events N] [--full] [--text] [--baseline]"
-    );
-    eprintln!("       --out FILE   trace JSON path (default: trace-<workload>.json)");
-    eprintln!("       --cap N      ring-buffer capacity in events (default: 1000000)");
-    eprintln!("       --events N   cut the run off after N events (forces a post-mortem)");
-    eprintln!("       --full       paper-scale run instead of the quick configuration");
-    eprintln!("       --text       also print the compact text dump to stdout");
-    eprintln!("       --baseline   hierarchical MESI global instead of CXL");
-    eprintln!("workloads:");
-    let mut names: Vec<&str> = WorkloadSpec::all().iter().map(|w| w.name).collect();
-    names.sort_unstable();
-    names.dedup();
-    eprintln!("  {}", names.join(" "));
-    std::process::exit(2);
+const USAGE: &str = "usage: trace <workload> [--out FILE] [--cap N] [--events N] [--full] [--text]
+                    [--baseline] [--report]
+       --out FILE   trace JSON path (default: trace-<workload>.json)
+       --cap N      ring-buffer capacity in events (default: 1000000)
+       --events N   cut the run off after N events (forces a post-mortem)
+       --full       paper-scale run instead of the quick configuration
+       --text       also print the compact text dump to stdout
+       --baseline   hierarchical MESI global instead of CXL
+       --report     print the sorted key=value report instead of writing a trace
+";
+
+struct Opts {
+    out_path: Option<String>,
+    cap: usize,
+    events: Option<u64>,
+    full: bool,
+    text: bool,
+    baseline: bool,
+    report: bool,
+    spec: WorkloadSpec,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = None;
-    let mut out_path = None;
-    let mut cap = 1_000_000usize;
-    let mut events = None;
-    let mut full = false;
-    let mut text = false;
-    let mut baseline = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--cap" => {
-                cap = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--events" => {
-                events = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--full" => full = true,
-            "--text" => text = true,
-            "--baseline" => baseline = true,
-            "-h" | "--help" => usage(),
-            name if workload.is_none() => workload = Some(name.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(name) = workload else { usage() };
-    let Some(spec) = WorkloadSpec::by_name(&name) else {
-        eprintln!("unknown workload: {name}");
-        usage();
-    };
+    let usage = format!("{USAGE}{}", cli::workload_names());
+    let o = cli::parse(&usage, |args| {
+        Ok(Opts {
+            out_path: args.value("--out")?,
+            cap: args.value("--cap")?.unwrap_or(1_000_000),
+            events: args.value("--events")?,
+            full: args.flag("--full"),
+            text: args.flag("--text"),
+            baseline: args.flag("--baseline"),
+            report: args.flag("--report"),
+            spec: args.workload()?,
+        })
+    });
+    let name = o.spec.name;
+    let cap = o.cap;
 
-    let global = if baseline {
+    let global = if o.baseline {
         GlobalProtocol::Hierarchical(ProtocolFamily::Mesi)
     } else {
         GlobalProtocol::Cxl
@@ -91,26 +78,38 @@ fn main() {
         global,
         (Mcm::Weak, Mcm::Weak),
     );
-    if !full {
+    if !o.full {
         cfg = cfg.quick();
     }
 
-    let (mut sim, _handles) = build_sim(&spec, &cfg);
-    sim.set_tracing(cap);
-    if let Some(n) = events {
+    let (mut sim, handles) = build_sim(&o.spec, &cfg);
+    if !o.report {
+        sim.set_tracing(cap);
+    }
+    if let Some(n) = o.events {
         sim.set_event_limit(n);
     }
     let outcome = sim.run();
 
+    if o.report {
+        if outcome != RunOutcome::Completed {
+            eprintln!("{}", sim.post_mortem(outcome));
+            std::process::exit(1);
+        }
+        let (exec_ns, _) = exec_times(&sim, &handles);
+        println!("{}", render_report(exec_ns, &sim.report()));
+        return;
+    }
+
     // Write the trace before anything else: a truncated run is exactly
     // when the trace is most valuable (it shows what led up to the stall),
     // so the file must land on disk even when we exit nonzero below.
-    let path = out_path.unwrap_or_else(|| format!("trace-{name}.json"));
+    let path = o.out_path.unwrap_or_else(|| format!("trace-{name}.json"));
     std::fs::write(&path, sim.trace_json()).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     });
-    if text {
+    if o.text {
         print!("{}", sim.trace_text());
     }
 

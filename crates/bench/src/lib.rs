@@ -1,8 +1,11 @@
 //! # c3-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§VI).
-//! Binaries: `table1`, `table2`, `table4`, `fig9`, `fig10`, `fig11`,
-//! `verify`, `ablation`. Criterion benches run scaled-down versions.
+//! Paper artifacts: `table1`, `table2`, `table4`, `fig9`, `fig10`,
+//! `fig11`, `modelcheck` (§VI-A) and `metrics` (§VI-C1 hot lines).
+//! Beyond the paper: `ablation`, `sweep`, `chaos`, `oltp`, `perf`,
+//! `protocheck`, `trace`. Every bin parses its flags through [`cli`].
+//! Criterion benches run scaled-down versions.
 //!
 //! The scaled system: 4 cores per cluster (8 total — the paper uses 8–30,
 //! calibrated per workload), small L1s matching the scaled footprints
@@ -13,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod cli;
 pub mod runner;
 
 use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
@@ -61,9 +65,8 @@ pub struct RunConfig {
     pub clusters: usize,
     /// Run the kernel as a conservative parallel PDES on this many
     /// worker threads ([`c3_sim::kernel::Simulator::run_sharded`]);
-    /// `None` (the default) uses the sequential kernel. The
-    /// `C3_SIM_SHARDS` environment variable provides a process-wide
-    /// fallback when unset. Reports are byte-identical for any value.
+    /// `None` (the default) uses the sequential kernel. Reports are
+    /// byte-identical for any value.
     pub shards: Option<usize>,
     /// Opt in to coherence-state footprint observability (resident-line /
     /// resident-region gauges, peak-state-bytes report lines) on the L1s
@@ -135,17 +138,6 @@ impl RunConfig {
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
-    }
-
-    /// The effective shard-thread count: the explicit [`RunConfig::shards`]
-    /// setting, else the `C3_SIM_SHARDS` environment variable, else
-    /// `None` (sequential kernel).
-    pub fn effective_shards(&self) -> Option<usize> {
-        self.shards.or_else(|| {
-            std::env::var("C3_SIM_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
     }
 
     /// The paper's protocol-combination label (e.g. "MESI-CXL-MOESI").
@@ -275,7 +267,7 @@ pub fn run_workload_with<T>(
     inspect: impl FnOnce(&c3_sim::kernel::Simulator<SysMsg>, &c3::system::SystemHandles) -> T,
 ) -> (RunResult, T) {
     let (mut sim, handles) = build_sim(spec, cfg);
-    let outcome = match cfg.effective_shards() {
+    let outcome = match cfg.shards {
         Some(n) => sim.run_sharded(n),
         None => sim.run(),
     };
@@ -353,6 +345,24 @@ pub fn miss_breakdown(report: &Report) -> Vec<(String, f64)> {
         }
     }
     rows
+}
+
+/// Render a run's report for byte-identity diffs and fingerprints: an
+/// `exec_ns=` line, then every `key=value` line sorted.
+pub fn render_report(exec_ns: u64, report: &Report) -> String {
+    let mut lines: Vec<String> = report.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    lines.sort_unstable();
+    format!("exec_ns={exec_ns}\n{}", lines.join("\n"))
+}
+
+/// 64-bit FNV-1a hash, the fingerprint pinned over [`render_report`].
+pub fn fnv1a(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Convenience re-export of the simulated-message type for bin targets.

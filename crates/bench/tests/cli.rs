@@ -1,0 +1,85 @@
+//! Every `c3-bench` bin handles its command line through `c3_bench::cli`:
+//! `--help` exits 0, and each malformed invocation exits 2 with the usage
+//! on stderr instead of panicking.
+
+use std::process::{Command, Output};
+
+/// Every bin, with one of its numeric `--flag N` flags where it has any.
+const BINS: [(&str, Option<&str>); 15] = [
+    (env!("CARGO_BIN_EXE_ablation"), None),
+    (env!("CARGO_BIN_EXE_chaos"), Some("--seed")),
+    (env!("CARGO_BIN_EXE_fig9"), Some("--ops")),
+    (env!("CARGO_BIN_EXE_fig10"), Some("--ops")),
+    (env!("CARGO_BIN_EXE_fig11"), Some("--ops")),
+    (env!("CARGO_BIN_EXE_metrics"), Some("--interval-ns")),
+    (env!("CARGO_BIN_EXE_modelcheck"), Some("--ops")),
+    (env!("CARGO_BIN_EXE_oltp"), Some("--ops")),
+    (env!("CARGO_BIN_EXE_perf"), Some("--exchanges")),
+    (env!("CARGO_BIN_EXE_protocheck"), None),
+    (env!("CARGO_BIN_EXE_sweep"), Some("--threads")),
+    (env!("CARGO_BIN_EXE_table1"), None),
+    (env!("CARGO_BIN_EXE_table2"), None),
+    (env!("CARGO_BIN_EXE_table4"), Some("--runs")),
+    (env!("CARGO_BIN_EXE_trace"), Some("--cap")),
+];
+
+/// Names that resolve to nothing, one per kind of lookup.
+const UNKNOWN_NAMES: [(&str, &[&str]); 7] = [
+    (env!("CARGO_BIN_EXE_table2"), &["BOGUS"]),
+    (env!("CARGO_BIN_EXE_trace"), &["nosuch"]),
+    (env!("CARGO_BIN_EXE_metrics"), &["nosuch"]),
+    (env!("CARGO_BIN_EXE_sweep"), &["--workload", "nosuch"]),
+    (env!("CARGO_BIN_EXE_fig10"), &["--workloads", "vips,nosuch"]),
+    (env!("CARGO_BIN_EXE_protocheck"), &["--inject", "nosuch"]),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--inject", "nosuch"]),
+];
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("spawn bin")
+}
+
+fn assert_rejected(bin: &str, args: &[&str]) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}:\n{stderr}");
+    assert!(
+        stderr.contains("usage"),
+        "{bin} {args:?}: no usage:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{bin} {args:?} panicked:\n{stderr}"
+    );
+}
+
+#[test]
+fn help_exits_zero_with_usage() {
+    for (bin, _) in BINS {
+        let out = run(bin, &["--help"]);
+        assert_eq!(out.status.code(), Some(0), "{bin} --help");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("usage"),
+            "{bin} --help printed no usage"
+        );
+    }
+}
+
+#[test]
+fn malformed_flags_exit_two_with_usage() {
+    for (bin, numeric) in BINS {
+        assert_rejected(bin, &["--no-such-flag"]);
+        if let Some(flag) = numeric {
+            assert_rejected(bin, &[flag]);
+            assert_rejected(bin, &[flag, "x"]);
+        }
+    }
+    assert_rejected(env!("CARGO_BIN_EXE_protocheck"), &["--inject"]);
+    assert_rejected(env!("CARGO_BIN_EXE_trace"), &[]);
+}
+
+#[test]
+fn unknown_names_exit_two_with_usage() {
+    for (bin, args) in UNKNOWN_NAMES {
+        assert_rejected(bin, args);
+    }
+}

@@ -7,12 +7,12 @@
 //! * metrics are additive — the metrics-on report minus `metrics.` keys
 //!   equals the metrics-off report (sampling changes no behaviour);
 //! * the metrics-on rendering is pinned by fingerprint, like the plain
-//!   `report_dump` rendering in `runner.rs`;
+//!   report rendering in `runner.rs`;
 //! * grid runs with metrics enabled stay thread-count invariant.
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{build_sim, run_workload, RunConfig};
+use c3_bench::{build_sim, fnv1a, render_report, run_workload, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
@@ -103,15 +103,6 @@ fn report_is_additive_under_metrics() {
     );
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The metrics-on output (report rendering plus the CSV timeseries) is
 /// pinned by fingerprint, the metrics-enabled counterpart of
 /// `report_dump_byte_identity` in `runner.rs`. Re-pin deliberately when
@@ -121,10 +112,8 @@ fn metrics_output_fingerprint_pinned() {
     let cfg = vips_cfg(Some(25));
     let spec = WorkloadSpec::by_name("vips").expect("workload");
     let r = run_workload(&spec, &cfg);
-    let mut lines: Vec<String> = r.report.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    lines.sort_unstable();
     let (csv, _, _) = timeseries(&cfg);
-    let doc = format!("exec_ns={}\n{}\n{csv}", r.exec_ns, lines.join("\n"));
+    let doc = format!("{}\n{csv}", render_report(r.exec_ns, &r.report));
     assert_eq!(
         fnv1a(&doc),
         17_311_063_450_239_843_500u64,

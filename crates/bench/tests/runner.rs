@@ -5,13 +5,13 @@
 //!   grid (determinism under parallelism);
 //! * the `perf` microbench completes in `--quick` mode and reports
 //!   nonzero events/sec;
-//! * same-seed runs render byte-identical `report_dump`-style reports,
-//!   pinned by fingerprint so fabric/kernel hot-path changes that shift
+//! * same-seed runs render byte-identical reports (`render_report`, as
+//!   `trace --report` prints them), pinned by fingerprint so fabric/kernel hot-path changes that shift
 //!   behaviour (rather than just speed) fail loudly.
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{run_workload, run_workload_with, RunConfig};
+use c3_bench::{fnv1a, render_report, run_workload, run_workload_with, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
@@ -165,21 +165,9 @@ fn sharded_run_byte_identical_for_1_2_8_shards() {
     }
 }
 
-/// Render a report the way `--bin report_dump` does.
 fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
     let r = run_workload(spec, cfg);
-    let mut lines: Vec<String> = r.report.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    lines.sort_unstable();
-    format!("exec_ns={}\n{}", r.exec_ns, lines.join("\n"))
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    render_report(r.exec_ns, &r.report)
 }
 
 /// Same-seed, same-config runs must render byte-identical reports, and

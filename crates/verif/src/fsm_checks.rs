@@ -106,7 +106,12 @@ mod tests {
 
     #[test]
     fn baseline_fsms_are_clean() {
-        for fam in [ProtocolFamily::Mesi, ProtocolFamily::Moesi] {
+        for fam in [
+            ProtocolFamily::Mesi,
+            ProtocolFamily::Mesif,
+            ProtocolFamily::Moesi,
+            ProtocolFamily::Rcc,
+        ] {
             let fsm = baseline_fsm(fam, ProtocolFamily::Mesi);
             let defects = check_fsm(&fsm);
             assert!(defects.is_empty(), "{fam}: {defects:?}");
