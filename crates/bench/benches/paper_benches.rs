@@ -19,7 +19,7 @@ use c3_memsys::cache::CacheArray;
 use c3_protocol::mcm::Mcm;
 use c3_protocol::ops::Addr;
 use c3_protocol::states::ProtocolFamily;
-use c3_verif::model::{check, ModelConfig};
+use c3_verif::resilient::{check_resilient, ResilientConfig};
 use c3_workloads::WorkloadSpec;
 
 struct Harness {
@@ -76,10 +76,19 @@ fn microbenches(h: &mut Harness) {
 }
 
 fn verification(h: &mut Harness) {
+    // The nested default: one core with a private L1 behind each of two
+    // cluster copies, two ops per core, fault-free.
+    let cfg = ResilientConfig {
+        l1_cores: 1,
+        ops_per_cluster: 2,
+        max_faults: 0,
+        max_retries: 0,
+        ..ResilientConfig::default()
+    };
     h.bench("verification/model_check_default", 3, || {
-        let r = check(&ModelConfig::default());
-        assert!(r.violation.is_none());
-        r.states
+        let r = check_resilient(&cfg);
+        assert!(r.violation.is_none() && !r.truncated);
+        r.canonical_states
     });
 }
 

@@ -4,35 +4,37 @@
 //! configurations, printing per-config canonical/unreduced state counts,
 //! edge counts and the symmetry reduction factor. Every clean run also
 //! cross-checks the `(controller, state, event)` witnesses the explorer
-//! collected against the declarative PR-5 transition tables
+//! collected against the declarative transition tables
 //! (`check_model_conformance`), so the abstract model and the concrete
 //! controllers cannot silently drift apart.
 //!
-//! Without `--config`, the battery also explores the fault-free
-//! Murphi-style model (`c3-verif::model`): both design rules on, then
-//! each ablated — Rule II off must hit the Fig. 4 race and the
-//! BIConflict handshake off the Fig. 2 race.
+//! The default battery (no `--config`, `--l1-cores` or `--inject`) ends
+//! with the nested configurations: one or two cores with private L1s
+//! behind every cluster copy, so snoops open Rule-II recalls. `--self-test`
+//! runs the four injections: the two seeded resilience bugs, and the two
+//! dropped design rules, which must hit the Fig. 4 and Fig. 2 races.
 //!
 //! ```text
 //! cargo run --release -p c3-bench --bin modelcheck            # fast battery
 //! cargo run --release -p c3-bench --bin modelcheck -- --deep  # 3x2 ops=2 headline
 //! cargo run --release -p c3-bench --bin modelcheck -- --config 3x2 --ops 2 --faults 1
+//! cargo run --release -p c3-bench --bin modelcheck -- --config 2x1 --l1-cores 2
 //! cargo run --release -p c3-bench --bin modelcheck -- --inject lost-grant-livelock
 //! cargo run --release -p c3-bench --bin modelcheck -- --self-test
 //! ```
 //!
 //! Exit codes: `0` clean (or the injected bug was caught, under
 //! `--inject`/`--self-test`), `1` an invariant violation was found (or
-//! an injected bug or ablated race was *missed*, or a witness diverged
-//! from the tables), `2` bad usage.
+//! an injected bug was *missed*, a witness diverged from the tables, or
+//! the exploration was truncated), `2` bad usage, including a
+//! configuration the model cannot hold.
 
 use std::str::FromStr;
 
 use c3::bridge::bridge_transition_table;
-use c3_bench::cli;
+use c3_bench::cli::{self, CliError};
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_protocol::states::ProtocolFamily;
-use c3_verif::model::{check, ModelConfig};
 use c3_verif::resilient::{check_resilient, Injection, RViolation, ResilientConfig};
 use c3_verif::static_checks::check_model_conformance;
 
@@ -40,6 +42,17 @@ use c3_verif::static_checks::check_model_conformance;
 /// with one operation per cluster and one fault budget. Completes in
 /// well under a second in release builds.
 const BATTERY: [(usize, usize); 4] = [(2, 1), (2, 2), (3, 1), (3, 2)];
+
+/// The nested tail of the default battery, `(clusters, addrs, l1_cores,
+/// ops per core, faults)`: one core per cluster fault-free at 2 and 3
+/// ops, two cores per cluster at 2 ops, and one core per cluster over
+/// two addresses under a one-fault budget. Under 2 s in release builds.
+const NESTED: [(usize, usize, u8, u8, u8); 4] = [
+    (2, 1, 1, 2, 0),
+    (2, 1, 1, 3, 0),
+    (2, 1, 2, 2, 0),
+    (2, 2, 1, 2, 1),
+];
 
 /// `--config CLUSTERSxADDRS`, e.g. `3x2`.
 #[derive(Clone, Copy)]
@@ -58,6 +71,7 @@ struct Args {
     ops: Option<u8>,
     faults: Option<u8>,
     retries: Option<u8>,
+    l1_cores: Option<u8>,
     max_states: Option<usize>,
     no_symmetry: bool,
     spill: Option<String>,
@@ -67,19 +81,28 @@ struct Args {
     min_reduction: Option<f64>,
 }
 
+/// What one invocation runs: every configuration, validated up front.
+struct Plan {
+    runs: Vec<ResilientConfig>,
+    self_test: bool,
+    min_reduction: Option<f64>,
+}
+
 const USAGE: &str = "usage: modelcheck [--config CxA] [--ops N] [--faults N] [--retries N]
-                  [--max-states N] [--no-symmetry] [--spill PATH]
-                  [--min-reduction F] [--deep]
-                  [--inject lost-grant-livelock|poison-launder] [--self-test]
+                  [--l1-cores N] [--max-states N] [--no-symmetry] [--spill PATH]
+                  [--min-reduction F] [--deep] [--self-test]
+                  [--inject lost-grant-livelock|poison-launder|
+                            skip-recall-nesting|skip-conflict-stash]
 ";
 
-fn parse_args() -> Args {
+fn parse_plan() -> Plan {
     cli::parse(USAGE, |args| {
-        Ok(Args {
+        let args = Args {
             config: args.value("--config")?,
             ops: args.value("--ops")?,
             faults: args.value("--faults")?,
             retries: args.value("--retries")?,
+            l1_cores: args.value("--l1-cores")?,
             max_states: args.value("--max-states")?,
             no_symmetry: args.flag("--no-symmetry"),
             spill: args.value("--spill")?,
@@ -90,42 +113,69 @@ fn parse_args() -> Args {
             self_test: args.flag("--self-test"),
             deep: args.flag("--deep"),
             min_reduction: args.value("--min-reduction")?,
+        };
+        let runs = plan_runs(&args);
+        for cfg in &runs {
+            cfg.validate().map_err(|e| CliError::BadValue {
+                flag: format!("configuration {}", label(cfg)),
+                value: e,
+            })?;
+        }
+        Ok(Plan {
+            runs,
+            self_test: args.self_test,
+            min_reduction: args.min_reduction.filter(|_| !args.self_test),
         })
     })
 }
 
-/// The fault-free abstract model: `(label, config, expect_violation)`.
-/// The two ablations must each find their paper race.
-fn abstract_battery() -> [(&'static str, ModelConfig, bool); 5] {
-    let mut cfg = [ModelConfig::default(); 5];
-    cfg[1].ops_per_core = 3;
-    cfg[2].second_core = true;
-    cfg[3].rule2_nesting = false;
-    cfg[4].conflict_handshake = false;
-    [
-        ("rules on, 2 ops/core", cfg[0], false),
-        ("rules on, 3 ops/core", cfg[1], false),
-        ("rules on, 2 cores in cluster 0", cfg[2], false),
-        ("Rule II (nesting) disabled -> Fig. 4 race", cfg[3], true),
-        ("BIConflict handshake disabled -> Fig. 2 race", cfg[4], true),
-    ]
-}
-
-/// Explore one abstract-model config; `true` if the verdict is the
-/// expected one.
-fn run_abstract(label: &str, cfg: &ModelConfig, expect_violation: bool) -> bool {
-    let r = check(cfg);
-    let (ok, verdict) = match (&r.violation, expect_violation) {
-        (None, false) => (true, "OK (no violation)"),
-        (Some(_), true) => (true, "OK (violation found, as designed)"),
-        (None, true) => (false, "FAIL (expected a violation)"),
-        (Some(_), false) => (false, "FAIL (unexpected violation)"),
-    };
-    println!("abstract {label}: {} states, {verdict}", r.states);
-    if let Some(v) = r.violation {
-        println!("  -> {v}");
+/// The configurations an invocation explores, in order.
+fn plan_runs(args: &Args) -> Vec<ResilientConfig> {
+    if args.self_test {
+        // Every injection on the smallest config it exists in; CI runs
+        // this so a checker regression cannot hide behind all-clean
+        // output.
+        return Injection::ALL
+            .iter()
+            .map(|&inj| {
+                let mut cfg = build_config(args, 2, 1);
+                cfg.inject = Some(inj);
+                if inj.needs_l1_tier() {
+                    cfg.l1_cores = cfg.l1_cores.max(1);
+                }
+                cfg
+            })
+            .collect();
     }
-    ok
+    let shapes = match args.config {
+        Some(Shape(c, a)) => vec![(c, a)],
+        None => BATTERY.to_vec(),
+    };
+    let mut runs: Vec<_> = shapes
+        .into_iter()
+        .map(|(c, a)| build_config(args, c, a))
+        .collect();
+    if args.config.is_none() && args.l1_cores.is_none() && args.inject.is_none() {
+        for (clusters, addrs, l1_cores, ops, faults) in NESTED {
+            runs.push(ResilientConfig {
+                l1_cores,
+                ops_per_cluster: ops,
+                max_faults: faults,
+                max_retries: faults,
+                ..build_config(args, clusters, addrs)
+            });
+        }
+    }
+    if args.deep {
+        // The headline exhaustive run: 3 hosts × 2 addresses with two
+        // operations per cluster under a one-fault budget. ~18M
+        // unreduced states, explored via ~1.5M canonical
+        // representatives in well under a minute in release builds.
+        let mut cfg = build_config(args, 3, 2);
+        cfg.ops_per_cluster = args.ops.unwrap_or(2);
+        runs.push(cfg);
+    }
+    runs
 }
 
 /// The invariant class each seeded bug must trip.
@@ -133,12 +183,15 @@ fn expected_violation(inj: Injection) -> &'static str {
     match inj {
         Injection::LostGrantLivelock => "deadlock",
         Injection::PoisonLaunder => "poison",
+        Injection::SkipRecallNesting => "inclusion",
+        Injection::SkipConflictStash => "swmr",
     }
 }
 
 fn violation_class(v: &RViolation) -> &'static str {
     match v {
         RViolation::Swmr(_) => "swmr",
+        RViolation::Inclusion(_) => "inclusion",
         RViolation::Stale(_) => "stale",
         RViolation::Divergence(_) => "divergence",
         RViolation::Poison(_) => "poison",
@@ -147,47 +200,49 @@ fn violation_class(v: &RViolation) -> &'static str {
 }
 
 fn build_config(args: &Args, clusters: usize, addrs: usize) -> ResilientConfig {
-    let mut cfg = ResilientConfig {
+    let d = ResilientConfig::default();
+    let max_faults = args.faults.unwrap_or(d.max_faults);
+    ResilientConfig {
         clusters,
         addrs,
-        ..ResilientConfig::default()
-    };
-    if let Some(o) = args.ops {
-        cfg.ops_per_cluster = o;
+        ops_per_cluster: args.ops.unwrap_or(d.ops_per_cluster),
+        max_faults,
+        max_retries: args.retries.unwrap_or(d.max_retries.max(max_faults)),
+        l1_cores: args.l1_cores.unwrap_or(d.l1_cores),
+        max_states: args.max_states.unwrap_or(d.max_states),
+        symmetry: !args.no_symmetry,
+        spill_path: args.spill.clone().map(std::path::PathBuf::from),
+        inject: args.inject,
+        ..d
     }
-    if let Some(f) = args.faults {
-        cfg.max_faults = f;
-        cfg.max_retries = cfg.max_retries.max(f);
-    }
-    if let Some(r) = args.retries {
-        cfg.max_retries = r;
-    }
-    if let Some(m) = args.max_states {
-        cfg.max_states = m;
-    }
-    cfg.symmetry = !args.no_symmetry;
-    cfg.spill_path = args.spill.clone().map(std::path::PathBuf::from);
-    cfg.inject = args.inject;
-    cfg
 }
 
-/// Run one configuration; returns `true` if the run is acceptable (no
-/// unexpected violation, no conformance divergence, injected bugs
-/// caught).
-fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
-    let label = format!(
-        "{}x{} ops={} faults={} retries={}{}{}",
+/// One line naming a configuration.
+fn label(cfg: &ResilientConfig) -> String {
+    format!(
+        "{}x{} ops={} faults={} retries={}{}{}{}",
         cfg.clusters,
         cfg.addrs,
         cfg.ops_per_cluster,
         cfg.max_faults,
         cfg.max_retries,
+        match cfg.l1_cores {
+            0 => String::new(),
+            k => format!(" l1-cores={k}"),
+        },
         if cfg.symmetry { "" } else { " no-symmetry" },
         match cfg.inject {
             Some(i) => format!(" inject={}", i.name()),
             None => String::new(),
         }
-    );
+    )
+}
+
+/// Run one configuration; returns `true` if the run is acceptable
+/// (exhaustive, no unexpected violation, no conformance divergence,
+/// injected bugs caught).
+fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
+    let label = label(cfg);
     let t0 = std::time::Instant::now();
     let r = check_resilient(cfg);
     let secs = t0.elapsed().as_secs_f64();
@@ -208,9 +263,10 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     );
     if r.truncated {
         println!(
-            "  WARNING: truncated at max-states={} — not exhaustive",
+            "  FAIL: truncated at max-states={} — not exhaustive",
             cfg.max_states
         );
+        return false;
     }
 
     match (&r.violation, cfg.inject) {
@@ -283,59 +339,21 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
-
-    if args.self_test {
-        // Both seeded protocol bugs and both design-rule ablations must
-        // be detected on small configs; CI runs this so a checker
-        // regression cannot hide behind all-clean output.
-        let mut ok = true;
-        for inj in Injection::ALL {
-            let mut cfg = build_config(&args, 2, 1);
-            cfg.inject = Some(inj);
-            ok &= run_one(&cfg, None);
-        }
-        for (label, cfg, expect_violation) in abstract_battery() {
-            if expect_violation {
-                ok &= run_abstract(label, &cfg, true);
-            }
-        }
+    let plan = parse_plan();
+    let mut ok = true;
+    for cfg in &plan.runs {
+        ok &= run_one(cfg, plan.min_reduction);
+    }
+    if plan.self_test {
         println!(
             "modelcheck self-test: {}",
             if ok {
-                "both injections and both ablated races caught"
+                "every injection caught"
             } else {
                 "FAILED"
             }
         );
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-
-    let configs: Vec<(usize, usize)> = match args.config {
-        Some(Shape(c, a)) => vec![(c, a)],
-        None => BATTERY.to_vec(),
-    };
-
-    let mut ok = true;
-    for (clusters, addrs) in &configs {
-        let cfg = build_config(&args, *clusters, *addrs);
-        ok &= run_one(&cfg, args.min_reduction);
-    }
-    if args.config.is_none() {
-        for (label, cfg, expect_violation) in abstract_battery() {
-            ok &= run_abstract(label, &cfg, expect_violation);
-        }
-    }
-    if args.deep {
-        // The headline exhaustive run: 3 hosts × 2 addresses with two
-        // operations per cluster under a one-fault budget. ~18M
-        // unreduced states, explored via ~1.5M canonical
-        // representatives in well under a minute in release builds.
-        let mut cfg = build_config(&args, 3, 2);
-        cfg.ops_per_cluster = args.ops.unwrap_or(2);
-        ok &= run_one(&cfg, args.min_reduction);
-    }
-    if ok {
+    } else if ok {
         println!("modelcheck: all configurations acceptable");
     }
     std::process::exit(if ok { 0 } else { 1 });

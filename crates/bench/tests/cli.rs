@@ -1,6 +1,7 @@
 //! Every `c3-bench` bin handles its command line through `c3_bench::cli`:
 //! `--help` exits 0, and each malformed invocation exits 2 with the usage
-//! on stderr instead of panicking.
+//! on stderr instead of panicking. `modelcheck` also rejects model
+//! configurations it cannot explore, and fails a truncated exploration.
 
 use std::process::{Command, Output};
 
@@ -23,8 +24,10 @@ const BINS: [(&str, Option<&str>); 15] = [
     (env!("CARGO_BIN_EXE_trace"), Some("--cap")),
 ];
 
-/// Names that resolve to nothing, one per kind of lookup.
-const UNKNOWN_NAMES: [(&str, &[&str]); 7] = [
+/// Names that resolve to nothing, one per kind of lookup, and model
+/// configurations the fixed-size model state cannot hold or that would
+/// deadlock for a reason other than a protocol bug.
+const BAD_INPUTS: [(&str, &[&str]); 13] = [
     (env!("CARGO_BIN_EXE_table2"), &["BOGUS"]),
     (env!("CARGO_BIN_EXE_trace"), &["nosuch"]),
     (env!("CARGO_BIN_EXE_metrics"), &["nosuch"]),
@@ -32,6 +35,18 @@ const UNKNOWN_NAMES: [(&str, &[&str]); 7] = [
     (env!("CARGO_BIN_EXE_fig10"), &["--workloads", "vips,nosuch"]),
     (env!("CARGO_BIN_EXE_protocheck"), &["--inject", "nosuch"]),
     (env!("CARGO_BIN_EXE_modelcheck"), &["--inject", "nosuch"]),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--config", "4x1"]),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--config", "0x1"]),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--config", "2x3"]),
+    (
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--config", "2x1", "--faults", "2", "--retries", "1"],
+    ),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--l1-cores", "3"]),
+    (
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--inject", "skip-recall-nesting"],
+    ),
 ];
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -78,8 +93,20 @@ fn malformed_flags_exit_two_with_usage() {
 }
 
 #[test]
-fn unknown_names_exit_two_with_usage() {
-    for (bin, args) in UNKNOWN_NAMES {
+fn bad_inputs_exit_two_with_usage() {
+    for (bin, args) in BAD_INPUTS {
         assert_rejected(bin, args);
     }
+}
+
+#[test]
+fn truncated_model_check_is_not_a_pass() {
+    let out = run(
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--config", "2x1", "--ops", "200", "--max-states", "1000"],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("truncated"), "{stdout}");
+    assert!(!stdout.contains("clean"), "{stdout}");
 }

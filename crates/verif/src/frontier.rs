@@ -1,13 +1,12 @@
 //! Compact hashed visited set and spillable FIFO frontier for large
 //! explicit-state runs.
 //!
-//! The PR-5-era explorer kept every full [`crate::model::State`] in a
-//! `HashSet`, which tops out around a few million states on a CI worker.
-//! This module stores **128-bit fingerprints** instead (Holzmann-style
-//! hash compaction: ~16 bytes per state plus a 6-byte trace link), and
-//! keeps the breadth-first frontier as encoded byte records that can
-//! overflow to a spill file, so the resident set stays bounded even when
-//! the frontier balloons.
+//! Keeping every full state in a `HashSet` tops out around a few million
+//! states on a CI worker. This module stores **128-bit fingerprints**
+//! instead (Holzmann-style hash compaction: ~16 bytes per state plus a
+//! 6-byte trace link), and keeps the breadth-first frontier as encoded
+//! byte records that can overflow to a spill file, so the resident set
+//! stays bounded even when the frontier balloons.
 //!
 //! Counterexample traces survive compaction: each visited node records
 //! `(parent, successor ordinal)`. Successor enumeration is deterministic,

@@ -1,26 +1,34 @@
-//! Exhaustive exploration of the **resilient** transition relation: the
-//! PR-2 machinery (retries, duplicate suppression, lost-grant replay,
-//! BISnp re-issue, sticky poison) modelled as explicit nondeterministic
-//! transitions and checked against SWMR, data-value, deadlock-freedom
-//! and poison-stickiness invariants.
+//! Exhaustive exploration of the C³ design's abstract transition
+//! relation: Rule I (delegation), Rule II (nesting), the ordering of a
+//! snoop that races a host's own fetch, and the resilience machinery
+//! (retries, duplicate suppression, lost-grant replay, BISnp re-issue,
+//! sticky poison), all as explicit nondeterministic transitions checked
+//! against SWMR, inclusion, data-value, deadlock-freedom and
+//! poison-stickiness invariants.
 //!
-//! Where [`crate::model`] checks the fault-free design rules (Rule I/II,
-//! the BIConflict handshake) on a fixed two-cluster system, this model is
-//! *parameterized* — up to [`MAX_CLUSTERS`] host clusters sharing up to
-//! [`MAX_ADDRS`] addresses behind one blocking DCOH — and its
-//! device→host channel is **lossy**: a bounded fault budget lets the
+//! The model is *parameterized* — up to [`MAX_CLUSTERS`] host clusters
+//! sharing up to [`MAX_ADDRS`] addresses behind one blocking DCOH, each
+//! cluster optionally fronted by up to [`MAX_CORES`] private L1s — and
+//! its device→host channel is **lossy**: a bounded fault budget lets the
 //! explorer drop, duplicate, or poison-corrupt any in-flight device
 //! message at any point ("Formalising CXL Cache Coherence" found
-//! spec-level deadlocks in exactly this regime).
+//! spec-level deadlocks in exactly this regime, and nesting under lossy
+//! links is where the interesting bugs sit).
 //!
 //! ## Abstraction decisions (scope)
 //!
-//! * One core per cluster and a single-level cluster copy: the
-//!   intra-cluster Rule I/II delegation is `crate::model`'s job; this
-//!   model spends its state budget on fault interleavings instead.
+//! * Each cluster holds one CXL-cache copy per address. With
+//!   [`ResilientConfig::l1_cores`] at 0 (the default, the *flat*
+//!   relation) a single core operates on that copy directly. With 1 or 2,
+//!   every cluster gets that many cores with private L1s behind the copy.
+//!   Intra-cluster coherence is atomic (the host domain is internally
+//!   coherent); what is checked is the boundary. A miss the cluster copy
+//!   cannot serve is delegated upward (Rule I), and a BISnp that finds
+//!   L1 copies opens a nested recall that reclaims them, dirty data
+//!   included, before the snoop is answered (Rule II).
 //! * Host→device messages (requests, snoop responses) are reliable and
 //!   FIFO; faults target the unordered device→host channel (data grants
-//!   and back-invalidation snoops), where PR-2's recovery lives.
+//!   and back-invalidation snoops), where the recovery machinery lives.
 //! * Operations commit at fill time (MSHR retire), which bounds every
 //!   sequence counter by the op budget and keeps the space finite.
 //! * Retry and snoop re-issue transitions fire only when the awaited
@@ -28,9 +36,15 @@
 //!   timeout exceeds the link latency"); spurious-duplicate paths are
 //!   exercised separately by the duplication fault.
 //! * In place of the Fig. 2 BIConflict handshake the model uses the
-//!   sequence/epoch tags PR-2 attaches to transactions: a snoop carries
-//!   the last grant sequence serialized before it (`after`), so a host
-//!   can decide "snoop before or after my fetch" without guessing.
+//!   sequence/epoch tags attached to transactions: a snoop carries the
+//!   last grant sequence serialized before it (`after`), so a host can
+//!   decide "snoop before or after my fetch" without guessing.
+//! * Each design rule can be broken on purpose by an [`Injection`]:
+//!   `skip-recall-nesting` answers a BISnp before the nested recall
+//!   (Fig. 4) and `skip-conflict-stash` answers a racing snoop from the
+//!   pre-fill state (Fig. 2).
+//! * Symmetry reduction permutes clusters and addresses, never the cores
+//!   inside a cluster.
 //!
 //! Soundness of the symmetry reduction and the counterexample replay
 //! scheme are documented in [`crate::symmetry`] and
@@ -50,6 +64,8 @@ use crate::symmetry::{Symmetric, SymmetryGroup};
 pub const MAX_CLUSTERS: usize = 3;
 /// Maximum addresses the fixed-size state supports.
 pub const MAX_ADDRS: usize = 2;
+/// Maximum cores (private L1s) per cluster the fixed-size state supports.
+pub const MAX_CORES: usize = 2;
 /// Device→host channel slots per cluster (sorted multiset).
 const CHAN_CAP: usize = 8;
 /// Host→device FIFO slots per cluster.
@@ -141,9 +157,10 @@ pub struct Copy {
 }
 
 /// What a cluster is waiting for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Pend {
     /// Nothing outstanding.
+    #[default]
     Idle,
     /// A fetch in flight.
     Fetch {
@@ -157,13 +174,26 @@ pub enum Pend {
         retries: u8,
         /// Snoop deferred until the fill installs: `(inv, epoch)`.
         stash: Option<(bool, u8)>,
+        /// Core whose operation the fill commits (0 without an L1 tier).
+        core: u8,
     },
 }
 
-/// Per-cluster state.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ClusterSt {
+/// One core of the L1 tier.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct CoreSt {
     /// Remaining operation budget.
+    pub budget: u8,
+    /// Private L1 copy per address.
+    pub l1: [Copy; MAX_ADDRS],
+    /// Newest version this core observed per address.
+    pub seen: [u8; MAX_ADDRS],
+}
+
+/// Per-cluster state.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct ClusterSt {
+    /// Remaining operation budget (0 with an L1 tier: the cores carry it).
     pub budget: u8,
     /// Outstanding fetch.
     pub pend: Pend,
@@ -177,6 +207,30 @@ pub struct ClusterSt {
     pub fetch_ctr: [u8; MAX_ADDRS],
     /// Last snoop epoch accepted per address (duplicate suppression).
     pub snp_epoch: [u8; MAX_ADDRS],
+    /// Nested recall in progress per address: the `(inv, epoch)` of the
+    /// snoop it answers once the L1 copies are reclaimed. A slot beside
+    /// `pend` rather than a `Pend` variant, because a snoop can hit L1
+    /// copies while the cluster's one fetch is in flight.
+    pub recall: [Option<(bool, u8)>; MAX_ADDRS],
+    /// The L1 tier (first `l1_cores` entries active).
+    pub cores: [CoreSt; MAX_CORES],
+}
+
+impl ClusterSt {
+    /// The cluster's newest data for `a`: a dirty L1 copy if one of the
+    /// first `cores` holds it, else the cluster copy.
+    fn data(&self, a: usize, cores: usize) -> Copy {
+        self.cores[..cores]
+            .iter()
+            .map(|k| k.l1[a])
+            .find(|l| l.st == St::M)
+            .unwrap_or(self.copy[a])
+    }
+
+    /// Whether any of the first `cores` L1s holds `a`.
+    fn l1_holds(&self, a: usize, cores: usize) -> bool {
+        self.cores[..cores].iter().any(|k| k.l1[a].st != St::I)
+    }
 }
 
 /// An outstanding (blocking) snoop at the DCOH.
@@ -226,7 +280,7 @@ pub struct DirSt {
 }
 
 /// The whole model state.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RState {
     /// Clusters (first `cfg.clusters` entries active).
     pub cl: [ClusterSt; MAX_CLUSTERS],
@@ -240,6 +294,9 @@ pub struct RState {
     pub faults_left: u8,
     /// Transition-local defect latch (0 = clean); see `GHOST_*`.
     pub ghost_bug: u8,
+    /// Cores per cluster: the run's [`ResilientConfig::l1_cores`], kept
+    /// so the state can encode itself. Constant for a run, so not encoded.
+    pub l1_cores: u8,
 }
 
 /// `ghost_bug`: a shared grant delivered a version older than one the
@@ -248,9 +305,12 @@ pub const GHOST_STALE_SHARED: u8 = 1;
 /// `ghost_bug`: an ownership grant delivered a version older than the
 /// newest write (a store here would lose updates).
 pub const GHOST_STALE_EXCL: u8 = 2;
+/// `ghost_bug`: a core load returned a version older than one that core
+/// already observed.
+pub const GHOST_STALE_LOAD: u8 = 3;
 
-/// Fault-injection selector: deliberately re-introduce a known PR-2 bug
-/// class so CI can prove the checker catches it.
+/// Fault-injection selector: deliberately re-introduce a known bug class
+/// or drop a design rule, so CI can prove the checker catches it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Injection {
     /// Disable the DCOH's lost-grant replay: a dropped grant plus
@@ -261,16 +321,19 @@ pub enum Injection {
     /// the ghost taint: poison laundering, caught by the stickiness
     /// invariant.
     PoisonLaunder,
+    /// Drop Rule II: answer a BISnp at once while L1 copies linger (the
+    /// Fig. 4 race), caught by the inclusion invariant. Needs an L1 tier.
+    SkipRecallNesting,
+    /// Drop the snoop/fetch ordering: answer a snoop that races our own
+    /// fetch from the pre-fill state, ignoring its `after` tag (the
+    /// Fig. 2 race), caught by SWMR.
+    SkipConflictStash,
 }
 
 impl Injection {
     /// Parse a CLI spelling.
     pub fn parse(s: &str) -> Option<Injection> {
-        match s {
-            "lost-grant-livelock" => Some(Injection::LostGrantLivelock),
-            "poison-launder" => Some(Injection::PoisonLaunder),
-            _ => None,
-        }
+        Injection::ALL.into_iter().find(|i| i.name() == s)
     }
 
     /// The CLI spelling.
@@ -278,11 +341,24 @@ impl Injection {
         match self {
             Injection::LostGrantLivelock => "lost-grant-livelock",
             Injection::PoisonLaunder => "poison-launder",
+            Injection::SkipRecallNesting => "skip-recall-nesting",
+            Injection::SkipConflictStash => "skip-conflict-stash",
         }
     }
 
+    /// Whether the injected bug lives in the L1 tier (needs
+    /// `l1_cores >= 1` to exist at all).
+    pub fn needs_l1_tier(&self) -> bool {
+        *self == Injection::SkipRecallNesting
+    }
+
     /// Every known injection.
-    pub const ALL: [Injection; 2] = [Injection::LostGrantLivelock, Injection::PoisonLaunder];
+    pub const ALL: [Injection; 4] = [
+        Injection::LostGrantLivelock,
+        Injection::PoisonLaunder,
+        Injection::SkipRecallNesting,
+        Injection::SkipConflictStash,
+    ];
 }
 
 /// Checker configuration.
@@ -292,7 +368,7 @@ pub struct ResilientConfig {
     pub clusters: usize,
     /// Number of shared addresses (1..=[`MAX_ADDRS`]).
     pub addrs: usize,
-    /// Operation budget per cluster.
+    /// Operation budget per cluster (per core with an L1 tier).
     pub ops_per_cluster: u8,
     /// Total fault budget (drops + duplications + corruptions).
     pub max_faults: u8,
@@ -309,6 +385,9 @@ pub struct ResilientConfig {
     pub spill_mem_cap: usize,
     /// Seeded bug injection.
     pub inject: Option<Injection>,
+    /// Cores with private L1s behind each cluster copy
+    /// (0..=[`MAX_CORES`]); 0 is the flat relation.
+    pub l1_cores: u8,
 }
 
 impl Default for ResilientConfig {
@@ -324,7 +403,43 @@ impl Default for ResilientConfig {
             spill_path: None,
             spill_mem_cap: 1 << 20,
             inject: None,
+            l1_cores: 0,
         }
+    }
+}
+
+impl ResilientConfig {
+    /// Reject a configuration the fixed-size state cannot hold or that
+    /// would deadlock for reasons other than a protocol bug.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_CLUSTERS).contains(&self.clusters) {
+            return Err(format!(
+                "{} clusters: must be 1..={MAX_CLUSTERS}",
+                self.clusters
+            ));
+        }
+        if !(1..=MAX_ADDRS).contains(&self.addrs) {
+            return Err(format!("{} addresses: must be 1..={MAX_ADDRS}", self.addrs));
+        }
+        if self.l1_cores as usize > MAX_CORES {
+            return Err(format!(
+                "{} L1 cores: must be 0..={MAX_CORES}",
+                self.l1_cores
+            ));
+        }
+        if self.max_retries < self.max_faults {
+            return Err(format!(
+                "{} retries cannot cover {} faults: lost grants would deadlock",
+                self.max_retries, self.max_faults
+            ));
+        }
+        if let Some(inj) = self
+            .inject
+            .filter(|i| i.needs_l1_tier() && self.l1_cores == 0)
+        {
+            return Err(format!("injection {} needs an L1 tier", inj.name()));
+        }
+        Ok(())
     }
 }
 
@@ -333,6 +448,8 @@ impl Default for ResilientConfig {
 pub enum RViolation {
     /// Two writable copies, or a writable copy alongside readers.
     Swmr(String),
+    /// An L1 copy with more permission than its cluster copy.
+    Inclusion(String),
     /// A grant delivered stale data, or a writable copy is not the
     /// newest version.
     Stale(String),
@@ -349,6 +466,7 @@ impl std::fmt::Display for RViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RViolation::Swmr(s) => write!(f, "SWMR violated: {s}"),
+            RViolation::Inclusion(s) => write!(f, "inclusion violated: {s}"),
             RViolation::Stale(s) => write!(f, "stale data: {s}"),
             RViolation::Divergence(s) => write!(f, "divergence: {s}"),
             RViolation::Poison(s) => write!(f, "poison stickiness violated: {s}"),
@@ -453,46 +571,40 @@ impl RState {
     /// The initial state: all caches invalid, all budgets full, the
     /// full fault budget unspent. Identical per cluster and per address
     /// — the root of the symmetry argument.
+    ///
+    /// Panics on a configuration [`ResilientConfig::validate`] rejects.
     pub fn initial(cfg: &ResilientConfig) -> RState {
-        assert!(cfg.clusters >= 1 && cfg.clusters <= MAX_CLUSTERS);
-        assert!(cfg.addrs >= 1 && cfg.addrs <= MAX_ADDRS);
-        assert!(
-            cfg.max_retries >= cfg.max_faults,
-            "max_retries must cover max_faults or lost grants deadlock"
-        );
-        let cl = ClusterSt {
-            budget: 0,
-            pend: Pend::Idle,
-            copy: Default::default(),
-            seen: [0; MAX_ADDRS],
-            inst_seq: [0; MAX_ADDRS],
-            fetch_ctr: [0; MAX_ADDRS],
-            snp_epoch: [0; MAX_ADDRS],
-        };
+        if let Err(e) = cfg.validate() {
+            panic!("invalid resilient-model configuration: {e}");
+        }
         let mut s = RState {
-            cl: [cl.clone(), cl.clone(), cl],
-            dir: Default::default(),
-            m2s: Default::default(),
-            s2m: Default::default(),
             faults_left: cfg.max_faults,
-            ghost_bug: 0,
+            l1_cores: cfg.l1_cores,
+            ..RState::default()
         };
-        // Inactive clusters stay all-zero so the encode/decode pair
-        // round-trips the full fixed-size arrays exactly.
+        // Inactive clusters and cores stay all-zero so the encode/decode
+        // pair round-trips the full fixed-size arrays exactly.
         for c in &mut s.cl[..cfg.clusters] {
-            c.budget = cfg.ops_per_cluster;
+            if cfg.l1_cores == 0 {
+                c.budget = cfg.ops_per_cluster;
+            }
+            for k in &mut c.cores[..cfg.l1_cores as usize] {
+                k.budget = cfg.ops_per_cluster;
+            }
         }
         s
     }
 
     /// Final (quiescent) state: all work done, nothing in flight.
     pub fn done(&self, cfg: &ResilientConfig) -> bool {
-        self.cl[..cfg.clusters]
+        self.cl[..cfg.clusters].iter().all(|c| {
+            c.budget == 0
+                && c.pend == Pend::Idle
+                && c.recall.iter().all(Option::is_none)
+                && c.cores.iter().all(|k| k.budget == 0)
+        }) && self.dir[..cfg.addrs]
             .iter()
-            .all(|c| c.budget == 0 && c.pend == Pend::Idle)
-            && self.dir[..cfg.addrs]
-                .iter()
-                .all(|d| d.snoop.is_none() && d.qlen == 0)
+            .all(|d| d.snoop.is_none() && d.qlen == 0)
             && self.m2s[..cfg.clusters]
                 .iter()
                 .all(|f| f.iter().all(|m| m.is_none()))
@@ -518,32 +630,53 @@ impl RState {
                         .into(),
                 ))
             }
+            GHOST_STALE_LOAD => {
+                return Some(RViolation::Stale(
+                    "a core load returned a version older than one that core \
+                     already observed"
+                        .into(),
+                ))
+            }
             _ => {}
         }
+        let cores = cfg.l1_cores as usize;
         for a in 0..cfg.addrs {
-            let mut writable = 0usize;
-            let mut readable = 0usize;
-            for c in &self.cl[..cfg.clusters] {
-                match c.copy[a].st {
-                    St::M => {
-                        writable += 1;
-                        readable += 1;
+            // Inclusion: an L1 copy needs at least as much permission in
+            // its cluster copy (no-op on the flat relation).
+            for (ci, c) in self.cl[..cfg.clusters].iter().enumerate() {
+                for (k, core) in c.cores[..cores].iter().enumerate() {
+                    if core.l1[a].st > c.copy[a].st {
+                        return Some(RViolation::Inclusion(format!(
+                            "addr {a}: cluster {ci} core {k} holds {:?} over a \
+                             cluster copy in {:?}",
+                            core.l1[a].st, c.copy[a].st
+                        )));
                     }
-                    St::S => readable += 1,
-                    St::I => {}
                 }
             }
-            if writable > 1 || (writable == 1 && readable > 1) {
+            let clusters = &self.cl[..cfg.clusters];
+            if let Some((w, r)) = swmr_broken(clusters.iter().map(|c| c.copy[a].st)) {
                 return Some(RViolation::Swmr(format!(
-                    "addr {a}: {writable} writable / {readable} readable copies"
+                    "addr {a}: {w} writable / {r} readable copies"
                 )));
             }
-            // A writable copy must hold the newest version.
+            // The same across every L1 of every cluster.
+            let l1s = clusters
+                .iter()
+                .flat_map(|c| c.cores[..cores].iter().map(|k| k.l1[a].st));
+            if let Some((w, r)) = swmr_broken(l1s) {
+                return Some(RViolation::Swmr(format!(
+                    "addr {a}: {w} writable / {r} readable L1 copies"
+                )));
+            }
+            // A writable cluster must hold the newest version (in a dirty
+            // L1 copy, if it has one).
             for (ci, c) in self.cl[..cfg.clusters].iter().enumerate() {
-                if c.copy[a].st == St::M && c.copy[a].ver != self.dir[a].max_ver {
+                let ver = c.data(a, cores).ver;
+                if c.copy[a].st == St::M && ver != self.dir[a].max_ver {
                     return Some(RViolation::Stale(format!(
-                        "addr {a}: cluster {ci} writable at v{} but newest is v{}",
-                        c.copy[a].ver, self.dir[a].max_ver
+                        "addr {a}: cluster {ci} writable at v{ver} but newest is v{}",
+                        self.dir[a].max_ver
                     )));
                 }
             }
@@ -562,6 +695,15 @@ impl RState {
                         "addr {a}: cluster {ci} copy declared={} taint={}",
                         c.copy[a].decl, c.copy[a].taint
                     )));
+                }
+                for (k, core) in c.cores[..cores].iter().enumerate() {
+                    let l = core.l1[a];
+                    if l.st != St::I && l.decl != l.taint {
+                        return Some(RViolation::Poison(format!(
+                            "addr {a}: cluster {ci} core {k} L1 copy declared={} taint={}",
+                            l.decl, l.taint
+                        )));
+                    }
                 }
             }
         }
@@ -599,11 +741,20 @@ impl RState {
             for a in 0..cfg.addrs {
                 let max = self.dir[a].max_ver;
                 for (ci, c) in self.cl[..cfg.clusters].iter().enumerate() {
-                    if c.copy[a].st != St::I && c.copy[a].ver != max {
+                    let ver = c.data(a, cores).ver;
+                    if c.copy[a].st != St::I && ver != max {
                         return Some(RViolation::Divergence(format!(
-                            "addr {a}: cluster {ci} quiescent copy v{} != newest v{max}",
-                            c.copy[a].ver
+                            "addr {a}: cluster {ci} quiescent copy v{ver} != newest v{max}"
                         )));
+                    }
+                    for (k, core) in c.cores[..cores].iter().enumerate() {
+                        if core.l1[a].st != St::I && core.l1[a].ver != max {
+                            return Some(RViolation::Divergence(format!(
+                                "addr {a}: cluster {ci} core {k} quiescent L1 copy \
+                                 v{} != newest v{max}",
+                                core.l1[a].ver
+                            )));
+                        }
                     }
                 }
                 let any_m = self.cl[..cfg.clusters]
@@ -619,6 +770,17 @@ impl RState {
         }
         None
     }
+}
+
+/// `Some((writable, readable))` when `copies` break single-writer /
+/// multiple-reader.
+fn swmr_broken(copies: impl Iterator<Item = St>) -> Option<(usize, usize)> {
+    let (mut w, mut r) = (0, 0);
+    for st in copies {
+        w += (st == St::M) as usize;
+        r += (st != St::I) as usize;
+    }
+    (w > 1 || (w == 1 && r > 1)).then_some((w, r))
 }
 
 // ---------------------------------------------------------------------
@@ -669,6 +831,9 @@ fn dcoh_state_name(d: &DirSt) -> &'static str {
 
 /// The PR-5 bridge-table name for a cluster's per-address state.
 fn bridge_state_name(c: &ClusterSt, a: usize) -> &'static str {
+    if c.recall[a].is_some() {
+        return "SnoopRecall";
+    }
     if let Pend::Fetch { addr, excl, .. } = c.pend {
         if addr as usize == a {
             return if excl { "FetchX" } else { "FetchS" };
@@ -688,12 +853,41 @@ pub fn successors(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx:
     if let Some(l) = ctx.labels.as_mut() {
         l.clear();
     }
-    core_steps(s, cfg, out, ctx);
+    if cfg.l1_cores == 0 {
+        core_steps(s, cfg, out, ctx);
+    } else {
+        l1_core_steps(s, cfg, out, ctx);
+    }
     retry_steps(s, cfg, out, ctx);
     resend_steps(s, cfg, out, ctx);
     dcoh_steps(s, cfg, out, ctx);
     deliver_steps(s, cfg, out, ctx);
     fault_steps(s, cfg, out, ctx);
+    recall_steps(s, cfg, out, ctx);
+}
+
+/// Rule I: open a fetch of `a` for core `k` and send its request;
+/// returns the fetch's sequence tag.
+fn open_fetch(n: &mut RState, ci: usize, k: usize, a: usize, excl: bool) -> u8 {
+    let seq = n.cl[ci].fetch_ctr[a] + 1;
+    n.cl[ci].fetch_ctr[a] = seq;
+    n.cl[ci].pend = Pend::Fetch {
+        addr: a as u8,
+        excl,
+        seq,
+        retries: 0,
+        stash: None,
+        core: k as u8,
+    };
+    m2s_push(
+        &mut n.m2s[ci],
+        HostMsg::Req {
+            addr: a as u8,
+            excl,
+            seq,
+        },
+    );
+    seq
 }
 
 /// Core operations: a cluster with budget and no outstanding fetch may
@@ -717,23 +911,7 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                 St::I => {
                     // Load miss: delegate upward.
                     let mut n = s.clone();
-                    let seq = n.cl[ci].fetch_ctr[a] + 1;
-                    n.cl[ci].fetch_ctr[a] = seq;
-                    n.cl[ci].pend = Pend::Fetch {
-                        addr: a as u8,
-                        excl: false,
-                        seq,
-                        retries: 0,
-                        stash: None,
-                    };
-                    m2s_push(
-                        &mut n.m2s[ci],
-                        HostMsg::Req {
-                            addr: a as u8,
-                            excl: false,
-                            seq,
-                        },
-                    );
+                    let seq = open_fetch(&mut n, ci, 0, a, false);
                     ctx.label(ci, || format!("cl{ci}: load miss a{a}, RdS seq{seq}"));
                     out.push(n);
                 }
@@ -754,25 +932,115 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
             } else {
                 // Store miss / upgrade: delegate ownership acquisition.
                 let mut n = s.clone();
-                let seq = n.cl[ci].fetch_ctr[a] + 1;
-                n.cl[ci].fetch_ctr[a] = seq;
-                n.cl[ci].pend = Pend::Fetch {
-                    addr: a as u8,
-                    excl: true,
-                    seq,
-                    retries: 0,
-                    stash: None,
-                };
-                m2s_push(
-                    &mut n.m2s[ci],
-                    HostMsg::Req {
-                        addr: a as u8,
-                        excl: true,
-                        seq,
-                    },
-                );
+                let seq = open_fetch(&mut n, ci, 0, a, true);
                 ctx.label(ci, || format!("cl{ci}: store miss a{a}, RdA seq{seq}"));
                 out.push(n);
+            }
+        }
+    }
+}
+
+/// A core's load returns `ver`: retire the op and check that the core
+/// never reads backwards.
+fn observe(n: &mut RState, ci: usize, k: usize, a: usize, ver: u8) {
+    let core = &mut n.cl[ci].cores[k];
+    if ver < core.seen[a] {
+        n.ghost_bug = GHOST_STALE_LOAD;
+    }
+    core.seen[a] = core.seen[a].max(ver);
+    core.budget -= 1;
+}
+
+/// A core's store writes a new version into its L1 (which must hold
+/// ownership) and retires the op; the cluster copy stays stale until a
+/// recall writes the dirty line back.
+fn store(n: &mut RState, ci: usize, k: usize, a: usize) -> u8 {
+    n.dir[a].max_ver += 1;
+    let v = n.dir[a].max_ver;
+    let core = &mut n.cl[ci].cores[k];
+    core.l1[a] = Copy {
+        st: St::M,
+        ver: v,
+        decl: false,
+        taint: false,
+    };
+    core.seen[a] = v;
+    core.budget -= 1;
+    v
+}
+
+/// Core operations behind an L1 tier. L1 hits, and misses the cluster
+/// copy can serve, complete at once (intra-cluster coherence is atomic:
+/// a dirty sibling supplies a load and keeps a shared copy; a store
+/// invalidates the siblings). Anything else is delegated upward (Rule I)
+/// through the cluster's one fetch slot. A core waits while its own fetch
+/// is in flight, and a line under a nested recall takes no new misses.
+fn l1_core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mut SuccCtx) {
+    let cores = cfg.l1_cores as usize;
+    for ci in 0..cfg.clusters {
+        let c = &s.cl[ci];
+        for k in 0..cores {
+            let waiting = matches!(c.pend, Pend::Fetch { core, .. } if core as usize == k);
+            if c.cores[k].budget == 0 || waiting {
+                continue;
+            }
+            for a in 0..cfg.addrs {
+                let l1 = c.cores[k].l1[a];
+                let open = c.recall[a].is_none();
+                // -- load --
+                if l1.st != St::I {
+                    let mut n = s.clone();
+                    observe(&mut n, ci, k, a, l1.ver);
+                    ctx.label(ci, || format!("cl{ci}.{k}: load hit a{a} v{}", l1.ver));
+                    out.push(n);
+                } else if c.copy[a].st != St::I && open {
+                    let mut n = s.clone();
+                    let nc = &mut n.cl[ci];
+                    if let Some(j) = (0..cores).find(|&j| nc.cores[j].l1[a].st == St::M) {
+                        nc.copy[a] = Copy {
+                            st: St::M,
+                            ..nc.cores[j].l1[a]
+                        };
+                        nc.cores[j].l1[a].st = St::S;
+                    }
+                    nc.cores[k].l1[a] = Copy {
+                        st: St::S,
+                        ..nc.copy[a]
+                    };
+                    let v = nc.copy[a].ver;
+                    observe(&mut n, ci, k, a, v);
+                    ctx.label(ci, || {
+                        format!("cl{ci}.{k}: load a{a} v{v} from the cluster")
+                    });
+                    out.push(n);
+                } else if c.pend == Pend::Idle && open {
+                    let mut n = s.clone();
+                    let seq = open_fetch(&mut n, ci, k, a, false);
+                    ctx.label(ci, || format!("cl{ci}.{k}: load miss a{a}, RdS seq{seq}"));
+                    out.push(n);
+                }
+                // -- store --
+                if l1.st == St::M {
+                    let mut n = s.clone();
+                    let v = store(&mut n, ci, k, a);
+                    ctx.label(ci, || format!("cl{ci}.{k}: store hit a{a} -> v{v}"));
+                    out.push(n);
+                } else if c.copy[a].st == St::M && open {
+                    let mut n = s.clone();
+                    for sib in &mut n.cl[ci].cores[..cores] {
+                        sib.l1[a].st = St::I;
+                    }
+                    let v = store(&mut n, ci, k, a);
+                    ctx.label(ci, || {
+                        format!("cl{ci}.{k}: store a{a} -> v{v} in the cluster")
+                    });
+                    out.push(n);
+                } else if c.pend == Pend::Idle && open {
+                    let mut n = s.clone();
+                    let seq = open_fetch(&mut n, ci, k, a, true);
+                    ctx.label(ci, || format!("cl{ci}.{k}: store miss a{a}, RdA seq{seq}"));
+                    out.push(n);
+                }
             }
         }
     }
@@ -787,7 +1055,7 @@ fn retry_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
             excl,
             seq,
             retries,
-            stash,
+            ..
         } = s.cl[ci].pend
         else {
             continue;
@@ -808,13 +1076,9 @@ fn retry_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
             continue;
         }
         let mut n = s.clone();
-        n.cl[ci].pend = Pend::Fetch {
-            addr,
-            excl,
-            seq,
-            retries: retries + 1,
-            stash,
-        };
+        if let Pend::Fetch { retries: r, .. } = &mut n.cl[ci].pend {
+            *r += 1;
+        }
         m2s_push(&mut n.m2s[ci], HostMsg::Req { addr, excl, seq });
         ctx.label(ci, || {
             format!(
@@ -882,18 +1146,20 @@ fn grant(n: &mut RState, a: usize, ci: usize, writable: bool, seq: u8, cfg: &Res
         n.dir[a].excl = false;
     }
     n.dir[a].granted[ci] = seq;
+    s2m_push(&mut n.s2m[ci], data_msg(&n.dir[a], a, writable, seq, cfg));
+}
+
+/// A data grant of the directory's memory image.
+fn data_msg(d: &DirSt, a: usize, writable: bool, seq: u8, cfg: &ResilientConfig) -> DevMsg {
     let launder = cfg.inject == Some(Injection::PoisonLaunder);
-    s2m_push(
-        &mut n.s2m[ci],
-        DevMsg::Data {
-            addr: a as u8,
-            writable,
-            ver: n.dir[a].mem_ver,
-            seq,
-            decl: if launder { false } else { n.dir[a].mem_decl },
-            taint: n.dir[a].mem_taint,
-        },
-    );
+    DevMsg::Data {
+        addr: a as u8,
+        writable,
+        ver: d.mem_ver,
+        seq,
+        decl: d.mem_decl && !launder,
+        taint: d.mem_taint,
+    }
 }
 
 /// Open a blocking snoop transaction against `target`.
@@ -981,19 +1247,10 @@ fn dcoh_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                     }
                     ctx.witness("dcoh", dcoh_state_name(&s.dir[a]), ev);
                     debug_assert!(n.dir[a].holders & (1 << ci) != 0);
-                    let writable = n.dir[a].holders == 1 << ci && n.dir[a].excl;
-                    let launder = cfg.inject == Some(Injection::PoisonLaunder);
-                    s2m_push(
-                        &mut n.s2m[ci],
-                        DevMsg::Data {
-                            addr,
-                            writable,
-                            ver: n.dir[a].mem_ver,
-                            seq: n.dir[a].granted[ci],
-                            decl: if launder { false } else { n.dir[a].mem_decl },
-                            taint: n.dir[a].mem_taint,
-                        },
-                    );
+                    let d = &n.dir[a];
+                    let writable = d.holders == 1 << ci && d.excl;
+                    let msg = data_msg(d, a, writable, d.granted[ci], cfg);
+                    s2m_push(&mut n.s2m[ci], msg);
                     ctx.label(comp_dcoh(cfg), || {
                         format!("dcoh: replay grant a{a} to cl{ci} seq{seq}")
                     });
@@ -1111,7 +1368,7 @@ fn host_receive(
     pre: &RState,
     ci: usize,
     msg: DevMsg,
-    _cfg: &ResilientConfig,
+    cfg: &ResilientConfig,
     ctx: &mut SuccCtx,
 ) {
     match msg {
@@ -1134,7 +1391,10 @@ fn host_receive(
                 return;
             }
             ctx.witness("bridge", bridge_state_name(&pre.cl[ci], a), "MemData");
-            let Pend::Fetch { excl, stash, .. } = n.cl[ci].pend else {
+            let Pend::Fetch {
+                excl, stash, core, ..
+            } = n.cl[ci].pend
+            else {
                 unreachable!()
             };
             debug_assert!(!excl || writable, "ownership fetch got a read-only grant");
@@ -1147,35 +1407,50 @@ fn host_receive(
             };
             n.cl[ci].inst_seq[a] = seq;
             // Commit the operation that opened the fetch (MSHR retire).
-            if excl {
-                if ver != n.dir[a].max_ver {
-                    n.ghost_bug = GHOST_STALE_EXCL;
+            if excl && ver != n.dir[a].max_ver {
+                n.ghost_bug = GHOST_STALE_EXCL;
+            }
+            if cfg.l1_cores > 0 {
+                let k = core as usize;
+                if excl {
+                    for sib in &mut n.cl[ci].cores[..cfg.l1_cores as usize] {
+                        sib.l1[a].st = St::I;
+                    }
+                    store(n, ci, k, a);
+                } else {
+                    n.cl[ci].cores[k].l1[a] = Copy {
+                        st: St::S,
+                        ..n.cl[ci].copy[a]
+                    };
+                    observe(n, ci, k, a, ver);
                 }
+            } else if excl {
                 n.dir[a].max_ver += 1;
                 let v = n.dir[a].max_ver;
                 n.cl[ci].copy[a].ver = v;
                 n.cl[ci].copy[a].decl = false;
                 n.cl[ci].copy[a].taint = false;
                 n.cl[ci].seen[a] = v;
+                n.cl[ci].budget -= 1;
             } else {
                 if ver < n.cl[ci].seen[a] {
                     n.ghost_bug = GHOST_STALE_SHARED;
                 }
                 n.cl[ci].seen[a] = n.cl[ci].seen[a].max(ver);
+                n.cl[ci].budget -= 1;
             }
-            n.cl[ci].budget -= 1;
             n.cl[ci].pend = Pend::Idle;
             ctx.label(ci, || {
                 format!(
                     "cl{ci}: install a{a} {} v{} seq{seq}, commit {}",
                     if writable { "M" } else { "S" },
-                    n.cl[ci].copy[a].ver,
+                    n.cl[ci].data(a, cfg.l1_cores as usize).ver,
                     if excl { "store" } else { "load" }
                 )
             });
             // A snoop serialized after our grant was deferred until now.
             if let Some((inv, epoch)) = stash {
-                respond_snoop(n, ci, a, inv, epoch);
+                answer_snoop(n, ci, a, inv, epoch, cfg);
             }
         }
         DevMsg::Snp {
@@ -1195,43 +1470,89 @@ fn host_receive(
             n.cl[ci].snp_epoch[a] = epoch;
             let ev = if inv { "BiSnpInv" } else { "BiSnpData" };
             ctx.witness("bridge", bridge_state_name(&pre.cl[ci], a), ev);
+            let skip_stash = cfg.inject == Some(Injection::SkipConflictStash);
+            let unordered = n.cl[ci].inst_seq[a] < after;
             let fetching_here = matches!(
                 n.cl[ci].pend,
                 Pend::Fetch { addr: pa, .. } if pa == addr
             );
-            if fetching_here && n.cl[ci].inst_seq[a] < after {
+            if fetching_here && unordered && !skip_stash {
                 // The snoop was serialized after a grant we have not
                 // installed yet: defer it until the fill (the seq-tag
                 // resolution of the Fig. 2 race).
-                let Pend::Fetch {
-                    addr: pa,
-                    excl,
-                    seq,
-                    retries,
-                    stash,
-                } = n.cl[ci].pend
-                else {
-                    unreachable!()
-                };
-                debug_assert!(stash.is_none(), "second snoop while one is stashed");
-                n.cl[ci].pend = Pend::Fetch {
-                    addr: pa,
-                    excl,
-                    seq,
-                    retries,
-                    stash: Some((inv, epoch)),
-                };
+                if let Pend::Fetch { stash, .. } = &mut n.cl[ci].pend {
+                    debug_assert!(stash.is_none(), "second snoop while one is stashed");
+                    *stash = Some((inv, epoch));
+                }
                 ctx.label(ci, || {
                     format!("cl{ci}: stash {ev} a{a} epoch {epoch} until fill (after seq{after})")
                 });
+                return;
+            }
+            debug_assert!(
+                !unordered || skip_stash,
+                "snoop after an uninstalled grant with no fetch pending"
+            );
+            if answer_snoop(n, ci, a, inv, epoch, cfg) {
+                ctx.label(ci, || {
+                    format!("cl{ci}: {ev} a{a} epoch {epoch} opens a nested recall")
+                });
             } else {
-                debug_assert!(
-                    n.cl[ci].inst_seq[a] >= after,
-                    "snoop after an uninstalled grant with no fetch pending"
-                );
-                respond_snoop(n, ci, a, inv, epoch);
                 ctx.label(ci, || format!("cl{ci}: answer {ev} a{a} epoch {epoch}"));
             }
+        }
+    }
+}
+
+/// Rule II: a snoop that finds L1 copies opens a nested recall and is
+/// answered when the recall completes; otherwise it is answered now.
+/// Returns whether a recall was opened.
+fn answer_snoop(
+    n: &mut RState,
+    ci: usize,
+    a: usize,
+    inv: bool,
+    epoch: u8,
+    cfg: &ResilientConfig,
+) -> bool {
+    let nest = cfg.inject != Some(Injection::SkipRecallNesting);
+    if nest && n.cl[ci].l1_holds(a, cfg.l1_cores as usize) {
+        n.cl[ci].recall[a] = Some((inv, epoch));
+        true
+    } else {
+        respond_snoop(n, ci, a, inv, epoch);
+        false
+    }
+}
+
+/// Complete a nested recall: reclaim the L1 copies (a dirty one writes
+/// its data back into the cluster copy), then answer the snoop.
+fn recall_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mut SuccCtx) {
+    for ci in 0..cfg.clusters {
+        for a in 0..cfg.addrs {
+            let Some((inv, epoch)) = s.cl[ci].recall[a] else {
+                continue;
+            };
+            ctx.witness("bridge", "SnoopRecall", "RecallDone");
+            let mut n = s.clone();
+            let c = &mut n.cl[ci];
+            for core in &mut c.cores[..cfg.l1_cores as usize] {
+                let l = &mut core.l1[a];
+                if l.st == St::M {
+                    c.copy[a] = *l;
+                }
+                if inv {
+                    l.st = St::I;
+                } else if l.st == St::M {
+                    l.st = St::S;
+                }
+            }
+            c.recall[a] = None;
+            respond_snoop(&mut n, ci, a, inv, epoch);
+            ctx.label(ci, || {
+                format!("cl{ci}: recall a{a} done, answer snoop epoch {epoch}")
+            });
+            out.push(n);
         }
     }
 }
@@ -1284,27 +1605,18 @@ fn fault_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
             // Poison-corrupt a clean data grant (detected link error).
             if let DevMsg::Data {
                 addr,
-                writable,
-                ver,
                 seq,
                 decl: false,
-                taint,
+                ..
             } = msg
             {
                 let mut n = s.clone();
                 s2m_remove(&mut n.s2m[ci], slot);
-                s2m_push(
-                    &mut n.s2m[ci],
-                    DevMsg::Data {
-                        addr,
-                        writable,
-                        ver,
-                        seq,
-                        decl: true,
-                        taint: true,
-                    },
-                );
-                let _ = taint;
+                let mut bad = msg;
+                if let DevMsg::Data { decl, taint, .. } = &mut bad {
+                    (*decl, *taint) = (true, true);
+                }
+                s2m_push(&mut n.s2m[ci], bad);
                 n.faults_left -= 1;
                 ctx.label(comp_fabric(cfg), || {
                     format!("fault: poison grant a{addr} seq{seq} -> cl{ci}")
@@ -1328,6 +1640,7 @@ fn encode_pend(p: &Pend, aperm: &[u8], out: &mut Vec<u8>) {
             seq,
             retries,
             stash,
+            core: _,
         } => {
             let (stag, sinv, sepoch) = match stash {
                 None => (0, 0, 0),
@@ -1407,34 +1720,10 @@ fn encode_dev_msg(m: &DevMsg, out: &mut Vec<u8>) {
 
 /// Relabel a DevMsg's address under `aperm`.
 fn relabel_dev_msg(m: &DevMsg, aperm: &[u8]) -> DevMsg {
-    match *m {
-        DevMsg::Data {
-            addr,
-            writable,
-            ver,
-            seq,
-            decl,
-            taint,
-        } => DevMsg::Data {
-            addr: aperm[addr as usize],
-            writable,
-            ver,
-            seq,
-            decl,
-            taint,
-        },
-        DevMsg::Snp {
-            addr,
-            inv,
-            epoch,
-            after,
-        } => DevMsg::Snp {
-            addr: aperm[addr as usize],
-            inv,
-            epoch,
-            after,
-        },
-    }
+    let mut m = *m;
+    let (DevMsg::Data { addr, .. } | DevMsg::Snp { addr, .. }) = &mut m;
+    *addr = aperm[*addr as usize];
+    m
 }
 
 impl Symmetric for RState {
@@ -1467,6 +1756,33 @@ impl Symmetric for RState {
                     c.fetch_ctr[oa],
                     c.snp_epoch[oa],
                 ]);
+            }
+            // The L1 tier, present only when the run has one, so the flat
+            // relation's encoding is unchanged.
+            if self.l1_cores > 0 {
+                out.push(match c.pend {
+                    Pend::Fetch { core, .. } => core,
+                    Pend::Idle => 0,
+                });
+                for &oa in inv_a.iter().take(addrs) {
+                    out.extend_from_slice(&match c.recall[oa] {
+                        None => [0, 0],
+                        Some((inv, epoch)) => [1 + inv as u8, epoch],
+                    });
+                }
+                for core in &c.cores[..self.l1_cores as usize] {
+                    out.push(core.budget);
+                    for &oa in inv_a.iter().take(addrs) {
+                        let l = core.l1[oa];
+                        out.extend_from_slice(&[
+                            l.st as u8,
+                            l.ver,
+                            l.decl as u8,
+                            l.taint as u8,
+                            core.seen[oa],
+                        ]);
+                    }
+                }
             }
         }
         for &oa in inv_a.iter().take(addrs) {
@@ -1539,7 +1855,8 @@ impl RState {
     /// Parse an encoding produced by [`Symmetric::encode_perm`] (any
     /// permutation image decodes to a well-formed, reachability-
     /// equivalent state; the identity image round-trips exactly).
-    pub fn decode(bytes: &[u8], clusters: usize, addrs: usize) -> RState {
+    pub fn decode(bytes: &[u8], cfg: &ResilientConfig) -> RState {
+        let (clusters, addrs) = (cfg.clusters, cfg.addrs);
         let mut p = 0usize;
         let mut next = |n: usize| {
             let s = &bytes[p..p + n];
@@ -1553,40 +1870,8 @@ impl RState {
             _ => panic!("bad state byte"),
         };
         let mut s = RState {
-            cl: [
-                ClusterSt {
-                    budget: 0,
-                    pend: Pend::Idle,
-                    copy: Default::default(),
-                    seen: [0; MAX_ADDRS],
-                    inst_seq: [0; MAX_ADDRS],
-                    fetch_ctr: [0; MAX_ADDRS],
-                    snp_epoch: [0; MAX_ADDRS],
-                },
-                ClusterSt {
-                    budget: 0,
-                    pend: Pend::Idle,
-                    copy: Default::default(),
-                    seen: [0; MAX_ADDRS],
-                    inst_seq: [0; MAX_ADDRS],
-                    fetch_ctr: [0; MAX_ADDRS],
-                    snp_epoch: [0; MAX_ADDRS],
-                },
-                ClusterSt {
-                    budget: 0,
-                    pend: Pend::Idle,
-                    copy: Default::default(),
-                    seen: [0; MAX_ADDRS],
-                    inst_seq: [0; MAX_ADDRS],
-                    fetch_ctr: [0; MAX_ADDRS],
-                    snp_epoch: [0; MAX_ADDRS],
-                },
-            ],
-            dir: Default::default(),
-            m2s: Default::default(),
-            s2m: Default::default(),
-            faults_left: 0,
-            ghost_bug: 0,
+            l1_cores: cfg.l1_cores,
+            ..RState::default()
         };
         s.ghost_bug = next(1)[0];
         s.faults_left = next(1)[0];
@@ -1601,6 +1886,7 @@ impl RState {
                     seq: pb[3],
                     retries: pb[4],
                     stash: (pb[5] != 0).then_some((pb[6] != 0, pb[7])),
+                    core: 0,
                 },
                 _ => panic!("bad pend tag"),
             };
@@ -1616,6 +1902,30 @@ impl RState {
                 s.cl[ci].inst_seq[a] = b[5];
                 s.cl[ci].fetch_ctr[a] = b[6];
                 s.cl[ci].snp_epoch[a] = b[7];
+            }
+            if cfg.l1_cores > 0 {
+                let fetch_core = next(1)[0];
+                if let Pend::Fetch { core, .. } = &mut s.cl[ci].pend {
+                    *core = fetch_core;
+                }
+                for a in 0..addrs {
+                    let b = next(2);
+                    s.cl[ci].recall[a] = (b[0] != 0).then_some((b[0] == 2, b[1]));
+                }
+                for k in 0..cfg.l1_cores as usize {
+                    let core = &mut s.cl[ci].cores[k];
+                    core.budget = next(1)[0];
+                    for a in 0..addrs {
+                        let b = next(5);
+                        core.l1[a] = Copy {
+                            st: st_of(b[0]),
+                            ver: b[1],
+                            decl: b[2] != 0,
+                            taint: b[3] != 0,
+                        };
+                        core.seen[a] = b[4];
+                    }
+                }
             }
         }
         for a in 0..addrs {
@@ -1747,7 +2057,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     'bfs: while violation.is_none() && !truncated {
         let Some(rec) = frontier.pop() else { break };
         let id = u32::from_le_bytes(rec[..4].try_into().unwrap());
-        let s = RState::decode(&rec[4..], cfg.clusters, cfg.addrs);
+        let s = RState::decode(&rec[4..], cfg);
         successors(&s, cfg, &mut succs, &mut ctx);
         if succs.is_empty() {
             if !s.done(cfg) {
@@ -1767,7 +2077,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
                 continue;
             };
             orbit_sum += orbit as u128;
-            let t = RState::decode(&canon, cfg.clusters, cfg.addrs);
+            let t = RState::decode(&canon, cfg);
             if let Some(v) = t.check(cfg) {
                 violation = Some((v, tid));
                 break 'bfs;
@@ -1830,7 +2140,7 @@ fn build_counterexample(
             .unwrap_or((comp_fabric(cfg), format!("<ordinal {o} out of range>")));
         steps.push((comp, label));
         group.canonical(&succs[o as usize], &mut canon);
-        state = RState::decode(&canon, cfg.clusters, cfg.addrs);
+        state = RState::decode(&canon, cfg);
     }
     let mut tracer = Tracer::enabled(steps.len() + 2);
     let mut names: Vec<String> = (0..cfg.clusters).map(|c| format!("cluster{c}")).collect();
@@ -1871,24 +2181,86 @@ mod tests {
         }
     }
 
+    /// The fault-free nested config: one core with a private L1 behind
+    /// each of two cluster copies, two ops per core.
+    fn nested(ops: u8) -> ResilientConfig {
+        ResilientConfig {
+            l1_cores: 1,
+            ops_per_cluster: ops,
+            max_faults: 0,
+            max_retries: 0,
+            ..tiny(2, 1)
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let cfg = tiny(2, 2);
-        let mut s = RState::initial(&cfg);
-        let mut ctx = SuccCtx::default();
-        let mut succs = Vec::new();
-        // Walk a few deterministic steps to populate channels and
-        // directory state, round-tripping at each depth.
-        for pick in [0usize, 0, 1, 0, 2] {
-            let mut enc = Vec::new();
-            s.encode_perm(&[0, 1], &[0, 1], &mut enc);
-            assert_eq!(RState::decode(&enc, 2, 2), s);
-            successors(&s, &cfg, &mut succs, &mut ctx);
-            if succs.is_empty() {
-                break;
+        let with_l1 = ResilientConfig {
+            l1_cores: 2,
+            ..tiny(2, 2)
+        };
+        for cfg in [tiny(2, 2), with_l1] {
+            let mut s = RState::initial(&cfg);
+            let mut ctx = SuccCtx::default();
+            let mut succs = Vec::new();
+            // Walk a few deterministic steps to populate channels and
+            // directory state, round-tripping at each depth.
+            for pick in [0usize, 0, 1, 0, 2, 3, 1, 0] {
+                let mut enc = Vec::new();
+                s.encode_perm(&[0, 1], &[0, 1], &mut enc);
+                assert_eq!(RState::decode(&enc, &cfg), s);
+                successors(&s, &cfg, &mut succs, &mut ctx);
+                if succs.is_empty() {
+                    break;
+                }
+                s = succs[pick.min(succs.len() - 1)].clone();
             }
-            s = succs[pick.min(succs.len() - 1)].clone();
         }
+    }
+
+    #[test]
+    fn design_rules_hold_exhaustively() {
+        let r = check_resilient(&nested(2));
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        assert!(!r.truncated);
+        // Rule II ran, and every step conforms to the concrete tables.
+        let recall = ("bridge", "SnoopRecall", "RecallDone");
+        assert!(r.witnesses.contains(&recall), "{:?}", r.witnesses);
+        let dcoh = c3_cxl::dcoh::dcoh_transition_table();
+        let bridge = c3::bridge::bridge_transition_table(c3_protocol::states::ProtocolFamily::Mesi);
+        let defects = crate::check_model_conformance(&r.witnesses, &[&dcoh, &bridge]);
+        assert!(defects.is_empty(), "{defects:?}");
+    }
+
+    #[test]
+    fn bigger_budget_still_clean() {
+        let r = check_resilient(&nested(3));
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        assert!(!r.truncated);
+    }
+
+    #[test]
+    fn dropping_rule2_is_caught() {
+        // Fig. 4: acknowledging an invalidation before local copies are
+        // reclaimed leaves an L1 copy under an invalid cluster copy.
+        let r = check_resilient(&ResilientConfig {
+            inject: Some(Injection::SkipRecallNesting),
+            ..nested(2)
+        });
+        let (v, _) = r.violation.expect("checker failed to find the Fig. 4 race");
+        assert!(matches!(v, RViolation::Inclusion(_)), "got {v}");
+    }
+
+    #[test]
+    fn dropping_conflict_ordering_is_caught() {
+        // Fig. 2: answering a racing snoop from the pre-fill state lets
+        // the late fill install next to the new owner.
+        let r = check_resilient(&ResilientConfig {
+            inject: Some(Injection::SkipConflictStash),
+            ..nested(2)
+        });
+        let (v, _) = r.violation.expect("checker failed to find the Fig. 2 race");
+        assert!(matches!(v, RViolation::Swmr(_)), "got {v}");
     }
 
     #[test]
@@ -1920,35 +2292,5 @@ mod tests {
             r.reduction_factor
         );
         assert!(!r.witnesses.is_empty());
-    }
-
-    #[test]
-    fn lost_grant_livelock_injection_is_caught() {
-        let cfg = ResilientConfig {
-            inject: Some(Injection::LostGrantLivelock),
-            ..tiny(2, 1)
-        };
-        let r = check_resilient(&cfg);
-        let (v, cex) = r.violation.expect("injection must trip an invariant");
-        assert!(
-            matches!(v, RViolation::Deadlock(_)),
-            "expected deadlock, got {v}"
-        );
-        assert!(!cex.steps.is_empty());
-        assert!(cex.trace.contains("INVARIANT VIOLATED"));
-    }
-
-    #[test]
-    fn poison_launder_injection_is_caught() {
-        let cfg = ResilientConfig {
-            inject: Some(Injection::PoisonLaunder),
-            ..tiny(2, 1)
-        };
-        let r = check_resilient(&cfg);
-        let (v, _) = r.violation.expect("injection must trip an invariant");
-        assert!(
-            matches!(v, RViolation::Poison(_)),
-            "expected poison violation, got {v}"
-        );
     }
 }

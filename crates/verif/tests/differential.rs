@@ -3,9 +3,10 @@
 //! Symmetry reduction is sound only if the canonicalized exploration
 //! reaches exactly the same verdicts as brute-force exploration. These
 //! tests pin that property on configurations small enough to exhaust
-//! both ways, and prove the checker catches seeded protocol bugs.
+//! both ways, pin the flat relation's state counts, and prove the
+//! checker catches seeded protocol bugs and dropped design rules.
 
-use c3_verif::resilient::{check_resilient, Injection, RViolation, ResilientConfig};
+use c3_verif::resilient::{check_resilient, Injection, ResilientConfig};
 
 fn cfg(clusters: usize, addrs: usize) -> ResilientConfig {
     ResilientConfig {
@@ -15,19 +16,49 @@ fn cfg(clusters: usize, addrs: usize) -> ResilientConfig {
     }
 }
 
+/// One core with a private L1 behind each cluster copy.
+fn nested(clusters: usize, addrs: usize) -> ResilientConfig {
+    ResilientConfig {
+        l1_cores: 1,
+        ..cfg(clusters, addrs)
+    }
+}
+
+#[test]
+fn flat_relation_state_counts_are_pinned() {
+    // `modelcheck`'s default battery at ops=1, faults=1: any change to
+    // the flat transitions, their order or the state encoding moves
+    // these counts.
+    for (clusters, addrs, canonical, unreduced, edges) in [
+        (2, 1, 245, 487, 434),
+        (2, 2, 355, 1_397, 682),
+        (3, 1, 1_494, 8_706, 3_462),
+        (3, 2, 3_419, 40_211, 8_948),
+    ] {
+        let r = check_resilient(&cfg(clusters, addrs));
+        assert!(r.violation.is_none() && !r.truncated);
+        assert_eq!(
+            (r.canonical_states, r.unreduced_states, r.edges),
+            (canonical, unreduced, edges),
+            "{clusters}x{addrs}: (canonical, unreduced, edges) moved"
+        );
+    }
+}
+
 #[test]
 fn symmetry_on_and_off_agree_on_two_cluster_verdicts() {
-    for (clusters, addrs) in [(2, 1), (2, 2)] {
-        let reduced = check_resilient(&cfg(clusters, addrs));
+    for base in [cfg(2, 1), cfg(2, 2), nested(2, 1), nested(2, 2)] {
+        let what = format!("{}x{} l1={}", base.clusters, base.addrs, base.l1_cores);
+        let reduced = check_resilient(&base);
         let full = check_resilient(&ResilientConfig {
             symmetry: false,
-            ..cfg(clusters, addrs)
+            ..base.clone()
         });
 
         // Same verdict: both clean (the protocol has no bug to disagree
         // about), neither truncated.
-        assert!(reduced.violation.is_none(), "{clusters}x{addrs} reduced");
-        assert!(full.violation.is_none(), "{clusters}x{addrs} full");
+        assert!(reduced.violation.is_none(), "{what} reduced");
+        assert!(full.violation.is_none(), "{what} full");
         assert!(!reduced.truncated && !full.truncated);
 
         // Exact state accounting: the orbit-sum of the reduced run must
@@ -35,19 +66,19 @@ fn symmetry_on_and_off_agree_on_two_cluster_verdicts() {
         // representative count can never exceed it.
         assert_eq!(
             reduced.unreduced_states, full.unreduced_states,
-            "{clusters}x{addrs}: orbit sum diverges from brute force"
+            "{what}: orbit sum diverges from brute force"
         );
         assert_eq!(
             full.canonical_states as u128, full.unreduced_states,
-            "{clusters}x{addrs}: unreduced run must count itself exactly"
+            "{what}: unreduced run must count itself exactly"
         );
         assert!(
             reduced.canonical_states <= full.canonical_states,
-            "{clusters}x{addrs}: reduction enlarged the state space"
+            "{what}: reduction enlarged the state space"
         );
         assert!(
             reduced.reduction_factor > 1.0,
-            "{clusters}x{addrs}: no reduction achieved"
+            "{what}: no reduction achieved"
         );
     }
 }
@@ -57,51 +88,46 @@ fn symmetry_preserves_witness_vocabulary() {
     // The table-conformance witnesses must not depend on whether
     // exploration is canonicalized — both runs exercise the same
     // (controller, state, event) set.
-    let reduced = check_resilient(&cfg(2, 1));
-    let full = check_resilient(&ResilientConfig {
-        symmetry: false,
-        ..cfg(2, 1)
-    });
-    assert_eq!(reduced.witnesses, full.witnesses);
-}
-
-#[test]
-fn seeded_lost_grant_livelock_is_caught_with_and_without_symmetry() {
-    for symmetry in [true, false] {
-        let r = check_resilient(&ResilientConfig {
-            inject: Some(Injection::LostGrantLivelock),
-            symmetry,
-            ..cfg(2, 1)
+    for base in [cfg(2, 1), nested(2, 1)] {
+        let reduced = check_resilient(&base);
+        let full = check_resilient(&ResilientConfig {
+            symmetry: false,
+            ..base
         });
-        let (v, cex) = r
-            .violation
-            .as_ref()
-            .unwrap_or_else(|| panic!("livelock not caught (symmetry={symmetry})"));
-        assert!(
-            matches!(v, RViolation::Deadlock(_)),
-            "expected deadlock, got {v} (symmetry={symmetry})"
-        );
-        assert!(!cex.steps.is_empty());
-        assert!(cex.trace.contains("INVARIANT VIOLATED"));
+        assert_eq!(reduced.witnesses, full.witnesses);
     }
 }
 
 #[test]
-fn seeded_poison_launder_is_caught_with_and_without_symmetry() {
-    for symmetry in [true, false] {
-        let r = check_resilient(&ResilientConfig {
-            inject: Some(Injection::PoisonLaunder),
-            symmetry,
-            ..cfg(2, 1)
-        });
-        let (v, _) = r
-            .violation
-            .as_ref()
-            .unwrap_or_else(|| panic!("laundered poison not caught (symmetry={symmetry})"));
-        assert!(
-            matches!(v, RViolation::Poison(_)),
-            "expected poison violation, got {v} (symmetry={symmetry})"
-        );
+fn seeded_bugs_are_caught_with_and_without_symmetry() {
+    // Each injection on the smallest config it exists in, with the start
+    // of the message of the invariant it must trip. The last two drop a
+    // design rule: a BISnp answered before its nested recall (Fig. 4),
+    // and a racing snoop answered from the pre-fill state (Fig. 2).
+    for (inj, base, expected) in [
+        (Injection::LostGrantLivelock, cfg(2, 1), "deadlock"),
+        (Injection::PoisonLaunder, cfg(2, 1), "poison stickiness"),
+        (Injection::SkipRecallNesting, nested(2, 1), "inclusion"),
+        (Injection::SkipConflictStash, cfg(2, 1), "SWMR"),
+    ] {
+        for symmetry in [true, false] {
+            let r = check_resilient(&ResilientConfig {
+                inject: Some(inj),
+                symmetry,
+                ..base.clone()
+            });
+            let (v, cex) = r
+                .violation
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} not caught (symmetry={symmetry})", inj.name()));
+            assert!(
+                v.to_string().starts_with(expected),
+                "{}: expected {expected}, got {v} (symmetry={symmetry})",
+                inj.name()
+            );
+            assert!(!cex.steps.is_empty());
+            assert!(cex.trace.contains("INVARIANT VIOLATED"));
+        }
     }
 }
 
