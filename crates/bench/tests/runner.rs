@@ -171,27 +171,50 @@ fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
 }
 
 /// Same-seed, same-config runs must render byte-identical reports, and
-/// the rendering is pinned by fingerprint: any fabric/kernel "pure
+/// the rendering is pinned by fingerprint: any fabric/kernel/core "pure
 /// optimization" that actually changes simulated behaviour (timing,
 /// event counts, RNG draws) trips this test. Re-pin deliberately when a
 /// behaviour change is intended (e.g. the inclusive-jitter fix).
+///
+/// Three configurations: barnes on weak cores; vips on the `stream`
+/// benchmark's pairing (MESI/TSO beside MOESI/weak), which drives the TSO
+/// store buffer, its store-to-load forwarding and the RFO prefetches; and
+/// an RCC (GPU-style) cluster of weak cores beside a MESI cluster of TSO
+/// cores.
 #[test]
 fn report_dump_byte_identity() {
-    let spec = WorkloadSpec::by_name("barnes").expect("workload");
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Moesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    )
-    .quick();
-    cfg.ops_per_core = 200;
-    let a = render(&spec, &cfg);
-    let b = render(&spec, &cfg);
-    assert_eq!(a, b, "same-seed runs rendered different reports");
-    assert_eq!(
-        fnv1a(&a),
-        4_553_830_574_658_468_899u64,
-        "pinned report fingerprint changed — if the behaviour change is \
-         intentional, re-pin this constant\nreport:\n{a}"
-    );
+    use ProtocolFamily::{Mesi, Moesi, Rcc};
+    for (name, protocols, mcms, pinned) in [
+        (
+            "barnes",
+            (Mesi, Moesi),
+            (Mcm::Weak, Mcm::Weak),
+            4_553_830_574_658_468_899u64,
+        ),
+        (
+            "vips",
+            (Mesi, Moesi),
+            (Mcm::Tso, Mcm::Weak),
+            152_484_082_630_253_032,
+        ),
+        (
+            "barnes",
+            (Rcc, Mesi),
+            (Mcm::Weak, Mcm::Tso),
+            11_670_868_887_311_467_392,
+        ),
+    ] {
+        let spec = WorkloadSpec::by_name(name).expect("workload");
+        let mut cfg = RunConfig::scaled(protocols, GlobalProtocol::Cxl, mcms).quick();
+        cfg.ops_per_core = 200;
+        let a = render(&spec, &cfg);
+        let b = render(&spec, &cfg);
+        assert_eq!(a, b, "same-seed {name} runs rendered different reports");
+        assert_eq!(
+            fnv1a(&a),
+            pinned,
+            "pinned {name} {protocols:?}/{mcms:?} report fingerprint changed — if \
+             the behaviour change is intentional, re-pin this constant\nreport:\n{a}"
+        );
+    }
 }

@@ -9,11 +9,14 @@
 //! operation that [`c3_protocol::mcm::must_order`] orders before it has
 //! completed. TSO therefore drains stores in order (the store-buffer
 //! effect) while the weak model overlaps them.
+//!
+//! Each issue pass sweeps the reorder-buffer window once, folding the
+//! instructions it passes into an [`OrderFrontier`], so a pass costs
+//! O(window) however long the program is.
 
-use c3_sim::hash::FxHashMap;
 use std::any::Any;
 
-use c3_protocol::mcm::{must_order, Mcm};
+use c3_protocol::mcm::{Mcm, OrderFrontier};
 use c3_protocol::msg::{CoreReq, CoreResp, SysMsg};
 use c3_protocol::ops::{Instr, Reg, ThreadProgram};
 use c3_protocol::states::ProtocolFamily;
@@ -77,6 +80,51 @@ const STORE_BUFFER_CAP: usize = 6;
 /// Tag bit marking RFO-prefetch responses (dropped by the core).
 const PREFETCH_TAG: u64 = 1 << 62;
 
+/// The issue rule for one sweep of the window: the MCM's ordering
+/// frontier plus the core's own micro-architectural barrier.
+#[derive(Debug, Default)]
+struct IssueGate {
+    order: OrderFrontier,
+    /// An incomplete `Work` (non-overlappable front-end compute) or an
+    /// incomplete fence on an RCC cluster (which must reach the L1) was
+    /// passed: nothing later may issue.
+    barrier: bool,
+}
+
+impl IssueGate {
+    fn clear(&mut self) {
+        self.order.clear();
+        self.barrier = false;
+    }
+
+    /// May `instr` perform now, given every instruction pushed so far?
+    fn admits(&self, mcm: Mcm, instr: &Instr) -> bool {
+        // TSO loads *issue* speculatively out of order (gem5's O3 does the
+        // same): the architectural load-load order is enforced by
+        // invalidation-triggered squashes (see `squash_loads`), not by
+        // serializing issue. Ordering checks for a TSO load therefore use
+        // the weak matrix — same-address ordering, fences and annotations
+        // still apply.
+        let mcm = if mcm == Mcm::Tso && matches!(instr, Instr::Load { .. }) {
+            Mcm::Weak
+        } else {
+            mcm
+        };
+        !self.barrier && !self.order.blocks(mcm, instr)
+    }
+
+    /// Fold in the next instruction of the sweep, in its current state.
+    fn push(&mut self, instr: &Instr, done: bool, family: ProtocolFamily) {
+        self.barrier |= !done
+            && match instr {
+                Instr::Work(_) => true,
+                Instr::Fence(_) => family == ProtocolFamily::Rcc,
+                _ => false,
+            };
+        self.order.push(instr, !done);
+    }
+}
+
 /// The timing core component.
 #[derive(Debug)]
 pub struct TimingCore {
@@ -86,7 +134,8 @@ pub struct TimingCore {
     program: ThreadProgram,
     state: Vec<OpState>,
     oldest: usize,
-    inflight: FxHashMap<u64, usize>,
+    /// Issued `Work` and L1 requests not yet completed.
+    inflight: usize,
     /// TSO store buffer: retired-but-undrained stores (instruction
     /// indices), drained to the L1 strictly in order. This is what makes
     /// TSO's store→load reordering *and* its realistic performance: the
@@ -95,10 +144,10 @@ pub struct TimingCore {
     drain_inflight: bool,
     regs: [u64; 32],
     rng: SimRng,
-    started: bool,
+    /// Reused across issue passes so a pass allocates nothing.
+    gate: IssueGate,
     finished_at: Option<Time>,
     retired: u64,
-    stalled_issue_checks: u64,
     squashes: u64,
 }
 
@@ -120,15 +169,17 @@ impl TimingCore {
             program,
             state: vec![OpState::Waiting; n],
             oldest: 0,
-            inflight: FxHashMap::default(),
+            inflight: 0,
             store_buffer: std::collections::VecDeque::new(),
             drain_inflight: false,
             regs: [0; 32],
             rng: SimRng::seed_from(seed),
-            started: false,
+            gate: IssueGate {
+                order: OrderFrontier::with_capacity(ROB_LOOKAHEAD),
+                barrier: false,
+            },
             finished_at: None,
             retired: 0,
-            stalled_issue_checks: 0,
             squashes: 0,
         }
     }
@@ -143,49 +194,10 @@ impl TimingCore {
         self.finished_at
     }
 
-    /// Whether instruction `j` may perform now: every earlier incomplete
-    /// instruction that must be ordered before it has completed, and
-    /// `Work` instructions act as issue barriers. Only instructions from
-    /// the oldest incomplete one onward need checking.
-    fn may_issue(&self, j: usize) -> bool {
-        let instr = &self.program.instrs[j];
-        // TSO loads *issue* speculatively out of order (gem5's O3 does the
-        // same): the architectural load-load order is enforced by
-        // invalidation-triggered squashes (see `squash_loads`), not by
-        // serializing issue. Ordering checks for a TSO load therefore use
-        // the weak matrix — same-address ordering, fences and annotations
-        // still apply.
-        let effective_mcm = if self.cfg.mcm == Mcm::Tso && matches!(instr, Instr::Load { .. }) {
-            Mcm::Weak
-        } else {
-            self.cfg.mcm
-        };
-        for i in self.oldest..j {
-            if self.state[i] == OpState::Done {
-                continue;
-            }
-            let earlier = &self.program.instrs[i];
-            match earlier {
-                // Work models non-overlappable front-end compute.
-                Instr::Work(_) => return false,
-                // Fences gate per their ordering rules — handled through
-                // must_order's `between` inspection below; an incomplete
-                // *RCC* fence (which must reach the L1) blocks everything.
-                Instr::Fence(_) if self.cfg.family == ProtocolFamily::Rcc => {
-                    return false;
-                }
-                _ => {}
-            }
-            if must_order(
-                effective_mcm,
-                earlier,
-                &self.program.instrs[i + 1..j],
-                instr,
-            ) {
-                return false;
-            }
-        }
-        true
+    /// Every instruction has retired and the store buffer has drained.
+    /// The retirement pointer is current whenever no issue pass runs.
+    fn program_complete(&self) -> bool {
+        self.oldest == self.program.len() && self.store_buffer.is_empty() && !self.drain_inflight
     }
 
     /// A line was invalidated/lost: squash speculatively completed TSO
@@ -218,113 +230,111 @@ impl TimingCore {
 
     fn try_issue(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
         let n = self.program.len();
+        let mut gate = std::mem::take(&mut self.gate);
         loop {
             let mut issued_any = false;
             // Advance past the completed prefix (retirement pointer).
             while self.oldest < n && self.state[self.oldest] == OpState::Done {
                 self.oldest += 1;
             }
-            // Consider only the reorder-buffer window of instructions.
+            // Consider only the reorder-buffer window of instructions. Each
+            // instruction is folded into the gate after its own decision,
+            // so later ones see the states that decision left.
             let horizon = (self.oldest + ROB_LOOKAHEAD).min(n);
+            gate.clear();
             for j in self.oldest..horizon {
-                if self.state[j] != OpState::Waiting {
-                    continue;
-                }
-                if self.inflight.len() >= self.cfg.window {
-                    break;
-                }
-                if !self.may_issue(j) {
-                    self.stalled_issue_checks += 1;
-                    continue;
-                }
                 let instr = self.program.instrs[j];
-                let tso = self.cfg.mcm == Mcm::Tso;
-                match instr {
-                    Instr::Work(cycles) => {
-                        self.state[j] = OpState::Issued;
-                        self.inflight.insert(j as u64, j);
-                        ctx.wake_after(Delay::from_cycles(cycles as u64, 2_000), j as u64);
+                if self.state[j] == OpState::Waiting {
+                    if self.inflight >= self.cfg.window {
+                        break;
                     }
-                    Instr::Fence(_) if self.cfg.family != ProtocolFamily::Rcc => {
-                        // TSO full fences drain the store buffer first.
-                        if tso && (!self.store_buffer.is_empty() || self.drain_inflight) {
-                            continue;
-                        }
-                        // Pure ordering: completes as soon as it may issue.
-                        self.state[j] = OpState::Done;
-                        self.retired += 1;
-                        issued_any = true;
-                        continue;
-                    }
-                    Instr::Store { addr, .. } if tso => {
-                        // Retire into the store buffer; the drain makes the
-                        // store visible in order, off the critical path.
-                        if self.store_buffer.len() >= STORE_BUFFER_CAP {
-                            continue; // buffer full: stall this store
-                        }
-                        self.state[j] = OpState::Done;
-                        self.retired += 1;
-                        self.store_buffer.push_back(j);
-                        // RFO prefetch: overlap the miss latency so the
-                        // in-order drain usually hits (x86 store buffers
-                        // issue ownership requests for all entries). The
-                        // issue time varies — RFOs fire when buffer slots
-                        // are scheduled, not instantaneously — which also
-                        // lets younger loads overtake the store (the
-                        // store-buffering behaviour of SB litmus tests).
-                        let rfo_jitter = self.rng.below(24);
-                        ctx.send_direct(
-                            self.l1,
-                            SysMsg::CoreReq(CoreReq {
-                                tag: PREFETCH_TAG | j as u64,
-                                instr: Instr::Prefetch { addr },
-                            }),
-                            Delay::from_cycles(1 + rfo_jitter, 2_000),
-                        );
-                        self.pump_drain(ctx);
-                        issued_any = true;
-                        continue;
-                    }
-                    Instr::Load { addr, reg, .. } if tso => {
-                        // Store-to-load forwarding from the buffer.
-                        if let Some(val) = self.forward_from_buffer(addr, j) {
-                            self.state[j] = OpState::Done;
-                            self.retired += 1;
-                            self.regs[reg.0 as usize] = val;
-                            issued_any = true;
-                            continue;
-                        }
-                        self.issue_to_l1(j, instr, ctx);
-                    }
-                    Instr::Rmw { .. } if tso => {
-                        // Atomics serialize with the store buffer.
-                        if !self.store_buffer.is_empty() || self.drain_inflight {
-                            continue;
-                        }
-                        self.issue_to_l1(j, instr, ctx);
-                    }
-                    _ => {
-                        self.issue_to_l1(j, instr, ctx);
+                    if gate.admits(self.cfg.mcm, &instr) {
+                        issued_any |= self.issue(j, instr, ctx);
                     }
                 }
-                issued_any = true;
+                gate.push(&instr, self.state[j] == OpState::Done, self.cfg.family);
             }
             if !issued_any {
                 break;
             }
         }
-        if self.finished_at.is_none()
-            && self.store_buffer.is_empty()
-            && !self.drain_inflight
-            && self.state.iter().all(|s| *s == OpState::Done)
-        {
+        self.gate = gate;
+        if self.finished_at.is_none() && self.program_complete() {
             self.finished_at = Some(ctx.now);
         }
     }
 
+    /// Issue the admitted instruction `j`; false if a structural hazard
+    /// (store-buffer state) holds it back.
+    fn issue(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) -> bool {
+        let tso = self.cfg.mcm == Mcm::Tso;
+        match instr {
+            Instr::Work(cycles) => {
+                self.state[j] = OpState::Issued;
+                self.inflight += 1;
+                ctx.wake_after(Delay::from_cycles(cycles as u64, 2_000), j as u64);
+            }
+            Instr::Fence(_) if self.cfg.family != ProtocolFamily::Rcc => {
+                // TSO full fences drain the store buffer first.
+                if tso && (!self.store_buffer.is_empty() || self.drain_inflight) {
+                    return false;
+                }
+                // Pure ordering: completes as soon as it may issue.
+                self.state[j] = OpState::Done;
+                self.retired += 1;
+            }
+            Instr::Store { addr, .. } if tso => {
+                // Retire into the store buffer; the drain makes the
+                // store visible in order, off the critical path.
+                if self.store_buffer.len() >= STORE_BUFFER_CAP {
+                    return false; // buffer full: stall this store
+                }
+                self.state[j] = OpState::Done;
+                self.retired += 1;
+                self.store_buffer.push_back(j);
+                // RFO prefetch: overlap the miss latency so the
+                // in-order drain usually hits (x86 store buffers
+                // issue ownership requests for all entries). The
+                // issue time varies — RFOs fire when buffer slots
+                // are scheduled, not instantaneously — which also
+                // lets younger loads overtake the store (the
+                // store-buffering behaviour of SB litmus tests).
+                let rfo_jitter = self.rng.below(24);
+                ctx.send_direct(
+                    self.l1,
+                    SysMsg::CoreReq(CoreReq {
+                        tag: PREFETCH_TAG | j as u64,
+                        instr: Instr::Prefetch { addr },
+                    }),
+                    Delay::from_cycles(1 + rfo_jitter, 2_000),
+                );
+                self.pump_drain(ctx);
+            }
+            Instr::Load { addr, reg, .. } if tso => {
+                // Store-to-load forwarding from the buffer.
+                if let Some(val) = self.forward_from_buffer(addr, j) {
+                    self.state[j] = OpState::Done;
+                    self.retired += 1;
+                    self.regs[reg.0 as usize] = val;
+                } else {
+                    self.issue_to_l1(j, instr, ctx);
+                }
+            }
+            Instr::Rmw { .. } if tso => {
+                // Atomics serialize with the store buffer.
+                if !self.store_buffer.is_empty() || self.drain_inflight {
+                    return false;
+                }
+                self.issue_to_l1(j, instr, ctx);
+            }
+            _ => self.issue_to_l1(j, instr, ctx),
+        }
+        true
+    }
+
     fn issue_to_l1(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) {
         self.state[j] = OpState::Issued;
-        self.inflight.insert(j as u64, j);
+        self.inflight += 1;
         let jitter = if self.cfg.issue_jitter > 0 {
             self.rng.below(self.cfg.issue_jitter as u64 + 1)
         } else {
@@ -386,7 +396,7 @@ impl TimingCore {
         }
         debug_assert_eq!(self.state[j], OpState::Issued);
         self.state[j] = OpState::Done;
-        self.inflight.remove(&(j as u64));
+        self.inflight -= 1;
         self.retired += 1;
         match self.program.instrs[j] {
             Instr::Load { reg, .. } | Instr::Rmw { reg, .. } => {
@@ -407,14 +417,12 @@ impl Component<SysMsg> for TimingCore {
         if self.cfg.start_delay > Delay::ZERO {
             ctx.wake_after(self.cfg.start_delay, u64::MAX);
         } else {
-            self.started = true;
             self.try_issue(ctx);
         }
     }
 
     fn on_wake(&mut self, token: u64, ctx: &mut Ctx<'_, SysMsg>) {
         if token == u64::MAX {
-            self.started = true;
             self.try_issue(ctx);
             return;
         }
@@ -432,9 +440,7 @@ impl Component<SysMsg> for TimingCore {
     }
 
     fn done(&self) -> bool {
-        self.state.iter().all(|s| *s == OpState::Done)
-            && self.store_buffer.is_empty()
-            && !self.drain_inflight
+        self.program_complete()
     }
 
     fn report(&self, out: &mut Report) {
@@ -459,6 +465,20 @@ mod tests {
     use super::*;
     use c3_protocol::ops::{AccessOrder, Addr};
 
+    /// The issue decision for instruction `j` in the core's current state,
+    /// through the same gate sweep `try_issue` runs.
+    fn may_issue(c: &TimingCore, j: usize) -> bool {
+        let mut gate = IssueGate::default();
+        for i in c.oldest..j {
+            gate.push(
+                &c.program.instrs[i],
+                c.state[i] == OpState::Done,
+                c.cfg.family,
+            );
+        }
+        gate.admits(c.cfg.mcm, &c.program.instrs[j])
+    }
+
     fn core(mcm: Mcm, program: ThreadProgram) -> TimingCore {
         TimingCore::new(
             "c",
@@ -474,14 +494,14 @@ mod tests {
         let p = ThreadProgram::new().store(Addr(1), 1).load(Addr(2), Reg(0));
         let c = core(Mcm::Tso, p);
         // The load (index 1) may issue although the store is incomplete.
-        assert!(c.may_issue(1));
+        assert!(may_issue(&c, 1));
     }
 
     #[test]
     fn tso_stores_stay_ordered() {
         let p = ThreadProgram::new().store(Addr(1), 1).store(Addr(2), 1);
         let c = core(Mcm::Tso, p);
-        assert!(!c.may_issue(1));
+        assert!(!may_issue(&c, 1));
     }
 
     #[test]
@@ -491,8 +511,8 @@ mod tests {
             .store(Addr(2), 1)
             .load(Addr(3), Reg(0));
         let c = core(Mcm::Weak, p);
-        assert!(c.may_issue(1));
-        assert!(c.may_issue(2));
+        assert!(may_issue(&c, 1));
+        assert!(may_issue(&c, 2));
     }
 
     #[test]
@@ -502,14 +522,14 @@ mod tests {
             .fence()
             .store(Addr(2), 1);
         let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(2));
+        assert!(!may_issue(&c, 2));
     }
 
     #[test]
     fn same_address_never_reorders() {
         let p = ThreadProgram::new().store(Addr(1), 1).load(Addr(1), Reg(0));
         let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        assert!(!may_issue(&c, 1));
     }
 
     #[test]
@@ -527,13 +547,13 @@ mod tests {
             instrs: p.collect(),
         };
         let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        assert!(!may_issue(&c, 1));
     }
 
     #[test]
     fn work_blocks_later_issue() {
         let p = ThreadProgram::new().work(10).load(Addr(1), Reg(0));
         let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        assert!(!may_issue(&c, 1));
     }
 }

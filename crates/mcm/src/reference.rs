@@ -7,8 +7,8 @@
 //! hierarchical directory): an execution is an interleaving of *perform*
 //! events over a single global memory. A thread may perform an operation
 //! when every program-earlier, not-yet-performed operation that its MCM
-//! orders before it (same predicate as the timing core:
-//! [`c3_protocol::mcm::must_order`]) has performed.
+//! orders before it (same fold as the timing core:
+//! [`c3_protocol::mcm::OrderFrontier`]) has performed.
 //!
 //! Per Goens et al.'s compound-model result — which C³ realizes — each
 //! thread contributes its native ordering constraints to the global
@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use c3_protocol::mcm::{must_order, Mcm};
+use c3_protocol::mcm::{Mcm, OrderFrontier};
 use c3_protocol::ops::{Addr, Instr, ThreadProgram};
 
 use crate::litmus::Observation;
@@ -94,6 +94,7 @@ pub fn allowed_outcomes(
     let mut seen: HashSet<MachineState> = HashSet::new();
     let mut outcomes: BTreeSet<Outcome> = BTreeSet::new();
     let mut stack = vec![init];
+    let mut frontier = OrderFrontier::default();
 
     while let Some(state) = stack.pop() {
         if !seen.insert(state.clone()) {
@@ -101,12 +102,18 @@ pub fn allowed_outcomes(
         }
         let mut terminal = true;
         for (ti, prog) in threads.iter().enumerate() {
+            // One sweep per thread: instruction j may perform unless an
+            // unperformed earlier one is ordered before it.
+            frontier.clear();
             for (j, instr) in prog.instrs.iter().enumerate() {
-                if state.done[ti] & (1 << j) != 0 {
+                let performed = state.done[ti] & (1 << j) != 0;
+                let blocked = frontier.blocks(mcms[ti], instr);
+                frontier.push(instr, !performed);
+                if performed {
                     continue;
                 }
                 terminal = false;
-                if !may_perform(prog, mcms[ti], &state.done, ti, j) {
+                if blocked {
                     continue;
                 }
                 // Perform instruction j of thread ti.
@@ -143,19 +150,6 @@ pub fn allowed_outcomes(
         }
     }
     outcomes
-}
-
-fn may_perform(prog: &ThreadProgram, mcm: Mcm, done: &[u64], ti: usize, j: usize) -> bool {
-    let instr = &prog.instrs[j];
-    for i in 0..j {
-        if done[ti] & (1 << i) != 0 {
-            continue;
-        }
-        if must_order(mcm, &prog.instrs[i], &prog.instrs[i + 1..j], instr) {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! This module defines the per-thread ordering rules that both the timing
 //! core model (`c3-mcm`) and the operational reference enumerator obey.
 
-use crate::ops::{AccessOrder, FenceKind, Instr};
+use crate::ops::{AccessOrder, Addr, FenceKind, Instr};
 
 /// A per-cluster memory consistency model.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -63,6 +63,17 @@ pub enum OpClass {
     Store,
 }
 
+impl OpClass {
+    const ALL: [OpClass; 2] = [OpClass::Load, OpClass::Store];
+
+    fn bit(self) -> u8 {
+        match self {
+            OpClass::Load => 1,
+            OpClass::Store => 2,
+        }
+    }
+}
+
 /// Classify an instruction; `None` for fences and local work.
 pub fn classify(i: &Instr) -> Option<(OpClass, OpClass)> {
     // (class as predecessor, class as successor) — RMWs act as both.
@@ -88,8 +99,10 @@ pub fn fence_orders(kind: FenceKind, first: OpClass, second: OpClass) -> bool {
 /// *perform* (become globally visible), under `mcm`, given the instructions
 /// strictly between them (`between`, used for fences).
 ///
-/// This single predicate drives both the timing core model and the
-/// operational reference model, so the two cannot drift apart.
+/// This is the pairwise view of [`OrderFrontier`]: `earlier` is pushed as
+/// incomplete, `between` as complete. The timing core and the reference
+/// enumerator fold whole windows through the same frontier, so the rules
+/// below exist once.
 ///
 /// Rules applied, in order:
 /// 1. same-address accesses always stay ordered (per-location coherence);
@@ -100,34 +113,112 @@ pub fn fence_orders(kind: FenceKind, first: OpClass, second: OpClass) -> bool {
 /// 5. RMWs are fully ordered both ways (modelled as SeqCst);
 /// 6. otherwise the base model's [`Mcm::preserves`] matrix decides.
 pub fn must_order(mcm: Mcm, earlier: &Instr, between: &[Instr], later: &Instr) -> bool {
-    let (Some((ec, _)), Some((_, lc))) = (classify(earlier), classify(later)) else {
-        return false; // fences/work are handled via rule 2 by callers
-    };
-    // Rule 1: same address.
-    if let (Some(a), Some(b)) = (earlier.addr(), later.addr()) {
-        if a == b {
-            return true;
-        }
-    }
-    // Rule 2: intervening fences.
+    let mut frontier = OrderFrontier::default();
+    frontier.push(earlier, true);
     for mid in between {
-        if let Instr::Fence(kind) = mid {
-            if fence_orders(*kind, ec, lc) {
-                return true;
-            }
+        frontier.push(mid, false);
+    }
+    frontier.blocks(mcm, later)
+}
+
+/// The ordering constraints a run of program-earlier instructions places
+/// on the next one, folded into a few masks so that [`Self::blocks`] is
+/// O(1) whatever the run's length.
+///
+/// Callers sweep a window in program order: decide instruction `j` with
+/// [`Self::blocks`], then [`Self::push`] it with its state after the
+/// decision. `blocks` then answers exactly the OR of [`must_order`] over
+/// every incomplete earlier access, with the pushed instructions between
+/// them as `between`.
+#[derive(Debug, Default)]
+pub struct OrderFrontier {
+    /// Predecessor classes of the incomplete accesses (rules 4 and 6).
+    pending: u8,
+    /// Successor classes that some fence orders after an incomplete access
+    /// pushed before it (rule 2). Fences count whether done or not.
+    fenced: u8,
+    /// Some incomplete access has acquire semantics (rule 3).
+    acquire: bool,
+    /// Addresses of the incomplete accesses (rule 1), behind a 256-bit
+    /// filter that rejects most distinct addresses without a scan.
+    addr_filter: [u64; 4],
+    addrs: Vec<Addr>,
+}
+
+impl OrderFrontier {
+    /// An empty frontier with room for `window` incomplete addresses, so
+    /// sweeps of up to that many instructions never allocate.
+    pub fn with_capacity(window: usize) -> Self {
+        OrderFrontier {
+            addrs: Vec::with_capacity(window),
+            ..OrderFrontier::default()
         }
     }
-    // Rules 3–5: access annotations.
-    let earlier_order = instr_order(earlier);
-    let later_order = instr_order(later);
-    if earlier_order.is_acquire() {
-        return true;
+
+    /// Forget every pushed instruction (keeps the address buffer).
+    pub fn clear(&mut self) {
+        self.pending = 0;
+        self.fenced = 0;
+        self.acquire = false;
+        self.addr_filter = [0; 4];
+        self.addrs.clear();
     }
-    if later_order.is_release() {
-        return true;
+
+    /// Fold in the next instruction of the window; `incomplete` says it
+    /// has not yet performed.
+    pub fn push(&mut self, instr: &Instr, incomplete: bool) {
+        if let Instr::Fence(kind) = *instr {
+            for first in OpClass::ALL {
+                if self.pending & first.bit() == 0 {
+                    continue;
+                }
+                for second in OpClass::ALL {
+                    if fence_orders(kind, first, second) {
+                        self.fenced |= second.bit();
+                    }
+                }
+            }
+            return;
+        }
+        let (true, Some((first, _))) = (incomplete, classify(instr)) else {
+            return;
+        };
+        self.pending |= first.bit();
+        self.acquire |= instr_order(instr).is_acquire();
+        if let Some(addr) = instr.addr() {
+            let (word, bit) = filter_slot(addr);
+            self.addr_filter[word] |= bit;
+            self.addrs.push(addr);
+        }
     }
-    // Rule 6: base model.
-    mcm.preserves(ec, lc)
+
+    /// Must `later` wait, under `mcm`, for some incomplete pushed access?
+    pub fn blocks(&self, mcm: Mcm, later: &Instr) -> bool {
+        let Some((_, second)) = classify(later) else {
+            return false; // fences/work are ordered by the callers
+        };
+        if self.pending == 0 {
+            return false; // `fenced` and `acquire` imply a pending access
+        }
+        self.fenced & second.bit() != 0
+            || self.acquire
+            || instr_order(later).is_release()
+            || OpClass::ALL
+                .into_iter()
+                .any(|first| self.pending & first.bit() != 0 && mcm.preserves(first, second))
+            || later.addr().is_some_and(|addr| self.holds(addr))
+    }
+
+    fn holds(&self, addr: Addr) -> bool {
+        let (word, bit) = filter_slot(addr);
+        self.addr_filter[word] & bit != 0 && self.addrs.contains(&addr)
+    }
+}
+
+/// The filter word and bit for `addr` (Fibonacci hash, top 8 bits).
+fn filter_slot(addr: Addr) -> (usize, u64) {
+    let h = addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+    ((h >> 6) as usize, 1 << (h & 63))
 }
 
 fn instr_order(i: &Instr) -> AccessOrder {
@@ -140,7 +231,103 @@ fn instr_order(i: &Instr) -> AccessOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Addr, Reg};
+    use crate::ops::Reg;
+    use c3_sim::rng::SimRng;
+
+    /// Rules 1–6 as a direct pairwise scan, independent of the frontier:
+    /// the oracle its fold is checked against.
+    fn pairwise_must_order(mcm: Mcm, earlier: &Instr, between: &[Instr], later: &Instr) -> bool {
+        let (Some((ec, _)), Some((_, lc))) = (classify(earlier), classify(later)) else {
+            return false;
+        };
+        earlier.addr() == later.addr()
+            || between
+                .iter()
+                .any(|mid| matches!(mid, Instr::Fence(kind) if fence_orders(*kind, ec, lc)))
+            || instr_order(earlier).is_acquire()
+            || instr_order(later).is_release()
+            || mcm.preserves(ec, lc)
+    }
+
+    fn random_instr(rng: &mut SimRng, span: u64) -> Instr {
+        let addr = Addr(rng.below(span));
+        // Mostly relaxed, so the address rule often decides alone.
+        let order = match rng.below(10) {
+            0 => AccessOrder::Acquire,
+            1 => AccessOrder::Release,
+            2 => AccessOrder::SeqCst,
+            _ => AccessOrder::Relaxed,
+        };
+        match rng.below(12) {
+            0..=3 => Instr::Load {
+                addr,
+                reg: Reg(0),
+                order,
+            },
+            4..=7 => Instr::Store {
+                addr,
+                val: 1,
+                order,
+            },
+            8 => Instr::Rmw {
+                addr,
+                add: 1,
+                reg: Reg(0),
+                order,
+            },
+            9 => Instr::Fence(
+                [FenceKind::Full, FenceKind::StoreStore, FenceKind::LoadLoad]
+                    [rng.below(3) as usize],
+            ),
+            10 => Instr::Work(1),
+            _ => Instr::Prefetch { addr },
+        }
+    }
+
+    /// Over seeded random windows, the frontier's O(1) answer equals the
+    /// OR of the pairwise rules over every incomplete earlier instruction,
+    /// and so does [`must_order`] itself.
+    #[test]
+    fn frontier_matches_pairwise_rules() {
+        let windows = if cfg!(debug_assertions) {
+            4_000
+        } else {
+            200_000
+        };
+        let mut rng = SimRng::seed_from(0x0F0F);
+        let mut frontier = OrderFrontier::default();
+        let (mut blocked, mut free) = (0u64, 0u64);
+        for _ in 0..windows {
+            let mcm = [Mcm::Sc, Mcm::Tso, Mcm::Weak][rng.below(3) as usize];
+            // Four lines repeat addresses often; wide spans make distinct
+            // addresses share address-filter bits.
+            let span = [4, 1 << 12, u64::MAX][rng.below(3) as usize];
+            let len = 1 + rng.below(16) as usize;
+            let window: Vec<Instr> = (0..len).map(|_| random_instr(&mut rng, span)).collect();
+            let incomplete: Vec<bool> = (0..len).map(|_| rng.chance(0.6)).collect();
+            frontier.clear();
+            for (j, later) in window.iter().enumerate() {
+                let mut earlier = (0..j).filter(|&i| incomplete[i]);
+                let expect = earlier
+                    .clone()
+                    .any(|i| pairwise_must_order(mcm, &window[i], &window[i + 1..j], later));
+                let folded = earlier.any(|i| must_order(mcm, &window[i], &window[i + 1..j], later));
+                assert_eq!(
+                    frontier.blocks(mcm, later),
+                    expect,
+                    "{mcm:?} window {window:?} incomplete {incomplete:?} at {j}"
+                );
+                assert_eq!(folded, expect, "must_order disagrees at {j} of {window:?}");
+                if expect {
+                    blocked += 1;
+                } else {
+                    free += 1;
+                }
+                frontier.push(later, incomplete[j]);
+            }
+        }
+        assert!(blocked > 0 && free > 0, "{blocked} blocked, {free} free");
+    }
 
     fn ld(a: u64) -> Instr {
         Instr::Load {
