@@ -22,31 +22,27 @@
 //! successive invocations — and CI's per-commit artifacts — accumulate
 //! comparable points instead of overwriting each other.
 //!
-//! With `--shards n1,n2,...` the bin additionally measures a PDES-scaled
-//! run per requested shard-thread count: vips on an **8-cluster** system
-//! (`shard{n}+vips8c/...`), executed by the conservative parallel kernel
-//! ([`Simulator::run_sharded`]). These entries are opt-in so the default
-//! four-measurement output (and the `perf_quick_smoke` shape test) stays
-//! stable.
-//!
 //! Exits nonzero if any measurement reports zero throughput, if
 //! `--alloc-budget FILE` is given and a measurement exceeds its
 //! committed allocs/event budget (the deterministic perf gate; see
 //! `crates/bench/alloc_budget.txt` and the perf-smoke CI job), or if
 //! `--floor-label TEXT` is given and the ping-pong or vips throughput
 //! drops more than 20% below the best committed same-`quick` entry
-//! under that label (the wall-clock regression floors).
+//! under that label (the wall-clock regression floors). A budget file
+//! that cannot be read or has a malformed line is rejected as a usage
+//! error (exit 2) before anything is measured.
 //!
 //! Usage: `cargo run --release -p c3-bench --bin perf [-- --quick]
 //! [--exchanges N] [--out PATH] [--label TEXT] [--alloc-budget FILE]
-//! [--shards n1,n2,...] [--floor-label TEXT]`
+//! [--floor-label TEXT]`
 
 use std::any::Any;
 
 use c3::system::GlobalProtocol;
 use c3_bench::alloc::{alloc_count, CountingAlloc};
+use c3_bench::cli::{self, CliError};
 use c3_bench::runner::{self, json_escape, Experiment};
-use c3_bench::{cli, RunConfig};
+use c3_bench::RunConfig;
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::prelude::*;
@@ -244,44 +240,6 @@ fn workload_oltp(quick: bool) -> Measurement {
     }
 }
 
-/// Measure vips on an 8-cluster system under the conservative-PDES
-/// kernel with `shards` worker threads. Eight clusters give the shard
-/// planner eight cluster domains plus the DCOH domain, so the
-/// measurement exercises real cross-domain merge traffic at every
-/// requested thread count.
-fn workload_sharded(quick: bool, shards: usize) -> Measurement {
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    )
-    .with_clusters(8)
-    .with_shards(shards);
-    if quick {
-        cfg = cfg.quick();
-    }
-    // Dense per-cluster traffic: the conservative windows are bounded by
-    // the CXL lookahead (~70 ns), so scaling needs enough concurrent
-    // cores that every domain has real work inside each window.
-    cfg.cores_per_cluster = 16;
-    let spec = WorkloadSpec::by_name("vips").expect("workload");
-    let exp = Experiment::new(spec, cfg);
-    let a0 = alloc_count();
-    let r = runner::run_experiment(&exp);
-    let allocs = alloc_count() - a0;
-    r.expect_completed(&exp.tag);
-    Measurement {
-        config: format!("shard{shards}+vips8c/{}", exp.cfg.label()),
-        events: r.events,
-        sim_ns: r.sim_ns,
-        exec_ns: Some(r.exec_ns),
-        wall_ms: r.wall_ms,
-        events_per_sec: r.events_per_sec,
-        allocs,
-        allocs_per_event: allocs as f64 / r.events.max(1) as f64,
-    }
-}
-
 /// Pull the entries of the `"runs": [...]` array out of a previously
 /// written document, so a new invocation appends rather than overwrites.
 /// Returns `None` for missing files or pre-`runs` (schema 1) documents.
@@ -341,42 +299,54 @@ fn best_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) ->
     best
 }
 
-/// Parse the committed budget file: `<config-prefix> <max-allocs-per-event>`
-/// per line, `#` comments allowed.
-fn parse_budget(path: &str) -> Vec<(String, f64)> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read alloc budget {path}: {e}"));
-    text.lines()
-        .map(|l| l.trim())
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (name, limit) = l.split_once(char::is_whitespace).expect("budget line");
-            (
-                name.to_string(),
-                limit.trim().parse().expect("budget value"),
-            )
-        })
-        .collect()
+/// Read and parse the committed budget file: `<config-prefix>
+/// <max-allocs-per-event>` per line, `#` comments allowed.
+fn parse_budget(path: &str) -> Result<Vec<(String, f64)>, CliError> {
+    let bad = |reason: String| CliError::BadFile {
+        path: path.to_string(),
+        reason,
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| bad(e.to_string()))?;
+    let mut out = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (name, limit) = line
+            .split_once(char::is_whitespace)
+            .and_then(|(name, limit)| Some((name, limit.trim().parse::<f64>().ok()?)))
+            .ok_or_else(|| {
+                bad(format!(
+                    "line {}: {line:?} is not `<config-prefix> <allocs/event>`",
+                    n + 1
+                ))
+            })?;
+        out.push((name.to_string(), limit));
+    }
+    Ok(out)
 }
 
 const USAGE: &str = "usage: perf [--quick] [--exchanges N] [--out PATH] [--label TEXT]\n\
-     \x20           [--alloc-budget FILE] [--shards n1,n2,...] [--floor-label TEXT]\n";
+     \x20           [--alloc-budget FILE] [--floor-label TEXT]\n";
 
 fn main() {
-    let (quick, exchanges, out, label, budget_file, shard_counts, floor_label) =
-        cli::parse(USAGE, |args| {
-            Ok((
-                args.flag("--quick"),
-                args.value::<u64>("--exchanges")?,
-                args.value("--out")?
-                    .unwrap_or_else(|| "BENCH_perf.json".to_string()),
-                args.value("--label")?
-                    .unwrap_or_else(|| "local".to_string()),
-                args.value::<String>("--alloc-budget")?,
-                args.list::<usize>("--shards")?.unwrap_or_default(),
-                args.value::<String>("--floor-label")?,
-            ))
-        });
+    let (quick, exchanges, out, label, budget, floor_label) = cli::parse(USAGE, |args| {
+        let budget = match args.value::<String>("--alloc-budget")? {
+            Some(path) => Some((parse_budget(&path)?, path)),
+            None => None,
+        };
+        Ok((
+            args.flag("--quick"),
+            args.value::<u64>("--exchanges")?,
+            args.value("--out")?
+                .unwrap_or_else(|| "BENCH_perf.json".to_string()),
+            args.value("--label")?
+                .unwrap_or_else(|| "local".to_string()),
+            budget,
+            args.value::<String>("--floor-label")?,
+        ))
+    });
     let exchanges = exchanges.unwrap_or(if quick { 200_000 } else { 2_000_000 }) | 1;
 
     let pp = pingpong(exchanges);
@@ -415,20 +385,6 @@ fn main() {
         wlo.allocs_per_event
     );
 
-    let mut shard_ms: Vec<Measurement> = Vec::new();
-    for &n in &shard_counts {
-        let m = workload_sharded(quick, n);
-        println!(
-            "shards   : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-            m.config,
-            m.events,
-            m.wall_ms,
-            m.events_per_sec / 1e6,
-            m.allocs_per_event
-        );
-        shard_ms.push(m);
-    }
-
     // Capture the committed entries before appending: the floor gate
     // below must compare against history, not against this run.
     let prev = previous_runs(&out);
@@ -440,9 +396,6 @@ fn main() {
     entries.push(wl.to_json(&label, quick));
     entries.push(wlm.to_json(&label, quick));
     entries.push(wlo.to_json(&label, quick));
-    for m in &shard_ms {
-        entries.push(m.to_json(&label, quick));
-    }
     let json = format!(
         "{{\n  \"bench\": \"perf\",\n  \"schema\": 2,\n  \"runs\": [\n    {}\n  ]\n}}\n",
         entries.join(",\n    ")
@@ -452,7 +405,6 @@ fn main() {
 
     if [&pp, &wl, &wlm, &wlo]
         .into_iter()
-        .chain(&shard_ms)
         .any(|m| m.events_per_sec <= 0.0)
     {
         eprintln!("perf: zero throughput measured");
@@ -493,9 +445,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = budget_file {
+    if let Some((budget, path)) = budget {
         let mut failed = false;
-        for (prefix, limit) in parse_budget(&path) {
+        for (prefix, limit) in budget {
             let m = [&pp, &wl, &wlm, &wlo]
                 .into_iter()
                 .find(|m| m.config.starts_with(&prefix));

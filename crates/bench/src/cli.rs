@@ -37,6 +37,13 @@ pub enum CliError {
         /// The rejected name.
         name: String,
     },
+    /// An input file a flag names that cannot be read or does not parse.
+    BadFile {
+        /// The file's path.
+        path: String,
+        /// Why it was rejected (the I/O error, or the bad line).
+        reason: String,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -46,6 +53,7 @@ impl fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "missing value for {flag}"),
             CliError::BadValue { flag, value } => write!(f, "bad value {value:?} for {flag}"),
             CliError::UnknownName { what, name } => write!(f, "unknown {what} {name:?}"),
+            CliError::BadFile { path, reason } => write!(f, "bad file {path}: {reason}"),
         }
     }
 }

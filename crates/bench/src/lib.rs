@@ -60,14 +60,9 @@ pub struct RunConfig {
     /// Number of clusters (default 2, the paper's Fig. 1 shape). Odd
     /// cluster indices take `protocols.1`/`mcms.1`, even ones
     /// `protocols.0`/`mcms.0`, so 2 reproduces the historical system
-    /// exactly and larger counts scale the topology for PDES throughput
-    /// studies.
+    /// exactly and larger counts scale the topology (the `oltp` sweep's
+    /// 4-cluster cells).
     pub clusters: usize,
-    /// Run the kernel as a conservative parallel PDES on this many
-    /// worker threads ([`c3_sim::kernel::Simulator::run_sharded`]);
-    /// `None` (the default) uses the sequential kernel. Reports are
-    /// byte-identical for any value.
-    pub shards: Option<usize>,
     /// Opt in to coherence-state footprint observability (resident-line /
     /// resident-region gauges, peak-state-bytes report lines) on the L1s
     /// and the global directory. Off by default: the extra keys would
@@ -95,7 +90,6 @@ impl RunConfig {
             link_latency: Delay::from_ns(70),
             metrics_interval: None,
             clusters: 2,
-            shards: None,
             state_metrics: false,
         }
     }
@@ -130,13 +124,6 @@ impl RunConfig {
     pub fn with_clusters(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one cluster");
         self.clusters = n;
-        self
-    }
-
-    /// Execute on `n` PDES shard worker threads instead of the
-    /// sequential kernel.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
         self
     }
 
@@ -267,10 +254,7 @@ pub fn run_workload_with<T>(
     inspect: impl FnOnce(&c3_sim::kernel::Simulator<SysMsg>, &c3::system::SystemHandles) -> T,
 ) -> (RunResult, T) {
     let (mut sim, handles) = build_sim(spec, cfg);
-    let outcome = match cfg.shards {
-        Some(n) => sim.run_sharded(n),
-        None => sim.run(),
-    };
+    let outcome = sim.run();
     if outcome != RunOutcome::Completed {
         eprintln!("{}", sim.post_mortem(outcome));
         for &b in &handles.bridges {

@@ -171,10 +171,7 @@ impl ExperimentResult {
 pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
     let (mut sim, handles) = build_sim(&exp.workload, &exp.cfg);
     let t0 = Instant::now();
-    let outcome = match exp.cfg.shards {
-        Some(n) => sim.run_sharded(n),
-        None => sim.run(),
-    };
+    let outcome = sim.run();
     let wall = t0.elapsed();
     let failure = (outcome != RunOutcome::Completed).then(|| {
         format!(

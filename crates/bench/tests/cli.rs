@@ -24,16 +24,41 @@ const BINS: [(&str, Option<&str>); 15] = [
     (env!("CARGO_BIN_EXE_trace"), Some("--cap")),
 ];
 
-/// Names that resolve to nothing, one per kind of lookup, and model
-/// configurations the fixed-size model state cannot hold or that would
-/// deadlock for a reason other than a protocol bug.
-const BAD_INPUTS: [(&str, &[&str]); 13] = [
+/// Names that resolve to nothing, one per kind of lookup, input files
+/// that are missing or malformed, and model configurations the
+/// fixed-size model state cannot hold or that would deadlock for a
+/// reason other than a protocol bug.
+const BAD_INPUTS: [(&str, &[&str]); 16] = [
     (env!("CARGO_BIN_EXE_table2"), &["BOGUS"]),
     (env!("CARGO_BIN_EXE_trace"), &["nosuch"]),
     (env!("CARGO_BIN_EXE_metrics"), &["nosuch"]),
     (env!("CARGO_BIN_EXE_sweep"), &["--workload", "nosuch"]),
     (env!("CARGO_BIN_EXE_fig10"), &["--workloads", "vips,nosuch"]),
     (env!("CARGO_BIN_EXE_protocheck"), &["--inject", "nosuch"]),
+    (
+        env!("CARGO_BIN_EXE_perf"),
+        &["--alloc-budget", "no-such-budget.txt"],
+    ),
+    (
+        env!("CARGO_BIN_EXE_perf"),
+        &[
+            "--alloc-budget",
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/data/budget_no_value.txt"
+            ),
+        ],
+    ),
+    (
+        env!("CARGO_BIN_EXE_perf"),
+        &[
+            "--alloc-budget",
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/data/budget_bad_number.txt"
+            ),
+        ],
+    ),
     (env!("CARGO_BIN_EXE_modelcheck"), &["--inject", "nosuch"]),
     (env!("CARGO_BIN_EXE_modelcheck"), &["--config", "4x1"]),
     (env!("CARGO_BIN_EXE_modelcheck"), &["--config", "0x1"]),

@@ -11,7 +11,7 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
-use c3_bench::{fnv1a, render_report, run_workload, run_workload_with, RunConfig};
+use c3_bench::{fnv1a, render_report, run_workload, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
@@ -129,40 +129,6 @@ fn perf_quick_smoke() {
         .collect();
     assert_eq!(eps.len(), 8, "eight measurements in {json}");
     assert!(eps.iter().all(|&e| e > 0.0), "zero throughput in {json}");
-}
-
-/// The conservative-PDES kernel must be a pure function of the seed and
-/// the (topology-derived) shard plan — never of the worker-thread count.
-/// A full system run (vips over CXL, telemetry on) must render the same
-/// report, execution times, and metrics CSV for 1, 2, and 8 shard
-/// threads.
-#[test]
-fn sharded_run_byte_identical_for_1_2_8_shards() {
-    let spec = WorkloadSpec::by_name("vips").expect("workload");
-    let run = |shards: usize| {
-        let mut cfg = RunConfig::scaled(
-            (ProtocolFamily::Mesi, ProtocolFamily::Moesi),
-            GlobalProtocol::Cxl,
-            (Mcm::Weak, Mcm::Weak),
-        )
-        .quick()
-        .metrics_ns(200)
-        .with_shards(shards);
-        cfg.ops_per_core = 120;
-        let (r, csv) = run_workload_with(&spec, &cfg, |sim, _| sim.metrics().to_csv());
-        (
-            r.exec_ns,
-            r.cluster_ns.clone(),
-            format!("{:?}", r.report),
-            csv,
-        )
-    };
-    let one = run(1);
-    assert!(one.0 > 0, "vips did not execute");
-    assert!(one.3.lines().count() > 2, "telemetry CSV is empty");
-    for shards in [2, 8] {
-        assert_eq!(one, run(shards), "sharded run diverged at {shards} shards");
-    }
 }
 
 fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {

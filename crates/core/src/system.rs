@@ -326,13 +326,6 @@ impl SystemBuilder {
             nodes.push(bridge_ids[ci]);
             sim.fabric_mut()
                 .wire_p2p(&nodes, &LinkConfig::intra_cluster());
-            // Cores talk to their private L1 through a direct port, not
-            // the fabric; register the pairing so the shard planner keeps
-            // each core in its L1's (cluster) domain.
-            for k in 0..core_ids[ci].len() {
-                sim.fabric_mut()
-                    .set_affinity(core_ids[ci][k], l1_ids[ci][k]);
-            }
         }
         // Cross-cluster star: two 70 ns hops per route. M2S (toward the
         // device) is ordered; S2M reorders (CXL). The hierarchical

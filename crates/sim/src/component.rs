@@ -136,40 +136,15 @@ pub struct Ctx<'a, M: Message> {
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) seq: &'a mut u64,
     pub(crate) tracer: &'a mut Tracer,
-    /// Cross-domain capture for the sharded kernel; `None` on the
-    /// sequential path (one predictable branch in `push_event`).
-    pub(crate) shard: Option<ShardHook<'a, M>>,
-}
-
-/// Installed on [`Ctx`] by the sharded kernel: events whose destination
-/// lives in another shard domain are diverted into the domain's outbox
-/// (stamped with the already-computed arrival time and the source
-/// domain's sequence number) instead of the local event queue. The
-/// coordinator merges outboxes deterministically at the window barrier.
-pub(crate) struct ShardHook<'a, M: Message> {
-    /// Shard domain of every component, indexed by [`ComponentId::index`].
-    pub(crate) domain_of: &'a [u32],
-    /// The domain currently executing.
-    pub(crate) my_domain: u32,
-    /// Captured cross-domain events: `(arrival, src seq, dst, event)`.
-    pub(crate) outbox: &'a mut Vec<(Time, u64, ComponentId, EventKind<M>)>,
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
     /// Enqueue an event at `(at, next seq)` — the single scheduling
     /// funnel, so `(time, seq)` delivery order is exactly emission order.
-    /// Under the sharded kernel, cross-domain destinations divert to the
-    /// shard outbox here (same funnel, same seq stream).
     #[inline]
     fn push_event(&mut self, at: Time, dst: ComponentId, kind: EventKind<M>) {
         debug_assert!(at >= self.now, "scheduled into the past");
         *self.seq += 1;
-        if let Some(h) = self.shard.as_mut() {
-            if h.domain_of[dst.index()] != h.my_domain {
-                h.outbox.push((at, *self.seq, dst, kind));
-                return;
-            }
-        }
         self.queue.push(at, *self.seq, (dst, kind));
     }
 

@@ -228,16 +228,6 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Timestamp of the earliest pending entry without removing it —
-    /// the shard scheduler's window fast-forward probe. Implemented as
-    /// pop + exact re-insert (the mid-drain splice keeps `(time, seq)`
-    /// order), so it may slide/jump the window like [`CalendarQueue::pop`].
-    pub fn next_time(&mut self) -> Option<Time> {
-        let (at, seq, item) = self.pop()?;
-        self.push(at, seq, item);
-        Some(at)
-    }
-
     /// Pull overflow entries that the slid/jumped window now covers into
     /// their ring buckets. Heap pops come out in `(at, seq)` order, so
     /// within each target bucket equal-time entries stay seq-ordered.
@@ -395,25 +385,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ps(base + SPAN_PS + 1), 2, 2)));
         assert_eq!(q.pop(), Some((Time::from_ps(u64::MAX - 1), 3, 3)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn next_time_peeks_without_reordering() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        assert_eq!(q.next_time(), None);
-        q.push(Time::from_ns(7), 1, 10);
-        q.push(Time::from_ns(3), 2, 20);
-        q.push(Time::from_ns(3), 3, 30);
-        assert_eq!(q.next_time(), Some(Time::from_ns(3)));
-        assert_eq!(q.next_time(), Some(Time::from_ns(3)));
-        assert_eq!(q.pop(), Some((Time::from_ns(3), 2, 20)));
-        assert_eq!(q.pop(), Some((Time::from_ns(3), 3, 30)));
-        assert_eq!(q.pop(), Some((Time::from_ns(7), 1, 10)));
-        // Near-saturation peek: the probe's pop+push must not wedge the
-        // saturated window.
-        q.push(Time::MAX, 4, 40);
-        assert_eq!(q.next_time(), Some(Time::MAX));
-        assert_eq!(q.pop(), Some((Time::MAX, 4, 40)));
     }
 
     #[test]

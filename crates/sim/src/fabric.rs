@@ -76,7 +76,7 @@ impl Route {
 /// turns the lookup into `slots[src * n + dst]`. The matrix grows
 /// on demand when a route names an id beyond the current dimension
 /// (components may be registered — and wired — after initial wiring).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct RouteMatrix {
     /// Matrix dimension: ids `0..n` are representable.
     n: usize,
@@ -172,7 +172,7 @@ impl LinkConfig {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Link {
     cfg: LinkConfig,
     /// Earliest time the link can begin serializing the next message.
@@ -210,11 +210,6 @@ pub struct Fabric {
     links: Vec<Link>,
     routes: RouteMatrix,
     fault: Option<FaultPlan>,
-    /// Direct-port affinity pairs (e.g. core ↔ private L1). Direct
-    /// sends bypass the fabric, so the shard planner cannot see them in
-    /// the route matrix; registering the pair here pins both endpoints
-    /// into the same shard domain.
-    affinity: Vec<(ComponentId, ComponentId)>,
 }
 
 impl Fabric {
@@ -409,8 +404,12 @@ impl Fabric {
     /// a plan is installed (the plan is installed before the run, so the
     /// schema is fixed for the run's lifetime).
     pub fn metrics_into(&self, out: &mut MetricSample, now: Time) {
-        for i in 0..self.links.len() {
-            self.link_metrics_into(i, out, now);
+        for (i, link) in self.links.iter().enumerate() {
+            let backlog_ps = link.next_free.as_ps().saturating_sub(now.as_ps());
+            out.gauge_at("link", i as u32, "backlog_ns", (backlog_ps / 1_000) as f64);
+            out.counter_at("link", i as u32, "msgs", link.messages as f64);
+            out.counter_at("link", i as u32, "bytes", link.bytes as f64);
+            out.counter_at("link", i as u32, "queued", link.queued as f64);
         }
         if let Some(plan) = &self.fault {
             let s = plan.stats();
@@ -420,82 +419,6 @@ impl Fabric {
             out.counter("fault", "delayed", s.delayed as f64);
             out.counter("fault", "poisoned", s.poisoned as f64);
         }
-    }
-
-    /// Declare a direct-port affinity between `a` and `b` (symmetric):
-    /// the two components exchange messages over [`crate::component::Ctx::send_direct`]
-    /// ports whose latency is below any fabric link, so the shard
-    /// planner must place them in the same domain. System builders call
-    /// this wherever they wire a direct port.
-    pub fn set_affinity(&mut self, a: ComponentId, b: ComponentId) {
-        self.affinity.push((a, b));
-    }
-
-    /// The registered direct-port affinity pairs, in registration order.
-    pub fn affinity_pairs(&self) -> &[(ComponentId, ComponentId)] {
-        &self.affinity
-    }
-
-    /// Visit every wired route as `(src, dst, links)`, row-major (so the
-    /// visit order is deterministic).
-    pub(crate) fn for_each_route(&self, mut f: impl FnMut(ComponentId, ComponentId, &[LinkId])) {
-        let n = self.routes.n;
-        for s in 0..n {
-            for d in 0..n {
-                if let Some(route) = self.routes.slots[s * n + d].as_slice() {
-                    f(ComponentId(s as u32), ComponentId(d as u32), route);
-                }
-            }
-        }
-    }
-
-    /// Minimum end-to-end latency of a route: per hop, one flit of
-    /// serialization plus router and wire latency, with zero queueing and
-    /// zero jitter. This is the conservative-lookahead bound — no message
-    /// on this route can arrive sooner after injection.
-    pub(crate) fn route_min_latency(&self, route: &[LinkId]) -> Delay {
-        let mut total = Delay::ZERO;
-        for &lid in route {
-            let cfg = &self.links[lid.0 as usize].cfg;
-            total = total + cfg.flit_time + cfg.router + cfg.latency;
-        }
-        total
-    }
-
-    /// A copy of this fabric for one shard domain: same links and routes,
-    /// no fault plan (sharded runs reject fault plans up front). Each
-    /// domain only ever *uses* the links the shard planner assigned to
-    /// it, and final state is written back per link from its owner.
-    pub(crate) fn clone_for_shard(&self) -> Fabric {
-        Fabric {
-            links: self.links.clone(),
-            routes: self.routes.clone(),
-            fault: None,
-            affinity: self.affinity.clone(),
-        }
-    }
-
-    /// Adopt link `idx`'s dynamic state (occupancy and statistics) from
-    /// `other` — the post-run write-back from each link's owning shard.
-    pub(crate) fn copy_link_state_from(&mut self, other: &Fabric, idx: usize) {
-        let src = &other.links[idx];
-        let dst = &mut self.links[idx];
-        dst.next_free = src.next_free;
-        dst.last_arrival = src.last_arrival;
-        dst.messages = src.messages;
-        dst.bytes = src.bytes;
-        dst.queued = src.queued;
-    }
-
-    /// Emit the telemetry series of link `i` only — the sharded sampler
-    /// reads each link from its owning domain's fabric copy.
-    pub(crate) fn link_metrics_into(&self, i: usize, out: &mut MetricSample, now: Time) {
-        let link = &self.links[i];
-        let backlog_ps = link.next_free.as_ps().saturating_sub(now.as_ps());
-        out.gauge_at("link", i as u32, "backlog_ns", (backlog_ps / 1_000) as f64);
-        out.counter_at("link", i as u32, "msgs", link.messages as f64);
-        out.counter_at("link", i as u32, "bytes", link.bytes as f64);
-        out.counter_at("link", i as u32, "queued", link.queued as f64);
     }
 
     /// For each link, the first `(src, dst)` route that carries it (route

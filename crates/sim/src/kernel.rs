@@ -76,23 +76,23 @@ pub enum RunOutcome {
 /// assert_eq!(sim.now(), Time::from_ns(4));
 /// ```
 pub struct Simulator<M: Message> {
-    pub(crate) components: Vec<Box<dyn Component<M>>>,
-    pub(crate) queue: EventQueue<M>,
-    pub(crate) fabric: Fabric,
-    pub(crate) rng: SimRng,
-    pub(crate) now: Time,
-    pub(crate) seq: u64,
-    pub(crate) events_processed: u64,
-    pub(crate) event_limit: u64,
-    pub(crate) time_limit: Time,
-    pub(crate) started: bool,
-    pub(crate) tracer: Tracer,
+    components: Vec<Box<dyn Component<M>>>,
+    queue: EventQueue<M>,
+    fabric: Fabric,
+    rng: SimRng,
+    now: Time,
+    seq: u64,
+    events_processed: u64,
+    event_limit: u64,
+    time_limit: Time,
+    started: bool,
+    tracer: Tracer,
     /// Sampled time-series telemetry; disabled (one dead branch per
     /// event) unless [`Simulator::set_metrics`] is called.
-    pub(crate) metrics: MetricsHub,
+    metrics: MetricsHub,
     /// Component names cached by `start_components` so trace export and
     /// post-mortems don't re-collect a `Vec<String>` per call.
-    pub(crate) names: Vec<String>,
+    names: Vec<String>,
     /// Wall-clock time spent inside `run()` (accumulated across calls).
     wall: std::time::Duration,
     /// When set, `report()` includes the wall-clock-derived
@@ -316,7 +316,7 @@ impl<M: Message> Simulator<M> {
             .collect()
     }
 
-    pub(crate) fn start_components(&mut self) {
+    fn start_components(&mut self) {
         for i in 0..self.components.len() {
             let id = ComponentId(i as u32);
             let mut ctx = Ctx {
@@ -327,7 +327,6 @@ impl<M: Message> Simulator<M> {
                 queue: &mut self.queue,
                 seq: &mut self.seq,
                 tracer: &mut self.tracer,
-                shard: None,
             };
             self.components[i].start(&mut ctx);
         }
@@ -339,31 +338,6 @@ impl<M: Message> Simulator<M> {
     pub fn run(&mut self) -> RunOutcome {
         let t0 = std::time::Instant::now();
         let outcome = self.run_inner();
-        self.wall += t0.elapsed();
-        outcome
-    }
-
-    /// Run the simulation in parallel as a conservative PDES: components
-    /// are partitioned into topology-derived shard domains (see
-    /// [`crate::shard`]), each with its own event queue and RNG stream,
-    /// advanced in lookahead-bounded windows by `threads` worker threads
-    /// with deterministic cross-domain merges at window barriers.
-    ///
-    /// The execution — event interleaving, reports, and metrics CSV — is
-    /// a pure function of the domain partition, so it is **byte-identical
-    /// for any `threads` value** (but not to the sequential [`Simulator::run`]
-    /// path, which interleaves RNG draws differently).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already started (sharded runs cannot
-    /// resume a sequential one), if tracing or a fault plan is enabled,
-    /// or if a component performs a cross-domain `send_direct` with a
-    /// delay below the conservative lookahead (wire an affinity pair —
-    /// [`crate::fabric::Fabric::set_affinity`] — instead).
-    pub fn run_sharded(&mut self, threads: usize) -> RunOutcome {
-        let t0 = std::time::Instant::now();
-        let outcome = crate::shard::run_sharded(self, threads);
         self.wall += t0.elapsed();
         outcome
     }
@@ -449,7 +423,6 @@ impl<M: Message> Simulator<M> {
                 queue: &mut self.queue,
                 seq: &mut self.seq,
                 tracer: &mut self.tracer,
-                shard: None,
             };
             match kind {
                 EventKind::Deliver { src, msg } => self.components[idx].handle(msg, src, &mut ctx),
@@ -459,7 +432,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Take one sample per boundary crossed by an event at `upto`.
-    pub(crate) fn take_metric_samples(&mut self, upto: Time) {
+    fn take_metric_samples(&mut self, upto: Time) {
         while self.metrics.next_due() <= upto {
             let t = self.metrics.next_due();
             self.metrics.advance();

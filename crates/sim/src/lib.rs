@@ -50,7 +50,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod region;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;

@@ -154,19 +154,12 @@ impl AddrSketch {
     }
 
     fn note(&mut self, addr: u64) {
-        self.note_n(addr, 1);
-    }
-
-    /// Add `n` observations of `addr` at once — the shard fold path
-    /// merges whole per-domain sketches, so single-increment `note` is
-    /// the `n == 1` special case.
-    fn note_n(&mut self, addr: u64, n: u64) {
         if let Some(c) = self.counts.get_mut(&addr) {
-            *c += n;
+            *c += 1;
             return;
         }
         if self.counts.len() < self.cap {
-            self.counts.insert(addr, n);
+            self.counts.insert(addr, 1);
             return;
         }
         let (&evict, &count) = self
@@ -175,7 +168,7 @@ impl AddrSketch {
             .min_by_key(|&(&a, &c)| (c, a))
             .expect("sketch non-empty at capacity");
         self.counts.remove(&evict);
-        self.counts.insert(addr, count + n);
+        self.counts.insert(addr, count + 1);
     }
 
     /// Drain the top `k` entries by `(count desc, addr asc)` into `out`,
@@ -188,54 +181,6 @@ impl AddrSketch {
             out.push(scratch.get(i).copied().unwrap_or((0, 0)));
         }
         self.counts.clear();
-    }
-}
-
-/// Per-domain telemetry accumulator for the sharded kernel.
-///
-/// During a parallel window each shard domain notes its own events into
-/// one of these (no shared state); at the barrier the coordinator folds
-/// every scratch into the [`MetricsHub`] in domain order — a
-/// deterministic function of the domain partition, independent of the
-/// worker-thread count. Busy-time gaps are attributed against the
-/// *domain's* previous event (`last_event_ps` lives here), which is the
-/// sharded analogue of the hub's global gap attribution.
-#[derive(Debug)]
-pub(crate) struct MetricsScratch {
-    comp_events: Vec<u64>,
-    comp_busy_ps: Vec<u64>,
-    last_event_ps: u64,
-    events: u64,
-    vnet_counts: Vec<u64>,
-    sketch: AddrSketch,
-}
-
-impl MetricsScratch {
-    /// Note one delivered event (destination component, timestamp);
-    /// mirrors [`MetricsHub::note_event`] with domain-local gap
-    /// attribution.
-    pub(crate) fn note_event(&mut self, idx: usize, at: Time) {
-        if idx >= self.comp_events.len() {
-            self.comp_events.resize(idx + 1, 0);
-            self.comp_busy_ps.resize(idx + 1, 0);
-        }
-        self.comp_events[idx] += 1;
-        let ps = at.as_ps();
-        self.comp_busy_ps[idx] += ps.saturating_sub(self.last_event_ps);
-        self.last_event_ps = ps;
-        self.events += 1;
-    }
-
-    /// Count one delivered message on a vnet lane (clamped like
-    /// [`MetricsHub::note_vnet`]).
-    pub(crate) fn note_vnet(&mut self, lane: usize) {
-        let i = lane.min(self.vnet_counts.len() - 1);
-        self.vnet_counts[i] += 1;
-    }
-
-    /// Feed one line address into the domain's hot-address sketch.
-    pub(crate) fn note_addr(&mut self, addr: u64) {
-        self.sketch.note(addr);
     }
 }
 
@@ -389,54 +334,6 @@ impl MetricsHub {
     /// Feed one line address into the current window's hot-address sketch.
     pub(crate) fn note_addr(&mut self, addr: u64) {
         self.sketch.note(addr);
-    }
-
-    /// A fresh per-domain scratch sized to this hub's vnet lane set.
-    pub(crate) fn make_scratch(&self) -> MetricsScratch {
-        MetricsScratch {
-            comp_events: Vec::new(),
-            comp_busy_ps: Vec::new(),
-            last_event_ps: 0,
-            events: 0,
-            vnet_counts: vec![0; self.vnet_counts.len()],
-            sketch: AddrSketch::new(SKETCH_CAP),
-        }
-    }
-
-    /// Fold one domain's scratch into the hub and reset it (keeping the
-    /// domain's `last_event_ps` so busy gaps stay domain-continuous).
-    /// Called by the shard coordinator at every barrier, in domain
-    /// order; the sketch merge iterates entries in ascending address
-    /// order so the result is independent of map iteration order.
-    pub(crate) fn fold_scratch(&mut self, s: &mut MetricsScratch) {
-        if s.comp_events.len() > self.comp_events.len() {
-            self.comp_events.resize(s.comp_events.len(), 0);
-            self.comp_busy_ps.resize(s.comp_busy_ps.len(), 0);
-        }
-        for (i, e) in s.comp_events.iter_mut().enumerate() {
-            self.comp_events[i] += *e;
-            *e = 0;
-        }
-        for (i, b) in s.comp_busy_ps.iter_mut().enumerate() {
-            self.comp_busy_ps[i] += *b;
-            *b = 0;
-        }
-        for (i, v) in s.vnet_counts.iter_mut().enumerate() {
-            self.vnet_counts[i] += *v;
-            *v = 0;
-        }
-        self.events_observed += s.events;
-        s.events = 0;
-        self.scratch.clear();
-        self.scratch
-            .extend(s.sketch.counts.iter().map(|(&a, &c)| (a, c)));
-        self.scratch.sort_unstable();
-        s.sketch.counts.clear();
-        let merged = std::mem::take(&mut self.scratch);
-        for &(a, c) in &merged {
-            self.sketch.note_n(a, c);
-        }
-        self.scratch = merged;
     }
 
     /// Open the sample row for the window at boundary `t`.

@@ -155,17 +155,6 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A disabled tracer whose transaction ids start at `base` — used by
-    /// the sharded kernel to give each shard domain a disjoint id stripe
-    /// so [`Tracer::next_txn`] stays collision-free without cross-shard
-    /// coordination.
-    pub(crate) fn disabled_with_txn_base(base: u64) -> Self {
-        Tracer {
-            next_txn: base,
-            ..Tracer::default()
-        }
-    }
-
     /// A tracer keeping the newest `cap` records.
     pub fn enabled(cap: usize) -> Self {
         Tracer {

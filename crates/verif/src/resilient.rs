@@ -48,7 +48,7 @@
 //!
 //! Soundness of the symmetry reduction and the counterexample replay
 //! scheme are documented in [`crate::symmetry`] and
-//! [`crate::frontier`]; DESIGN.md §17 has the full argument.
+//! [`crate::frontier`]; DESIGN.md §16 has the full argument.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;

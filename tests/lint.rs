@@ -9,17 +9,13 @@
 //!   iteration order that varies run-to-run) — use
 //!   `c3_sim::hash::FxHashMap` / `FxHashSet`;
 //! * thread spawning — the kernel is single-threaded by design; only the
-//!   experiment *runner* (outside these crates) parallelises.
+//!   experiment *runner* (outside these crates) parallelises. No scanned
+//!   file is exempt.
 //!
 //! A small allowlist covers the legitimate uses: the kernel's
-//! wall-clock run timer (reported, never fed back into simulation), the
-//! `hash` module that wraps `HashMap` to define `FxHashMap`, and the
-//! conservative-PDES shard engine (`c3-sim::shard`), which spawns scoped
-//! workers but derives every execution-visible decision from the static
-//! shard plan, never from thread timing. The shard engine notably does
-//! NOT get a wall-clock exemption, and nobody may size a worker pool
-//! from the host (`available_parallelism`) — shard counts are explicit
-//! arguments so results are reproducible across machines.
+//! wall-clock run timer (reported, never fed back into simulation) and
+//! the `hash` module that wraps `HashMap` to define `FxHashMap`. Nobody
+//! may size a worker pool from the host (`available_parallelism`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,7 +33,7 @@ const SCANNED: [&str; 6] = [
 ];
 
 /// `(file suffix, substring)` pairs exempt from the deny list.
-const ALLOWLIST: [(&str, &str); 5] = [
+const ALLOWLIST: [(&str, &str); 4] = [
     // Wall-clock timing of the whole run, reported as host seconds and
     // never fed back into simulated behaviour.
     ("crates/sim/src/kernel.rs", "Instant"),
@@ -45,11 +41,6 @@ const ALLOWLIST: [(&str, &str); 5] = [
     ("crates/sim/src/hash.rs", "HashMap"),
     ("crates/sim/src/hash.rs", "HashSet"),
     ("crates/sim/src/hash.rs", "std::collections"),
-    // The conservative-PDES engine runs scoped worker threads in window
-    // lockstep; its merge order is fixed by (time, domain, seq), so
-    // thread scheduling never reaches simulated behaviour. Wall-clock
-    // reads stay denied here.
-    ("crates/sim/src/shard.rs", "std::thread"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -107,7 +98,7 @@ fn simulator_crates_are_deterministic() {
         ("thread::spawn", "thread spawning inside the simulator"),
         (
             "available_parallelism",
-            "host-dependent worker sizing; shard/thread counts must be explicit",
+            "host-dependent worker sizing; thread counts must be explicit",
         ),
         (
             "values().sum", // representative of unordered map-iteration folds
