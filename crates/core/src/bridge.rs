@@ -377,14 +377,7 @@ impl C3Bridge {
         if let Some(f) = self.fetches.get(&addr) {
             return if f.exclusive { "FetchX" } else { "FetchS" };
         }
-        match self.cxl_state(addr) {
-            StableState::I => "I",
-            StableState::S => "S",
-            StableState::E => "E",
-            StableState::M => "M",
-            StableState::O => "O",
-            StableState::F => "F",
-        }
+        self.cxl_state(addr).name()
     }
 
     /// Debug-mode conformance check: every dynamic dispatch on the CXL
@@ -397,7 +390,11 @@ impl C3Bridge {
         if !matches!(self.cfg.global, GlobalSide::Cxl { .. }) || self.cfg.resilience.is_some() {
             return;
         }
-        let table = bridge_cached_table(self.cfg.host_family);
+        let table = c3_protocol::table::cached_table(
+            "bridge",
+            self.cfg.host_family,
+            bridge_transition_table,
+        );
         let state = self.table_state(addr);
         debug_assert!(
             table.permits(state, event),
@@ -1095,8 +1092,8 @@ impl C3Bridge {
     fn handle_cxl(&mut self, msg: CxlMsg, ctx: &mut Ctx<'_, SysMsg>) {
         let addr = msg.addr();
         #[cfg(debug_assertions)]
-        if let Some(ev) = cxl_event_name(&msg) {
-            self.assert_conforms(ev, addr);
+        if !msg.is_m2s() {
+            self.assert_conforms(msg.name(), addr);
         }
         match msg {
             CxlMsg::MemData {
@@ -1862,39 +1859,6 @@ impl Component<SysMsg> for C3Bridge {
     }
 }
 
-/// Table-event name of a device-bound S2M message (`None` for host-bound
-/// messages, which the bridge rejects structurally).
-#[cfg(debug_assertions)]
-fn cxl_event_name(msg: &CxlMsg) -> Option<&'static str> {
-    match msg {
-        CxlMsg::MemData { .. } => Some("MemData"),
-        CxlMsg::Cmp { .. } => Some("Cmp"),
-        CxlMsg::BiSnpInv { .. } => Some("BiSnpInv"),
-        CxlMsg::BiSnpData { .. } => Some("BiSnpData"),
-        CxlMsg::BiConflictAck { .. } => Some("BiConflictAck"),
-        _ => None,
-    }
-}
-
-/// Cached per-host-family tables for the debug conformance asserts.
-#[cfg(debug_assertions)]
-fn bridge_cached_table(family: ProtocolFamily) -> &'static TransitionTable {
-    use std::sync::OnceLock;
-    static MESI: OnceLock<TransitionTable> = OnceLock::new();
-    static MESIF: OnceLock<TransitionTable> = OnceLock::new();
-    static MOESI: OnceLock<TransitionTable> = OnceLock::new();
-    static RCC: OnceLock<TransitionTable> = OnceLock::new();
-    static CXL: OnceLock<TransitionTable> = OnceLock::new();
-    let slot = match family {
-        ProtocolFamily::Mesi => &MESI,
-        ProtocolFamily::Mesif => &MESIF,
-        ProtocolFamily::Moesi => &MOESI,
-        ProtocolFamily::Rcc => &RCC,
-        ProtocolFamily::CxlMem => &CXL,
-    };
-    slot.get_or_init(|| bridge_transition_table(family))
-}
-
 /// The bridge's CXL-side (active translation) transition relation as data.
 ///
 /// Per-line states are the CXL stable states (`I`/`S`/`E`/`M`, the `cxl`
@@ -1906,12 +1870,17 @@ fn bridge_cached_table(family: ProtocolFamily) -> &'static TransitionTable {
 /// global transactions (`FetchS`/`FetchX`/`Evict`) and the host-recall
 /// completion callback (`RecallDone`).
 ///
+/// The rows the compound FSM decides come from `generated_rows`; the
+/// ones written out here are the conflict handshake, writeback
+/// completions, stalls, wildcard-forbidden rows and the few stable-state
+/// rows the generator does not decide, each with its reason.
+///
 /// For `Rcc` host clusters (no SWMR enforcement, §II-C) the recall
 /// machinery never engages: the `SnoopRecall` state and `RecallDone`
 /// event are omitted so the reachability check stays honest.
-#[allow(clippy::vec_init_then_push)] // row-by-row reads like the table it mirrors
 pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
     use Vnet::{Req, Resp, Snoop};
+    let fsm = bridge_fsm(host_family);
     let recalls = host_family.enforces_swmr();
     // The origin-domain completion: the suspended host transaction resumes
     // and the engine delivers Data to the requesting L1.
@@ -1919,31 +1888,20 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
     let rd_s = Action::send("MemRdS", Req, "dcoh");
     let rd_a = Action::send("MemRdA", Req, "dcoh");
     let wr_i = Action::send("MemWrI", Req, "dcoh");
-    let wr_s = Action::send("MemWrS", Req, "dcoh");
     let rsp_i = Action::send("BiRspI", Resp, "dcoh");
     let rsp_s = Action::send("BiRspS", Resp, "dcoh");
     let conflict = Action::send("BiConflict", Req, "dcoh");
-    // Nested host-domain recall (representative message; the engine picks
-    // Inv / FwdGetS / FwdGetM per holder).
     let recall = Action::send("Inv", Snoop, "l1");
     let evict_waits: Vec<&'static str> = if recalls {
         vec!["RecallDone", "Cmp"]
     } else {
         vec!["Cmp"]
     };
-    let mut rows = Vec::new();
+    let mut rows = generated_rows(&fsm);
 
-    // ---- internal fetch triggers (Rule I delegation; start_fetch) ----
-    rows.push(
-        TransitionRow::next(
-            "I",
-            "FetchS",
-            "FetchS",
-            vec![rd_s.clone()],
-            "bridge.rs:start_fetch",
-        )
-        .nested(),
-    );
+    // ---- fetches the generator does not decide ----
+    // A read deferred behind a MemWrS writeback restarts its fetch even
+    // though the snoop response retained the line in S.
     rows.push(
         TransitionRow::next(
             "S",
@@ -1954,51 +1912,23 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         )
         .nested(),
     );
-    rows.push(
-        TransitionRow::next(
-            "I",
-            "FetchX",
-            "FetchX",
-            vec![rd_a.clone()],
-            "bridge.rs:start_fetch",
-        )
-        .nested(),
-    );
-    rows.push(
-        TransitionRow::next(
-            "S",
-            "FetchX",
-            "FetchX",
-            vec![rd_a.clone()],
-            "bridge.rs:start_fetch (upgrade)",
-        )
-        .nested(),
-    );
     if recalls {
         // A deferred fetch can restart while a delegated recall is still
         // in flight (conflict-ack resolution delegates the recall, then
         // resumes the deferred fetch). The MemRd is issued immediately;
         // the DCOH stalls it behind its own in-flight snoop.
-        rows.push(
-            TransitionRow::next(
-                "SnoopRecall",
-                "FetchS",
-                "SnoopRecall",
-                vec![rd_s.clone()],
-                "bridge.rs:resume_deferred (fetch restarted under a delegated recall)",
-            )
-            .nested(),
-        );
-        rows.push(
-            TransitionRow::next(
-                "SnoopRecall",
-                "FetchX",
-                "SnoopRecall",
-                vec![rd_a.clone()],
-                "bridge.rs:resume_deferred (fetch restarted under a delegated recall)",
-            )
-            .nested(),
-        );
+        for (ev, rd) in [("FetchS", &rd_s), ("FetchX", &rd_a)] {
+            rows.push(
+                TransitionRow::next(
+                    "SnoopRecall",
+                    ev,
+                    "SnoopRecall",
+                    vec![rd.clone()],
+                    "bridge.rs:resume_deferred (fetch restarted under a delegated recall)",
+                )
+                .nested(),
+            );
+        }
     }
     for ev in ["FetchS", "FetchX"] {
         rows.push(TransitionRow::stall(
@@ -2027,23 +1957,7 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         ));
     }
 
-    // ---- fills ----
-    for grant in ["S", "E"] {
-        rows.push(TransitionRow::next(
-            "FetchS",
-            "MemData",
-            grant,
-            vec![fill.clone()],
-            "bridge.rs:complete_fetch",
-        ));
-    }
-    rows.push(TransitionRow::next(
-        "FetchX",
-        "MemData",
-        "M",
-        vec![fill.clone()],
-        "bridge.rs:complete_fetch",
-    ));
+    // ---- fills racing the conflict handshake ----
     rows.push(TransitionRow::next(
         "StashAck",
         "MemData",
@@ -2062,27 +1976,15 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
             "bridge.rs:complete_fetch (stashed snoop, host recall)",
         ));
     }
-    rows.push(TransitionRow::next(
-        "StashFill",
-        "MemData",
-        "I",
-        vec![fill.clone(), rsp_i.clone()],
-        "bridge.rs:complete_fetch (stashed BISnpInv)",
-    ));
-    rows.push(TransitionRow::next(
-        "StashFill",
-        "MemData",
-        "S",
-        vec![fill.clone(), rsp_s.clone()],
-        "bridge.rs:complete_fetch (stashed BISnpData)",
-    ));
-    rows.push(TransitionRow::next(
-        "StashFill",
-        "MemData",
-        "Wb",
-        vec![fill.clone(), wr_i.clone()],
-        "bridge.rs:complete_fetch (stashed snoop, dirty 6-hop)",
-    ));
+    for (to, act) in [("I", &rsp_i), ("S", &rsp_s), ("Wb", &wr_i)] {
+        rows.push(TransitionRow::next(
+            "StashFill",
+            "MemData",
+            to,
+            vec![fill.clone(), act.clone()],
+            "bridge.rs:complete_fetch (stashed snoop)",
+        ));
+    }
     rows.push(TransitionRow::forbidden(
         ANY_STATE,
         "MemData",
@@ -2098,20 +2000,15 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         vec![],
         "bridge.rs:finish_writeback (eviction)",
     ));
-    rows.push(TransitionRow::next(
-        "Wb",
-        "Cmp",
-        "I",
-        vec![rsp_i.clone()],
-        "bridge.rs:finish_writeback (snoop response BIRspI)",
-    ));
-    rows.push(TransitionRow::next(
-        "Wb",
-        "Cmp",
-        "S",
-        vec![rsp_s.clone()],
-        "bridge.rs:finish_writeback (snoop response BIRspS)",
-    ));
+    for (to, act) in [("I", &rsp_i), ("S", &rsp_s)] {
+        rows.push(TransitionRow::next(
+            "Wb",
+            "Cmp",
+            to,
+            vec![act.clone()],
+            "bridge.rs:finish_writeback (snoop response)",
+        ));
+    }
     rows.push(TransitionRow::forbidden(
         ANY_STATE,
         "Cmp",
@@ -2119,11 +2016,10 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         "bridge.rs:handle_cxl/Cmp",
     ));
 
-    // ---- back-invalidation snoops ----
-    for (ev, down, down_act, wr) in [
-        ("BiSnpInv", "I", rsp_i.clone(), wr_i.clone()),
-        ("BiSnpData", "S", rsp_s.clone(), wr_s.clone()),
-    ] {
+    // ---- back-invalidation snoops the generator does not decide ----
+    for ev in ["BiSnpInv", "BiSnpData"] {
+        // The generator never snoops a non-holder, but the DCOH's holder
+        // tracking goes stale after a silent clean drop: a snoop miss.
         rows.push(TransitionRow::next(
             "I",
             ev,
@@ -2131,38 +2027,7 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
             vec![rsp_i.clone()],
             "bridge.rs:respond_snoop_clean_miss",
         ));
-        for s in ["S", "E"] {
-            rows.push(TransitionRow::next(
-                s,
-                ev,
-                down,
-                vec![down_act.clone()],
-                "bridge.rs:process_global_snoop (clean, immediate)",
-            ));
-        }
-        rows.push(
-            TransitionRow::next(
-                "M",
-                ev,
-                "Wb",
-                vec![wr.clone()],
-                "bridge.rs:respond_snoop (dirty 6-hop chain)",
-            )
-            .nested(),
-        );
         for s in ["S", "E", "M"] {
-            if recalls {
-                rows.push(
-                    TransitionRow::next(
-                        s,
-                        ev,
-                        "SnoopRecall",
-                        vec![recall.clone()],
-                        "bridge.rs:process_global_snoop (delegated host recall)",
-                    )
-                    .nested(),
-                );
-            }
             // A BISnp can catch the line mid-eviction (recall in flight or
             // busy victim): answered when the eviction resolves.
             rows.push(TransitionRow::stall(
@@ -2197,6 +2062,28 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
             "bridge.rs:handle_cxl/BiSnp",
         ));
     }
+    // The generator prunes data snoops to a sharer (the DCOH data-snoops
+    // exclusive holders only); the handler still answers one through
+    // `snoop_plan`.
+    rows.push(TransitionRow::next(
+        "S",
+        "BiSnpData",
+        "S",
+        vec![rsp_s.clone()],
+        "bridge.rs:process_global_snoop (clean, immediate)",
+    ));
+    if recalls {
+        rows.push(
+            TransitionRow::next(
+                "S",
+                "BiSnpData",
+                "SnoopRecall",
+                vec![recall.clone()],
+                "bridge.rs:process_global_snoop (delegated host recall)",
+            )
+            .nested(),
+        );
+    }
 
     // ---- conflict handshake resolution ----
     rows.push(
@@ -2222,44 +2109,27 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         );
     }
     for s in ["FetchS", "FetchX"] {
-        rows.push(TransitionRow::next(
-            "StashAck",
-            "BiConflictAck",
-            s,
-            vec![rsp_i.clone()],
-            "bridge.rs:respond_snoop_conflict_loser",
-        ));
-        rows.push(TransitionRow::next(
-            "StashAck",
-            "BiConflictAck",
-            s,
-            vec![rsp_s.clone()],
-            "bridge.rs:respond_snoop_conflict_loser",
-        ));
+        for act in [&rsp_i, &rsp_s] {
+            rows.push(TransitionRow::next(
+                "StashAck",
+                "BiConflictAck",
+                s,
+                vec![act.clone()],
+                "bridge.rs:respond_snoop_conflict_loser",
+            ));
+        }
     }
     // Serialized first but the fill already completed: honour the snoop
     // against the now-stable line.
-    rows.push(TransitionRow::next(
-        "StashAck",
-        "BiConflictAck",
-        "I",
-        vec![rsp_i.clone()],
-        "bridge.rs:handle_cxl (ack after fill, clean)",
-    ));
-    rows.push(TransitionRow::next(
-        "StashAck",
-        "BiConflictAck",
-        "S",
-        vec![rsp_s.clone()],
-        "bridge.rs:handle_cxl (ack after fill, clean)",
-    ));
-    rows.push(TransitionRow::next(
-        "StashAck",
-        "BiConflictAck",
-        "Wb",
-        vec![wr_i.clone()],
-        "bridge.rs:handle_cxl (ack after fill, dirty)",
-    ));
+    for (to, act) in [("I", &rsp_i), ("S", &rsp_s), ("Wb", &wr_i)] {
+        rows.push(TransitionRow::next(
+            "StashAck",
+            "BiConflictAck",
+            to,
+            vec![act.clone()],
+            "bridge.rs:handle_cxl (ack after fill)",
+        ));
+    }
     rows.push(TransitionRow::forbidden(
         ANY_STATE,
         "BiConflictAck",
@@ -2267,40 +2137,7 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         "bridge.rs:handle_cxl/BiConflictAck",
     ));
 
-    // ---- evictions (Fig. 7) and recall completions ----
-    if recalls {
-        for s in ["S", "E", "M"] {
-            rows.push(
-                TransitionRow::next(
-                    s,
-                    "Evict",
-                    s,
-                    vec![recall.clone()],
-                    "bridge.rs:start_eviction (host recall first)",
-                )
-                .nested(),
-            );
-        }
-    }
-    for s in ["S", "E"] {
-        rows.push(TransitionRow::next(
-            s,
-            "Evict",
-            "I",
-            vec![],
-            "bridge.rs:finish_eviction_recall (clean, silent drop)",
-        ));
-    }
-    rows.push(
-        TransitionRow::next(
-            "M",
-            "Evict",
-            "Wb",
-            vec![wr_i.clone()],
-            "bridge.rs:finish_eviction_recall (dirty)",
-        )
-        .nested(),
-    );
+    // ---- evictions and recall completions ----
     rows.push(TransitionRow::forbidden(
         ANY_STATE,
         "Evict",
@@ -2308,32 +2145,6 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         "bridge.rs:start_eviction",
     ));
     if recalls {
-        rows.push(TransitionRow::next(
-            "SnoopRecall",
-            "RecallDone",
-            "I",
-            vec![rsp_i.clone()],
-            "bridge.rs:on_recall_done/respond_snoop (BIRspI)",
-        ));
-        rows.push(TransitionRow::next(
-            "SnoopRecall",
-            "RecallDone",
-            "S",
-            vec![rsp_s.clone()],
-            "bridge.rs:on_recall_done/respond_snoop (BIRspS)",
-        ));
-        for wr in [wr_i.clone(), wr_s.clone()] {
-            rows.push(
-                TransitionRow::next(
-                    "SnoopRecall",
-                    "RecallDone",
-                    "Wb",
-                    vec![wr],
-                    "bridge.rs:on_recall_done/respond_snoop (dirty 6-hop)",
-                )
-                .nested(),
-            );
-        }
         // A conflict-loser recall resolves back to the still-pending fetch.
         for s in ["FetchS", "FetchX"] {
             rows.push(TransitionRow::next(
@@ -2344,25 +2155,6 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
                 "bridge.rs:on_recall_done (conflict loser, fetch pending)",
             ));
         }
-        for s in ["S", "E", "M"] {
-            rows.push(
-                TransitionRow::next(
-                    s,
-                    "RecallDone",
-                    "Wb",
-                    vec![wr_i.clone()],
-                    "bridge.rs:on_recall_done/finish_eviction_recall (dirty)",
-                )
-                .nested(),
-            );
-            rows.push(TransitionRow::next(
-                s,
-                "RecallDone",
-                "I",
-                vec![],
-                "bridge.rs:on_recall_done/finish_eviction_recall (clean)",
-            ));
-        }
         rows.push(TransitionRow::forbidden(
             ANY_STATE,
             "RecallDone",
@@ -2371,17 +2163,13 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         ));
     }
 
-    let mut states = vec![
-        "I",
-        "S",
-        "E",
-        "M",
-        "FetchS",
-        "FetchX",
-        "Wb",
-        "StashAck",
-        "StashFill",
-    ];
+    let mut states: Vec<&'static str> = fsm
+        .global_family
+        .states()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    states.extend(["FetchS", "FetchX", "Wb", "StashAck", "StashFill"]);
     let mut events = vec![
         "MemData",
         "Cmp",
@@ -2414,4 +2202,107 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         assumed_available: assumed,
         rows,
     }
+}
+
+/// The bridge rows the compound FSM decides, projected from its
+/// translation table onto the CXL state (the host half of a compound
+/// state is the engine's business; compound states that project alike
+/// yield one row):
+///
+/// * a host request the CXL state cannot serve delegates a global fetch
+///   ([`CompoundFsm::delegation`]), whose fill grants what the global
+///   directory may grant;
+/// * a snoop either recalls host copies first ([`CompoundFsm::snoop_plan`])
+///   or is answered at once ([`CompoundFsm::snoop_response`]);
+/// * an eviction recalls host copies first, then writes back or drops.
+///
+/// After a recall the returned data, not the compound state, decides
+/// whether the line is dirty, so both continuations are rows.
+fn generated_rows(fsm: &CompoundFsm) -> Vec<TransitionRow> {
+    use Vnet::{Req, Resp, Snoop};
+    type R = TransitionRow;
+    let recall = Action::send("Inv", Snoop, "l1");
+    let fill = Action::complete("Data", Resp, "l1");
+    let wr_i = Action::send("MemWrI", Req, "dcoh");
+    // The row a resolved snoop response takes: dirty data funnels through
+    // a nested writeback (the 6-hop chain); a clean answer settles at once.
+    let respond = |state: &'static str, event: &'static str, resp, next: StableState| {
+        let prov = "generator:snoop_response";
+        let send = |msg, vnet| vec![Action::send(msg, vnet, "dcoh")];
+        match resp {
+            SnoopResponse::MemWrI => {
+                R::next(state, event, "Wb", send("MemWrI", Req), prov).nested()
+            }
+            SnoopResponse::MemWrS => {
+                R::next(state, event, "Wb", send("MemWrS", Req), prov).nested()
+            }
+            SnoopResponse::BiRspI => R::next(state, event, next.name(), send("BiRspI", Resp), prov),
+            SnoopResponse::BiRspS => R::next(state, event, next.name(), send("BiRspS", Resp), prov),
+        }
+    };
+    // Fig. 7: a dirty eviction writes back, a clean one drops silently.
+    let evict = |state: &'static str, event: &'static str, dirty: bool| {
+        if dirty {
+            R::next(state, event, "Wb", vec![wr_i.clone()], "generator:evict").nested()
+        } else {
+            R::next(state, event, "I", vec![], "generator:evict")
+        }
+    };
+    let mut rows: Vec<TransitionRow> = Vec::new();
+    for r in &fsm.rows {
+        let cxl = r.state.cxl.name();
+        let snoop = if r.incoming == Incoming::BiSnpInv {
+            "BiSnpInv"
+        } else {
+            "BiSnpData"
+        };
+        let derived = match (r.incoming, r.x_access) {
+            (Incoming::HostRead | Incoming::HostWrite, None) => vec![], // served locally
+            (Incoming::HostRead | Incoming::HostWrite, Some(x)) => {
+                let (fetch, rd, grants) = match x {
+                    XAccess::Load => ("FetchS", "MemRdS", fsm.global_dir_policy().read_grants()),
+                    XAccess::Store => ("FetchX", "MemRdA", vec![r.next.cxl]),
+                };
+                let prov = "generator:delegation";
+                let send = vec![Action::send(rd, Req, "dcoh")];
+                let mut v = vec![R::next(cxl, fetch, fetch, send, prov).nested()];
+                for g in grants {
+                    v.push(R::next(
+                        fetch,
+                        "MemData",
+                        g.name(),
+                        vec![fill.clone()],
+                        prov,
+                    ));
+                }
+                v
+            }
+            (Incoming::BiSnpInv | Incoming::BiSnpData, Some(_)) => {
+                let prov = "generator:snoop_plan";
+                let mut v =
+                    vec![R::next(cxl, snoop, "SnoopRecall", vec![recall.clone()], prov).nested()];
+                for dirty in [false, true] {
+                    let resp = fsm.snoop_response(r.incoming, dirty);
+                    v.push(respond("SnoopRecall", "RecallDone", resp, r.next.cxl));
+                }
+                v
+            }
+            (Incoming::BiSnpInv | Incoming::BiSnpData, None) => {
+                let resp = fsm.snoop_response(r.incoming, r.state.maybe_dirty());
+                vec![respond(cxl, snoop, resp, r.next.cxl)]
+            }
+            (Incoming::CxlEvict, Some(_)) => vec![
+                R::next(cxl, "Evict", cxl, vec![recall.clone()], "generator:evict").nested(),
+                evict(cxl, "RecallDone", false),
+                evict(cxl, "RecallDone", true),
+            ],
+            (Incoming::CxlEvict, None) => vec![evict(cxl, "Evict", r.state.maybe_dirty())],
+        };
+        for row in derived {
+            if !rows.iter().any(|old| old.same_rule(&row)) {
+                rows.push(row);
+            }
+        }
+    }
+    rows
 }

@@ -71,6 +71,14 @@ pub struct CompoundState {
     pub cxl: StableState,
 }
 
+impl CompoundState {
+    /// Whether the line may be dirty with respect to CXL memory: the CXL
+    /// cache holds it modified, or a host cache may hold dirty data.
+    pub fn maybe_dirty(self) -> bool {
+        self.cxl == StableState::M || self.host.maybe_dirty()
+    }
+}
+
 impl fmt::Display for CompoundState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.host.representative(), self.cxl)
@@ -391,6 +399,11 @@ impl CompoundFsm {
         self.host.dir
     }
 
+    /// The global directory policy (decides which states a fill grants).
+    pub fn global_dir_policy(&self) -> c3_protocol::ssp::DirPolicy {
+        self.global.dir
+    }
+
     fn push_snoop_rows(&mut self, s: CompoundState) {
         for snoop in [Incoming::BiSnpInv, Incoming::BiSnpData] {
             if s.cxl == StableState::I {
@@ -400,7 +413,7 @@ impl CompoundFsm {
                 continue; // data snoops only target exclusive holders
             }
             let plan = self.snoop_plan(snoop, s.host, s.cxl);
-            let dirty = s.cxl == StableState::M || s.host.maybe_dirty();
+            let dirty = s.maybe_dirty();
             let resp = self.snoop_response(snoop, dirty);
             let next_host = match (snoop, s.host) {
                 (Incoming::BiSnpInv, _) => HostClass::None,
@@ -493,7 +506,7 @@ impl CompoundFsm {
         } else {
             None
         };
-        let dirty = s.cxl == StableState::M || s.host.maybe_dirty();
+        let dirty = s.maybe_dirty();
         let action = match (x, dirty) {
             (Some(_), true) => "Fwd-GetM to Host $; then MemWr,I".to_string(),
             (Some(_), false) => "Fwd-GetM to Host $; then silent drop".to_string(),

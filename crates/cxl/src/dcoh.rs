@@ -516,14 +516,12 @@ impl DcohEngine {
     ) -> Vec<DcohEffect> {
         let addr = msg.addr();
         #[cfg(debug_assertions)]
-        if !self.resilient {
-            if let Some(ev) = device_event_name(&msg) {
-                let state = self.table_state(addr);
-                debug_assert!(
-                    dcoh_cached_table().permits(state, ev),
-                    "dcoh: dynamic step ({state} x {ev}) for {addr} matches no table row",
-                );
-            }
+        if !self.resilient && msg.is_m2s() {
+            let (state, ev) = (self.table_state(addr), msg.name());
+            debug_assert!(
+                dcoh_cached_table().permits(state, ev),
+                "dcoh: dynamic step ({state} x {ev}) for {addr} matches no table row",
+            );
         }
         let mut out = Vec::new();
         match msg {
@@ -913,29 +911,12 @@ fn host_bit(hosts: &mut Vec<ComponentId>, src: ComponentId) -> u64 {
     1u64 << slot
 }
 
-/// Table-event name of a device-bound M2S message (`None` for host-bound
-/// messages, which the DCOH rejects structurally).
-#[cfg(debug_assertions)]
-fn device_event_name(msg: &CxlMsg) -> Option<&'static str> {
-    match msg {
-        CxlMsg::MemRdA { .. } => Some("MemRdA"),
-        CxlMsg::MemRdS { .. } => Some("MemRdS"),
-        CxlMsg::MemWrI { .. } => Some("MemWrI"),
-        CxlMsg::MemWrS { .. } => Some("MemWrS"),
-        CxlMsg::BiRspI { .. } => Some("BiRspI"),
-        CxlMsg::BiRspS { .. } => Some("BiRspS"),
-        CxlMsg::BiConflict { .. } => Some("BiConflict"),
-        _ => None,
-    }
-}
-
-/// Cached table for the debug conformance assert in
+/// The DCOH's table, built once for the debug conformance assert in
 /// [`DcohEngine::handle_at`].
 #[cfg(debug_assertions)]
 fn dcoh_cached_table() -> &'static TransitionTable {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<TransitionTable> = OnceLock::new();
-    TABLE.get_or_init(dcoh_transition_table)
+    use c3_protocol::states::ProtocolFamily;
+    c3_protocol::table::cached_table("dcoh", ProtocolFamily::CxlMem, |_| dcoh_transition_table())
 }
 
 /// The DCOH's transition relation as data.

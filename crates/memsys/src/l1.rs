@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 
 use c3_protocol::msg::{CoreReq, CoreResp, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::{Addr, FenceKind, Instr};
+use c3_protocol::ssp::{SspAction, SspEvent, SspNext, SspSpec, SspTransition};
 use c3_protocol::states::{ProtocolFamily, StableState};
 use c3_protocol::table::{
     Action, ProtocolViolation, TransitionRow, TransitionTable, Vnet, ANY_STATE,
@@ -122,18 +123,6 @@ impl TState {
             TState::WT_A => "WT_A",
             TState::AT_D => "AT_D",
         }
-    }
-}
-
-/// Table-state name of a stable state (allocation-free).
-fn stable_name(s: StableState) -> &'static str {
-    match s {
-        StableState::I => "I",
-        StableState::S => "S",
-        StableState::E => "E",
-        StableState::O => "O",
-        StableState::M => "M",
-        StableState::F => "F",
     }
 }
 
@@ -284,7 +273,7 @@ impl L1Controller {
         // the table must also refuse (a `Forbidden` or missing row).
         #[cfg(debug_assertions)]
         debug_assert!(
-            !l1_cached_table(self.cfg.family).permits(&v.state, &v.event),
+            !self.table().permits(&v.state, &v.event),
             "{}: handler rejected ({} x {}) but the table permits it",
             self.name,
             v.state,
@@ -300,15 +289,21 @@ impl L1Controller {
         if let Some(m) = self.mshrs.get(addr.0) {
             m.tstate.name()
         } else {
-            stable_name(self.line_state(addr))
+            self.line_state(addr).name()
         }
+    }
+
+    /// This controller's [`l1_transition_table`], built once per family.
+    #[cfg(debug_assertions)]
+    fn table(&self) -> &'static TransitionTable {
+        c3_protocol::table::cached_table("l1", self.cfg.family, l1_transition_table)
     }
 
     /// Debug-mode conformance check: every dynamic dispatch must match a
     /// non-forbidden row of the declarative [`l1_transition_table`].
     #[cfg(debug_assertions)]
     fn assert_conforms(&self, event: &str, addr: Addr) {
-        let table = l1_cached_table(self.cfg.family);
+        let table = self.table();
         let state = self.table_state(addr);
         debug_assert!(
             table.permits(state, event),
@@ -323,7 +318,7 @@ impl L1Controller {
     /// permits dropping the resident record.
     #[cfg(debug_assertions)]
     fn assert_quiesced(&self, addr: Addr) {
-        let table = l1_cached_table(self.cfg.family);
+        let table = self.table();
         let state = self.table_state(addr);
         debug_assert!(
             table.permits(state, "Quiesce"),
@@ -1035,7 +1030,7 @@ impl L1Controller {
                     return;
                 };
                 if !line.state.supplies_data() {
-                    self.violation(stable_name(line.state), "FwdGetS", addr, ctx);
+                    self.violation(line.state.name(), "FwdGetS", addr, ctx);
                     return;
                 }
                 #[cfg(debug_assertions)]
@@ -1138,7 +1133,7 @@ impl L1Controller {
                     return;
                 };
                 if !line.state.supplies_data() {
-                    self.violation(stable_name(line.state), "FwdGetM", addr, ctx);
+                    self.violation(line.state.name(), "FwdGetM", addr, ctx);
                     return;
                 }
                 #[cfg(debug_assertions)]
@@ -1267,7 +1262,7 @@ impl L1Controller {
                 // Directory-bound messages (GetS, PutM, Unblock, ...) must
                 // never be routed at a private cache.
                 let state = self.table_state(addr);
-                self.violation(state, host_event_name(&other), addr, ctx);
+                self.violation(state, other.name(), addr, ctx);
             }
         }
     }
@@ -1414,248 +1409,151 @@ impl Component<SysMsg> for L1Controller {
     }
 }
 
-/// The `HostMsg` variant name, as used for table events and violations.
-fn host_event_name(msg: &HostMsg) -> &'static str {
-    match msg {
-        HostMsg::GetS { .. } => "GetS",
-        HostMsg::GetM { .. } => "GetM",
-        HostMsg::PutS { .. } => "PutS",
-        HostMsg::PutE { .. } => "PutE",
-        HostMsg::PutM { .. } => "PutM",
-        HostMsg::PutO { .. } => "PutO",
-        HostMsg::WriteThrough { .. } => "WriteThrough",
-        HostMsg::AtomicRmw { .. } => "AtomicRmw",
-        HostMsg::FwdGetS { .. } => "FwdGetS",
-        HostMsg::FwdGetM { .. } => "FwdGetM",
-        HostMsg::Inv { .. } => "Inv",
-        HostMsg::PutAck { .. } => "PutAck",
-        HostMsg::WtAck { .. } => "WtAck",
-        HostMsg::AtomicResp { .. } => "AtomicResp",
-        HostMsg::Data { .. } => "Data",
-        HostMsg::DataToDir { .. } => "DataToDir",
-        HostMsg::InvAck { .. } => "InvAck",
-        HostMsg::Unblock { .. } => "Unblock",
-    }
-}
-
-/// Per-family cache of [`l1_transition_table`] for the debug-mode
-/// conformance asserts (building the table on every message would be
-/// unaffordable even in debug runs).
-#[cfg(debug_assertions)]
-fn l1_cached_table(family: ProtocolFamily) -> &'static TransitionTable {
-    use std::sync::OnceLock;
-    static MESI: OnceLock<TransitionTable> = OnceLock::new();
-    static MESIF: OnceLock<TransitionTable> = OnceLock::new();
-    static MOESI: OnceLock<TransitionTable> = OnceLock::new();
-    static RCC: OnceLock<TransitionTable> = OnceLock::new();
-    static CXL: OnceLock<TransitionTable> = OnceLock::new();
-    let slot = match family {
-        ProtocolFamily::Mesi => &MESI,
-        ProtocolFamily::Mesif => &MESIF,
-        ProtocolFamily::Moesi => &MOESI,
-        ProtocolFamily::Rcc => &RCC,
-        ProtocolFamily::CxlMem => &CXL,
-    };
-    slot.get_or_init(|| l1_transition_table(family))
-}
-
 /// The declarative transition relation of the [`L1Controller`] for
-/// `family`, mirrored row-by-row from the dynamic dispatch in
-/// `handle_core` / `handle_host` / `ensure_way`.
+/// `family`, mirroring the dynamic dispatch in `handle_core` /
+/// `handle_host` / `ensure_way`.
 ///
 /// Row states are MSHR transient-state names while a transaction is in
-/// flight, else the resident stable state (`I` when absent). Debug builds
-/// assert every dynamic handler step against this table;
-/// `c3-verif::static_checks` and the `protocheck` binary check the table
-/// itself offline.
+/// flight, else the resident stable state (`I` when absent). The rows for
+/// a stable state come from the family's SSP spec through `ssp_row`;
+/// the transient-state rows are written out here, because SSPs omit
+/// transients by design. Debug builds assert every dynamic handler step
+/// against this table; `c3-verif::static_checks` and the `protocheck`
+/// binary check the table itself offline.
 pub fn l1_transition_table(family: ProtocolFamily) -> TransitionTable {
-    if family == ProtocolFamily::Rcc {
-        rcc_l1_table()
-    } else {
-        swmr_l1_table(family)
-    }
-}
-
-/// SWMR (MESI / MESIF / MOESI) L1 table.
-fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
     type R = TransitionRow;
-    let moesi = family == ProtocolFamily::Moesi;
-    let mesif = family == ProtocolFamily::Mesif;
-    let to_dir = |m: &'static str| Action::send(m, Vnet::Req, "bridge");
-    let resp = Action::complete("CoreResp", Vnet::Resp, "core");
-    let unblock = Action::send("Unblock", Vnet::Resp, "bridge");
-    let data_l1 = Action::send("Data", Vnet::Resp, "l1");
-    let data_dir = Action::send("DataToDir", Vnet::Resp, "bridge");
-    let inv_ack = Action::send("InvAck", Vnet::Resp, "l1");
+    let spec = SspSpec::for_family(family);
+    let swmr = family.enforces_swmr();
+    let mut rows: Vec<TransitionRow> = spec
+        .transitions
+        .iter()
+        .flat_map(|tr| l1_events(tr).iter().map(|event| ssp_row(&spec, tr, event)))
+        .collect();
+    // The SSPs let an absent line evict to itself; victim selection
+    // only ever picks a resident line.
+    rows.push(R::forbidden(
+        "I",
+        "Repl",
+        "I lines are not resident",
+        "l1.rs:ensure_way",
+    ));
 
-    let mut stables = vec!["I", "S", "E"];
-    if mesif {
-        stables.push("F");
+    // Data grants: whatever the directory may grant a GetS.
+    let mut grant_acts = vec![Action::complete("CoreResp", Vnet::Resp, "core")];
+    if swmr {
+        grant_acts.push(Action::send("Unblock", Vnet::Resp, "bridge"));
     }
-    if moesi {
-        stables.push("O");
+    for g in spec.dir.read_grants() {
+        rows.push(R::next(
+            "IS_D",
+            "Data",
+            g.name(),
+            grant_acts.clone(),
+            "l1.rs:handle_host/Data@IS_D",
+        ));
     }
-    stables.push("M");
-    let mut transients = vec![
-        "IS_D", "IM_AD", "IM_A", "SM_AD", "SM_A", "MI_A", "EI_A", "SI_A", "II_A",
-    ];
-    if moesi {
-        transients.push("OI_A");
-    }
-    // Stable states the directory may forward a request to.
-    let mut suppliers = vec!["E"];
-    if mesif {
-        suppliers.push("F");
-    }
-    if moesi {
-        suppliers.push("O");
-    }
-    suppliers.push("M");
-    // Readable-but-not-writable states a store upgrades from.
-    let mut upgrade = vec!["S"];
-    if mesif {
-        upgrade.push("F");
-    }
-    if moesi {
-        upgrade.push("O");
-    }
-    // What each transient state's MSHR retires on (stall wake-up set).
+    let (transients, responses, snoops): (Vec<&'static str>, &[&'static str], &[&'static str]) =
+        if swmr {
+            let mut t = vec![
+                "IS_D", "IM_AD", "IM_A", "SM_AD", "SM_A", "MI_A", "EI_A", "SI_A", "II_A",
+            ];
+            if family.has_state(StableState::O) {
+                t.push("OI_A");
+            }
+            rows.extend(swmr_transient_rows(&spec, &t));
+            (
+                t,
+                &["Data", "InvAck", "PutAck"],
+                &["FwdGetS", "FwdGetM", "Inv"],
+            )
+        } else {
+            rows.extend(rcc_transient_rows());
+            (
+                vec!["IS_D", "WT_A", "AT_D"],
+                &["Data", "WtAck", "AtomicResp"],
+                &[],
+            )
+        };
+
+    // A line with a transaction in flight defers further core traffic
+    // (MSHR `pending` queue) and is skipped by victim selection.
     let waits = |t: &str| -> Vec<&'static str> {
         match t {
             "IS_D" => vec!["Data"],
             "IM_AD" | "SM_AD" => vec!["Data", "InvAck"],
             "IM_A" | "SM_A" => vec!["InvAck"],
+            "WT_A" => vec!["WtAck"],
+            "AT_D" => vec!["AtomicResp"],
             _ => vec!["PutAck"],
         }
     };
-
-    let mut rows = vec![
-        R::next(
-            "I",
-            "Load",
-            "IS_D",
-            vec![to_dir("GetS")],
-            "l1.rs:handle_core/Load-miss",
-        ),
-        R::next(
-            "I",
-            "Store",
-            "IM_AD",
-            vec![to_dir("GetM")],
-            "l1.rs:handle_core/Store-miss",
-        ),
-        R::next(
-            "I",
-            "Rmw",
-            "IM_AD",
-            vec![to_dir("GetM")],
-            "l1.rs:handle_core/Rmw-miss",
-        ),
-        R::forbidden("I", "Repl", "I lines are not resident", "l1.rs:ensure_way"),
-    ];
-    for s in stables.iter().filter(|s| **s != "I") {
-        rows.push(R::next(
-            s,
-            "Load",
-            s,
-            vec![resp.clone()],
-            "l1.rs:handle_core/Load-hit",
-        ));
-    }
-    for s in &upgrade {
-        rows.push(R::next(
-            s,
-            "Store",
-            "SM_AD",
-            vec![to_dir("GetM")],
-            "l1.rs:handle_core/Store-upgrade",
-        ));
-        rows.push(R::next(
-            s,
-            "Rmw",
-            "SM_AD",
-            vec![to_dir("GetM")],
-            "l1.rs:handle_core/Rmw-upgrade",
-        ));
-    }
-    for s in ["E", "M"] {
-        rows.push(R::next(
-            s,
-            "Store",
-            "M",
-            vec![resp.clone()],
-            "l1.rs:handle_core/Store-hit",
-        ));
-        rows.push(R::next(
-            s,
-            "Rmw",
-            "M",
-            vec![resp.clone()],
-            "l1.rs:handle_core/Rmw-hit",
-        ));
-    }
-    rows.push(R::next(
-        "S",
-        "Repl",
-        "SI_A",
-        vec![to_dir("PutS")],
-        "l1.rs:ensure_way/S",
-    ));
-    if mesif {
-        rows.push(R::next(
-            "F",
-            "Repl",
-            "SI_A",
-            vec![to_dir("PutS")],
-            "l1.rs:ensure_way/F",
-        ));
-    }
-    rows.push(R::next(
-        "E",
-        "Repl",
-        "EI_A",
-        vec![to_dir("PutE")],
-        "l1.rs:ensure_way/E",
-    ));
-    rows.push(R::next(
-        "M",
-        "Repl",
-        "MI_A",
-        vec![to_dir("PutM")],
-        "l1.rs:ensure_way/M",
-    ));
-    if moesi {
-        rows.push(R::next(
-            "O",
-            "Repl",
-            "OI_A",
-            vec![to_dir("PutO")],
-            "l1.rs:ensure_way/O",
-        ));
-    }
-    // A line with a transaction in flight defers further core traffic
-    // (MSHR `pending` queue) and is skipped by victim selection.
     for t in &transients {
         for e in ["Load", "Store", "Rmw", "Repl"] {
             rows.push(R::stall(t, e, waits(t), "l1.rs:handle_core/defer"));
         }
     }
 
-    // Data grants (the directory answers GetS with S, E or — MESIF — F;
-    // GetM is always granted M).
-    let mut grants = vec!["S", "E"];
-    if mesif {
-        grants.push("F");
-    }
-    for g in grants {
+    // Region-summary quiescence: a line may shed its resident MSHR
+    // record only in a stable state, and doing so must not change
+    // protocol state or emit messages. Transient states hold an MSHR.
+    let mut states: Vec<&'static str> = spec.states().iter().map(|s| s.name()).collect();
+    for s in &states {
         rows.push(R::next(
-            "IS_D",
-            "Data",
-            g,
-            vec![resp.clone(), unblock.clone()],
-            "l1.rs:handle_host/Data@IS_D",
+            s,
+            "Quiesce",
+            s,
+            vec![],
+            "l1.rs:retire (MSHR closed; line quiescent)",
         ));
     }
+    for t in &transients {
+        rows.push(R::forbidden(
+            t,
+            "Quiesce",
+            "an in-flight transaction holds a resident MSHR",
+            "l1.rs:retire",
+        ));
+    }
+    states.extend(transients);
+
+    let mut events = vec!["Load", "Store", "Rmw", "Repl"];
+    events.extend(responses.iter().chain(snoops));
+    events.push("Quiesce");
+    let mut event_vnets: Vec<(&'static str, Vnet)> =
+        responses.iter().map(|e| (*e, Vnet::Resp)).collect();
+    event_vnets.extend(snoops.iter().map(|e| (*e, Vnet::Snoop)));
+    TransitionTable {
+        controller: "l1",
+        states,
+        events: events.clone(),
+        event_vnets,
+        initial: vec!["I"],
+        forbidden: vec![],
+        // Core traffic and evictions originate outside the message system;
+        // the directory engine (not table-modelled — it is exhaustively
+        // unit-tested and has no blocking states) produces the rest.
+        assumed_available: events,
+        rows,
+    }
+}
+
+/// The SWMR transient-state rows for the directory's responses and
+/// forwards (the `IS_D` grants are shared with RCC).
+fn swmr_transient_rows(spec: &SspSpec, transients: &[&'static str]) -> Vec<TransitionRow> {
+    type R = TransitionRow;
+    let resp = Action::complete("CoreResp", Vnet::Resp, "core");
+    let unblock = Action::send("Unblock", Vnet::Resp, "bridge");
+    let data_l1 = Action::send("Data", Vnet::Resp, "l1");
+    let data_dir = Action::send("DataToDir", Vnet::Resp, "bridge");
+    let inv_ack = Action::send("InvAck", Vnet::Resp, "l1");
+    // Evictions of a line the directory may still forward to.
+    let supplier_evictions: Vec<&'static str> = ["MI_A", "EI_A", "OI_A"]
+        .into_iter()
+        .filter(|t| transients.contains(t))
+        .collect();
+    let mut rows = Vec::new();
+
+    // GetM is always granted M, once every invalidation ack is in.
     for (t, awaiting) in [("IM_AD", "IM_A"), ("SM_AD", "SM_A")] {
         rows.push(R::next(
             t,
@@ -1704,30 +1602,27 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
         "l1.rs:handle_host/InvAck",
     ));
 
-    // FwdGetS: supply data; MESI/MESIF dirty suppliers also refresh the
-    // directory copy (DataToDir); MOESI suppliers stay/become owner.
-    rows.push(R::next(
-        "SM_AD",
-        "FwdGetS",
-        "SM_AD",
-        vec![data_l1.clone()],
-        "l1.rs:handle_host/FwdGetS@SM_AD",
-    ));
-    rows.push(R::next(
-        "SI_A",
-        "FwdGetS",
-        "SI_A",
-        vec![data_l1.clone()],
-        "l1.rs:handle_host/FwdGetS@SI_A",
-    ));
-    for t in ["MI_A", "EI_A"] {
-        if moesi {
+    // FwdGetS mid-transaction: the line still supplies data. An evicting
+    // supplier stays owner where the SSP keeps suppliers owning (MOESI),
+    // else it makes the directory's copy current and drops to SI_A.
+    for t in ["SM_AD", "SI_A"] {
+        rows.push(R::next(
+            t,
+            "FwdGetS",
+            t,
+            vec![data_l1.clone()],
+            "l1.rs:handle_host/FwdGetS@transient",
+        ));
+    }
+    let owner_stays = spec.dir.owner_after_fwd_gets == StableState::O;
+    for &t in &supplier_evictions {
+        if owner_stays {
             rows.push(R::next(
                 t,
                 "FwdGetS",
                 t,
                 vec![data_l1.clone()],
-                "l1.rs:handle_host/FwdGetS@evict(moesi)",
+                "l1.rs:handle_host/FwdGetS@evict(owner)",
             ));
         } else {
             rows.push(R::next(
@@ -1739,36 +1634,6 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
             ));
         }
     }
-    if moesi {
-        rows.push(R::next(
-            "OI_A",
-            "FwdGetS",
-            "OI_A",
-            vec![data_l1.clone()],
-            "l1.rs:handle_host/FwdGetS@OI_A",
-        ));
-    }
-    let fwd_next = if moesi { "O" } else { "S" };
-    for s in &suppliers {
-        let mut acts = vec![data_l1.clone()];
-        if *s == "M" && !moesi {
-            acts.push(data_dir.clone());
-        }
-        rows.push(R::next(
-            s,
-            "FwdGetS",
-            fwd_next,
-            acts,
-            "l1.rs:handle_host/FwdGetS@stable",
-        ));
-    }
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "FwdGetS",
-        "forward to a non-supplier or absent line",
-        "l1.rs:handle_host/FwdGetS",
-    ));
-
     rows.push(R::next(
         "SM_AD",
         "FwdGetM",
@@ -1776,7 +1641,7 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
         vec![data_l1.clone()],
         "l1.rs:handle_host/FwdGetM@SM_AD",
     ));
-    for t in ["MI_A", "EI_A"] {
+    for &t in &supplier_evictions {
         rows.push(R::next(
             t,
             "FwdGetM",
@@ -1785,30 +1650,14 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
             "l1.rs:handle_host/FwdGetM@evict",
         ));
     }
-    if moesi {
-        rows.push(R::next(
-            "OI_A",
-            "FwdGetM",
-            "II_A",
-            vec![data_l1.clone()],
-            "l1.rs:handle_host/FwdGetM@OI_A",
+    for e in ["FwdGetS", "FwdGetM"] {
+        rows.push(R::forbidden(
+            ANY_STATE,
+            e,
+            "forward to a non-supplier or absent line",
+            "l1.rs:handle_host/Fwd",
         ));
     }
-    for s in &suppliers {
-        rows.push(R::next(
-            s,
-            "FwdGetM",
-            "I",
-            vec![data_l1.clone()],
-            "l1.rs:handle_host/FwdGetM@stable",
-        ));
-    }
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "FwdGetM",
-        "forward to a non-supplier or absent line",
-        "l1.rs:handle_host/FwdGetM",
-    ));
 
     rows.push(R::next(
         "SM_AD",
@@ -1821,25 +1670,9 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
         "SI_A",
         "Inv",
         "II_A",
-        vec![inv_ack.clone()],
+        vec![inv_ack],
         "l1.rs:handle_host/Inv@SI_A",
     ));
-    rows.push(R::next(
-        "S",
-        "Inv",
-        "I",
-        vec![inv_ack.clone()],
-        "l1.rs:handle_host/Inv@S",
-    ));
-    if mesif {
-        rows.push(R::next(
-            "F",
-            "Inv",
-            "I",
-            vec![inv_ack.clone()],
-            "l1.rs:handle_host/Inv@F",
-        ));
-    }
     rows.push(R::forbidden(
         ANY_STATE,
         "Inv",
@@ -1847,11 +1680,7 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
         "l1.rs:handle_host/Inv",
     ));
 
-    let mut evicting = vec!["MI_A", "EI_A", "SI_A", "II_A"];
-    if moesi {
-        evicting.push("OI_A");
-    }
-    for t in &evicting {
+    for t in supplier_evictions.into_iter().chain(["SI_A", "II_A"]) {
         rows.push(R::next(
             t,
             "PutAck",
@@ -1866,148 +1695,33 @@ fn swmr_l1_table(family: ProtocolFamily) -> TransitionTable {
         "PutAck without an eviction MSHR",
         "l1.rs:handle_host/PutAck",
     ));
-
-    // Region-summary quiescence (PR-9): a line may shed its resident
-    // MSHR record only in a stable state, and doing so must not change
-    // protocol state or emit messages. Transient states hold an MSHR.
-    for s in &stables {
-        rows.push(R::next(
-            s,
-            "Quiesce",
-            s,
-            vec![],
-            "l1.rs:retire (MSHR closed; line quiescent)",
-        ));
-    }
-    for t in &transients {
-        rows.push(R::forbidden(
-            t,
-            "Quiesce",
-            "an in-flight transaction holds a resident MSHR",
-            "l1.rs:retire",
-        ));
-    }
-
-    let mut states = stables.clone();
-    states.extend(transients.iter().copied());
-    TransitionTable {
-        controller: "l1",
-        states,
-        events: vec![
-            "Load", "Store", "Rmw", "Repl", "Data", "InvAck", "FwdGetS", "FwdGetM", "Inv",
-            "PutAck", "Quiesce",
-        ],
-        event_vnets: vec![
-            ("Data", Vnet::Resp),
-            ("InvAck", Vnet::Resp),
-            ("PutAck", Vnet::Resp),
-            ("FwdGetS", Vnet::Snoop),
-            ("FwdGetM", Vnet::Snoop),
-            ("Inv", Vnet::Snoop),
-        ],
-        initial: vec!["I"],
-        forbidden: vec![],
-        // Core traffic and evictions originate outside the message system;
-        // the directory engine (not table-modelled — it is exhaustively
-        // unit-tested and has no blocking states) produces the rest.
-        assumed_available: vec![
-            "Load", "Store", "Rmw", "Repl", "Data", "InvAck", "FwdGetS", "FwdGetM", "Inv",
-            "PutAck", "Quiesce",
-        ],
-        rows,
-    }
+    rows
 }
 
-/// RCC (release-consistency, self-invalidation) L1 table.
-fn rcc_l1_table() -> TransitionTable {
+/// The RCC transient-state rows for the directory's responses (the
+/// `IS_D` grants are shared with SWMR).
+fn rcc_transient_rows() -> Vec<TransitionRow> {
     type R = TransitionRow;
-    let to_dir = |m: &'static str| Action::send(m, Vnet::Req, "bridge");
     let resp = Action::complete("CoreResp", Vnet::Resp, "core");
     let mut rows = vec![
+        // An eviction write-through retires to I; a release-flush one
+        // retains the clean copy.
+        R::next("WT_A", "WtAck", "I", vec![], "l1.rs:handle_host/WtAck"),
         R::next(
-            "I",
-            "Load",
-            "IS_D",
-            vec![to_dir("GetS")],
-            "l1.rs:handle_core/Load-miss",
-        ),
-        R::next(
-            "S",
-            "Load",
-            "S",
-            vec![resp.clone()],
-            "l1.rs:handle_core/Load-hit",
-        ),
-        R::next(
-            "M",
-            "Load",
-            "M",
-            vec![resp.clone()],
-            "l1.rs:handle_core/Load-hit",
-        ),
-        R::next("S", "Repl", "I", vec![], "l1.rs:ensure_way/S-silent-drop"),
-        R::next(
-            "M",
-            "Repl",
             "WT_A",
-            vec![to_dir("WriteThrough")],
-            "l1.rs:ensure_way/M",
+            "WtAck",
+            "S",
+            vec![],
+            "l1.rs:handle_host/WtAck-release-retain",
         ),
-        R::forbidden("I", "Repl", "I lines are not resident", "l1.rs:ensure_way"),
-    ];
-    for s in ["I", "S", "M"] {
-        // RCC stores complete locally without ownership; atomics execute
-        // at the shared level.
-        rows.push(R::next(
-            s,
-            "Store",
-            "M",
-            vec![resp.clone()],
-            "l1.rs:handle_core/Store-local",
-        ));
-        rows.push(R::next(
-            s,
-            "Rmw",
+        R::next(
             "AT_D",
-            vec![to_dir("AtomicRmw")],
-            "l1.rs:handle_core/Rmw-remote",
-        ));
-    }
-    for (t, w) in [("IS_D", "Data"), ("WT_A", "WtAck"), ("AT_D", "AtomicResp")] {
-        for e in ["Load", "Store", "Rmw", "Repl"] {
-            rows.push(R::stall(t, e, vec![w], "l1.rs:handle_core/defer"));
-        }
-    }
-    rows.push(R::next(
-        "IS_D",
-        "Data",
-        "S",
-        vec![resp.clone()],
-        "l1.rs:handle_host/Data@IS_D",
-    ));
-    // An eviction write-through retires to I; a release-flush one retains
-    // the clean copy.
-    rows.push(R::next(
-        "WT_A",
-        "WtAck",
-        "I",
-        vec![],
-        "l1.rs:handle_host/WtAck",
-    ));
-    rows.push(R::next(
-        "WT_A",
-        "WtAck",
-        "S",
-        vec![],
-        "l1.rs:handle_host/WtAck-release-retain",
-    ));
-    rows.push(R::next(
-        "AT_D",
-        "AtomicResp",
-        "I",
-        vec![resp.clone()],
-        "l1.rs:handle_host/AtomicResp",
-    ));
+            "AtomicResp",
+            "I",
+            vec![resp],
+            "l1.rs:handle_host/AtomicResp",
+        ),
+    ];
     for e in ["Data", "WtAck", "AtomicResp"] {
         rows.push(R::forbidden(
             ANY_STATE,
@@ -2016,54 +1730,81 @@ fn rcc_l1_table() -> TransitionTable {
             "l1.rs:handle_host",
         ));
     }
-    // Region-summary quiescence (PR-9), mirroring the SWMR table.
-    for s in ["I", "S", "M"] {
-        rows.push(R::next(
-            s,
-            "Quiesce",
-            s,
-            vec![],
-            "l1.rs:retire (MSHR closed; line quiescent)",
-        ));
+    rows
+}
+
+/// The table events an SSP transition decides: `Rmw` follows `Store`,
+/// and `Evict` is the table's `Repl`. None for an eviction from `I` (an
+/// absent line is never a victim) or for the RCC sync points, which the
+/// table does not model.
+fn l1_events(tr: &SspTransition) -> &'static [&'static str] {
+    match tr.event {
+        SspEvent::Load => &["Load"],
+        SspEvent::Store => &["Store", "Rmw"],
+        SspEvent::Evict if tr.from != StableState::I => &["Repl"],
+        SspEvent::FwdGetS => &["FwdGetS"],
+        SspEvent::FwdGetM => &["FwdGetM"],
+        SspEvent::Inv => &["Inv"],
+        _ => &[],
     }
-    for t in ["IS_D", "WT_A", "AT_D"] {
-        rows.push(R::forbidden(
-            t,
-            "Quiesce",
-            "an in-flight transaction holds a resident MSHR",
-            "l1.rs:retire",
-        ));
+}
+
+/// The request message and MSHR transient state an SSP action opens from
+/// `from`; `None` for actions the L1 performs without a request.
+fn l1_request(
+    action: SspAction,
+    from: StableState,
+    rmw: bool,
+    swmr: bool,
+) -> Option<(&'static str, &'static str)> {
+    use SspAction::*;
+    Some(match (action, from) {
+        (IssueGetS, _) => ("GetS", "IS_D"),
+        (IssueGetM, StableState::I) => ("GetM", "IM_AD"),
+        (IssueGetM, _) => ("GetM", "SM_AD"),
+        // A store that needs no ownership cannot make an atomic atomic:
+        // RCC atomics execute at the shared level.
+        (LocalWrite, _) if rmw => ("AtomicRmw", "AT_D"),
+        (IssuePutClean, StableState::E) => ("PutE", "EI_A"),
+        (IssuePutClean, _) => ("PutS", "SI_A"),
+        (WritebackDirty, _) if !swmr => ("WriteThrough", "WT_A"),
+        (WritebackDirty, StableState::O) => ("PutO", "OI_A"),
+        (WritebackDirty, _) => ("PutM", "MI_A"),
+        _ => return None,
+    })
+}
+
+/// The L1 row an SSP transition decides for one table `event`. An action
+/// that needs a request sends it to the directory and opens the MSHR
+/// transient [`l1_request`] names. Otherwise the row moves straight to
+/// the SSP's next state with the SSP's replies to a forward, answering
+/// the core on an access (a replacement is silent).
+fn ssp_row(spec: &SspSpec, tr: &SspTransition, event: &'static str) -> TransitionRow {
+    let from = tr.from.name();
+    let provenance = format!("ssp:{} {from} {}", spec.family, tr.event.name());
+    let request = tr
+        .actions
+        .iter()
+        .find_map(|&a| l1_request(a, tr.from, event == "Rmw", spec.family.enforces_swmr()));
+    if let Some((msg, transient)) = request {
+        let send = Action::send(msg, Vnet::Req, "bridge");
+        return TransitionRow::next(from, event, transient, vec![send], provenance);
     }
-    TransitionTable {
-        controller: "l1",
-        states: vec!["I", "S", "M", "IS_D", "WT_A", "AT_D"],
-        events: vec![
-            "Load",
-            "Store",
-            "Rmw",
-            "Repl",
-            "Data",
-            "WtAck",
-            "AtomicResp",
-            "Quiesce",
-        ],
-        event_vnets: vec![
-            ("Data", Vnet::Resp),
-            ("WtAck", Vnet::Resp),
-            ("AtomicResp", Vnet::Resp),
-        ],
-        initial: vec!["I"],
-        forbidden: vec![],
-        assumed_available: vec![
-            "Load",
-            "Store",
-            "Rmw",
-            "Repl",
-            "Data",
-            "WtAck",
-            "AtomicResp",
-            "Quiesce",
-        ],
-        rows,
+    let SspNext::Fixed(to) = tr.to else {
+        panic!("{provenance}: only a request can leave the next state to the grant");
+    };
+    let mut actions: Vec<Action> = tr
+        .actions
+        .iter()
+        .filter_map(|a| match a {
+            SspAction::SendDataToReq => Some(Action::send("Data", Vnet::Resp, "l1")),
+            SspAction::SendDataToDir => Some(Action::send("DataToDir", Vnet::Resp, "bridge")),
+            SspAction::SendInvAck => Some(Action::send("InvAck", Vnet::Resp, "l1")),
+            _ => None,
+        })
+        .collect();
+    if matches!(event, "Load" | "Store" | "Rmw") {
+        actions.push(Action::complete("CoreResp", Vnet::Resp, "core"));
     }
+    TransitionRow::next(from, event, to.name(), actions, provenance)
 }

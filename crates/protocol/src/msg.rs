@@ -241,6 +241,31 @@ impl HostMsg {
         }
     }
 
+    /// The variant name: the message's event name in transition tables
+    /// and protocol-violation reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            HostMsg::GetS { .. } => "GetS",
+            HostMsg::GetM { .. } => "GetM",
+            HostMsg::PutS { .. } => "PutS",
+            HostMsg::PutE { .. } => "PutE",
+            HostMsg::PutM { .. } => "PutM",
+            HostMsg::PutO { .. } => "PutO",
+            HostMsg::WriteThrough { .. } => "WriteThrough",
+            HostMsg::AtomicRmw { .. } => "AtomicRmw",
+            HostMsg::FwdGetS { .. } => "FwdGetS",
+            HostMsg::FwdGetM { .. } => "FwdGetM",
+            HostMsg::Inv { .. } => "Inv",
+            HostMsg::PutAck { .. } => "PutAck",
+            HostMsg::WtAck { .. } => "WtAck",
+            HostMsg::AtomicResp { .. } => "AtomicResp",
+            HostMsg::Data { .. } => "Data",
+            HostMsg::DataToDir { .. } => "DataToDir",
+            HostMsg::InvAck { .. } => "InvAck",
+            HostMsg::Unblock { .. } => "Unblock",
+        }
+    }
+
     /// Whether the message carries a cache line.
     pub fn carries_data(&self) -> bool {
         matches!(
@@ -392,6 +417,39 @@ impl CxlMsg {
         }
     }
 
+    /// The variant name: the message's event name in transition tables.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CxlMsg::MemRdA { .. } => "MemRdA",
+            CxlMsg::MemRdS { .. } => "MemRdS",
+            CxlMsg::MemWrI { .. } => "MemWrI",
+            CxlMsg::MemWrS { .. } => "MemWrS",
+            CxlMsg::BiRspI { .. } => "BiRspI",
+            CxlMsg::BiRspS { .. } => "BiRspS",
+            CxlMsg::BiConflict { .. } => "BiConflict",
+            CxlMsg::MemData { .. } => "MemData",
+            CxlMsg::Cmp { .. } => "Cmp",
+            CxlMsg::BiSnpInv { .. } => "BiSnpInv",
+            CxlMsg::BiSnpData { .. } => "BiSnpData",
+            CxlMsg::BiConflictAck { .. } => "BiConflictAck",
+        }
+    }
+
+    /// Whether the message travels host → device (M2S: requests,
+    /// writebacks, snoop responses); the rest travel device → host (S2M).
+    pub fn is_m2s(&self) -> bool {
+        matches!(
+            self,
+            CxlMsg::MemRdA { .. }
+                | CxlMsg::MemRdS { .. }
+                | CxlMsg::MemWrI { .. }
+                | CxlMsg::MemWrS { .. }
+                | CxlMsg::BiRspI { .. }
+                | CxlMsg::BiRspS { .. }
+                | CxlMsg::BiConflict { .. }
+        )
+    }
+
     /// Whether the message carries a cache line.
     pub fn carries_data(&self) -> bool {
         matches!(
@@ -520,15 +578,7 @@ impl Message for SysMsg {
         match self {
             SysMsg::CoreReq(_) | SysMsg::CoreResp(_) | SysMsg::InvHint { .. } => 0,
             SysMsg::Host(_) => 1,
-            SysMsg::Cxl(
-                CxlMsg::MemRdA { .. }
-                | CxlMsg::MemRdS { .. }
-                | CxlMsg::MemWrI { .. }
-                | CxlMsg::MemWrS { .. }
-                | CxlMsg::BiRspI { .. }
-                | CxlMsg::BiRspS { .. }
-                | CxlMsg::BiConflict { .. },
-            ) => 2,
+            SysMsg::Cxl(m) if m.is_m2s() => 2,
             SysMsg::Cxl(_) => 3,
         }
     }

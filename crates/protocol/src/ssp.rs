@@ -48,6 +48,20 @@ impl SspEvent {
     pub fn is_core(self) -> bool {
         Self::CORE.contains(&self)
     }
+
+    /// The event's name in SSP text.
+    pub fn name(self) -> &'static str {
+        match self {
+            SspEvent::Load => "Load",
+            SspEvent::Store => "Store",
+            SspEvent::Evict => "Evict",
+            SspEvent::FwdGetS => "FwdGetS",
+            SspEvent::FwdGetM => "FwdGetM",
+            SspEvent::Inv => "Inv",
+            SspEvent::Acquire => "Acquire",
+            SspEvent::Release => "Release",
+        }
+    }
 }
 
 /// An abstract action taken during an SSP transition.
@@ -112,6 +126,23 @@ pub struct DirPolicy {
     /// Whether writes must invalidate sharers eagerly (SWMR). RCC instead
     /// lets sharers self-invalidate at acquire points.
     pub eager_invalidation: bool,
+}
+
+impl DirPolicy {
+    /// Every state the directory may grant a `GetS`: S, E when it grants
+    /// unshared lines exclusively, and the with-sharers grant (F for
+    /// MESIF).
+    pub fn read_grants(&self) -> Vec<StableState> {
+        let mut grants = vec![StableState::S];
+        if self.exclusive_grant_when_unshared {
+            grants.push(StableState::E);
+        }
+        let shared = self.gets_grant_with_sharers.state();
+        if !grants.contains(&shared) {
+            grants.push(shared);
+        }
+        grants
+    }
 }
 
 /// A complete stable-state protocol specification.
@@ -249,9 +280,9 @@ impl SspSpec {
                 t(E, Load, vec![], Fixed(E)),
                 t(E, Store, vec![], Fixed(M)),
                 t(E, Evict, vec![IssuePutClean], Fixed(I)),
-                t(E, FwdGetS, vec![SendDataToReq, SendDataToDir], Fixed(S)),
+                // A clean supplier leaves the directory's copy current.
+                t(E, FwdGetS, vec![SendDataToReq], Fixed(S)),
                 t(E, FwdGetM, vec![SendDataToReq], Fixed(I)),
-                t(E, Inv, vec![SendInvAck], Fixed(I)),
                 t(M, Load, vec![], Fixed(M)),
                 t(M, Store, vec![], Fixed(M)),
                 t(M, Evict, vec![WritebackDirty], Fixed(I)),
@@ -292,10 +323,13 @@ impl SspSpec {
         spec.family = ProtocolFamily::Moesi;
         spec.dir.owner_after_fwd_gets = O;
         spec.dir.owner_writes_back_on_fwd_gets = false;
-        // M owner stays dirty owner on Fwd-GetS instead of writing back.
+        // Every supplier becomes the owner on Fwd-GetS instead of writing
+        // back — clean E included: the directory cannot tell E from a
+        // silently upgraded M, so it keeps treating the supplier as owner.
         spec.transitions
-            .retain(|tr| !(tr.from == M && tr.event == FwdGetS));
+            .retain(|tr| !(matches!(tr.from, E | M) && tr.event == FwdGetS));
         spec.transitions.extend([
+            t(E, FwdGetS, vec![SendDataToReq], Fixed(O)),
             t(M, FwdGetS, vec![SendDataToReq], Fixed(O)),
             t(O, Load, vec![], Fixed(O)),
             t(O, Store, vec![IssueGetM], Fixed(M)),
@@ -444,6 +478,45 @@ mod tests {
         assert_eq!(mesi_tr.to, SspNext::Fixed(S));
         assert!(!moesi_tr.actions.contains(&SspAction::SendDataToDir));
         assert_eq!(moesi_tr.to, SspNext::Fixed(O));
+    }
+
+    #[test]
+    fn clean_exclusive_supplier_sends_no_data_to_dir() {
+        for spec in [SspSpec::mesi(), SspSpec::mesif()] {
+            let tr = spec.transition(E, SspEvent::FwdGetS).unwrap();
+            assert_eq!(tr.actions, vec![SspAction::SendDataToReq]);
+            assert_eq!(tr.to, SspNext::Fixed(S));
+        }
+    }
+
+    #[test]
+    fn moesi_clean_exclusive_supplier_becomes_owner() {
+        let spec = SspSpec::moesi();
+        let tr = spec.transition(E, SspEvent::FwdGetS).unwrap();
+        assert_eq!(tr.actions, vec![SspAction::SendDataToReq]);
+        assert_eq!(tr.to, SspNext::Fixed(O));
+    }
+
+    #[test]
+    fn exclusive_holders_are_never_invalidated() {
+        // The directory forwards to an exclusive holder; it sends `Inv`
+        // only to sharers.
+        for fam in [
+            ProtocolFamily::Mesi,
+            ProtocolFamily::Mesif,
+            ProtocolFamily::Moesi,
+        ] {
+            assert!(SspSpec::for_family(fam)
+                .transition(E, SspEvent::Inv)
+                .is_none());
+        }
+    }
+
+    #[test]
+    fn read_grants_follow_the_dir_policy() {
+        assert_eq!(SspSpec::mesi().dir.read_grants(), vec![S, E]);
+        assert_eq!(SspSpec::mesif().dir.read_grants(), vec![S, E, F]);
+        assert_eq!(SspSpec::rcc().dir.read_grants(), vec![S]);
     }
 
     #[test]

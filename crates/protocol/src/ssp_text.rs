@@ -56,17 +56,6 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-fn state_name(s: StableState) -> &'static str {
-    match s {
-        StableState::I => "I",
-        StableState::S => "S",
-        StableState::E => "E",
-        StableState::O => "O",
-        StableState::F => "F",
-        StableState::M => "M",
-    }
-}
-
 fn parse_state(tok: &str, line: usize) -> Result<StableState, ParseError> {
     Ok(match tok {
         "I" => StableState::I,
@@ -77,19 +66,6 @@ fn parse_state(tok: &str, line: usize) -> Result<StableState, ParseError> {
         "M" => StableState::M,
         other => return Err(err(line, format!("unknown state '{other}'"))),
     })
-}
-
-fn event_name(e: SspEvent) -> &'static str {
-    match e {
-        SspEvent::Load => "Load",
-        SspEvent::Store => "Store",
-        SspEvent::Evict => "Evict",
-        SspEvent::FwdGetS => "FwdGetS",
-        SspEvent::FwdGetM => "FwdGetM",
-        SspEvent::Inv => "Inv",
-        SspEvent::Acquire => "Acquire",
-        SspEvent::Release => "Release",
-    }
 }
 
 fn parse_event(tok: &str, line: usize) -> Result<SspEvent, ParseError> {
@@ -173,7 +149,7 @@ pub fn to_text(spec: &SspSpec) -> String {
     writeln!(
         out,
         "policy owner_after_fwd_gets = {}",
-        state_name(spec.dir.owner_after_fwd_gets)
+        spec.dir.owner_after_fwd_gets.name()
     )
     .unwrap();
     writeln!(
@@ -201,14 +177,14 @@ pub fn to_text(spec: &SspSpec) -> String {
                 .join(",")
         };
         let next = match t.to {
-            SspNext::Fixed(s) => state_name(s).to_string(),
+            SspNext::Fixed(s) => s.name().to_string(),
             SspNext::FromGrant => "grant".to_string(),
         };
         writeln!(
             out,
             "{} {} {} -> {}",
-            state_name(t.from),
-            event_name(t.event),
+            t.from.name(),
+            t.event.name(),
             actions,
             next
         )

@@ -57,22 +57,23 @@ impl StableState {
         )
     }
 
-    /// One-letter name.
-    pub fn letter(self) -> char {
+    /// One-letter name, as a string (the state's name in SSP text and
+    /// transition tables).
+    pub fn name(self) -> &'static str {
         match self {
-            StableState::I => 'I',
-            StableState::S => 'S',
-            StableState::E => 'E',
-            StableState::O => 'O',
-            StableState::F => 'F',
-            StableState::M => 'M',
+            StableState::I => "I",
+            StableState::S => "S",
+            StableState::E => "E",
+            StableState::O => "O",
+            StableState::F => "F",
+            StableState::M => "M",
         }
     }
 }
 
 impl fmt::Display for StableState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.letter())
+        f.write_str(self.name())
     }
 }
 

@@ -20,9 +20,12 @@
 //! covered by a more specific row — the declarative mirror of the
 //! `other => panic!(..)` arms in the handlers.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::ops::Addr;
+#[cfg(debug_assertions)]
+use crate::states::ProtocolFamily;
 
 /// The wildcard state name: a row with this state matches any state that
 /// has no specific row for the same event.
@@ -128,8 +131,10 @@ pub struct TransitionRow {
     /// (Rule II): the origin transaction stays suspended until the
     /// target-domain completion event arrives.
     pub nested: bool,
-    /// Where in the handler code this row lives (`"l1.rs:handle_host/Data"`).
-    pub provenance: &'static str,
+    /// Where the row comes from: the handler code it mirrors
+    /// (`"l1.rs:handle_host/Data"`) or, for a derived row, the source
+    /// that decides it (`"ssp:MOESI M FwdGetS"`, `"generator:snoop_plan"`).
+    pub provenance: Cow<'static, str>,
 }
 
 impl TransitionRow {
@@ -139,7 +144,7 @@ impl TransitionRow {
         event: &'static str,
         to: &'static str,
         actions: Vec<Action>,
-        provenance: &'static str,
+        provenance: impl Into<Cow<'static, str>>,
     ) -> Self {
         TransitionRow {
             state,
@@ -148,7 +153,7 @@ impl TransitionRow {
             actions,
             waits_for: Vec::new(),
             nested: false,
-            provenance,
+            provenance: provenance.into(),
         }
     }
 
@@ -157,7 +162,7 @@ impl TransitionRow {
         state: &'static str,
         event: &'static str,
         waits_for: Vec<&'static str>,
-        provenance: &'static str,
+        provenance: impl Into<Cow<'static, str>>,
     ) -> Self {
         TransitionRow {
             state,
@@ -166,7 +171,7 @@ impl TransitionRow {
             actions: Vec::new(),
             waits_for,
             nested: false,
-            provenance,
+            provenance: provenance.into(),
         }
     }
 
@@ -175,7 +180,7 @@ impl TransitionRow {
         state: &'static str,
         event: &'static str,
         reason: &'static str,
-        provenance: &'static str,
+        provenance: impl Into<Cow<'static, str>>,
     ) -> Self {
         TransitionRow {
             state,
@@ -184,7 +189,7 @@ impl TransitionRow {
             actions: Vec::new(),
             waits_for: Vec::new(),
             nested: false,
-            provenance,
+            provenance: provenance.into(),
         }
     }
 
@@ -192,6 +197,16 @@ impl TransitionRow {
     pub fn nested(mut self) -> Self {
         self.nested = true;
         self
+    }
+
+    /// Whether two rows state the same rule (everything but provenance).
+    pub fn same_rule(&self, other: &TransitionRow) -> bool {
+        self.state == other.state
+            && self.event == other.event
+            && self.outcome == other.outcome
+            && self.actions == other.actions
+            && self.waits_for == other.waits_for
+            && self.nested == other.nested
     }
 
     /// Short identification used in defect messages.
@@ -286,6 +301,31 @@ impl TransitionTable {
             .find(|(e, _)| *e == event)
             .map(|(_, v)| *v)
     }
+}
+
+/// The table `build(family)` returns for `controller`, built once per
+/// process and shared by every controller instance. The debug-mode
+/// conformance asserts consult it on every handler dispatch; rebuilding
+/// the table per message would be unaffordable even in debug runs.
+#[cfg(debug_assertions)]
+pub fn cached_table(
+    controller: &'static str,
+    family: ProtocolFamily,
+    build: fn(ProtocolFamily) -> TransitionTable,
+) -> &'static TransitionTable {
+    use std::sync::{Mutex, PoisonError};
+    type Slot = (&'static str, ProtocolFamily, &'static TransitionTable);
+    static CACHE: Mutex<Vec<Slot>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, _, table)) = cache
+        .iter()
+        .find(|(c, f, _)| *c == controller && *f == family)
+    {
+        return table;
+    }
+    let table: &'static TransitionTable = Box::leak(Box::new(build(family)));
+    cache.push((controller, family, table));
+    table
 }
 
 /// A structured protocol violation: a `(state, event)` combination the
