@@ -63,10 +63,11 @@ pub struct RunConfig {
     /// exactly and larger counts scale the topology (the `oltp` sweep's
     /// 4-cluster cells).
     pub clusters: usize,
-    /// Opt in to coherence-state footprint observability (resident-line /
-    /// resident-region gauges, peak-state-bytes report lines) on the L1s
-    /// and the global directory. Off by default: the extra keys would
-    /// shift the pinned report/metrics fingerprints of existing configs.
+    /// Opt in to coherence-state footprint observability (the
+    /// `region::Footprint::emit` group: resident gauges, touched/peak
+    /// counters) on the L1s, the bridges and the global directory. Off
+    /// by default: the extra keys would shift the pinned report/metrics
+    /// fingerprints of existing configs.
     pub state_metrics: bool,
 }
 
@@ -257,14 +258,6 @@ pub fn run_workload_with<T>(
     let outcome = sim.run();
     if outcome != RunOutcome::Completed {
         eprintln!("{}", sim.post_mortem(outcome));
-        for &b in &handles.bridges {
-            if let Some(bridge) = sim.component_as::<c3::bridge::C3Bridge>(b) {
-                eprintln!("{}", bridge.pending_summary());
-            }
-        }
-        if let Some(d) = sim.component_as::<c3_cxl::CxlDirectory>(handles.global_dir) {
-            eprintln!("{}", d.engine().pending_summary());
-        }
         panic!(
             "{} deadlocked under {}: {:?}",
             spec.name,

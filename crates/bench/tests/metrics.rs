@@ -3,9 +3,13 @@
 //!
 //! * the acceptance run — metrics-enabled quick vips emits a ≥50-window
 //!   timeseries covering link backlog, MSHR/directory occupancy and
-//!   retry counters, byte-identical across same-seed reruns;
+//!   bridge transactions, byte-identical across same-seed reruns (the
+//!   retry counters, a resilience-only group, are checked in
+//!   `tests/resilience.rs`);
 //! * metrics are additive — the metrics-on report minus `metrics.` keys
 //!   equals the metrics-off report (sampling changes no behaviour);
+//! * the report is the final sample — every component counter column
+//!   reads the same in the report, and no component declares it twice;
 //! * the metrics-on rendering is pinned by fingerprint, like the plain
 //!   report rendering in `runner.rs`;
 //! * grid runs with metrics enabled stay thread-count invariant.
@@ -16,6 +20,8 @@ use c3_bench::{build_sim, fnv1a, render_report, run_workload, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
+use c3_sim::metrics::MetricSample;
+use c3_sim::stats::Report;
 use c3_workloads::WorkloadSpec;
 
 /// Quick vips under the paper's headline MESI-CXL-MESI config, with the
@@ -45,8 +51,8 @@ fn timeseries(cfg: &RunConfig) -> (String, usize, Vec<String>) {
 
 /// The acceptance run: quick vips at the `--bin metrics` default
 /// interval must produce at least 50 windows whose series cover link
-/// depth, MSHR and directory occupancy, and retry counters — and two
-/// same-seed runs must emit byte-identical CSV.
+/// depth, MSHR and directory occupancy, and bridge transactions — and
+/// two same-seed runs must emit byte-identical CSV.
 #[test]
 fn timeseries_covers_run_and_is_same_seed_byte_identical() {
     let cfg = vips_cfg(Some(25));
@@ -59,7 +65,6 @@ fn timeseries_covers_run_and_is_same_seed_byte_identical() {
         ".mshr",                // L1 MSHR occupancy
         ".blocking_snoops",     // DCOH directory occupancy
         ".inflight_fetches",    // bridge in-flight transactions
-        ".retries",             // bridge retry counter
         "comp.cxl.dcoh.events", // per-component attribution
         "vnet.cxl.m2s.msgs",    // per-vnet message counts
     ] {
@@ -103,6 +108,50 @@ fn report_is_additive_under_metrics() {
     );
 }
 
+/// The report is the final telemetry sample: after a completed
+/// metrics-on run and a tail sample, every counter column a component's
+/// `metrics()` declares is in the report with the tail value, and no
+/// component's `report()` writes one of those keys itself.
+#[test]
+fn report_counters_are_the_tail_sample() {
+    let spec = WorkloadSpec::by_name("vips").expect("workload");
+    let (mut sim, _handles) = build_sim(&spec, &vips_cfg(Some(25)));
+    assert_eq!(sim.run(), RunOutcome::Completed, "vips wedged");
+    sim.sample_metrics_now();
+    let report = sim.report();
+    let hub = sim.metrics();
+    let tail = hub.windows() - 1;
+    let column = |name: &str| {
+        hub.metric_names()
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| panic!("{name} is not a telemetry column"))
+    };
+    let mut counters = 0;
+    let mut sample = MetricSample::new();
+    for c in sim.components() {
+        c.metrics(&mut sample);
+        let mut own = Report::new();
+        c.report(&mut own);
+        for (name, _) in sample.take_counters() {
+            let name = name.as_str();
+            assert_eq!(
+                report.get(name),
+                Some(hub.value(tail, column(name))),
+                "{name}: report and tail sample disagree"
+            );
+            assert_eq!(
+                own.get(name),
+                None,
+                "{} writes {name} in both report() and metrics()",
+                c.name()
+            );
+            counters += 1;
+        }
+    }
+    assert!(counters > 0, "no component declares a counter");
+}
+
 /// The metrics-on output (report rendering plus the CSV timeseries) is
 /// pinned by fingerprint, the metrics-enabled counterpart of
 /// `report_dump_byte_identity` in `runner.rs`. Re-pin deliberately when
@@ -116,7 +165,7 @@ fn metrics_output_fingerprint_pinned() {
     let doc = format!("{}\n{csv}", render_report(r.exec_ns, &r.report));
     assert_eq!(
         fnv1a(&doc),
-        17_311_063_450_239_843_500u64,
+        909_270_110_970_316_723u64,
         "pinned metrics-on fingerprint changed — if the schema/behaviour \
          change is intentional, re-pin this constant\ndoc:\n{doc}"
     );

@@ -319,7 +319,8 @@ impl C3Bridge {
         }
     }
 
-    /// Enable the opt-in region-store footprint report/metrics keys.
+    /// Opt in to the local directory's footprint group
+    /// (`c3_sim::region::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }
@@ -327,24 +328,6 @@ impl C3Bridge {
     /// The generated compound FSM (for inspection / verification).
     pub fn fsm(&self) -> &CompoundFsm {
         &self.fsm
-    }
-
-    /// Human-readable dump of in-flight state (deadlock diagnostics).
-    pub fn pending_summary(&self) -> String {
-        format!(
-            "{}: fetches={:?} writebacks={:?} snoops={:?} stash={:?} evict_waiters={:?} \
-             deferred={:?} pending_evict_snoop={:?} passive_stash={:?} engine_idle={}",
-            self.name,
-            self.fetches.keys().collect::<Vec<_>>(),
-            self.writebacks.keys().collect::<Vec<_>>(),
-            self.snoops.keys().collect::<Vec<_>>(),
-            self.stash.keys().collect::<Vec<_>>(),
-            self.evict_waiters.iter().collect::<Vec<_>>(),
-            self.deferred_fetches.iter().collect::<Vec<_>>(),
-            self.pending_evict_snoop.keys().collect::<Vec<_>>(),
-            self.passive_snoop_stash.keys().collect::<Vec<_>>(),
-            self.engine.as_ref().map(|e| e.idle()).unwrap_or(true),
-        )
     }
 
     /// Current CXL-cache state for a line.
@@ -1650,22 +1633,6 @@ impl Component<SysMsg> for C3Bridge {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.set(format!("{n}.global_reads"), self.global_reads as f64);
-        out.set(format!("{n}.global_writes"), self.global_writes as f64);
-        out.set(format!("{n}.conflicts"), self.conflicts_sent as f64);
-        out.set(format!("{n}.snoops"), self.snoops_received as f64);
-        out.set(format!("{n}.evictions"), self.evictions as f64);
-        out.set(format!("{n}.recalls"), self.recalls_delegated as f64);
-        if let Some(e) = &self.engine {
-            out.set(format!("{n}.local_stalls"), e.stalled_requests as f64);
-        }
-        // Resilience counters exist only when a policy is configured so
-        // default-wired runs stay byte-identical to the fail-stop bridge.
-        if self.cfg.resilience.is_some() {
-            out.set(format!("{n}.retries"), self.retries as f64);
-            out.set(format!("{n}.abandoned"), self.abandoned as f64);
-            out.set(format!("{n}.dup_suppressed"), self.dup_suppressed as f64);
-        }
         if self.poisoned_fills > 0 {
             out.set(format!("{n}.poisoned_fills"), self.poisoned_fills as f64);
         }
@@ -1673,16 +1640,6 @@ impl Component<SysMsg> for C3Bridge {
         self.wb_lat.report_into(out, &format!("{n}.wb.lat"));
         self.recall_lat.report_into(out, &format!("{n}.recall.lat"));
         self.evict_lat.report_into(out, &format!("{n}.evict.lat"));
-        if self.state_metrics {
-            let f = self
-                .engine
-                .as_ref()
-                .map(|e| e.footprint())
-                .unwrap_or_default();
-            out.set(format!("{n}.touched_lines"), f.touched as f64);
-            out.set(format!("{n}.peak_resident_lines"), f.peak_resident as f64);
-            out.set(format!("{n}.peak_state_bytes"), f.peak_state_bytes as f64);
-        }
     }
 
     fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
@@ -1696,28 +1653,30 @@ impl Component<SysMsg> for C3Bridge {
         );
         // Local-cluster directory occupancy (the bridge doubles as the
         // cluster's home directory); zeros until the engine is created.
-        let (lines, busy, queued) = self
-            .engine
-            .as_ref()
-            .map(|e| e.occupancy())
-            .unwrap_or((0, 0, 0));
+        let e = self.engine.as_ref();
+        let (lines, busy, queued) = e.map_or((0, 0, 0), |e| e.occupancy());
         out.gauge(n, "dir_lines", lines as f64);
         out.gauge(n, "dir_busy", busy as f64);
         out.gauge(n, "dir_queued", queued as f64);
         out.counter(n, "global_reads", self.global_reads as f64);
         out.counter(n, "global_writes", self.global_writes as f64);
         out.counter(n, "conflicts", self.conflicts_sent as f64);
-        out.counter(n, "snoops_rx", self.snoops_received as f64);
-        out.counter(n, "retries", self.retries as f64);
+        out.counter(n, "snoops", self.snoops_received as f64);
+        out.counter(n, "evictions", self.evictions as f64);
+        out.counter(n, "recalls", self.recalls_delegated as f64);
+        let stalls = e.map_or(0, |e| e.stalled_requests);
+        out.counter(n, "local_stalls", stalls as f64);
+        // The resilience group exists only when a policy is configured,
+        // so default-wired runs stay byte-identical to the fail-stop
+        // bridge.
+        if self.cfg.resilience.is_some() {
+            out.counter(n, "retries", self.retries as f64);
+            out.counter(n, "abandoned", self.abandoned as f64);
+            out.counter(n, "dup_suppressed", self.dup_suppressed as f64);
+        }
         if self.state_metrics {
-            let f = self
-                .engine
-                .as_ref()
-                .map(|e| e.footprint())
-                .unwrap_or_default();
-            out.gauge(n, "resident_lines", f.resident as f64);
-            out.gauge(n, "resident_regions", f.regions as f64);
-            out.gauge(n, "state_bytes", f.state_bytes as f64);
+            let f = e.map(|e| e.footprint()).unwrap_or_default();
+            f.emit(out, n, false);
         }
     }
 

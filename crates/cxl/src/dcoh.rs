@@ -446,18 +446,6 @@ impl DcohEngine {
         v
     }
 
-    /// Human-readable dump of blocked lines (deadlock diagnostics).
-    pub fn pending_summary(&self) -> String {
-        let mut out = String::from("dcoh:");
-        for (k, l) in self.lines.iter_live() {
-            if l.snoop.is_some() || !l.queue.is_empty() {
-                let a = Addr(k);
-                out.push_str(&format!(" [{a}: snoop={:?} queue={:?}]", l.snoop, l.queue));
-            }
-        }
-        out
-    }
-
     /// Every line with a blocking snoop in flight or queued requests,
     /// in address order — the engine's contribution to a deadlock
     /// post-mortem. `self_id` stamps the owning component into the

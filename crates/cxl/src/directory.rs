@@ -4,7 +4,6 @@ use std::any::Any;
 
 use c3_protocol::msg::SysMsg;
 use c3_sim::component::{Component, ComponentId, Ctx};
-use c3_sim::stats::Report;
 use c3_sim::time::Delay;
 use c3_sim::trace::InflightTxn;
 
@@ -54,9 +53,8 @@ impl CxlDirectory {
         }
     }
 
-    /// Opt in to coherence-state footprint observability: resident-line /
-    /// resident-region gauges in telemetry and peak-state-bytes report
-    /// lines.
+    /// Opt in to the DCOH's footprint group
+    /// (`c3_sim::region::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }
@@ -139,46 +137,6 @@ impl Component<SysMsg> for CxlDirectory {
         self.engine.idle()
     }
 
-    fn report(&self, out: &mut Report) {
-        let n = &self.name;
-        out.set(
-            format!("{n}.stalled_requests"),
-            self.engine.stalled_requests as f64,
-        );
-        out.set(format!("{n}.bisnp_sent"), self.engine.bisnp_sent as f64);
-        out.set(format!("{n}.conflicts"), self.engine.conflicts as f64);
-        out.set(format!("{n}.writebacks"), self.engine.writebacks as f64);
-        // Resilience counters exist only when the retry policy is
-        // configured so default-wired runs keep byte-identical reports.
-        if self.retry.is_some() {
-            out.set(
-                format!("{n}.dup_suppressed"),
-                self.engine.dup_suppressed as f64,
-            );
-            out.set(
-                format!("{n}.stale_writebacks"),
-                self.engine.stale_writebacks as f64,
-            );
-            out.set(
-                format!("{n}.grants_replayed"),
-                self.engine.grants_replayed as f64,
-            );
-            out.set(format!("{n}.bisnp_resent"), self.engine.bisnp_resent as f64);
-            out.set(
-                format!("{n}.snoops_forced"),
-                self.engine.snoops_forced as f64,
-            );
-        }
-        // Footprint lines exist only when opted in (same discipline as
-        // the resilience counters above).
-        if self.state_metrics {
-            let f = self.engine.footprint();
-            out.set(format!("{n}.touched_lines"), f.touched as f64);
-            out.set(format!("{n}.peak_resident_lines"), f.peak_resident as f64);
-            out.set(format!("{n}.peak_state_bytes"), f.peak_state_bytes as f64);
-        }
-    }
-
     fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
         let n = &self.name;
         let (lines, blocking, queued, fanout) = self.engine.occupancy();
@@ -190,13 +148,18 @@ impl Component<SysMsg> for CxlDirectory {
         out.counter(n, "bisnp_sent", self.engine.bisnp_sent as f64);
         out.counter(n, "conflicts", self.engine.conflicts as f64);
         out.counter(n, "writebacks", self.engine.writebacks as f64);
-        // Opt-in footprint gauges; the flag is fixed for the life of a
-        // run, so the telemetry schema stays stable across samples.
+        // The resilience group exists only when the retry policy is
+        // configured, so default-wired runs keep byte-identical reports.
+        if self.retry.is_some() {
+            let e = &self.engine;
+            out.counter(n, "dup_suppressed", e.dup_suppressed as f64);
+            out.counter(n, "stale_writebacks", e.stale_writebacks as f64);
+            out.counter(n, "grants_replayed", e.grants_replayed as f64);
+            out.counter(n, "bisnp_resent", e.bisnp_resent as f64);
+            out.counter(n, "snoops_forced", e.snoops_forced as f64);
+        }
         if self.state_metrics {
-            let f = self.engine.footprint();
-            out.gauge(n, "resident_lines", f.resident as f64);
-            out.gauge(n, "resident_regions", f.regions as f64);
-            out.gauge(n, "state_bytes", f.state_bytes as f64);
+            self.engine.footprint().emit(out, n, false);
         }
     }
 

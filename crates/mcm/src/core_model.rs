@@ -443,9 +443,12 @@ impl Component<SysMsg> for TimingCore {
         self.program_complete()
     }
 
+    fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
+        out.counter(&self.name, "retired", self.retired as f64);
+        out.counter(&self.name, "squashes", self.squashes as f64);
+    }
+
     fn report(&self, out: &mut Report) {
-        out.set(format!("{}.retired", self.name), self.retired as f64);
-        out.set(format!("{}.squashes", self.name), self.squashes as f64);
         if let Some(t) = self.finished_at {
             out.set(format!("{}.finished_ns", self.name), t.as_ns() as f64);
         }

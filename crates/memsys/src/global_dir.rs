@@ -13,7 +13,6 @@ use std::any::Any;
 use c3_protocol::msg::{HostMsg, SysMsg};
 use c3_protocol::ssp::DirPolicy;
 use c3_sim::component::{Component, ComponentId, Ctx};
-use c3_sim::stats::Report;
 use c3_sim::time::Delay;
 use c3_sim::trace::InflightTxn;
 
@@ -48,9 +47,8 @@ impl GlobalMesiDir {
         }
     }
 
-    /// Opt in to coherence-state footprint observability: resident-line /
-    /// resident-region gauges in telemetry and peak-state-bytes report
-    /// lines.
+    /// Opt in to the directory's footprint group
+    /// (`c3_sim::region::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }
@@ -116,67 +114,24 @@ impl Component<SysMsg> for GlobalMesiDir {
         self.engine.as_ref().map(|e| e.idle()).unwrap_or(true)
     }
 
-    fn report(&self, out: &mut Report) {
-        let n = &self.name;
-        if let Some(e) = &self.engine {
-            out.set(format!("{n}.stalled_requests"), e.stalled_requests as f64);
-        }
-        out.set(format!("{n}.data_responses"), self.data_responses as f64);
-        // Footprint lines exist only when opted in, so default-wired runs
-        // keep byte-identical reports (same discipline as the DCOH's
-        // resilience counters).
-        if self.state_metrics {
-            let f = self
-                .engine
-                .as_ref()
-                .map(|e| e.footprint())
-                .unwrap_or_default();
-            out.set(format!("{n}.touched_lines"), f.touched as f64);
-            out.set(format!("{n}.peak_resident_lines"), f.peak_resident as f64);
-            out.set(format!("{n}.peak_state_bytes"), f.peak_state_bytes as f64);
-        }
-    }
-
     fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
         // The engine is created lazily on first traffic; emit zeros until
         // then so the telemetry schema stays fixed across the run.
         let n = &self.name;
-        let (lines, busy, queued) = self
-            .engine
-            .as_ref()
-            .map(|e| e.occupancy())
-            .unwrap_or((0, 0, 0));
+        let e = self.engine.as_ref();
+        let (lines, busy, queued) = e.map_or((0, 0, 0), |e| e.occupancy());
         out.gauge(n, "lines", lines as f64);
         out.gauge(n, "busy_lines", busy as f64);
         out.gauge(n, "queued", queued as f64);
-        let (stalled, recalls, br, bw) = self
-            .engine
-            .as_ref()
-            .map(|e| {
-                (
-                    e.stalled_requests,
-                    e.recalls,
-                    e.backend_reads,
-                    e.backend_writes,
-                )
-            })
-            .unwrap_or((0, 0, 0, 0));
-        out.counter(n, "stalled_requests", stalled as f64);
-        out.counter(n, "recalls", recalls as f64);
-        out.counter(n, "backend_reads", br as f64);
-        out.counter(n, "backend_writes", bw as f64);
+        let count = |f: fn(&DirEngine) -> u64| e.map_or(0, f) as f64;
+        out.counter(n, "stalled_requests", count(|e| e.stalled_requests));
+        out.counter(n, "recalls", count(|e| e.recalls));
+        out.counter(n, "backend_reads", count(|e| e.backend_reads));
+        out.counter(n, "backend_writes", count(|e| e.backend_writes));
         out.counter(n, "data_responses", self.data_responses as f64);
-        // Opt-in footprint gauges; the flag is fixed for the life of a
-        // run, so the telemetry schema stays stable across samples.
         if self.state_metrics {
-            let f = self
-                .engine
-                .as_ref()
-                .map(|e| e.footprint())
-                .unwrap_or_default();
-            out.gauge(n, "resident_lines", f.resident as f64);
-            out.gauge(n, "resident_regions", f.regions as f64);
-            out.gauge(n, "state_bytes", f.state_bytes as f64);
+            let f = e.map(|e| e.footprint()).unwrap_or_default();
+            f.emit(out, n, false);
         }
     }
 

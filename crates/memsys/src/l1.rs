@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use c3_protocol::msg::{CoreReq, CoreResp, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::{Addr, FenceKind, Instr};
-use c3_protocol::ssp::{SspAction, SspEvent, SspNext, SspSpec, SspTransition};
+use c3_protocol::ssp::{DirPolicy, SspAction, SspEvent, SspNext, SspSpec, SspTransition};
 use c3_protocol::states::{ProtocolFamily, StableState};
 use c3_protocol::table::{
     Action, ProtocolViolation, TransitionRow, TransitionTable, Vnet, ANY_STATE,
@@ -66,6 +66,14 @@ pub enum AccessKind {
     /// Read-modify-write.
     Rmw,
 }
+
+/// Per-kind labels, indexed by [`AccessKind`]: the report prefix and the
+/// kind's hit and miss counter names.
+const KIND_LABELS: [(&str, &str, &str); 3] = [
+    ("load", "load.hits", "load.misses"),
+    ("store", "store.hits", "store.misses"),
+    ("rmw", "rmw.hits", "rmw.misses"),
+];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Line {
@@ -207,6 +215,8 @@ pub struct MissStats {
 #[derive(Debug)]
 pub struct L1Controller {
     cfg: L1Config,
+    /// The family's directory policy (what an owner does on `FwdGetS`).
+    dir_policy: DirPolicy,
     name: String,
     array: CacheArray<Line>,
     mshrs: RegionMap<Mshr>,
@@ -232,6 +242,7 @@ impl L1Controller {
     pub fn new(name: impl Into<String>, cfg: L1Config) -> Self {
         L1Controller {
             array: CacheArray::new(cfg.sets, cfg.ways),
+            dir_policy: SspSpec::for_family(cfg.family).dir,
             cfg,
             name: name.into(),
             mshrs: RegionMap::new(),
@@ -246,8 +257,8 @@ impl L1Controller {
         }
     }
 
-    /// Opt in to MSHR region-store footprint observability (resident
-    /// gauges in telemetry, peak lines in the report).
+    /// Opt in to the MSHR store's footprint group
+    /// (`c3_sim::region::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }
@@ -905,7 +916,6 @@ impl L1Controller {
             HostMsg::FwdGetS {
                 requestor, grant, ..
             } => {
-                let family = self.cfg.family;
                 // An upgrading O/F owner (SM_AD) can be asked to supply: the
                 // line is still resident; serve it and keep upgrading.
                 if matches!(
@@ -931,11 +941,7 @@ impl L1Controller {
                             poisoned: line.poisoned,
                         }),
                     );
-                    let next = match family {
-                        ProtocolFamily::Moesi => StableState::O,
-                        _ => StableState::S,
-                    };
-                    if dirty && next != StableState::O {
+                    if dirty && self.dir_policy.owner_writes_back_on_fwd_gets {
                         self.send_dir(
                             HostMsg::DataToDir {
                                 addr,
@@ -946,7 +952,8 @@ impl L1Controller {
                             ctx,
                         );
                     }
-                    self.array.get_mut(addr).expect("present").state = next;
+                    self.array.get_mut(addr).expect("present").state =
+                        self.dir_policy.owner_after_fwd_gets;
                     return;
                 }
                 if self.mshrs.get(addr.0).is_some() {
@@ -993,7 +1000,7 @@ impl L1Controller {
                                     poisoned: mshr.poisoned,
                                 }),
                             );
-                            if family != ProtocolFamily::Moesi {
+                            if self.dir_policy.owner_writes_back_on_fwd_gets {
                                 mshr.tstate = TState::SI_A;
                                 self.send_dir(
                                     HostMsg::DataToDir {
@@ -1051,12 +1058,9 @@ impl L1Controller {
                 // well: the directory cannot distinguish E from M after a
                 // silent upgrade, so it keeps treating the supplier as the
                 // owner; a clean O simply writes identical data back later).
-                let next = match self.cfg.family {
-                    ProtocolFamily::Moesi => StableState::O,
-                    _ => StableState::S,
-                };
-                // MESI/MESIF owners make the directory's copy current.
-                if dirty && next != StableState::O {
+                // MESI/MESIF owners drop to S and make the directory's copy
+                // current.
+                if dirty && self.dir_policy.owner_writes_back_on_fwd_gets {
                     self.send_dir(
                         HostMsg::DataToDir {
                             addr,
@@ -1067,7 +1071,8 @@ impl L1Controller {
                         ctx,
                     );
                 }
-                self.array.get_mut(addr).expect("present").state = next;
+                self.array.get_mut(addr).expect("present").state =
+                    self.dir_policy.owner_after_fwd_gets;
             }
             HostMsg::FwdGetM {
                 requestor, acks, ..
@@ -1332,32 +1337,21 @@ impl Component<SysMsg> for L1Controller {
     fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
         let n = &self.name;
         out.gauge(n, "mshr", self.mshrs.resident() as f64);
-        let hits: u64 = self.stats.iter().map(|s| s.hits).sum();
-        let misses: u64 = self.stats.iter().map(|s| s.misses).sum();
-        out.counter(n, "hits", hits as f64);
-        out.counter(n, "misses", misses as f64);
+        for (s, (_, hits, misses)) in self.stats.iter().zip(KIND_LABELS) {
+            out.counter(n, hits, s.hits as f64);
+            out.counter(n, misses, s.misses as f64);
+        }
         out.counter(n, "writebacks", self.writebacks as f64);
         out.counter(n, "invalidations", self.invalidations_received as f64);
-        // Opt-in footprint gauges; the flag is fixed for the life of a
-        // run, so the telemetry schema stays stable across samples.
+        out.counter(n, "self_invalidations", self.self_invalidations as f64);
         if self.state_metrics {
-            let f = self.mshrs.footprint();
-            out.gauge(n, "resident_mshrs", f.resident as f64);
-            out.gauge(n, "resident_regions", f.regions as f64);
-            out.gauge(n, "state_bytes", f.state_bytes as f64);
+            self.mshrs.footprint().emit(out, n, true);
         }
     }
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        for (kind, label) in [
-            (AccessKind::Load, "load"),
-            (AccessKind::Store, "store"),
-            (AccessKind::Rmw, "rmw"),
-        ] {
-            let s = &self.stats[kind as usize];
-            out.set(format!("{n}.{label}.hits"), s.hits as f64);
-            out.set(format!("{n}.{label}.misses"), s.misses as f64);
+        for (s, (label, _, _)) in self.stats.iter().zip(KIND_LABELS) {
             s.hist.report_into(out, &format!("{n}.{label}.lat"));
             for band in c3_sim::stats::Band::ALL {
                 out.set(
@@ -1370,15 +1364,6 @@ impl Component<SysMsg> for L1Controller {
                 );
             }
         }
-        out.set(format!("{n}.writebacks"), self.writebacks as f64);
-        out.set(
-            format!("{n}.invalidations"),
-            self.invalidations_received as f64,
-        );
-        out.set(
-            format!("{n}.self_invalidations"),
-            self.self_invalidations as f64,
-        );
         // Only present when poison actually reached a consumer, so
         // fault-free runs keep byte-identical reports.
         if self.poisoned_reads > 0 {
@@ -1390,13 +1375,6 @@ impl Component<SysMsg> for L1Controller {
                 format!("{n}.protocol_violations"),
                 self.violations.len() as f64,
             );
-        }
-        // Footprint lines exist only when opted in, keeping default-wired
-        // reports byte-identical.
-        if self.state_metrics {
-            let f = self.mshrs.footprint();
-            out.set(format!("{n}.peak_resident_mshrs"), f.peak_resident as f64);
-            out.set(format!("{n}.peak_state_bytes"), f.peak_state_bytes as f64);
         }
     }
 

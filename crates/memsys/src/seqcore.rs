@@ -119,11 +119,11 @@ impl Component<SysMsg> for SeqCore {
         self.pc >= self.program.len() && self.waiting_tag.is_none()
     }
 
+    fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
+        out.counter(&self.name, "retired", self.instructions_retired as f64);
+    }
+
     fn report(&self, out: &mut Report) {
-        out.set(
-            format!("{}.retired", self.name),
-            self.instructions_retired as f64,
-        );
         if let Some(t) = self.finished_at {
             out.set(format!("{}.finished_ns", self.name), t.as_ns() as f64);
         }

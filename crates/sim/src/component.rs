@@ -94,16 +94,22 @@ pub trait Component<M: Message>: Any + Send {
         true
     }
 
-    /// Contribute statistics to a run report.
+    /// Contribute to a run report what cannot be a fixed telemetry
+    /// column: latency histograms, band breakdowns, keys written only
+    /// when nonzero. Every counter [`Component::metrics`] declares is
+    /// already in the report; never write one of those keys here.
     fn report(&self, _out: &mut Report) {}
 
-    /// Contribute sampled telemetry (gauges and cumulative counters) to
-    /// one [`MetricSample`] window. Called by the kernel's
+    /// Declare the component's gauges and cumulative counters — its one
+    /// counter schema — into a [`MetricSample`]. Called by the kernel's
     /// [`crate::metrics::MetricsHub`] at every sample boundary when
-    /// telemetry is enabled; never called otherwise. Implementations
-    /// must emit the same metrics in the same order on every call (the
-    /// first call registers the schema) and must not mutate simulation
-    /// state (`&self` enforces this). The default emits nothing.
+    /// telemetry is enabled, and once per [`crate::kernel::Simulator::report`],
+    /// which copies the counter columns into the report under their
+    /// column names. Implementations must emit the same metrics in the
+    /// same order on every call (the first call registers the schema;
+    /// opt-in groups are gated on flags fixed for the run) and must not
+    /// mutate simulation state (`&self` enforces this). The default
+    /// emits nothing.
     fn metrics(&self, _out: &mut MetricSample) {}
 
     /// Describe every transaction currently in flight inside this

@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use crate::component::{Component, ComponentId, Ctx, Message};
 use crate::equeue::CalendarQueue;
 use crate::fabric::Fabric;
-use crate::metrics::MetricsHub;
+use crate::metrics::{MetricSample, MetricsHub};
 use crate::rng::SimRng;
 use crate::stats::Report;
 use crate::time::{Delay, Time};
@@ -460,10 +460,17 @@ impl<M: Message> Simulator<M> {
         metrics.end_window();
     }
 
-    /// Collect statistics from every component into one report.
+    /// Collect statistics from every component into one report: each
+    /// component's counter columns from one final telemetry sample, then
+    /// what its [`Component::report`] adds beyond them.
     pub fn report(&self) -> Report {
         let mut out = Report::new();
+        let mut sample = MetricSample::new();
         for c in &self.components {
+            c.metrics(&mut sample);
+            for (name, v) in sample.take_counters() {
+                out.set(name, v);
+            }
             c.report(&mut out);
         }
         out.set("sim.time_ns", self.now.as_ns() as f64);
@@ -505,6 +512,11 @@ impl<M: Message> Simulator<M> {
     /// Number of registered components.
     pub fn component_count(&self) -> usize {
         self.components.len()
+    }
+
+    /// Every component, indexed by [`ComponentId::index`].
+    pub fn components(&self) -> impl Iterator<Item = &dyn Component<M>> {
+        self.components.iter().map(|c| c.as_ref())
     }
 }
 

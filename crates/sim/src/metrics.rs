@@ -1,9 +1,12 @@
 //! Deterministic sampled time-series telemetry.
 //!
-//! Everything the simulator reports today is an end-of-run aggregate;
-//! this module adds the *time axis*: a [`MetricsHub`] registered on the
-//! [`crate::kernel::Simulator`] samples a fixed set of gauges and
-//! cumulative counters every `sample_interval` of **simulated** time.
+//! A [`MetricsHub`] registered on the [`crate::kernel::Simulator`]
+//! samples a fixed set of gauges and cumulative counters every
+//! `sample_interval` of **simulated** time. The schema is the one each
+//! component declares in [`crate::component::Component::metrics`]; the
+//! end-of-run report is that schema's final sample (its counter columns,
+//! see [`crate::kernel::Simulator::report`]), so a counter is declared
+//! once and reads the same in both views.
 //! Wall-clock never enters the picture (the determinism lint in
 //! `tests/lint.rs` applies to this file like any other), so same-seed
 //! runs produce byte-identical timeseries.
@@ -127,10 +130,27 @@ impl MetricSample {
         self.emit_with(MetricKind::Counter, v, || format!("{group}.{idx}.{name}"));
     }
 
-    /// Whether this sample is the registering (first) one. Instrumented
-    /// code never needs this; exposed for diagnostics.
-    pub fn registering(&self) -> bool {
-        self.registering
+    /// A registering sample, detached from any hub: every call appends a
+    /// column. [`crate::kernel::Simulator::report`] fills one with each
+    /// component's final sample.
+    pub fn new() -> Self {
+        MetricSample {
+            registering: true,
+            ..MetricSample::default()
+        }
+    }
+
+    /// Take the counter columns as `(name, value)`, in emission order,
+    /// and empty the sample (gauges are dropped; the buffers keep their
+    /// capacity for the next component).
+    pub fn take_counters(&mut self) -> impl Iterator<Item = (String, f64)> + '_ {
+        self.cursor = 0;
+        self.names
+            .drain(..)
+            .zip(self.kinds.drain(..))
+            .zip(self.row.drain(..))
+            .filter(|&((_, k), _)| k == MetricKind::Counter)
+            .map(|((n, _), v)| (n, v))
     }
 }
 

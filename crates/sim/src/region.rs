@@ -61,6 +61,7 @@ use std::fmt;
 use std::mem;
 
 use crate::hash::FxHashMap;
+use crate::metrics::MetricSample;
 
 /// Lines per region: 64 cachelines of 64 B = one 4 KiB page, so a
 /// region's presence set is exactly one machine word.
@@ -133,6 +134,29 @@ pub struct Footprint {
     pub state_bytes: usize,
     /// High-water mark of `state_bytes`.
     pub peak_state_bytes: usize,
+}
+
+impl Footprint {
+    /// Emit the opt-in `state_metrics` group under `group`: gauges for
+    /// the current `resident_lines`, `resident_regions` and
+    /// `state_bytes`; counters for the monotone `touched_lines`,
+    /// `peak_resident_lines` and `peak_state_bytes`. An L1's MSHR store
+    /// (`mshrs`) names its entries `*_mshrs` and has no `touched_lines`.
+    pub fn emit(&self, out: &mut MetricSample, group: &str, mshrs: bool) {
+        let (resident, peak) = if mshrs {
+            ("resident_mshrs", "peak_resident_mshrs")
+        } else {
+            ("resident_lines", "peak_resident_lines")
+        };
+        out.gauge(group, resident, self.resident as f64);
+        out.gauge(group, "resident_regions", self.regions as f64);
+        out.gauge(group, "state_bytes", self.state_bytes as f64);
+        if !mshrs {
+            out.counter(group, "touched_lines", self.touched as f64);
+        }
+        out.counter(group, peak, self.peak_resident as f64);
+        out.counter(group, "peak_state_bytes", self.peak_state_bytes as f64);
+    }
 }
 
 /// Two-level region-compressed map from line index to entry `V`.

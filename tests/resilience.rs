@@ -12,6 +12,8 @@ use c3_protocol::states::ProtocolFamily;
 use c3_sim::fabric::LinkId;
 use c3_sim::fault::FaultPlan;
 use c3_sim::kernel::{RunOutcome, Simulator};
+use c3_sim::metrics::MetricKind;
+use c3_sim::time::Delay;
 
 const SHARED: Addr = Addr(5);
 const ITERS: u64 = 20;
@@ -99,10 +101,13 @@ fn injected_drop_without_resilience_deadlocks_with_named_post_mortem() {
 /// The same scripted loss with timeout/retry enabled: the run converges,
 /// at least one recovery action fires, nothing leaks, and the shared
 /// line holds exactly the fault-free value (Rule II: retries are atomic).
+/// The bridges' resilience-only `retries` counters show up in telemetry
+/// and agree with the report.
 #[test]
 fn injected_drop_with_resilience_recovers_to_exact_value() {
     let (mut sim, handles) = build(Some(ResilienceConfig::new(3_000, 10)));
     drop_first_on_cxl_links(&mut sim, &handles);
+    sim.set_metrics(Delay::from_ns(100));
 
     let outcome = sim.run();
     assert_eq!(
@@ -128,6 +133,29 @@ fn injected_drop_with_resilience_recovers_to_exact_value() {
         recoveries >= 1.0,
         "drop was injected but no recovery action fired"
     );
+
+    sim.sample_metrics_now();
+    let hub = sim.metrics();
+    let tail = hub.windows() - 1;
+    let retries: Vec<(&str, f64)> = hub
+        .metric_names()
+        .iter()
+        .enumerate()
+        .filter(|&(m, n)| n.ends_with(".retries") && hub.metric_kind(m) == MetricKind::Counter)
+        .map(|(m, n)| (n.as_str(), hub.value(tail, m)))
+        .collect();
+    assert!(!retries.is_empty(), "no .retries counter column");
+    assert!(
+        retries.iter().any(|&(_, v)| v > 0.0),
+        "no bridge retried: {retries:?}"
+    );
+    for &(name, v) in &retries {
+        assert_eq!(
+            report.get(name),
+            Some(v),
+            "{name}: telemetry and report disagree"
+        );
+    }
 
     assert!(
         handles.poisoned_addrs(&sim).is_empty(),
