@@ -55,16 +55,12 @@ fn run_cell(cell: &Cell) -> CellResult {
         }
         hist
     });
-    // Deterministic committed-transaction counts: regenerate each
-    // thread's stream (cheap next to the simulation itself).
+    // Deterministic committed-transaction counts: one more generation
+    // pass over the whole system, sharing one sampler across threads.
     let nthreads = cell.cfg.cores_per_cluster * cell.cfg.clusters;
-    let mut txns = OltpTxnCounts::default();
-    for t in 0..nthreads {
-        txns.merge(
-            cell.spec
-                .oltp_txns(t, nthreads, cell.cfg.ops_per_core, cell.cfg.seed),
-        );
-    }
+    let txns = cell
+        .spec
+        .oltp_txns(nthreads, cell.cfg.ops_per_core, cell.cfg.seed);
     // Footprint attribution from the opt-in report keys: the
     // directory tiers emit `touched_lines`/`peak_resident_lines`, and
     // every region store (dirs + L1 MSHR tables) emits

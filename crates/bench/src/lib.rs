@@ -23,6 +23,7 @@ use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
 use c3_mcm::core_model::{CoreConfig, TimingCore};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::msg::SysMsg;
+use c3_protocol::ops::ThreadProgram;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
 use c3_sim::stats::Report;
@@ -180,27 +181,25 @@ pub fn build_sim(
         .seed(cfg.seed)
         .link_latency(cfg.link_latency)
         .ordered_s2m(cfg.ordered_s2m);
-    let spec_copy = *spec;
-    let mcms = cfg.mcms;
-    let protocols = cfg.protocols;
-    let ops = cfg.ops_per_core;
-    let seed = cfg.seed;
-    let cores_per_cluster = cfg.cores_per_cluster;
-    let (mut sim, handles) = builder.build(move |ci, k, l1| {
-        let thread = ci * cores_per_cluster + k;
-        let mcm = if ci % 2 == 0 { mcms.0 } else { mcms.1 };
-        let family = if ci % 2 == 0 {
-            protocols.0
+    let mut programs: Vec<Option<ThreadProgram>> = spec
+        .programs(nthreads, cfg.ops_per_core, cfg.seed)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let (mut sim, handles) = builder.build(|ci, k, l1| {
+        let thread = ci * cfg.cores_per_cluster + k;
+        let (mcm, family) = if ci % 2 == 0 {
+            (cfg.mcms.0, cfg.protocols.0)
         } else {
-            protocols.1
+            (cfg.mcms.1, cfg.protocols.1)
         };
-        let program = spec_copy.generate(thread, nthreads, ops, seed);
+        let program = programs[thread].take().expect("one program per core");
         Box::new(TimingCore::new(
             format!("c{ci}.core{k}"),
             l1,
             CoreConfig::new(mcm, family),
             program,
-            seed ^ (thread as u64) << 32,
+            cfg.seed ^ (thread as u64) << 32,
         ))
     });
     sim.set_event_limit(400_000_000);

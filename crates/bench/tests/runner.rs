@@ -142,11 +142,12 @@ fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
 /// event counts, RNG draws) trips this test. Re-pin deliberately when a
 /// behaviour change is intended (e.g. the inclusive-jitter fix).
 ///
-/// Three configurations: barnes on weak cores; vips on the `stream`
+/// Four configurations: barnes on weak cores; vips on the `stream`
 /// benchmark's pairing (MESI/TSO beside MOESI/weak), which drives the TSO
-/// store buffer, its store-to-load forwarding and the RFO prefetches; and
-/// an RCC (GPU-style) cluster of weak cores beside a MESI cluster of TSO
-/// cores.
+/// store buffer, its store-to-load forwarding and the RFO prefetches; an
+/// RCC (GPU-style) cluster of weak cores beside a MESI cluster of TSO
+/// cores; and the 2²⁰-key `oltp-zipf` engine on MESI weak cores, the only
+/// pin that reaches the OLTP generator and its Zipfian sampler.
 #[test]
 fn report_dump_byte_identity() {
     use ProtocolFamily::{Mesi, Moesi, Rcc};
@@ -168,6 +169,12 @@ fn report_dump_byte_identity() {
             (Rcc, Mesi),
             (Mcm::Weak, Mcm::Tso),
             11_670_868_887_311_467_392,
+        ),
+        (
+            "oltp-zipf",
+            (Mesi, Mesi),
+            (Mcm::Weak, Mcm::Weak),
+            15_559_684_961_206_078_623,
         ),
     ] {
         let spec = WorkloadSpec::by_name(name).expect("workload");

@@ -145,11 +145,26 @@ impl WorkloadSpec {
         }
     }
 
+    /// The programs of all `nthreads` threads, each with `ops` memory
+    /// accesses, deterministically from `seed`: `programs(..)[t]` equals
+    /// `generate(t, ..)`. Per-spec state (the OLTP layout and Zipfian
+    /// sampler) is built once and shared by every thread's stream.
+    pub fn programs(&self, nthreads: usize, ops: usize, seed: u64) -> Vec<ThreadProgram> {
+        if self.pattern == Pattern::OltpKv {
+            let gen = oltp::Generator::new(self);
+            return (0..nthreads).map(|t| gen.thread(t, ops, seed).0).collect();
+        }
+        (0..nthreads)
+            .map(|t| self.generate(t, nthreads, ops, seed))
+            .collect()
+    }
+
     /// Generate the program of thread `thread` of `nthreads`, with `ops`
-    /// memory accesses, deterministically from `seed`.
+    /// memory accesses, deterministically from `seed`. This rebuilds
+    /// per-spec state; use [`WorkloadSpec::programs`] for a whole system.
     pub fn generate(&self, thread: usize, nthreads: usize, ops: usize, seed: u64) -> ThreadProgram {
         if self.pattern == Pattern::OltpKv {
-            return oltp::generate(self, thread, nthreads, ops, seed).0;
+            return oltp::Generator::new(self).thread(thread, ops, seed).0;
         }
         let mut rng = SimRng::seed_from(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let layout = self.layout(nthreads);
@@ -616,21 +631,21 @@ impl WorkloadSpec {
         ]
     }
 
-    /// Per-thread committed-transaction counts of this OLTP spec's
-    /// generated stream (regenerates the stream deterministically).
+    /// Committed-transaction counts of this OLTP spec's whole system,
+    /// summed over its `nthreads` generated streams (one sampler, as in
+    /// [`WorkloadSpec::programs`]).
     ///
     /// # Panics
     ///
     /// Panics if the spec is not [`Pattern::OltpKv`].
-    pub fn oltp_txns(
-        &self,
-        thread: usize,
-        nthreads: usize,
-        ops: usize,
-        seed: u64,
-    ) -> OltpTxnCounts {
+    pub fn oltp_txns(&self, nthreads: usize, ops: usize, seed: u64) -> OltpTxnCounts {
         assert_eq!(self.pattern, Pattern::OltpKv, "not an OLTP spec");
-        oltp::generate(self, thread, nthreads, ops, seed).1
+        let gen = oltp::Generator::new(self);
+        let mut total = OltpTxnCounts::default();
+        for t in 0..nthreads {
+            total.merge(gen.thread(t, ops, seed).1);
+        }
+        total
     }
 
     /// Look up a workload by name (the 33 paper workloads, then the
@@ -678,6 +693,40 @@ mod tests {
         assert_ne!(a, c, "seed must matter");
         let d = spec.generate(1, 8, 200, 42);
         assert_ne!(a, d, "thread id must matter");
+    }
+
+    #[test]
+    fn system_pass_matches_per_thread_generation() {
+        let (n, ops, seed) = (4, 120, 7);
+        for spec in WorkloadSpec::all()
+            .into_iter()
+            .chain(WorkloadSpec::oltp_all())
+        {
+            let programs = spec.programs(n, ops, seed);
+            assert_eq!(programs.len(), n, "{}", spec.name);
+            for (t, p) in programs.iter().enumerate() {
+                assert_eq!(
+                    *p,
+                    spec.generate(t, n, ops, seed),
+                    "{} thread {t}",
+                    spec.name
+                );
+            }
+            if spec.pattern != Pattern::OltpKv {
+                continue;
+            }
+            // The sweep's whole-system counts are the generator's own,
+            // and they describe the programs the system runs.
+            let mut per_thread = OltpTxnCounts::default();
+            for t in 0..n {
+                per_thread.merge(oltp::Generator::new(&spec).thread(t, ops, seed).1);
+            }
+            assert_eq!(spec.oltp_txns(n, ops, seed), per_thread, "{}", spec.name);
+            let instrs = || programs.iter().flat_map(|p| &p.instrs);
+            let rmws = instrs().filter(|i| matches!(i, Instr::Rmw { .. })).count() as u64;
+            let mem_ops = instrs().filter(|i| i.addr().is_some()).count() as u64;
+            assert_eq!((rmws, mem_ops), (per_thread.updates, per_thread.mem_ops));
+        }
     }
 
     #[test]

@@ -137,16 +137,21 @@ fn scatter(rank: u64, keys: u64) -> u64 {
 
 /// The classical Zipfian sampler over `[0, n)` with parameter `theta`
 /// (Gray et al., "Quickly generating billion-record synthetic databases",
-/// SIGMOD'94 — the YCSB formulation). `theta = 0` degenerates to uniform;
-/// `theta → 1` concentrates mass on the lowest ranks. Construction is
-/// O(n) (the ζ(n, θ) sum); sampling is O(1).
+/// SIGMOD'94 — the YCSB formulation). `theta = 0` degenerates to uniform
+/// and builds nothing; `theta → 1` concentrates mass on the lowest ranks.
+/// Skewed construction is O(n) (the ζ(n, θ) sum); sampling is O(1).
 #[derive(Clone, Debug)]
-struct Zipfian {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
+enum Zipfian {
+    /// θ = 0: a uniform draw, which needs no ζ sum.
+    Uniform { n: u64 },
+    /// θ ∈ (0, 1).
+    Skewed {
+        n: u64,
+        theta: f64,
+        alpha: f64,
+        zetan: f64,
+        eta: f64,
+    },
 }
 
 impl Zipfian {
@@ -155,12 +160,15 @@ impl Zipfian {
             (0.0..1.0).contains(&theta),
             "Zipfian skew must be in [0, 1), got {theta}"
         );
+        if theta == 0.0 {
+            return Zipfian::Uniform { n };
+        }
         let zeta = |m: u64| (1..=m).map(|i| 1.0 / (i as f64).powf(theta)).sum::<f64>();
         let zetan = zeta(n);
         let zeta2 = zeta(2);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipfian {
+        Zipfian::Skewed {
             n,
             theta,
             alpha,
@@ -171,24 +179,33 @@ impl Zipfian {
 
     /// Draw a rank in `[0, n)`; rank 0 is the most popular.
     fn sample(&self, rng: &mut SimRng) -> u64 {
-        if self.theta == 0.0 {
-            return rng.below(self.n);
+        match *self {
+            Zipfian::Uniform { n } => rng.below(n),
+            Zipfian::Skewed {
+                n,
+                theta,
+                alpha,
+                zetan,
+                eta,
+            } => {
+                let u = rng.unit_f64();
+                let uz = u * zetan;
+                if uz < 1.0 {
+                    return 0;
+                }
+                if uz < 1.0 + 0.5f64.powf(theta) {
+                    return 1;
+                }
+                let rank = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as u64;
+                rank.min(n - 1)
+            }
         }
-        let u = rng.unit_f64();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        rank.min(self.n - 1)
     }
 }
 
-/// Deterministic per-thread transaction counts of one generated stream
-/// (what the `oltp` harness reports throughput over).
+/// Deterministic transaction counts of one generated stream, or merged
+/// over a whole system's (what the `oltp` harness reports throughput
+/// over).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OltpTxnCounts {
     /// Committed update transactions (tree walk, lock, write, version
@@ -215,64 +232,82 @@ impl OltpTxnCounts {
     }
 }
 
-/// Generate thread `thread`'s transaction stream: whole transactions are
-/// emitted until at least `ops` memory operations have been produced
-/// (the last transaction may overshoot by a few).
-pub(crate) fn generate(
-    spec: &WorkloadSpec,
-    thread: usize,
-    _nthreads: usize,
-    ops: usize,
-    seed: u64,
-) -> (ThreadProgram, OltpTxnCounts) {
-    let mut rng = SimRng::seed_from(seed ^ (thread as u64).wrapping_mul(SCATTER));
-    let layout = OltpLayout::for_keys(spec.hot_lines);
-    let zipf = Zipfian::new(layout.keys, spec.zipf_skew);
-    let mut program = ThreadProgram::new();
-    let mut counts = OltpTxnCounts::default();
+/// An OLTP spec's generator state — the layout and the Zipfian
+/// sampler, whose ζ sum dominates generation at 2²⁰ keys. Built once per
+/// system and shared by every thread's stream; nothing outlives it.
+pub(crate) struct Generator {
+    spec: WorkloadSpec,
+    layout: OltpLayout,
+    zipf: Zipfian,
+}
 
-    while (counts.mem_ops as usize) < ops {
-        if spec.work_cycles > 0 {
-            let w = rng.range(
-                (spec.work_cycles / 2).max(1) as u64,
-                (spec.work_cycles * 3 / 2) as u64,
-            ) as u32;
-            program.instrs.push(Instr::Work(w));
-        }
-        let key = scatter(zipf.sample(&mut rng), layout.keys);
-        let i = counts.total() as usize;
-        let reg = Reg((i % 6) as u8);
-        let val = (thread as u64) << 32 | i as u64;
-        if rng.chance(spec.write_fraction) {
-            // Update transaction: B⁺-tree walk to the leaf, striped lock
-            // acquire (atomic RMW), record read-modify-write, version
-            // bump, lock release. 8 memory operations.
-            program = program
-                .load(Addr(layout.root_line), reg)
-                .load(layout.inner(key), reg)
-                .load(layout.leaf(key), reg)
-                .rmw(layout.lock(key), 1, reg)
-                .load(layout.record(key), reg)
-                .store(layout.record(key), val)
-                .store(layout.version(key), val)
-                .store_rel(layout.lock(key), val);
-            counts.updates += 1;
-            counts.mem_ops += 8;
-        } else {
-            // Read-only transaction: hash-index probe to the leaf, then
-            // an optimistic version-validated record read (version, data,
-            // version again). 5 memory operations.
-            program = program
-                .load(layout.bucket(key), reg)
-                .load(layout.leaf(key), reg)
-                .load_acq(layout.version(key), reg)
-                .load(layout.record(key), reg)
-                .load(layout.version(key), reg);
-            counts.reads += 1;
-            counts.mem_ops += 5;
+impl Generator {
+    pub(crate) fn new(spec: &WorkloadSpec) -> Generator {
+        let layout = OltpLayout::for_keys(spec.hot_lines);
+        Generator {
+            spec: *spec,
+            layout,
+            zipf: Zipfian::new(layout.keys, spec.zipf_skew),
         }
     }
-    (program, counts)
+
+    /// Generate thread `thread`'s transaction stream: whole transactions
+    /// are emitted until at least `ops` memory operations have been
+    /// produced (the last transaction may overshoot by a few).
+    pub(crate) fn thread(
+        &self,
+        thread: usize,
+        ops: usize,
+        seed: u64,
+    ) -> (ThreadProgram, OltpTxnCounts) {
+        let (spec, layout) = (&self.spec, &self.layout);
+        let mut rng = SimRng::seed_from(seed ^ (thread as u64).wrapping_mul(SCATTER));
+        let mut program = ThreadProgram::new();
+        let mut counts = OltpTxnCounts::default();
+
+        while (counts.mem_ops as usize) < ops {
+            if spec.work_cycles > 0 {
+                let w = rng.range(
+                    (spec.work_cycles / 2).max(1) as u64,
+                    (spec.work_cycles * 3 / 2) as u64,
+                ) as u32;
+                program.instrs.push(Instr::Work(w));
+            }
+            let key = scatter(self.zipf.sample(&mut rng), layout.keys);
+            let i = counts.total() as usize;
+            let reg = Reg((i % 6) as u8);
+            let val = (thread as u64) << 32 | i as u64;
+            if rng.chance(spec.write_fraction) {
+                // Update transaction: B⁺-tree walk to the leaf, striped lock
+                // acquire (atomic RMW), record read-modify-write, version
+                // bump, lock release. 8 memory operations.
+                program = program
+                    .load(Addr(layout.root_line), reg)
+                    .load(layout.inner(key), reg)
+                    .load(layout.leaf(key), reg)
+                    .rmw(layout.lock(key), 1, reg)
+                    .load(layout.record(key), reg)
+                    .store(layout.record(key), val)
+                    .store(layout.version(key), val)
+                    .store_rel(layout.lock(key), val);
+                counts.updates += 1;
+                counts.mem_ops += 8;
+            } else {
+                // Read-only transaction: hash-index probe to the leaf, then
+                // an optimistic version-validated record read (version, data,
+                // version again). 5 memory operations.
+                program = program
+                    .load(layout.bucket(key), reg)
+                    .load(layout.leaf(key), reg)
+                    .load_acq(layout.version(key), reg)
+                    .load(layout.record(key), reg)
+                    .load(layout.version(key), reg);
+                counts.reads += 1;
+                counts.mem_ops += 5;
+            }
+        }
+        (program, counts)
+    }
 }
 
 #[cfg(test)]
@@ -283,6 +318,15 @@ mod tests {
         let mut s = WorkloadSpec::oltp_kv("oltp-test", keys, skew);
         s.work_cycles = 0;
         s
+    }
+
+    fn generate(
+        s: &WorkloadSpec,
+        thread: usize,
+        ops: usize,
+        seed: u64,
+    ) -> (ThreadProgram, OltpTxnCounts) {
+        Generator::new(s).thread(thread, ops, seed)
     }
 
     #[test]
@@ -329,6 +373,7 @@ mod tests {
         // third of the samples; uniform would give ~1%.
         assert!(hot * 3 > n, "only {hot}/{n} samples in the top 1%");
         let u = Zipfian::new(1 << 16, 0.0);
+        assert!(matches!(u, Zipfian::Uniform { .. }), "θ = 0 sums no ζ");
         let uhot = (0..n)
             .filter(|_| u.sample(&mut rng) < (1u64 << 16) / 100)
             .count();
@@ -338,20 +383,20 @@ mod tests {
     #[test]
     fn generation_is_deterministic_and_thread_seeded() {
         let s = spec(1 << 10, 0.9);
-        let (a, ca) = generate(&s, 0, 8, 400, 42);
-        let (b, cb) = generate(&s, 0, 8, 400, 42);
+        let (a, ca) = generate(&s, 0, 400, 42);
+        let (b, cb) = generate(&s, 0, 400, 42);
         assert_eq!(a, b);
         assert_eq!(ca, cb);
-        let (c, _) = generate(&s, 1, 8, 400, 42);
+        let (c, _) = generate(&s, 1, 400, 42);
         assert_ne!(a, c, "thread id must matter");
-        let (d, _) = generate(&s, 0, 8, 400, 43);
+        let (d, _) = generate(&s, 0, 400, 43);
         assert_ne!(a, d, "seed must matter");
     }
 
     #[test]
     fn every_lock_acquire_has_a_matching_release() {
         let s = spec(1 << 10, 0.99);
-        let (p, counts) = generate(&s, 2, 8, 1_000, 5);
+        let (p, counts) = generate(&s, 2, 1_000, 5);
         let l = OltpLayout::for_keys(1 << 10);
         let lock_range = l.lock_base..l.version_base;
         let rmws = p
@@ -375,7 +420,7 @@ mod tests {
     #[test]
     fn counts_match_emitted_mem_ops() {
         let s = spec(1 << 10, 0.5);
-        let (p, counts) = generate(&s, 0, 4, 777, 9);
+        let (p, counts) = generate(&s, 0, 777, 9);
         let mem = p.instrs.iter().filter(|i| i.addr().is_some()).count() as u64;
         assert_eq!(mem, counts.mem_ops);
         assert_eq!(counts.mem_ops, 8 * counts.updates + 5 * counts.reads);
@@ -387,7 +432,7 @@ mod tests {
     fn addresses_stay_inside_the_shared_span() {
         let s = spec(1 << 10, 0.99);
         let l = OltpLayout::for_keys(1 << 10);
-        let (p, _) = generate(&s, 3, 8, 2_000, 11);
+        let (p, _) = generate(&s, 3, 2_000, 11);
         for i in &p.instrs {
             if let Some(a) = i.addr() {
                 assert!(a.0 < l.span, "{a} outside span {}", l.span);
@@ -401,7 +446,7 @@ mod tests {
         // accesses revisit a small working set, so distinct-touched stays
         // far below the op count.
         let s = spec(1 << 14, 0.99);
-        let (p, counts) = generate(&s, 0, 8, 20_000, 3);
+        let (p, counts) = generate(&s, 0, 20_000, 3);
         let mut distinct = vec![false; 1 << 14];
         let mut record_ops = 0u64;
         for i in &p.instrs {
