@@ -74,7 +74,6 @@ struct Args {
     l1_cores: Option<u8>,
     max_states: Option<usize>,
     no_symmetry: bool,
-    spill: Option<String>,
     inject: Option<Injection>,
     self_test: bool,
     deep: bool,
@@ -89,7 +88,7 @@ struct Plan {
 }
 
 const USAGE: &str = "usage: modelcheck [--config CxA] [--ops N] [--faults N] [--retries N]
-                  [--l1-cores N] [--max-states N] [--no-symmetry] [--spill PATH]
+                  [--l1-cores N] [--max-states N] [--no-symmetry]
                   [--min-reduction F] [--deep] [--self-test]
                   [--inject lost-grant-livelock|poison-launder|
                             skip-recall-nesting|skip-conflict-stash]
@@ -105,7 +104,6 @@ fn parse_plan() -> Plan {
             l1_cores: args.value("--l1-cores")?,
             max_states: args.value("--max-states")?,
             no_symmetry: args.flag("--no-symmetry"),
-            spill: args.value("--spill")?,
             inject: args
                 .value::<String>("--inject")?
                 .map(|n| cli::lookup("injection", &n, Injection::parse))
@@ -168,8 +166,8 @@ fn plan_runs(args: &Args) -> Vec<ResilientConfig> {
     }
     if args.deep {
         // The headline exhaustive run: 3 hosts × 2 addresses with two
-        // operations per cluster under a one-fault budget. ~18M
-        // unreduced states, explored via ~1.5M canonical
+        // operations per cluster under a one-fault budget. ~18.9M
+        // unreduced states, explored via ~1.6M canonical
         // representatives in well under a minute in release builds.
         let mut cfg = build_config(args, 3, 2);
         cfg.ops_per_cluster = args.ops.unwrap_or(2);
@@ -211,9 +209,7 @@ fn build_config(args: &Args, clusters: usize, addrs: usize) -> ResilientConfig {
         l1_cores: args.l1_cores.unwrap_or(d.l1_cores),
         max_states: args.max_states.unwrap_or(d.max_states),
         symmetry: !args.no_symmetry,
-        spill_path: args.spill.clone().map(std::path::PathBuf::from),
         inject: args.inject,
-        ..d
     }
 }
 
@@ -248,18 +244,8 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "{label}: {} canonical / {} unreduced states, {} edges, \
-         reduction {:.2}x (group order {}), {:.2}s{}",
-        r.canonical_states,
-        r.unreduced_states,
-        r.edges,
-        r.reduction_factor,
-        r.group_order,
-        secs,
-        if r.spilled > 0 {
-            format!(" [{} frontier records spilled]", r.spilled)
-        } else {
-            String::new()
-        }
+         reduction {:.2}x (group order {}), {:.2}s",
+        r.canonical_states, r.unreduced_states, r.edges, r.reduction_factor, r.group_order, secs,
     );
     if r.truncated {
         println!(

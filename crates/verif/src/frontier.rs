@@ -1,22 +1,15 @@
-//! Compact hashed visited set and spillable FIFO frontier for large
-//! explicit-state runs.
+//! Compact hashed visited set for large explicit-state runs.
 //!
 //! Keeping every full state in a `HashSet` tops out around a few million
 //! states on a CI worker. This module stores **128-bit fingerprints**
 //! instead (Holzmann-style hash compaction: ~16 bytes per state plus a
-//! 6-byte trace link), and keeps the breadth-first frontier as encoded
-//! byte records that can overflow to a spill file, so the resident set
-//! stays bounded even when the frontier balloons.
+//! 6-byte trace link); the explorer keeps whole states only in its BFS
+//! queue.
 //!
 //! Counterexample traces survive compaction: each visited node records
 //! `(parent, successor ordinal)`. Successor enumeration is deterministic,
 //! so replaying the ordinal chain from the initial state reconstructs the
 //! exact concrete path without ever storing full states.
-
-use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
 
 use c3_sim::hash::FxHashMap;
 
@@ -118,164 +111,6 @@ impl VisitedSet {
     }
 }
 
-/// FIFO queue of byte records with an optional spill file.
-///
-/// Records are kept in memory up to `mem_cap`; beyond that (or while
-/// spilled records remain unread, to preserve FIFO order) they are
-/// appended to the spill file and read back in write order. With no
-/// spill path configured the queue is purely in-memory and unbounded.
-pub struct SpillQueue {
-    mem: VecDeque<Vec<u8>>,
-    mem_cap: usize,
-    path: Option<PathBuf>,
-    spill: Option<Spill>,
-    /// Total records ever written to the spill file (statistic).
-    pub spilled: u64,
-    /// High-water mark of in-memory records (statistic).
-    pub peak_mem: usize,
-    len: usize,
-}
-
-struct Spill {
-    file: File,
-    write_off: u64,
-    read_off: u64,
-    pending: u64,
-    rbuf: Vec<u8>,
-    rbuf_pos: usize,
-}
-
-const READ_CHUNK: usize = 1 << 20;
-
-impl SpillQueue {
-    /// A queue spilling to `path` once more than `mem_cap` records are
-    /// resident. `path: None` disables spilling.
-    pub fn new(path: Option<PathBuf>, mem_cap: usize) -> Self {
-        SpillQueue {
-            mem: VecDeque::new(),
-            mem_cap: mem_cap.max(1),
-            path,
-            spill: None,
-            spilled: 0,
-            peak_mem: 0,
-            len: 0,
-        }
-    }
-
-    /// Records currently queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append a record.
-    pub fn push(&mut self, rec: &[u8]) {
-        self.len += 1;
-        let must_spill = self.path.is_some()
-            && (self.mem.len() >= self.mem_cap
-                || self.spill.as_ref().is_some_and(|s| s.pending > 0));
-        if must_spill {
-            let spill = self.spill.get_or_insert_with(|| {
-                let path = self.path.as_ref().unwrap();
-                let file = File::options()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(path)
-                    .unwrap_or_else(|e| panic!("open spill file {path:?}: {e}"));
-                Spill {
-                    file,
-                    write_off: 0,
-                    read_off: 0,
-                    pending: 0,
-                    rbuf: Vec::new(),
-                    rbuf_pos: 0,
-                }
-            });
-            let mut buf = Vec::with_capacity(4 + rec.len());
-            buf.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-            buf.extend_from_slice(rec);
-            spill
-                .file
-                .seek(SeekFrom::Start(spill.write_off))
-                .expect("seek spill write");
-            spill.file.write_all(&buf).expect("write spill record");
-            spill.write_off += buf.len() as u64;
-            spill.pending += 1;
-            self.spilled += 1;
-        } else {
-            self.mem.push_back(rec.to_vec());
-            self.peak_mem = self.peak_mem.max(self.mem.len());
-        }
-    }
-
-    /// Remove and return the oldest record.
-    pub fn pop(&mut self) -> Option<Vec<u8>> {
-        if let Some(rec) = self.mem.pop_front() {
-            self.len -= 1;
-            return Some(rec);
-        }
-        let spill = self.spill.as_mut()?;
-        if spill.pending == 0 {
-            return None;
-        }
-        let mut len_bytes = [0u8; 4];
-        Self::read_exact(spill, &mut len_bytes);
-        let rec_len = u32::from_le_bytes(len_bytes) as usize;
-        let mut rec = vec![0u8; rec_len];
-        Self::read_exact(spill, &mut rec);
-        spill.pending -= 1;
-        self.len -= 1;
-        if spill.pending == 0 {
-            // Fully drained: rewind so the file is reused, not grown.
-            spill.write_off = 0;
-            spill.read_off = 0;
-            spill.rbuf.clear();
-            spill.rbuf_pos = 0;
-        }
-        Some(rec)
-    }
-
-    fn read_exact(spill: &mut Spill, out: &mut [u8]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if spill.rbuf_pos == spill.rbuf.len() {
-                let avail = (spill.write_off - spill.read_off) as usize;
-                assert!(avail > 0, "spill queue ran dry mid-record");
-                let take = avail.min(READ_CHUNK);
-                spill.rbuf.resize(take, 0);
-                spill.rbuf_pos = 0;
-                spill
-                    .file
-                    .seek(SeekFrom::Start(spill.read_off))
-                    .expect("seek spill read");
-                spill.file.read_exact(&mut spill.rbuf).expect("read spill");
-                spill.read_off += take as u64;
-            }
-            let n = (out.len() - filled).min(spill.rbuf.len() - spill.rbuf_pos);
-            out[filled..filled + n]
-                .copy_from_slice(&spill.rbuf[spill.rbuf_pos..spill.rbuf_pos + n]);
-            spill.rbuf_pos += n;
-            filled += n;
-        }
-    }
-}
-
-impl Drop for SpillQueue {
-    fn drop(&mut self) {
-        if self.spill.take().is_some() {
-            if let Some(path) = &self.path {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,48 +140,5 @@ mod tests {
         assert_eq!(v.path_to(root), Vec::<u16>::new());
         assert_eq!(v.path_to(b), vec![2, 5]);
         assert_eq!(v.len(), 3);
-    }
-
-    #[test]
-    fn queue_is_fifo_without_spill() {
-        let mut q = SpillQueue::new(None, 4);
-        for i in 0..100u32 {
-            q.push(&i.to_le_bytes());
-        }
-        for i in 0..100u32 {
-            assert_eq!(q.pop().unwrap(), i.to_le_bytes());
-        }
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn queue_spills_and_preserves_order() {
-        let path =
-            std::env::temp_dir().join(format!("c3-verif-spill-test-{}.bin", std::process::id()));
-        let mut q = SpillQueue::new(Some(path.clone()), 8);
-        // Interleave pushes and pops across the spill boundary, with
-        // variable-length records.
-        let rec = |i: u32| {
-            let mut r = i.to_le_bytes().to_vec();
-            r.resize(4 + (i as usize % 7), 0xAB);
-            r
-        };
-        let mut next_pop = 0u32;
-        for i in 0..500u32 {
-            q.push(&rec(i));
-            if i % 3 == 0 {
-                assert_eq!(q.pop().unwrap(), rec(next_pop));
-                next_pop += 1;
-            }
-        }
-        assert!(q.spilled > 0, "test never exercised the spill path");
-        while let Some(r) = q.pop() {
-            assert_eq!(r, rec(next_pop));
-            next_pop += 1;
-        }
-        assert_eq!(next_pop, 500);
-        assert_eq!(q.len(), 0);
-        drop(q);
-        assert!(!path.exists(), "spill file not cleaned up");
     }
 }

@@ -16,7 +16,7 @@
 //!   transitions, retry/replay/poison steps explicit, checking SWMR,
 //!   inclusion, staleness, divergence, poison stickiness and deadlock
 //!   freedom. Explored with canonical-form symmetry reduction
-//!   ([`symmetry`]) over a hashed, spillable frontier ([`frontier`]) so
+//!   ([`symmetry`]) over a hashed visited set ([`frontier`]) so
 //!   3-host × 2-address configs are exhaustible in CI. Each design rule
 //!   can be dropped by an [`Injection`] to show the checker finds the
 //!   Fig. 4 and Fig. 2 races.

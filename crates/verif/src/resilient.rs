@@ -43,21 +43,26 @@
 //!   `skip-recall-nesting` answers a BISnp before the nested recall
 //!   (Fig. 4) and `skip-conflict-stash` answers a racing snoop from the
 //!   pre-fill state (Fig. 2).
+//! * The DCOH invalidates the other sharers of a line one at a time, in
+//!   any order: each candidate target is its own successor. (The concrete
+//!   DCOH sends every `BISnpInv` at once; any-order sequential snooping
+//!   is the smallest abstraction that keeps cluster ids interchangeable.)
 //! * Symmetry reduction permutes clusters and addresses, never the cores
 //!   inside a cluster.
 //!
-//! Soundness of the symmetry reduction and the counterexample replay
-//! scheme are documented in [`crate::symmetry`] and
-//! [`crate::frontier`]; DESIGN.md §16 has the full argument.
+//! The explorer keeps the first concrete state it reaches in each orbit;
+//! canonical bytes serve only as the visited-set fingerprint. Soundness
+//! of the symmetry reduction and the counterexample replay scheme are
+//! documented in [`crate::symmetry`] and [`crate::frontier`]; DESIGN.md
+//! §16 has the full argument.
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::collections::{BTreeSet, VecDeque};
 
 use c3_sim::component::ComponentId;
 use c3_sim::time::Time;
 use c3_sim::trace::Tracer;
 
-use crate::frontier::{fingerprint, SpillQueue, VisitedSet, NO_PARENT};
+use crate::frontier::{fingerprint, VisitedSet, NO_PARENT};
 use crate::symmetry::{Symmetric, SymmetryGroup};
 
 /// Maximum clusters the fixed-size state supports.
@@ -379,10 +384,6 @@ pub struct ResilientConfig {
     pub symmetry: bool,
     /// Exploration budget; exceeding it reports truncation.
     pub max_states: usize,
-    /// Spill file for the frontier (None = in-memory only).
-    pub spill_path: Option<PathBuf>,
-    /// In-memory frontier records before spilling.
-    pub spill_mem_cap: usize,
     /// Seeded bug injection.
     pub inject: Option<Injection>,
     /// Cores with private L1s behind each cluster copy
@@ -400,8 +401,6 @@ impl Default for ResilientConfig {
             max_retries: 1,
             symmetry: true,
             max_states: 50_000_000,
-            spill_path: None,
-            spill_mem_cap: 1 << 20,
             inject: None,
             l1_cores: 0,
         }
@@ -475,8 +474,10 @@ impl std::fmt::Display for RViolation {
     }
 }
 
-/// A counterexample: the shortest concrete path to the violating state,
-/// replayed through the [`Tracer`] for a readable post-mortem.
+/// A counterexample: the shortest path to the violating state, replayed
+/// through the [`Tracer`] for a readable post-mortem. The path walks the
+/// concrete states the explorer visited, so a cluster number names the
+/// same cluster in every step.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
     /// Human-readable step labels, `(component index, description)`;
@@ -508,10 +509,6 @@ pub struct ResilientResult {
     /// strict-protocol paths — cross-checked against the PR-5 tables by
     /// `static_checks::check_model_conformance`.
     pub witnesses: Vec<(&'static str, &'static str, &'static str)>,
-    /// Frontier records spilled to disk.
-    pub spilled: u64,
-    /// Peak in-memory frontier length.
-    pub peak_frontier: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -582,8 +579,7 @@ impl RState {
             l1_cores: cfg.l1_cores,
             ..RState::default()
         };
-        // Inactive clusters and cores stay all-zero so the encode/decode
-        // pair round-trips the full fixed-size arrays exactly.
+        // Inactive clusters and cores stay all-zero for the whole run.
         for c in &mut s.cl[..cfg.clusters] {
             if cfg.l1_cores == 0 {
                 c.budget = cfg.ops_per_cluster;
@@ -1187,39 +1183,74 @@ fn issue_snoop(n: &mut RState, a: usize, inv: bool, target: usize, requester: us
     );
 }
 
-/// Admit a request at an unblocked line: grant directly or open the
-/// snoop transaction that clears the way.
-fn admit(n: &mut RState, a: usize, ci: usize, excl: bool, seq: u8, cfg: &ResilientConfig) {
+/// Admit a request at an unblocked line, pushing every outcome to `out`:
+/// grant it (then re-admit the blocked requests), or open the snoop that
+/// clears the way. An ownership request invalidates the other sharers
+/// one at a time in any order, so each of them is a candidate target and
+/// yields its own successor. Always picking one (say the lowest id)
+/// would make the relation depend on cluster ids and break symmetry.
+fn admit_all(
+    mut n: RState,
+    a: usize,
+    ci: usize,
+    excl: bool,
+    seq: u8,
+    cfg: &ResilientConfig,
+    out: &mut Vec<RState>,
+) {
     debug_assert!(n.dir[a].snoop.is_none());
     let others = n.dir[a].holders & !(1 << ci);
-    if excl {
-        if others == 0 {
-            grant(n, a, ci, true, seq, cfg);
-        } else {
-            let target = others.trailing_zeros() as usize;
-            issue_snoop(n, a, true, target, ci, seq);
-        }
-    } else if n.dir[a].excl && others != 0 {
-        let owner = others.trailing_zeros() as usize;
-        issue_snoop(n, a, false, owner, ci, seq);
-    } else {
-        // Shared grant; sole holder gets the writable (E) optimization.
-        let writable = n.dir[a].holders | (1 << ci) == 1 << ci;
-        grant(n, a, ci, writable, seq, cfg);
+    if others == 0 || (!excl && !n.dir[a].excl) {
+        // Nobody to snoop: grant, writable (M, or E for a load) when the
+        // requester is the sole holder.
+        grant(&mut n, a, ci, others == 0, seq, cfg);
+        drain_all(n, a, cfg, out);
+        return;
+    }
+    // Snoop one other holder per successor: to invalidate it for a store,
+    // or, for a load, to downgrade the lone exclusive owner.
+    for target in (0..cfg.clusters).filter(|t| others & (1 << t) != 0) {
+        let mut m = n.clone();
+        issue_snoop(&mut m, a, excl, target, ci, seq);
+        out.push(m);
     }
 }
 
-/// Re-admit blocked requests until the line blocks again or the queue
-/// empties.
-fn drain_queue(n: &mut RState, a: usize, cfg: &ResilientConfig) {
-    while n.dir[a].snoop.is_none() && n.dir[a].qlen > 0 {
-        let (qc, qe, qs) = n.dir[a].queue[0];
-        for i in 1..QCAP {
-            n.dir[a].queue[i - 1] = n.dir[a].queue[i];
-        }
-        n.dir[a].queue[QCAP - 1] = (0, 0, 0);
-        n.dir[a].qlen -= 1;
-        admit(n, a, qc as usize, qe == 1, qs, cfg);
+/// Re-admit the head of the blocked-request queue while the line is
+/// open (every outcome of [`admit_all`] drains on), pushing the results.
+fn drain_all(mut n: RState, a: usize, cfg: &ResilientConfig, out: &mut Vec<RState>) {
+    let d = &mut n.dir[a];
+    if d.snoop.is_some() || d.qlen == 0 {
+        out.push(n);
+        return;
+    }
+    let (qc, qe, qs) = d.queue[0];
+    d.queue.rotate_left(1);
+    d.queue[QCAP - 1] = (0, 0, 0);
+    d.qlen -= 1;
+    admit_all(n, a, qc as usize, qe == 1, qs, cfg, out);
+}
+
+/// Label each successor `out[first..]` of one DCOH step: `what`, plus the
+/// snoop the step opened on address `a`, if any.
+fn label_dcoh(
+    ctx: &mut SuccCtx,
+    cfg: &ResilientConfig,
+    out: &[RState],
+    first: usize,
+    a: usize,
+    what: impl Fn() -> String,
+) {
+    for n in &out[first..] {
+        ctx.label(comp_dcoh(cfg), || match n.dir[a].snoop {
+            Some(sn) => format!(
+                "{}, {} cl{}",
+                what(),
+                if sn.inv { "BISnpInv" } else { "BISnpData" },
+                sn.target
+            ),
+            None => what(),
+        });
     }
 }
 
@@ -1277,13 +1308,14 @@ fn dcoh_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                     ctx.label(comp_dcoh(cfg), || {
                         format!("dcoh: queue {ev} a{a} cl{ci} seq{seq} (line blocked)")
                     });
+                    out.push(n);
                 } else {
-                    admit(&mut n, a, ci, excl, seq, cfg);
-                    ctx.label(comp_dcoh(cfg), || {
+                    let first = out.len();
+                    admit_all(n, a, ci, excl, seq, cfg, out);
+                    label_dcoh(ctx, cfg, out, first, a, || {
                         format!("dcoh: admit {ev} a{a} cl{ci} seq{seq}")
                     });
                 }
-                out.push(n);
             }
             HostMsg::Rsp {
                 addr,
@@ -1315,28 +1347,22 @@ fn dcoh_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                 let sn = s.dir[a].snoop.unwrap();
                 n.dir[a].snoop = None;
                 let req = sn.requester as usize;
+                let first = out.len();
                 if sn.inv {
+                    // Re-admit the request: invalidate a remaining holder
+                    // or grant ownership.
                     n.dir[a].holders &= !(1 << ci);
                     n.dir[a].excl = false;
-                    let remaining = n.dir[a].holders & !(1 << req);
-                    if remaining != 0 {
-                        // More holders to invalidate before granting.
-                        let target = remaining.trailing_zeros() as usize;
-                        issue_snoop(&mut n, a, true, target, req, sn.req_seq);
-                    } else {
-                        grant(&mut n, a, req, true, sn.req_seq, cfg);
-                        drain_queue(&mut n, a, cfg);
-                    }
+                    admit_all(n, a, req, true, sn.req_seq, cfg, out);
                 } else {
                     // Downgrade: the old owner keeps a shared copy.
                     n.dir[a].excl = false;
                     grant(&mut n, a, req, false, sn.req_seq, cfg);
-                    drain_queue(&mut n, a, cfg);
+                    drain_all(n, a, cfg, out);
                 }
-                ctx.label(comp_dcoh(cfg), || {
+                label_dcoh(ctx, cfg, out, first, a, || {
                     format!("dcoh: {ev} a{a} from cl{ci}, resolve snoop epoch {epoch}")
                 });
-                out.push(n);
             }
         }
     }
@@ -1851,183 +1877,24 @@ impl Symmetric for RState {
     }
 }
 
-impl RState {
-    /// Parse an encoding produced by [`Symmetric::encode_perm`] (any
-    /// permutation image decodes to a well-formed, reachability-
-    /// equivalent state; the identity image round-trips exactly).
-    pub fn decode(bytes: &[u8], cfg: &ResilientConfig) -> RState {
-        let (clusters, addrs) = (cfg.clusters, cfg.addrs);
-        let mut p = 0usize;
-        let mut next = |n: usize| {
-            let s = &bytes[p..p + n];
-            p += n;
-            s
-        };
-        let st_of = |b: u8| match b {
-            0 => St::I,
-            1 => St::S,
-            2 => St::M,
-            _ => panic!("bad state byte"),
-        };
-        let mut s = RState {
-            l1_cores: cfg.l1_cores,
-            ..RState::default()
-        };
-        s.ghost_bug = next(1)[0];
-        s.faults_left = next(1)[0];
-        for ci in 0..clusters {
-            s.cl[ci].budget = next(1)[0];
-            let pb = next(8);
-            s.cl[ci].pend = match pb[0] {
-                0 => Pend::Idle,
-                1 => Pend::Fetch {
-                    addr: pb[1],
-                    excl: pb[2] != 0,
-                    seq: pb[3],
-                    retries: pb[4],
-                    stash: (pb[5] != 0).then_some((pb[6] != 0, pb[7])),
-                    core: 0,
-                },
-                _ => panic!("bad pend tag"),
-            };
-            for a in 0..addrs {
-                let b = next(8);
-                s.cl[ci].copy[a] = Copy {
-                    st: st_of(b[0]),
-                    ver: b[1],
-                    decl: b[2] != 0,
-                    taint: b[3] != 0,
-                };
-                s.cl[ci].seen[a] = b[4];
-                s.cl[ci].inst_seq[a] = b[5];
-                s.cl[ci].fetch_ctr[a] = b[6];
-                s.cl[ci].snp_epoch[a] = b[7];
-            }
-            if cfg.l1_cores > 0 {
-                let fetch_core = next(1)[0];
-                if let Pend::Fetch { core, .. } = &mut s.cl[ci].pend {
-                    *core = fetch_core;
-                }
-                for a in 0..addrs {
-                    let b = next(2);
-                    s.cl[ci].recall[a] = (b[0] != 0).then_some((b[0] == 2, b[1]));
-                }
-                for k in 0..cfg.l1_cores as usize {
-                    let core = &mut s.cl[ci].cores[k];
-                    core.budget = next(1)[0];
-                    for a in 0..addrs {
-                        let b = next(5);
-                        core.l1[a] = Copy {
-                            st: st_of(b[0]),
-                            ver: b[1],
-                            decl: b[2] != 0,
-                            taint: b[3] != 0,
-                        };
-                        core.seen[a] = b[4];
-                    }
-                }
-            }
-        }
-        for a in 0..addrs {
-            let b = next(7);
-            s.dir[a].holders = b[0];
-            s.dir[a].excl = b[1] != 0;
-            s.dir[a].mem_ver = b[2];
-            s.dir[a].mem_decl = b[3] != 0;
-            s.dir[a].mem_taint = b[4] != 0;
-            s.dir[a].max_ver = b[5];
-            s.dir[a].epoch = b[6];
-            for ci in 0..clusters {
-                s.dir[a].granted[ci] = next(1)[0];
-            }
-            let sb = next(8);
-            s.dir[a].snoop = (sb[0] != 0).then_some(SnoopSt {
-                inv: sb[1] != 0,
-                target: sb[2],
-                requester: sb[3],
-                req_seq: sb[4],
-                epoch: sb[5],
-                resends: sb[6],
-                after: sb[7],
-            });
-            s.dir[a].qlen = next(1)[0];
-            for i in 0..QCAP {
-                let q = next(3);
-                s.dir[a].queue[i] = if i < s.dir[a].qlen as usize {
-                    (q[0], q[1], q[2])
-                } else {
-                    (0, 0, 0)
-                };
-            }
-        }
-        for ci in 0..clusters {
-            for slot in 0..M2S_CAP {
-                let b = next(8);
-                s.m2s[ci][slot] = match b[0] {
-                    0 => None,
-                    1 => Some(HostMsg::Req {
-                        addr: b[1],
-                        excl: b[2] != 0,
-                        seq: b[3],
-                    }),
-                    2 => Some(HostMsg::Rsp {
-                        addr: b[1],
-                        inv: b[2] != 0,
-                        dirty: (b[3] != 0).then_some((b[4], b[5] != 0, b[6] != 0)),
-                        epoch: b[7],
-                    }),
-                    _ => panic!("bad host-msg tag"),
-                };
-            }
-        }
-        for ci in 0..clusters {
-            for slot in 0..CHAN_CAP {
-                let b = next(8);
-                s.s2m[ci][slot] = match b[0] {
-                    0 => None,
-                    1 => Some(DevMsg::Data {
-                        addr: b[1],
-                        writable: b[2] != 0,
-                        ver: b[3],
-                        seq: b[4],
-                        decl: b[5] != 0,
-                        taint: b[6] != 0,
-                    }),
-                    2 => Some(DevMsg::Snp {
-                        addr: b[1],
-                        inv: b[2] != 0,
-                        epoch: b[3],
-                        after: b[4],
-                    }),
-                    _ => panic!("bad dev-msg tag"),
-                };
-            }
-        }
-        assert_eq!(p, bytes.len(), "trailing bytes in state encoding");
-        s
-    }
-}
-
 // ---------------------------------------------------------------------
 // Exploration driver
 // ---------------------------------------------------------------------
 
-fn group_for(cfg: &ResilientConfig) -> SymmetryGroup {
-    if cfg.symmetry {
+/// Exhaustively explore the resilient protocol under `cfg` and check
+/// every invariant in every reachable state. The BFS keeps one concrete
+/// state per orbit (the first reached); the visited set holds only the
+/// fingerprint of its canonical encoding.
+pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
+    let mut group = if cfg.symmetry {
         SymmetryGroup::new(cfg.clusters, cfg.addrs)
     } else {
         SymmetryGroup::identity(cfg.clusters, cfg.addrs)
-    }
-}
-
-/// Exhaustively explore the resilient protocol under `cfg` (BFS over
-/// canonical representatives) and check every invariant in every
-/// reachable state.
-pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
-    let mut group = group_for(cfg);
+    };
     let group_order = group.order();
     let mut visited = VisitedSet::new();
-    let mut frontier = SpillQueue::new(cfg.spill_path.clone(), cfg.spill_mem_cap);
+    // Boxed, so growing the queue moves pointers, not states.
+    let mut frontier: VecDeque<(u32, Box<RState>)> = VecDeque::new();
     let mut ctx = SuccCtx {
         labels: None,
         witnesses: Some(BTreeSet::new()),
@@ -2040,24 +1907,19 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     let mut violation: Option<(RViolation, u32)> = None;
 
     let init = RState::initial(cfg);
-    let orbit = group.canonical(&init, &mut canon);
-    orbit_sum += orbit as u128;
+    orbit_sum += group.canonical(&init, &mut canon) as u128;
     let init_id = visited
         .insert(fingerprint(&canon), NO_PARENT, 0)
         .expect("fresh visited set");
-    if let Some(v) = init.check(cfg) {
-        violation = Some((v, init_id));
-    } else {
-        let mut rec = Vec::with_capacity(4 + canon.len());
-        rec.extend_from_slice(&init_id.to_le_bytes());
-        rec.extend_from_slice(&canon);
-        frontier.push(&rec);
+    match init.check(cfg) {
+        Some(v) => violation = Some((v, init_id)),
+        None => frontier.push_back((init_id, Box::new(init))),
     }
 
     'bfs: while violation.is_none() && !truncated {
-        let Some(rec) = frontier.pop() else { break };
-        let id = u32::from_le_bytes(rec[..4].try_into().unwrap());
-        let s = RState::decode(&rec[4..], cfg);
+        let Some((id, s)) = frontier.pop_front() else {
+            break;
+        };
         successors(&s, cfg, &mut succs, &mut ctx);
         if succs.is_empty() {
             if !s.done(cfg) {
@@ -2070,15 +1932,14 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
             }
             continue;
         }
-        for (i, succ) in succs.iter().enumerate() {
+        for (i, succ) in succs.drain(..).enumerate() {
             edges += 1;
-            let orbit = group.canonical(succ, &mut canon);
+            let orbit = group.canonical(&succ, &mut canon);
             let Some(tid) = visited.insert(fingerprint(&canon), id, i as u16) else {
                 continue;
             };
             orbit_sum += orbit as u128;
-            let t = RState::decode(&canon, cfg);
-            if let Some(v) = t.check(cfg) {
+            if let Some(v) = succ.check(cfg) {
                 violation = Some((v, tid));
                 break 'bfs;
             }
@@ -2086,10 +1947,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
                 truncated = true;
                 break 'bfs;
             }
-            let mut rec = Vec::with_capacity(4 + canon.len());
-            rec.extend_from_slice(&tid.to_le_bytes());
-            rec.extend_from_slice(&canon);
-            frontier.push(&rec);
+            frontier.push_back((tid, Box::new(succ)));
         }
     }
 
@@ -2108,39 +1966,32 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
         violation,
         truncated,
         witnesses,
-        spilled: frontier.spilled,
-        peak_frontier: frontier.peak_mem,
     }
 }
 
 /// Replay the shortest path to `vid` through the [`Tracer`], producing
-/// both step labels and the tracer's text rendering.
+/// both step labels and the tracer's text rendering. The explorer kept
+/// each state exactly as its parent generated it, so following the
+/// successor ordinals from the initial state revisits the same concrete
+/// states, and a cluster keeps its number from step to step.
 fn build_counterexample(
     cfg: &ResilientConfig,
     visited: &VisitedSet,
     vid: u32,
     what: &RViolation,
 ) -> Counterexample {
-    let ords = visited.path_to(vid);
-    let mut group = group_for(cfg);
     let mut state = RState::initial(cfg);
     let mut ctx = SuccCtx {
         labels: Some(Vec::new()),
         witnesses: None,
     };
     let mut succs = Vec::new();
-    let mut canon = Vec::new();
     let mut steps: Vec<(usize, String)> = Vec::new();
-    for &o in &ords {
+    for o in visited.path_to(vid) {
         successors(&state, cfg, &mut succs, &mut ctx);
-        let labels = ctx.labels.as_ref().expect("labels enabled");
-        let (comp, label) = labels
-            .get(o as usize)
-            .cloned()
-            .unwrap_or((comp_fabric(cfg), format!("<ordinal {o} out of range>")));
-        steps.push((comp, label));
-        group.canonical(&succs[o as usize], &mut canon);
-        state = RState::decode(&canon, cfg);
+        let labels = ctx.labels.as_mut().expect("labels enabled");
+        steps.push(labels.swap_remove(o as usize));
+        state = succs.swap_remove(o as usize);
     }
     let mut tracer = Tracer::enabled(steps.len() + 2);
     let mut names: Vec<String> = (0..cfg.clusters).map(|c| format!("cluster{c}")).collect();
@@ -2190,31 +2041,6 @@ mod tests {
             max_faults: 0,
             max_retries: 0,
             ..tiny(2, 1)
-        }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let with_l1 = ResilientConfig {
-            l1_cores: 2,
-            ..tiny(2, 2)
-        };
-        for cfg in [tiny(2, 2), with_l1] {
-            let mut s = RState::initial(&cfg);
-            let mut ctx = SuccCtx::default();
-            let mut succs = Vec::new();
-            // Walk a few deterministic steps to populate channels and
-            // directory state, round-tripping at each depth.
-            for pick in [0usize, 0, 1, 0, 2, 3, 1, 0] {
-                let mut enc = Vec::new();
-                s.encode_perm(&[0, 1], &[0, 1], &mut enc);
-                assert_eq!(RState::decode(&enc, &cfg), s);
-                successors(&s, &cfg, &mut succs, &mut ctx);
-                if succs.is_empty() {
-                    break;
-                }
-                s = succs[pick.min(succs.len() - 1)].clone();
-            }
         }
     }
 

@@ -5,9 +5,15 @@
 //! the same budget and empty caches, every address starts unowned, and no
 //! transition rule mentions a concrete cluster or address id (FIFO order,
 //! holder bitmaps and message tags are all relabelled consistently under
-//! a permutation). The transition relation is therefore *equivariant*:
+//! a permutation). Where a rule must choose among clusters — the DCOH
+//! invalidating the other sharers of a line one at a time — every choice
+//! is its own successor: the sharers are snooped in any order, never
+//! lowest id first. The transition relation is therefore *equivariant*:
 //! if `s → s'` then `π(s) → π(s')` for every permutation `π` of cluster
-//! ids composed with a permutation of address ids.
+//! ids composed with a permutation of address ids. A fixed sharer order
+//! breaks this once a line has two other sharers (three hosts); the
+//! brute-force differential in `tests/differential.rs` checks 3-host
+//! configs for exactly that reason.
 //!
 //! Under equivariance, exploring one representative per orbit is sound
 //! for all the invariants we check (SWMR, staleness, divergence, poison

@@ -1,10 +1,14 @@
 //! Differential tests for the symmetry-reduced resilient checker.
 //!
 //! Symmetry reduction is sound only if the canonicalized exploration
-//! reaches exactly the same verdicts as brute-force exploration. These
-//! tests pin that property on configurations small enough to exhaust
-//! both ways, pin the flat relation's state counts, and prove the
-//! checker catches seeded protocol bugs and dropped design rules.
+//! reaches exactly the same verdicts as brute-force exploration, which
+//! needs a transition relation that commutes with every cluster and
+//! address permutation. These tests pin that property on configurations
+//! small enough to exhaust both ways (3-host ones included: only there
+//! can a line have two other sharers, so only there does the order in
+//! which the DCOH invalidates them matter), pin the flat relation's
+//! state counts, and prove the checker catches seeded protocol bugs and
+//! dropped design rules.
 
 use c3_verif::resilient::{check_resilient, Injection, ResilientConfig};
 
@@ -32,8 +36,8 @@ fn flat_relation_state_counts_are_pinned() {
     for (clusters, addrs, canonical, unreduced, edges) in [
         (2, 1, 245, 487, 434),
         (2, 2, 355, 1_397, 682),
-        (3, 1, 1_494, 8_706, 3_462),
-        (3, 2, 3_419, 40_211, 8_948),
+        (3, 1, 1_554, 9_066, 3_614),
+        (3, 2, 3_479, 40_931, 9_100),
     ] {
         let r = check_resilient(&cfg(clusters, addrs));
         assert!(r.violation.is_none() && !r.truncated);
@@ -46,8 +50,21 @@ fn flat_relation_state_counts_are_pinned() {
 }
 
 #[test]
-fn symmetry_on_and_off_agree_on_two_cluster_verdicts() {
-    for base in [cfg(2, 1), cfg(2, 2), nested(2, 1), nested(2, 2)] {
+fn symmetry_on_and_off_agree_on_verdicts() {
+    let nested_3x1 = ResilientConfig {
+        ops_per_cluster: 2,
+        max_faults: 0,
+        ..nested(3, 1)
+    };
+    for base in [
+        cfg(2, 1),
+        cfg(2, 2),
+        cfg(3, 1),
+        cfg(3, 2),
+        nested(2, 1),
+        nested(2, 2),
+        nested_3x1,
+    ] {
         let what = format!("{}x{} l1={}", base.clusters, base.addrs, base.l1_cores);
         let reduced = check_resilient(&base);
         let full = check_resilient(&ResilientConfig {
@@ -88,7 +105,7 @@ fn symmetry_preserves_witness_vocabulary() {
     // The table-conformance witnesses must not depend on whether
     // exploration is canonicalized — both runs exercise the same
     // (controller, state, event) set.
-    for base in [cfg(2, 1), nested(2, 1)] {
+    for base in [cfg(2, 1), cfg(3, 1), nested(2, 1)] {
         let reduced = check_resilient(&base);
         let full = check_resilient(&ResilientConfig {
             symmetry: false,
