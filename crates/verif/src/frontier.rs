@@ -11,6 +11,8 @@
 //! so replaying the ordinal chain from the initial state reconstructs the
 //! exact concrete path without ever storing full states.
 
+use std::collections::hash_map::Entry;
+
 use c3_sim::hash::FxHashMap;
 
 /// Sentinel parent index for the initial state.
@@ -78,11 +80,11 @@ impl VisitedSet {
     /// `None` if the state (or a fingerprint-colliding twin) was
     /// already visited.
     pub fn insert(&mut self, fp: u128, parent: u32, ordinal: u16) -> Option<u32> {
-        if self.map.contains_key(&fp) {
+        let Entry::Vacant(slot) = self.map.entry(fp) else {
             return None;
-        }
+        };
         let id = self.links.len() as u32;
-        self.map.insert(fp, id);
+        slot.insert(id);
         self.links.push(TraceLink { parent, ordinal });
         Some(id)
     }

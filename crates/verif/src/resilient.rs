@@ -1752,66 +1752,76 @@ fn relabel_dev_msg(m: &DevMsg, aperm: &[u8]) -> DevMsg {
     m
 }
 
+/// The old index at each new position of a permutation.
+fn inverse<const N: usize>(perm: &[u8]) -> [usize; N] {
+    let mut inv = [0usize; N];
+    for (old, &new) in perm.iter().enumerate() {
+        inv[new as usize] = old;
+    }
+    inv
+}
+
+/// The encoding's header is the fault budget and defect latch; a cluster
+/// block is the cluster's copy, pend and L1 tier; the tail is the DCOH
+/// (which names clusters through holders, grants, the snoop and the
+/// queue), then the channels.
 impl Symmetric for RState {
-    fn encode_perm(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
-        let clusters = cperm.len();
-        let addrs = aperm.len();
-        // Inverse permutations: write fields in *new* index order.
-        let mut inv_c = [0usize; MAX_CLUSTERS];
-        for (old, &new) in cperm.iter().enumerate() {
-            inv_c[new as usize] = old;
-        }
-        let mut inv_a = [0usize; MAX_ADDRS];
-        for (old, &new) in aperm.iter().enumerate() {
-            inv_a[new as usize] = old;
-        }
+    fn encode_header(&self, out: &mut Vec<u8>) {
         out.push(self.ghost_bug);
         out.push(self.faults_left);
-        for &oc in inv_c.iter().take(clusters) {
-            let c = &self.cl[oc];
-            out.push(c.budget);
-            encode_pend(&c.pend, aperm, out);
-            for &oa in inv_a.iter().take(addrs) {
-                out.extend_from_slice(&[
-                    c.copy[oa].st as u8,
-                    c.copy[oa].ver,
-                    c.copy[oa].decl as u8,
-                    c.copy[oa].taint as u8,
-                    c.seen[oa],
-                    c.inst_seq[oa],
-                    c.fetch_ctr[oa],
-                    c.snp_epoch[oa],
-                ]);
-            }
-            // The L1 tier, present only when the run has one, so the flat
-            // relation's encoding is unchanged.
-            if self.l1_cores > 0 {
-                out.push(match c.pend {
-                    Pend::Fetch { core, .. } => core,
-                    Pend::Idle => 0,
+    }
+
+    fn encode_cluster(&self, c: usize, aperm: &[u8], out: &mut Vec<u8>) {
+        let inv_a = &inverse::<MAX_ADDRS>(aperm)[..aperm.len()];
+        let c = &self.cl[c];
+        out.push(c.budget);
+        encode_pend(&c.pend, aperm, out);
+        for &oa in inv_a {
+            out.extend_from_slice(&[
+                c.copy[oa].st as u8,
+                c.copy[oa].ver,
+                c.copy[oa].decl as u8,
+                c.copy[oa].taint as u8,
+                c.seen[oa],
+                c.inst_seq[oa],
+                c.fetch_ctr[oa],
+                c.snp_epoch[oa],
+            ]);
+        }
+        // The L1 tier, present only when the run has one, so the flat
+        // relation's encoding is unchanged.
+        if self.l1_cores > 0 {
+            out.push(match c.pend {
+                Pend::Fetch { core, .. } => core,
+                Pend::Idle => 0,
+            });
+            for &oa in inv_a {
+                out.extend_from_slice(&match c.recall[oa] {
+                    None => [0, 0],
+                    Some((inv, epoch)) => [1 + inv as u8, epoch],
                 });
-                for &oa in inv_a.iter().take(addrs) {
-                    out.extend_from_slice(&match c.recall[oa] {
-                        None => [0, 0],
-                        Some((inv, epoch)) => [1 + inv as u8, epoch],
-                    });
-                }
-                for core in &c.cores[..self.l1_cores as usize] {
-                    out.push(core.budget);
-                    for &oa in inv_a.iter().take(addrs) {
-                        let l = core.l1[oa];
-                        out.extend_from_slice(&[
-                            l.st as u8,
-                            l.ver,
-                            l.decl as u8,
-                            l.taint as u8,
-                            core.seen[oa],
-                        ]);
-                    }
+            }
+            for core in &c.cores[..self.l1_cores as usize] {
+                out.push(core.budget);
+                for &oa in inv_a {
+                    let l = core.l1[oa];
+                    out.extend_from_slice(&[
+                        l.st as u8,
+                        l.ver,
+                        l.decl as u8,
+                        l.taint as u8,
+                        core.seen[oa],
+                    ]);
                 }
             }
         }
-        for &oa in inv_a.iter().take(addrs) {
+    }
+
+    fn encode_tail(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
+        // Write fields in *new* index order.
+        let inv_c = &inverse::<MAX_CLUSTERS>(cperm)[..cperm.len()];
+        let inv_a = &inverse::<MAX_ADDRS>(aperm)[..aperm.len()];
+        for &oa in inv_a {
             let d = &self.dir[oa];
             let mut holders = 0u8;
             for (oc, &ncl) in cperm.iter().enumerate() {
@@ -1828,7 +1838,7 @@ impl Symmetric for RState {
                 d.max_ver,
                 d.epoch,
             ]);
-            for &oc in inv_c.iter().take(clusters) {
+            for &oc in inv_c {
                 out.push(d.granted[oc]);
             }
             match d.snoop {
@@ -1854,23 +1864,24 @@ impl Symmetric for RState {
                 }
             }
         }
-        for &oc in inv_c.iter().take(clusters) {
-            let fifo = &self.m2s[oc];
-            for slot in fifo.iter() {
+        for &oc in inv_c {
+            for slot in self.m2s[oc].iter() {
                 encode_host_msg(slot.as_ref(), aperm, out);
             }
         }
-        let mut relabeled: Vec<DevMsg> = Vec::with_capacity(CHAN_CAP);
-        for &oc in inv_c.iter().take(clusters) {
-            relabeled.clear();
-            for m in self.s2m[oc].iter().flatten() {
-                relabeled.push(relabel_dev_msg(m, aperm));
+        for &oc in inv_c {
+            // The channel is a multiset: relabel, then re-sort (empty
+            // slots sort first and encode as the trailing padding).
+            let mut relabeled = self.s2m[oc];
+            for m in relabeled.iter_mut().flatten() {
+                *m = relabel_dev_msg(m, aperm);
             }
             relabeled.sort_unstable();
-            for m in &relabeled {
+            let held = relabeled.iter().flatten().count();
+            for m in relabeled.iter().flatten() {
                 encode_dev_msg(m, out);
             }
-            for _ in relabeled.len()..CHAN_CAP {
+            for _ in held..CHAN_CAP {
                 out.extend_from_slice(&[0; 8]);
             }
         }

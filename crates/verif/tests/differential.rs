@@ -10,7 +10,13 @@
 //! state counts, and prove the checker catches seeded protocol bugs and
 //! dropped design rules.
 
-use c3_verif::resilient::{check_resilient, Injection, ResilientConfig};
+use std::collections::{HashSet, VecDeque};
+
+use c3_verif::frontier::fingerprint;
+use c3_verif::resilient::{
+    check_resilient, successors, Injection, RState, ResilientConfig, SuccCtx,
+};
+use c3_verif::SymmetryGroup;
 
 fn cfg(clusters: usize, addrs: usize) -> ResilientConfig {
     ResilientConfig {
@@ -96,6 +102,63 @@ fn symmetry_on_and_off_agree_on_verdicts() {
         assert!(
             reduced.reduction_factor > 1.0,
             "{what}: no reduction achieved"
+        );
+    }
+}
+
+/// A BFS that canonicalizes every successor (not only new states) both
+/// ways, pruned and brute force, and asserts they agree on the bytes and
+/// the orbit size. Returns `(canonical, unreduced, edges)`.
+fn pruned_canonical_matches_brute_force(cfg: &ResilientConfig) -> (usize, u128, u64) {
+    let mut group = SymmetryGroup::new(cfg.clusters, cfg.addrs);
+    let (mut pruned, mut brute) = (Vec::new(), Vec::new());
+    let mut canonicalize = |s: &RState| {
+        let orbit = group.canonical(s, &mut pruned);
+        let brute_orbit = group.canonical_brute_force(s, &mut brute);
+        assert_eq!(pruned, brute, "canonical bytes differ from brute force");
+        assert_eq!(orbit, brute_orbit, "orbit size differs from brute force");
+        (fingerprint(&pruned), orbit as u128)
+    };
+    let init = RState::initial(cfg);
+    let (fp, mut unreduced) = canonicalize(&init);
+    let mut seen = HashSet::from([fp]);
+    let mut frontier = VecDeque::from([init]);
+    let (mut succs, mut ctx, mut edges) = (Vec::new(), SuccCtx::default(), 0);
+    while let Some(s) = frontier.pop_front() {
+        successors(&s, cfg, &mut succs, &mut ctx);
+        for succ in succs.drain(..) {
+            edges += 1;
+            let (fp, orbit) = canonicalize(&succ);
+            if seen.insert(fp) {
+                unreduced += orbit;
+                frontier.push_back(succ);
+            }
+        }
+    }
+    (seen.len(), unreduced, edges)
+}
+
+#[test]
+fn pruned_canonical_form_is_the_brute_force_minimum_on_every_edge() {
+    // perfbench's shape, then nested configs. The counts are
+    // `check_resilient`'s, so both walks saw the same graph.
+    for (clusters, addrs, l1_cores, ops, faults, counts) in [
+        (3, 2, 0, 1, 2, (25_097, 297_989, 80_285)),
+        (2, 2, 1, 2, 1, (16_796, 67_029, 37_374)),
+        (3, 1, 1, 2, 0, (14_816, 88_716, 29_043)),
+        (2, 1, 2, 2, 0, (411_562, 823_119, 777_250)),
+    ] {
+        let base = ResilientConfig {
+            l1_cores,
+            ops_per_cluster: ops,
+            max_faults: faults,
+            max_retries: faults,
+            ..cfg(clusters, addrs)
+        };
+        assert_eq!(
+            pruned_canonical_matches_brute_force(&base),
+            counts,
+            "{clusters}x{addrs} l1={l1_cores}: (canonical, unreduced, edges) moved"
         );
     }
 }
