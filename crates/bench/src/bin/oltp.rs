@@ -1,7 +1,7 @@
 //! OLTP/KV sweep: Zipfian skew × cluster count × protocol family over a
 //! 2²⁰-key (≥10⁶ distinct hot cachelines) transaction engine.
 //!
-//! This is the region-store's design-point workload: the coherence
+//! This is the line store's design-point workload: the coherence
 //! directories see a keyspace far larger than the set of lines that is
 //! ever non-quiescent at once, so per-line state must be *materialized on
 //! demand and demoted back to summaries* or the directories' memory
@@ -63,7 +63,7 @@ fn run_cell(cell: &Cell) -> CellResult {
         .oltp_txns(nthreads, cell.cfg.ops_per_core, cell.cfg.seed);
     // Footprint attribution from the opt-in report keys: the
     // directory tiers emit `touched_lines`/`peak_resident_lines`, and
-    // every region store (dirs + L1 MSHR tables) emits
+    // every line store and L1 MSHR table emits
     // `peak_state_bytes`.
     let sum_suffix = |suffix: &str| {
         result
@@ -193,8 +193,8 @@ fn main() {
     }
     println!(
         "\n(touched = distinct directory lines ever seen; peak-res = most ever \
-         materialized at once; res% is the materialization ratio the region \
-         store keeps low)"
+         materialized at once; res% = peak-res / touched, the share of lines \
+         holding a full record at the peak)"
     );
 
     if let Some(path) = json {

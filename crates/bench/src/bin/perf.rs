@@ -12,8 +12,8 @@
 //!   (`metrics+vips/...`) — bounds the allocation cost of the metrics
 //!   hub's steady-state sampling;
 //! * **oltp**: the OLTP/KV quick cell (`oltp-quick/...`, skew 0.99,
-//!   `state_metrics` on) — bounds the region store's promote/demote
-//!   churn, which must recycle allocations at steady state.
+//!   `state_metrics` on) — bounds the per-line store's promote/demote
+//!   churn, which must recycle slab slots at steady state.
 //!
 //! Each measurement reports **events/sec** (wall-clock, noisy) and
 //! **allocs/event** (exact and deterministic for a seed — the process
@@ -208,7 +208,7 @@ fn workload(quick: bool, metrics: bool) -> Measurement {
 
 /// Measure the OLTP/KV engine's quick cell (2¹⁴ keys, skew 0.99, two
 /// clusters, `state_metrics` on — the `--bin oltp --quick` hot cell).
-/// This is the region store's churn workload: every directory line
+/// This is the line store's churn workload: every directory line
 /// promotes and demotes around each transaction, so its allocs/event
 /// budget is what keeps the promotion/demotion cycle
 /// allocation-recycling instead of per-event allocating.

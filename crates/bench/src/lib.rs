@@ -65,7 +65,7 @@ pub struct RunConfig {
     /// 4-cluster cells).
     pub clusters: usize,
     /// Opt in to coherence-state footprint observability (the
-    /// `region::Footprint::emit` group: resident gauges, touched/peak
+    /// `lines::Footprint::emit` group: resident gauges, touched/peak
     /// counters) on the L1s, the bridges and the global directory. Off
     /// by default: the extra keys would shift the pinned report/metrics
     /// fingerprints of existing configs.

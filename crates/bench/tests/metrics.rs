@@ -12,7 +12,9 @@
 //!   reads the same in the report, and no component declares it twice;
 //! * the metrics-on rendering is pinned by fingerprint, like the plain
 //!   report rendering in `runner.rs`;
-//! * grid runs with metrics enabled stay thread-count invariant.
+//! * grid runs with metrics enabled stay thread-count invariant;
+//! * the `state_metrics` footprint counts of the OLTP quick cell are
+//!   pinned.
 
 use c3::system::GlobalProtocol;
 use c3_bench::runner::{self, Experiment};
@@ -208,4 +210,34 @@ fn metrics_grid_is_thread_count_invariant() {
             .all(|r| r.report.iter().any(|(k, _)| k.starts_with("metrics."))),
         "grid reports missing metrics. keys"
     );
+}
+
+/// `touched_lines` and `peak_resident_lines` are properties of the
+/// simulated machine (lines a directory ever saw, lines non-quiescent at
+/// once), not of the line store's host layout, so no store change may
+/// move them. This is the `oltp --quick` skew-0.99 cell; the sums match
+/// its `oltp --quick --json` row. `peak_state_bytes` is a host-memory
+/// estimate and is not pinned.
+#[test]
+fn oltp_quick_footprint_counts_are_pinned() {
+    let mut spec = WorkloadSpec::by_name("oltp-quick").expect("workload");
+    spec.zipf_skew = 0.99;
+    let mut cfg = RunConfig::scaled(
+        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
+        GlobalProtocol::Cxl,
+        (Mcm::Weak, Mcm::Weak),
+    )
+    .with_clusters(2)
+    .with_state_metrics();
+    cfg.ops_per_core = 300;
+    let report = run_workload(&spec, &cfg).report;
+    let sum = |suffix: &str| -> f64 {
+        report
+            .iter()
+            .filter(|(k, _)| k.ends_with(suffix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    assert_eq!(sum(".touched_lines"), 1889.0);
+    assert_eq!(sum(".peak_resident_lines"), 975.0);
 }

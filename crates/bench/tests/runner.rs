@@ -99,7 +99,7 @@ fn perf_quick_smoke() {
     let _ = std::fs::remove_file(&out);
     // Schema v2: a `runs` array accumulating both invocations, each with
     // a ping-pong, a workload, a metrics-enabled workload, and an OLTP
-    // region-store measurement carrying throughput and allocs/event. The
+    // line-store measurement carrying throughput and allocs/event. The
     // bin itself exits nonzero on zero throughput or a blown alloc
     // budget, so reaching here already covers the gates — plus a direct
     // parse of every events_per_sec.

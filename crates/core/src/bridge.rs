@@ -270,7 +270,7 @@ pub struct C3Bridge {
     abandoned: u64,
     dup_suppressed: u64,
     poisoned_fills: u64,
-    /// Opt-in region-store footprint keys (`RunConfig::state_metrics`):
+    /// Opt-in line-store footprint keys (`RunConfig::state_metrics`):
     /// off by default so the pinned report/metrics fingerprints hold.
     state_metrics: bool,
 }
@@ -320,7 +320,7 @@ impl C3Bridge {
     }
 
     /// Opt in to the local directory's footprint group
-    /// (`c3_sim::region::Footprint::emit`).
+    /// (`c3_sim::lines::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }

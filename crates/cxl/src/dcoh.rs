@@ -29,7 +29,7 @@ use c3_protocol::msg::{CxlGrant, CxlMsg};
 use c3_protocol::ops::Addr;
 use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet};
 use c3_sim::component::ComponentId;
-use c3_sim::region::{Footprint, RegionEntry, RegionMap};
+use c3_sim::lines::{Footprint, LineEntry, LineMap};
 use c3_sim::time::{Delay, Time};
 use c3_sim::trace::InflightTxn;
 
@@ -198,7 +198,7 @@ struct LineSummary {
     poisoned: bool,
 }
 
-impl RegionEntry for Line {
+impl LineEntry for Line {
     type Summary = LineSummary;
 
     fn try_demote(&self) -> Option<LineSummary> {
@@ -242,7 +242,7 @@ impl RegionEntry for Line {
 /// ```
 #[derive(Debug, Default)]
 pub struct DcohEngine {
-    lines: RegionMap<Line>,
+    lines: LineMap<Line>,
     /// First-contact host registry backing each line's `req_mask`: host
     /// `hosts[i]` owns bit `i`. Deterministic (engine processing order)
     /// and tiny — one entry per bridge, linear scan beats hashing.
@@ -412,7 +412,7 @@ impl DcohEngine {
         )
     }
 
-    /// Region-store footprint snapshot: touched/resident line counts and
+    /// Line-store footprint snapshot: touched/resident line counts and
     /// the (estimated) coherence-state bytes, with peaks.
     pub fn footprint(&self) -> Footprint {
         self.lines.footprint()
@@ -440,7 +440,7 @@ impl DcohEngine {
             }))
             .collect();
         // Ties broken by address so the profile does not depend on
-        // region-table iteration order.
+        // line-map iteration order.
         v.sort_by_key(|h| (std::cmp::Reverse(h.reads + h.writes), h.addr));
         v.truncate(n);
         v
@@ -1084,7 +1084,7 @@ pub fn dcoh_transition_table() -> TransitionTable {
         ));
     }
 
-    // ---- region-summary demotion (PR-9): an internal "Quiesce" step.
+    // ---- line-summary demotion: an internal "Quiesce" step.
     // A line may drop to its flat summary only in a stable holder class,
     // and demotion must neither change protocol state nor emit messages
     // (self-loop, no actions). Transactional states must stay resident.
@@ -1131,7 +1131,7 @@ pub fn dcoh_transition_table() -> TransitionTable {
         initial: vec!["NoHolders"],
         forbidden: vec![],
         // Everything the DCOH consumes arrives over the wire from the
-        // bridges; only the internal region-summary demotion step
+        // bridges; only the internal line-summary demotion step
         // originates locally.
         assumed_available: vec!["Quiesce"],
         rows,

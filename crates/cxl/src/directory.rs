@@ -33,7 +33,7 @@ pub struct CxlDirectory {
     retry: Option<SnoopRetryPolicy>,
     /// Whether a deadline-scan wakeup is already scheduled.
     armed: bool,
-    /// Emit region-store footprint gauges/report lines. Off by default:
+    /// Emit line-store footprint gauges/report lines. Off by default:
     /// the extra keys would shift the pinned report/metrics fingerprints
     /// of existing configurations.
     state_metrics: bool,
@@ -54,7 +54,7 @@ impl CxlDirectory {
     }
 
     /// Opt in to the DCOH's footprint group
-    /// (`c3_sim::region::Footprint::emit`).
+    /// (`c3_sim::lines::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }

@@ -27,7 +27,7 @@ use c3_protocol::msg::{Grant, HostMsg};
 use c3_protocol::ops::Addr;
 use c3_protocol::ssp::DirPolicy;
 use c3_sim::component::ComponentId;
-use c3_sim::region::{Footprint, RegionEntry, RegionMap};
+use c3_sim::lines::{Footprint, LineEntry, LineMap};
 
 /// Which private caches hold a line, from the directory's point of view.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -204,7 +204,7 @@ struct LineSummary {
     poisoned: bool,
 }
 
-impl RegionEntry for Line {
+impl LineEntry for Line {
     type Summary = LineSummary;
 
     fn try_demote(&self) -> Option<LineSummary> {
@@ -254,7 +254,7 @@ pub struct BusyLine {
 pub struct DirEngine {
     policy: DirPolicy,
     self_id: ComponentId,
-    lines: RegionMap<Line>,
+    lines: LineMap<Line>,
     /// Statistics: transactions that had to consult the backend.
     pub backend_reads: u64,
     /// Statistics: write-permission backend consultations.
@@ -272,7 +272,7 @@ impl DirEngine {
         DirEngine {
             policy,
             self_id,
-            lines: RegionMap::new(),
+            lines: LineMap::default(),
             backend_reads: 0,
             backend_writes: 0,
             recalls: 0,
@@ -281,7 +281,7 @@ impl DirEngine {
     }
 
     /// Current holders of a line. Demoted (quiescent) lines have no
-    /// holders by the region-store invariant.
+    /// holders: a line with holders never demotes.
     pub fn holders(&self, addr: Addr) -> Holders {
         self.lines
             .get(addr.0)
@@ -340,7 +340,7 @@ impl DirEngine {
         (self.lines.touched_lines() as usize, busy, queued)
     }
 
-    /// Region-store footprint snapshot: touched/resident line counts and
+    /// Line-store footprint snapshot: touched/resident line counts and
     /// the (estimated) coherence-state bytes, with peaks.
     pub fn footprint(&self) -> Footprint {
         self.lines.footprint()

@@ -26,7 +26,7 @@ pub struct GlobalMesiDir {
     policy: DirPolicy,
     mem_latency: Delay,
     data_responses: u64,
-    /// Emit region-store footprint gauges/report lines. Off by default:
+    /// Emit line-store footprint gauges/report lines. Off by default:
     /// the extra keys would shift the pinned report/metrics fingerprints
     /// of existing configurations.
     state_metrics: bool,
@@ -48,7 +48,7 @@ impl GlobalMesiDir {
     }
 
     /// Opt in to the directory's footprint group
-    /// (`c3_sim::region::Footprint::emit`).
+    /// (`c3_sim::lines::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }

@@ -17,7 +17,8 @@ use c3_protocol::table::{
     Action, ProtocolViolation, TransitionRow, TransitionTable, Vnet, ANY_STATE,
 };
 use c3_sim::component::{Component, ComponentId, Ctx};
-use c3_sim::region::{Footprint, RegionEntry, RegionMap};
+use c3_sim::hash::FxHashMap;
+use c3_sim::lines::Footprint;
 use c3_sim::stats::{LatencyBands, LatencyHistogram, Report};
 use c3_sim::time::{Delay, Time};
 use c3_sim::trace::{InflightTxn, TxnId};
@@ -155,40 +156,6 @@ struct Mshr {
     txn: TxnId,
 }
 
-impl Default for Mshr {
-    fn default() -> Self {
-        Mshr {
-            tstate: TState::IS_D,
-            data: 0,
-            acks: 0,
-            data_received: false,
-            initiator: None,
-            pending: VecDeque::new(),
-            from_release: false,
-            poisoned: false,
-            started: Time::ZERO,
-            txn: TxnId(0),
-        }
-    }
-}
-
-/// MSHRs exist only while a miss is in flight: they are opened with
-/// [`RegionMap::entry`], closed with [`RegionMap::take`], and never
-/// demote to a summary — the region store serves purely as a compact
-/// presence-tracked slab here.
-impl RegionEntry for Mshr {
-    type Summary = ();
-
-    fn try_demote(&self) -> Option<()> {
-        None
-    }
-
-    fn restore(&mut self, _: ()) {
-        // `take` already reset the slot to `Mshr::default()`; nothing is
-        // ever stored in a summary, so a fresh entry needs no field work.
-    }
-}
-
 #[derive(Debug)]
 struct ReleaseOp {
     tag: u64,
@@ -219,7 +186,11 @@ pub struct L1Controller {
     dir_policy: DirPolicy,
     name: String,
     array: CacheArray<Line>,
-    mshrs: RegionMap<Mshr>,
+    /// Open misses by line. Bounded by the core's outstanding accesses,
+    /// so MSHRs never need summarizing like directory lines do.
+    mshrs: FxHashMap<u64, Mshr>,
+    /// High-water mark of `mshrs.len()` (`state_metrics`).
+    peak_mshrs: usize,
     release: Option<ReleaseOp>,
     /// Stats per access kind (indexed by [`AccessKind`]).
     stats: [MissStats; 3],
@@ -231,7 +202,7 @@ pub struct L1Controller {
     /// transition table forbids). Non-empty keeps `done()` false so the
     /// run ends in a deadlock post-mortem that names the violation.
     violations: Vec<ProtocolViolation>,
-    /// Emit region-store footprint gauges/report lines. Off by default:
+    /// Emit MSHR-table footprint gauges/report lines. Off by default:
     /// the extra keys would shift the pinned report/metrics fingerprints
     /// of existing configurations.
     state_metrics: bool,
@@ -245,7 +216,8 @@ impl L1Controller {
             dir_policy: SspSpec::for_family(cfg.family).dir,
             cfg,
             name: name.into(),
-            mshrs: RegionMap::new(),
+            mshrs: FxHashMap::default(),
+            peak_mshrs: 0,
             release: None,
             stats: Default::default(),
             writebacks: 0,
@@ -257,8 +229,8 @@ impl L1Controller {
         }
     }
 
-    /// Opt in to the MSHR store's footprint group
-    /// (`c3_sim::region::Footprint::emit`).
+    /// Opt in to the MSHR table's footprint group
+    /// (`c3_sim::lines::Footprint::emit`).
     pub fn set_state_metrics(&mut self, on: bool) {
         self.state_metrics = on;
     }
@@ -297,7 +269,7 @@ impl L1Controller {
     /// transaction is in flight, else the resident stable state, else I.
     /// Allocation-free — it feeds the per-event debug conformance assert.
     fn table_state(&self, addr: Addr) -> &'static str {
-        if let Some(m) = self.mshrs.get(addr.0) {
+        if let Some(m) = self.mshrs.get(&addr.0) {
             m.tstate.name()
         } else {
             self.line_state(addr).name()
@@ -324,9 +296,9 @@ impl L1Controller {
         );
     }
 
-    /// Debug-mode quiescence check (PR-9 region summaries): a line that
-    /// just shed its MSHR must land in a state whose `Quiesce` table row
-    /// permits dropping the resident record.
+    /// Debug-mode quiescence check: a line that just shed its MSHR must
+    /// land in a state whose `Quiesce` table row permits dropping the
+    /// resident record.
     #[cfg(debug_assertions)]
     fn assert_quiesced(&self, addr: Addr) {
         let table = self.table();
@@ -342,12 +314,6 @@ impl L1Controller {
     /// Miss statistics for one access kind.
     pub fn stats(&self, kind: AccessKind) -> &MissStats {
         &self.stats[kind as usize]
-    }
-
-    /// MSHR region-store footprint snapshot (touched/resident lines,
-    /// state bytes, with peaks).
-    pub fn mshr_footprint(&self) -> Footprint {
-        self.mshrs.footprint()
     }
 
     /// Stable state currently held for `addr` (I if absent or transient).
@@ -432,7 +398,7 @@ impl L1Controller {
             let name = format!("{tstate:?} {addr}");
             ctx.trace_begin(txn, "l1", name);
         }
-        *self.mshrs.entry(addr.0) = Mshr {
+        let mshr = Mshr {
             tstate,
             data,
             acks: 0,
@@ -444,6 +410,8 @@ impl L1Controller {
             started: ctx.now,
             txn,
         };
+        self.mshrs.insert(addr.0, mshr);
+        self.peak_mshrs = self.peak_mshrs.max(self.mshrs.len());
     }
 
     /// Make room for `addr`, starting a victim eviction if necessary.
@@ -461,7 +429,7 @@ impl L1Controller {
         for _ in 0..self.cfg.ways + 1 {
             match self.array.victim(addr) {
                 None => return, // free way or line already resident
-                Some((v, _)) if self.mshrs.get(v.0).is_some() => {
+                Some((v, _)) if self.mshrs.contains_key(&v.0) => {
                     self.array.get_mut(v); // bump LRU, try the next victim
                 }
                 Some((v, _)) => {
@@ -523,7 +491,7 @@ impl L1Controller {
         self.open_mshr(vaddr, tstate, line.data, None, false, ctx);
         // An evicted poisoned line may still be asked to supply data
         // (Fwd* while the Put* drains); keep the mark with the buffer.
-        self.mshrs.get_mut(vaddr.0).expect("just opened").poisoned = line.poisoned;
+        self.mshrs.get_mut(&vaddr.0).expect("just opened").poisoned = line.poisoned;
         self.send_dir(msg, ctx);
     }
 
@@ -552,7 +520,7 @@ impl L1Controller {
             .collect();
         let mut count = 0;
         for (a, data) in dirty {
-            if self.mshrs.get(a.0).is_some() {
+            if self.mshrs.contains_key(&a.0) {
                 continue; // already being written through (eviction)
             }
             // Retain a clean copy after the write-through.
@@ -618,7 +586,7 @@ impl L1Controller {
             // early so the in-order drain hits. Never queued behind an
             // existing transaction — it is only a hint.
             self.respond(&req, 0, ctx);
-            if rcc || self.mshrs.get(addr.0).is_some() {
+            if rcc || self.mshrs.contains_key(&addr.0) {
                 return;
             }
             match self.array.get(addr) {
@@ -649,7 +617,7 @@ impl L1Controller {
             self.assert_conforms(event, addr);
         }
         // Same-line transaction in flight: defer.
-        if let Some(mshr) = self.mshrs.get_mut(addr.0) {
+        if let Some(mshr) = self.mshrs.get_mut(&addr.0) {
             mshr.pending.push_back(req);
             return;
         }
@@ -768,7 +736,7 @@ impl L1Controller {
     /// apply the initiating access, respond, unblock the directory and
     /// replay deferred requests.
     fn complete_fill(&mut self, addr: Addr, state: StableState, ctx: &mut Ctx<'_, SysMsg>) {
-        let mut mshr = self.mshrs.take(addr.0).expect("mshr present");
+        let mut mshr = self.mshrs.remove(&addr.0).expect("mshr present");
         let mut line = Line {
             state,
             data: mshr.data,
@@ -841,7 +809,7 @@ impl L1Controller {
     }
 
     fn retire_mshr(&mut self, addr: Addr, ctx: &mut Ctx<'_, SysMsg>) {
-        let mshr = self.mshrs.take(addr.0).expect("mshr present");
+        let mshr = self.mshrs.remove(&addr.0).expect("mshr present");
         debug_assert!(mshr.initiator.is_none());
         #[cfg(debug_assertions)]
         self.assert_quiesced(addr);
@@ -862,7 +830,7 @@ impl L1Controller {
                 ..
             } => {
                 if !matches!(
-                    self.mshrs.get(addr.0).map(|m| m.tstate),
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
                     Some(TState::IS_D | TState::IM_AD | TState::SM_AD)
                 ) {
                     let state = self.table_state(addr);
@@ -871,7 +839,7 @@ impl L1Controller {
                 }
                 #[cfg(debug_assertions)]
                 self.assert_conforms("Data", addr);
-                let mshr = self.mshrs.get_mut(addr.0).expect("checked above");
+                let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
                 mshr.data = data;
                 mshr.poisoned |= poisoned;
                 mshr.data_received = true;
@@ -898,7 +866,7 @@ impl L1Controller {
             }
             HostMsg::InvAck { .. } => {
                 if !matches!(
-                    self.mshrs.get(addr.0).map(|m| m.tstate),
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
                     Some(TState::IM_AD | TState::SM_AD | TState::IM_A | TState::SM_A)
                 ) {
                     let state = self.table_state(addr);
@@ -907,7 +875,7 @@ impl L1Controller {
                 }
                 #[cfg(debug_assertions)]
                 self.assert_conforms("InvAck", addr);
-                let mshr = self.mshrs.get_mut(addr.0).expect("checked above");
+                let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
                 mshr.acks -= 1;
                 if matches!(mshr.tstate, TState::IM_A | TState::SM_A) && mshr.acks <= 0 {
                     self.complete_fill(addr, StableState::M, ctx);
@@ -919,7 +887,7 @@ impl L1Controller {
                 // An upgrading O/F owner (SM_AD) can be asked to supply: the
                 // line is still resident; serve it and keep upgrading.
                 if matches!(
-                    self.mshrs.get(addr.0).map(|m| m.tstate),
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
                     Some(TState::SM_AD)
                 ) {
                     #[cfg(debug_assertions)]
@@ -956,9 +924,9 @@ impl L1Controller {
                         self.dir_policy.owner_after_fwd_gets;
                     return;
                 }
-                if self.mshrs.get(addr.0).is_some() {
+                if self.mshrs.contains_key(&addr.0) {
                     if !matches!(
-                        self.mshrs.get(addr.0).map(|m| m.tstate),
+                        self.mshrs.get(&addr.0).map(|m| m.tstate),
                         Some(TState::SI_A | TState::MI_A | TState::EI_A | TState::OI_A)
                     ) {
                         let state = self.table_state(addr);
@@ -967,7 +935,7 @@ impl L1Controller {
                     }
                     #[cfg(debug_assertions)]
                     self.assert_conforms("FwdGetS", addr);
-                    let mshr = self.mshrs.get_mut(addr.0).expect("checked above");
+                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
                     match mshr.tstate {
                         TState::SI_A => {
                             // Evicting ex-forwarder (MESIF): the eviction
@@ -1081,7 +1049,7 @@ impl L1Controller {
                 // (or recall): supply from the resident line, fall back to
                 // IM_AD and let the own upgrade refill later.
                 if matches!(
-                    self.mshrs.get(addr.0).map(|m| m.tstate),
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
                     Some(TState::SM_AD)
                 ) {
                     #[cfg(debug_assertions)]
@@ -1103,12 +1071,12 @@ impl L1Controller {
                             poisoned: line.poisoned,
                         }),
                     );
-                    self.mshrs.get_mut(addr.0).expect("present").tstate = TState::IM_AD;
+                    self.mshrs.get_mut(&addr.0).expect("present").tstate = TState::IM_AD;
                     return;
                 }
-                if self.mshrs.get(addr.0).is_some() {
+                if self.mshrs.contains_key(&addr.0) {
                     if !matches!(
-                        self.mshrs.get(addr.0).map(|m| m.tstate),
+                        self.mshrs.get(&addr.0).map(|m| m.tstate),
                         Some(TState::MI_A | TState::EI_A | TState::OI_A)
                     ) {
                         let state = self.table_state(addr);
@@ -1117,7 +1085,7 @@ impl L1Controller {
                     }
                     #[cfg(debug_assertions)]
                     self.assert_conforms("FwdGetM", addr);
-                    let mshr = self.mshrs.get_mut(addr.0).expect("checked above");
+                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
                     let dirty = mshr.tstate != TState::EI_A;
                     ctx.send(
                         requestor,
@@ -1159,9 +1127,9 @@ impl L1Controller {
             }
             HostMsg::Inv { requestor, .. } => {
                 self.invalidations_received += 1;
-                if self.mshrs.get(addr.0).is_some() {
+                if self.mshrs.contains_key(&addr.0) {
                     if !matches!(
-                        self.mshrs.get(addr.0).map(|m| m.tstate),
+                        self.mshrs.get(&addr.0).map(|m| m.tstate),
                         Some(TState::SM_AD | TState::SI_A)
                     ) {
                         let state = self.table_state(addr);
@@ -1170,7 +1138,7 @@ impl L1Controller {
                     }
                     #[cfg(debug_assertions)]
                     self.assert_conforms("Inv", addr);
-                    let mshr = self.mshrs.get_mut(addr.0).expect("checked above");
+                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
                     match mshr.tstate {
                         TState::SM_AD => {
                             // Lost the shared copy mid-upgrade; the data
@@ -1209,7 +1177,7 @@ impl L1Controller {
             }
             HostMsg::PutAck { .. } => {
                 if !matches!(
-                    self.mshrs.get(addr.0).map(|m| m.tstate),
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
                     Some(TState::MI_A | TState::OI_A | TState::EI_A | TState::SI_A | TState::II_A)
                 ) {
                     let state = self.table_state(addr);
@@ -1221,14 +1189,17 @@ impl L1Controller {
                 self.retire_mshr(addr, ctx);
             }
             HostMsg::WtAck { .. } => {
-                if !matches!(self.mshrs.get(addr.0).map(|m| m.tstate), Some(TState::WT_A)) {
+                if !matches!(
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
+                    Some(TState::WT_A)
+                ) {
                     let state = self.table_state(addr);
                     self.violation(state, "WtAck", addr, ctx);
                     return;
                 }
                 #[cfg(debug_assertions)]
                 self.assert_conforms("WtAck", addr);
-                let mshr = self.mshrs.get(addr.0).expect("checked above");
+                let mshr = self.mshrs.get(&addr.0).expect("checked above");
                 let from_release = mshr.from_release;
                 self.retire_mshr(addr, ctx);
                 if from_release {
@@ -1245,14 +1216,17 @@ impl L1Controller {
                 }
             }
             HostMsg::AtomicResp { old, .. } => {
-                if !matches!(self.mshrs.get(addr.0).map(|m| m.tstate), Some(TState::AT_D)) {
+                if !matches!(
+                    self.mshrs.get(&addr.0).map(|m| m.tstate),
+                    Some(TState::AT_D)
+                ) {
                     let state = self.table_state(addr);
                     self.violation(state, "AtomicResp", addr, ctx);
                     return;
                 }
                 #[cfg(debug_assertions)]
                 self.assert_conforms("AtomicResp", addr);
-                let mshr = self.mshrs.take(addr.0).expect("checked above");
+                let mshr = self.mshrs.remove(&addr.0).expect("checked above");
                 let initiator = mshr.initiator.expect("atomic has initiator");
                 let latency = ctx.now.since(mshr.started);
                 self.stats[AccessKind::Rmw as usize].bands.record(latency);
@@ -1295,9 +1269,9 @@ impl Component<SysMsg> for L1Controller {
     }
 
     fn inflight(&self, self_id: ComponentId, out: &mut Vec<InflightTxn>) {
-        let mut entries: Vec<_> = self.mshrs.iter_live().collect();
-        entries.sort_by_key(|(a, _)| *a);
-        for (addr, m) in entries {
+        let mut entries: Vec<_> = self.mshrs.iter().collect();
+        entries.sort_by_key(|(a, _)| **a);
+        for (&addr, m) in entries {
             out.push(InflightTxn {
                 component: self_id,
                 addr: Some(addr),
@@ -1336,7 +1310,7 @@ impl Component<SysMsg> for L1Controller {
 
     fn metrics(&self, out: &mut c3_sim::metrics::MetricSample) {
         let n = &self.name;
-        out.gauge(n, "mshr", self.mshrs.resident() as f64);
+        out.gauge(n, "mshr", self.mshrs.len() as f64);
         for (s, (_, hits, misses)) in self.stats.iter().zip(KIND_LABELS) {
             out.counter(n, hits, s.hits as f64);
             out.counter(n, misses, s.misses as f64);
@@ -1345,7 +1319,15 @@ impl Component<SysMsg> for L1Controller {
         out.counter(n, "invalidations", self.invalidations_received as f64);
         out.counter(n, "self_invalidations", self.self_invalidations as f64);
         if self.state_metrics {
-            self.mshrs.footprint().emit(out, n, true);
+            let entry = std::mem::size_of::<(u64, Mshr)>();
+            Footprint {
+                touched: 0,
+                resident: self.mshrs.len(),
+                peak_resident: self.peak_mshrs,
+                state_bytes: self.mshrs.len() * entry,
+                peak_state_bytes: self.peak_mshrs * entry,
+            }
+            .emit(out, n, true);
         }
     }
 
@@ -1471,7 +1453,7 @@ pub fn l1_transition_table(family: ProtocolFamily) -> TransitionTable {
         }
     }
 
-    // Region-summary quiescence: a line may shed its resident MSHR
+    // MSHR quiescence: a line may shed its resident MSHR
     // record only in a stable state, and doing so must not change
     // protocol state or emit messages. Transient states hold an MSHR.
     let mut states: Vec<&'static str> = spec.states().iter().map(|s| s.name()).collect();

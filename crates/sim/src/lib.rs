@@ -47,8 +47,8 @@ pub mod fabric;
 pub mod fault;
 pub mod hash;
 pub mod kernel;
+pub mod lines;
 pub mod metrics;
-pub mod region;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::fault::{FaultPlan, Flap, LinkFaults};
     pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::kernel::{RunOutcome, Simulator};
+    pub use crate::lines::{Footprint, LineEntry, LineMap};
     pub use crate::metrics::{MetricKind, MetricSample, MetricsHub};
-    pub use crate::region::{Footprint, RegionEntry, RegionMap};
     pub use crate::rng::SimRng;
     pub use crate::stats::{Band, LatencyBands, LatencyHistogram, Report};
     pub use crate::time::{Delay, Time};

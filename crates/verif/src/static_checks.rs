@@ -53,7 +53,7 @@ pub enum StaticDefect {
     /// A stall row waits for events that can never arrive or would never
     /// be consumed — a statically detectable deadlock.
     Deadlock(String),
-    /// A `Quiesce` (region-summary demotion) row changes state or emits
+    /// A `Quiesce` (line-summary demotion) row changes state or emits
     /// messages: demotion must be observationally silent.
     Quiescence(String),
     /// The dynamic model checker exercised a `(state, event)` step the
@@ -342,7 +342,7 @@ pub fn check_message_graph(tables: &[&TransitionTable]) -> Vec<StaticDefect> {
     defects
 }
 
-/// Check the `Quiesce` (PR-9 region-summary demotion) discipline of a
+/// Check the `Quiesce` (line-summary demotion) discipline of a
 /// table that declares the event: every non-forbidden `Quiesce` row must
 /// be an action-free self-loop — demoting a quiescent line to its flat
 /// summary must neither move the protocol state machine nor emit

@@ -31,7 +31,7 @@ pub enum Suite {
     Parsec,
     /// Phoenix 2.0 (MapReduce kernels).
     Phoenix,
-    /// Synthetic OLTP/KV transaction engine (region-store stress).
+    /// Synthetic OLTP/KV transaction engine (line-store stress).
     Oltp,
 }
 

@@ -1,7 +1,7 @@
 //! OLTP/KV transaction-trace generator.
 //!
 //! Models the sharing structure of an in-memory key-value / OLTP engine
-//! at a footprint the region-compressed coherence stores are built for:
+//! at a footprint far larger than the set of lines in flight at once:
 //! a keyspace of **≥ 2²⁰ distinct record cachelines** accessed with a
 //! Zipfian skew, plus the metadata cachelines a real engine contends on —
 //! packed lock words, packed version words, B⁺-tree index nodes and a
@@ -16,7 +16,7 @@
 //! classical Gray et al. incremental-η form (the YCSB `ZipfianGenerator`),
 //! and ranks are scattered over the keyspace with a fixed odd-multiplier
 //! bijection so that "hot" keys are spread across the address space (and
-//! therefore across 4 KB regions) rather than clustered at the bottom.
+//! therefore across 4 KB pages) rather than clustered at the bottom.
 
 use c3_protocol::ops::{Addr, Instr, Reg, ThreadProgram};
 use c3_sim::rng::SimRng;
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn skewed_stream_touches_few_distinct_records_per_op() {
-        // The property the region store exploits: under skew most record
+        // The property the line store exploits: under skew most record
         // accesses revisit a small working set, so distinct-touched stays
         // far below the op count.
         let s = spec(1 << 14, 0.99);
