@@ -26,11 +26,13 @@
 //! `--alloc-budget FILE` is given and a measurement exceeds its
 //! committed allocs/event budget (the deterministic perf gate; see
 //! `crates/bench/alloc_budget.txt` and the perf-smoke CI job), or if
-//! `--floor-label TEXT` is given and the ping-pong or vips throughput
-//! drops more than 20% below the best committed same-`quick` entry
-//! under that label (the wall-clock regression floors). A budget file
-//! that cannot be read or has a malformed line is rejected as a usage
-//! error (exit 2) before anything is measured.
+//! `--floor-label TEXT` is given and the ping-pong, vips or oltp-quick
+//! throughput drops below the median of the committed same-`quick`
+//! entries under that label by more than 20% (quick) or 40% (full), the
+//! wall-clock regression floors. Every gate is evaluated and every
+//! failure listed before the one exit. A budget file that cannot be
+//! read or has a malformed line is rejected as a usage error (exit 2)
+//! before anything is measured.
 //!
 //! Usage: `cargo run --release -p c3-bench --bin perf [-- --quick]
 //! [--exchanges N] [--out PATH] [--label TEXT] [--alloc-budget FILE]
@@ -271,32 +273,35 @@ fn previous_runs(path: &str) -> Option<String> {
     None
 }
 
-/// Best committed throughput for a `config` prefix under `label` with
+/// Median committed throughput for a `config` prefix under `label` with
 /// the same `quick` flag, scanned from a previously written document's
 /// `runs` entries (one JSON object per line, as this bin writes them).
 /// `None` when the label has no committed baseline for that config yet.
-fn best_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) -> Option<f64> {
+fn median_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) -> Option<f64> {
     let config_needle = format!("\"config\": \"{config_prefix}");
     let label_needle = format!("\"label\": \"{}\"", json_escape(label));
     let quick_needle = format!("\"quick\": {quick}");
-    let mut best: Option<f64> = None;
-    for line in prev.lines() {
-        if !(line.contains(&config_needle)
-            && line.contains(&label_needle)
-            && line.contains(&quick_needle))
-        {
-            continue;
-        }
-        let Some(i) = line.find("\"events_per_sec\": ") else {
-            continue;
-        };
-        let rest = &line[i + "\"events_per_sec\": ".len()..];
-        let end = rest.find(['}', ',']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            best = Some(best.map_or(v, |b: f64| b.max(v)));
-        }
+    let mut rates: Vec<f64> = prev
+        .lines()
+        .filter(|line| {
+            line.contains(&config_needle)
+                && line.contains(&label_needle)
+                && line.contains(&quick_needle)
+        })
+        .filter_map(|line| {
+            let i = line.find("\"events_per_sec\": ")?;
+            let rest = &line[i + "\"events_per_sec\": ".len()..];
+            let end = rest.find(['}', ',']).unwrap_or(rest.len());
+            rest[..end].trim().parse::<f64>().ok()
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let mid = rates.len() / 2;
+    match rates.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(rates[mid]),
+        _ => Some((rates[mid - 1] + rates[mid]) / 2.0),
     }
-    best
 }
 
 /// Read and parse the committed budget file: `<config-prefix>
@@ -403,40 +408,51 @@ fn main() {
     std::fs::write(&out, &json).expect("write perf json");
     println!("(wrote {out})");
 
-    if [&pp, &wl, &wlm, &wlo]
-        .into_iter()
-        .any(|m| m.events_per_sec <= 0.0)
-    {
-        eprintln!("perf: zero throughput measured");
-        std::process::exit(1);
+    // Evaluate every gate, then exit once: a run that breaks the
+    // deterministic budget must say so even when a noisy floor fails too.
+    let measured = [&pp, &wl, &wlm, &wlo];
+    let mut failures: Vec<String> = Vec::new();
+    if measured.iter().any(|m| m.events_per_sec <= 0.0) {
+        failures.push("zero throughput measured".into());
     }
 
     if let Some(flabel) = floor_label {
-        // The kernel ceiling (pingpong) and the full-system hot path
-        // (vips) both gate: a regression confined to protocol/cache
-        // logic leaves pingpong untouched but still drags vips.
-        for (name, m, prefix) in [("pingpong", &pp, "pingpong"), ("vips", &wl, "vips/")] {
+        // The kernel ceiling (pingpong), the full-system hot path (vips)
+        // and the shared-miss path (oltp-quick) all gate: a regression
+        // confined to protocol/cache logic leaves pingpong untouched but
+        // still drags the workloads. Quick cells keep the 80 % floor.
+        // Full cells sit at 60 %: on a shared 2-CPU host, single full runs
+        // fell to 72 % of their label's median (EXPERIMENTS.md, "Core
+        // issue cost"), while full vips before the single-pass issue logic
+        // ran below 50 % of today's median.
+        let share = if quick { 0.8 } else { 0.6 };
+        let pct = share * 100.0;
+        for (name, m, prefix) in [
+            ("pingpong", &pp, "pingpong"),
+            ("vips", &wl, "vips/"),
+            ("oltp-quick", &wlo, "oltp-quick/"),
+        ] {
             match prev
                 .as_deref()
-                .and_then(|p| best_throughput(p, &flabel, quick, prefix))
+                .and_then(|p| median_throughput(p, &flabel, quick, prefix))
             {
                 Some(base) => {
-                    let floor = base * 0.8;
+                    let floor = base * share;
                     if m.events_per_sec < floor {
-                        eprintln!(
-                            "perf: {name} {:.2} M events/sec is below the floor {:.2} M \
-                             (80% of the best committed '{flabel}' entry, {:.2} M)",
+                        failures.push(format!(
+                            "{name} {:.2} M events/sec is below the floor {:.2} M \
+                             ({pct:.0}% of the median committed '{flabel}' entry, {:.2} M)",
                             m.events_per_sec / 1e6,
                             floor / 1e6,
                             base / 1e6
+                        ));
+                    } else {
+                        println!(
+                            "floor   : {name} {:.2} M events/sec >= {:.2} M ({pct:.0}% of '{flabel}' median)",
+                            m.events_per_sec / 1e6,
+                            floor / 1e6
                         );
-                        std::process::exit(1);
                     }
-                    println!(
-                        "floor   : {name} {:.2} M events/sec >= {:.2} M (80% of '{flabel}' best)",
-                        m.events_per_sec / 1e6,
-                        floor / 1e6
-                    );
                 }
                 None => {
                     println!("floor   : no committed '{flabel}' {name} baseline yet; skipping")
@@ -446,31 +462,25 @@ fn main() {
     }
 
     if let Some((budget, path)) = budget {
-        let mut failed = false;
         for (prefix, limit) in budget {
-            let m = [&pp, &wl, &wlm, &wlo]
-                .into_iter()
-                .find(|m| m.config.starts_with(&prefix));
-            match m {
-                Some(m) if m.allocs_per_event > limit => {
-                    eprintln!(
-                        "perf: {} allocs/event {:.4} exceeds budget {limit} ({path})",
-                        m.config, m.allocs_per_event
-                    );
-                    failed = true;
-                }
+            match measured.iter().find(|m| m.config.starts_with(&prefix)) {
+                Some(m) if m.allocs_per_event > limit => failures.push(format!(
+                    "{} allocs/event {:.4} exceeds budget {limit} ({path})",
+                    m.config, m.allocs_per_event
+                )),
                 Some(m) => println!(
                     "budget  : {} {:.4} allocs/event <= {limit}",
                     m.config, m.allocs_per_event
                 ),
-                None => {
-                    eprintln!("perf: budget entry {prefix} matches no measurement");
-                    failed = true;
-                }
+                None => failures.push(format!("budget entry {prefix} matches no measurement")),
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
+    }
+
+    for f in &failures {
+        eprintln!("perf: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

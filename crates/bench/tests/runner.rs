@@ -4,7 +4,8 @@
 //! * N-thread output is byte-identical to 1-thread output on the same
 //!   grid (determinism under parallelism);
 //! * the `perf` microbench completes in `--quick` mode and reports
-//!   nonzero events/sec;
+//!   nonzero events/sec, and a run that fails several gates lists them
+//!   all;
 //! * same-seed runs render byte-identical reports (`render_report`, as
 //!   `trace --report` prints them), pinned by fingerprint so fabric/kernel hot-path changes that shift
 //!   behaviour (rather than just speed) fail loudly.
@@ -129,6 +130,49 @@ fn perf_quick_smoke() {
         .collect();
     assert_eq!(eps.len(), 8, "eight measurements in {json}");
     assert!(eps.iter().all(|&e| e > 0.0), "zero throughput in {json}");
+}
+
+/// A run that misses a throughput floor and blows an alloc budget lists
+/// both failures before its one nonzero exit: the noisy floor must not
+/// hide the deterministic budget.
+#[test]
+fn perf_reports_every_failed_gate() {
+    let dir = std::env::temp_dir();
+    let out = dir.join(format!("c3-perf-gates-{}.json", std::process::id()));
+    let budget = dir.join(format!("c3-perf-gates-{}.txt", std::process::id()));
+    // An unreachable committed vips rate and an unmeetable vips budget.
+    std::fs::write(
+        &out,
+        "{\n  \"bench\": \"perf\",\n  \"schema\": 2,\n  \"runs\": [\n    \
+         {\"label\": \"unreachable\", \"config\": \"vips/MESI-CXL-MESI\", \"quick\": true, \
+         \"events\": 1, \"sim_ns\": 1, \"wall_ms\": 1.0, \"events_per_sec\": 1e15, \
+         \"allocs\": 1, \"allocs_per_event\": 1.0}\n  ]\n}\n",
+    )
+    .unwrap();
+    std::fs::write(&budget, "vips 0.001\n").unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_perf"))
+        .args([
+            "--quick",
+            "--exchanges",
+            "1000",
+            "--floor-label",
+            "unreachable",
+        ])
+        .arg("--alloc-budget")
+        .arg(&budget)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn perf");
+    let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_file(&budget);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("vips") && stderr.contains("below the floor"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("exceeds budget 0.001"), "{stderr}");
 }
 
 fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {

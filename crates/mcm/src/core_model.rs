@@ -10,13 +10,24 @@
 //! completed. TSO therefore drains stores in order (the store-buffer
 //! effect) while the weak model overlaps them.
 //!
-//! Each issue pass sweeps the reorder-buffer window once, folding the
-//! instructions it passes into an [`OrderFrontier`], so a pass costs
-//! O(window) however long the program is.
+//! Each call makes one forward pass over the reorder-buffer window,
+//! folding the instructions it passes into an [`OrderFrontier`], and
+//! stops where nothing more can issue:
+//! - at the first barrier, an incomplete `Work` or an incomplete fence on
+//!   an RCC cluster, since nothing later may issue past it;
+//! - when the memory window is full;
+//! - at the lookahead horizon, which moves with the retirement pointer
+//!   when the pass completes the oldest instructions (a completed prefix
+//!   folds to nothing, so the gate carries over unchanged).
+//!
+//! Once the frontier blocks every access, the pass steps over the rest of
+//! the accesses and decides only the work and fences the frontier never
+//! orders. Debug builds check after every pass that a full sweep of the
+//! window, run dry, finds nothing left to issue.
 
 use std::any::Any;
 
-use c3_protocol::mcm::{Mcm, OrderFrontier};
+use c3_protocol::mcm::{classify, Mcm, OrderFrontier};
 use c3_protocol::msg::{CoreReq, CoreResp, SysMsg};
 use c3_protocol::ops::{Instr, Reg, ThreadProgram};
 use c3_protocol::states::ProtocolFamily;
@@ -228,45 +239,102 @@ impl TimingCore {
         }
     }
 
+    /// Advance the retirement pointer past the completed prefix.
+    fn retire(&mut self) {
+        let n = self.program.len();
+        while self.oldest < n && self.state[self.oldest] == OpState::Done {
+            self.oldest += 1;
+        }
+    }
+
+    /// One forward pass over the window (see the module doc): issue every
+    /// instruction the gate admits, in program order, and stop where
+    /// nothing later can issue.
     fn try_issue(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
         let n = self.program.len();
         let mut gate = std::mem::take(&mut self.gate);
-        loop {
-            let mut issued_any = false;
-            // Advance past the completed prefix (retirement pointer).
-            while self.oldest < n && self.state[self.oldest] == OpState::Done {
-                self.oldest += 1;
-            }
-            // Consider only the reorder-buffer window of instructions. Each
-            // instruction is folded into the gate after its own decision,
-            // so later ones see the states that decision left.
-            let horizon = (self.oldest + ROB_LOOKAHEAD).min(n);
-            gate.clear();
-            for j in self.oldest..horizon {
-                let instr = self.program.instrs[j];
-                if self.state[j] == OpState::Waiting {
-                    if self.inflight >= self.cfg.window {
-                        break;
-                    }
-                    if gate.admits(self.cfg.mcm, &instr) {
-                        issued_any |= self.issue(j, instr, ctx);
-                    }
-                }
-                gate.push(&instr, self.state[j] == OpState::Done, self.cfg.family);
-            }
-            if !issued_any {
+        gate.clear();
+        self.retire();
+        // Each instruction is folded into the gate after its own decision,
+        // so later ones see the states that decision left.
+        let mut j = self.oldest;
+        while j < (self.oldest + ROB_LOOKAHEAD).min(n) {
+            let instr = self.program.instrs[j];
+            let waiting = self.state[j] == OpState::Waiting;
+            if waiting && self.inflight >= self.cfg.window {
                 break;
             }
+            if gate.order.blocks_every_access() && classify(&instr).is_some() {
+                j += 1; // stepped over: blocked, and folding it decides nothing
+                continue;
+            }
+            if waiting && gate.admits(self.cfg.mcm, &instr) && !self.hazard(&instr) {
+                self.issue(j, instr, ctx);
+            }
+            let done = self.state[j] == OpState::Done;
+            if done && j == self.oldest {
+                // Nothing is folded yet, so the gate stays empty while the
+                // retirement pointer, and the horizon with it, moves on.
+                self.retire();
+                j = self.oldest;
+                continue;
+            }
+            gate.push(&instr, done, self.cfg.family);
+            if gate.barrier {
+                break;
+            }
+            j += 1;
         }
+        debug_assert_eq!(self.dry_sweep(&mut gate), None, "the pass stopped early");
         self.gate = gate;
         if self.finished_at.is_none() && self.program_complete() {
             self.finished_at = Some(ctx.now);
         }
     }
 
-    /// Issue the admitted instruction `j`; false if a structural hazard
-    /// (store-buffer state) holds it back.
-    fn issue(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) -> bool {
+    /// The first instruction a full sweep of the window would issue now,
+    /// without issuing it: the exhaustive form of the pass, which must
+    /// find nothing after one. Sweeps through `gate`, so it allocates
+    /// nothing.
+    fn dry_sweep(&self, gate: &mut IssueGate) -> Option<usize> {
+        let n = self.program.len();
+        if self.oldest < n && self.state[self.oldest] == OpState::Done {
+            return Some(self.oldest); // the retirement pointer lags
+        }
+        gate.clear();
+        for j in self.oldest..(self.oldest + ROB_LOOKAHEAD).min(n) {
+            let instr = self.program.instrs[j];
+            if self.state[j] == OpState::Waiting {
+                if self.inflight >= self.cfg.window {
+                    break;
+                }
+                if gate.admits(self.cfg.mcm, &instr) && !self.hazard(&instr) {
+                    return Some(j);
+                }
+            }
+            gate.push(&instr, self.state[j] == OpState::Done, self.cfg.family);
+        }
+        None
+    }
+
+    /// A structural hazard holds the admitted `instr` back: on TSO, a
+    /// full store buffer stalls a store, and a fence or an RMW waits for
+    /// the buffer to drain. Reads state only.
+    fn hazard(&self, instr: &Instr) -> bool {
+        if self.cfg.mcm != Mcm::Tso {
+            return false;
+        }
+        let draining = !self.store_buffer.is_empty() || self.drain_inflight;
+        match instr {
+            Instr::Fence(_) => self.cfg.family != ProtocolFamily::Rcc && draining,
+            Instr::Store { .. } => self.store_buffer.len() >= STORE_BUFFER_CAP,
+            Instr::Rmw { .. } => draining,
+            _ => false,
+        }
+    }
+
+    /// Issue instruction `j`, which the gate admits and no hazard holds.
+    fn issue(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) {
         let tso = self.cfg.mcm == Mcm::Tso;
         match instr {
             Instr::Work(cycles) => {
@@ -275,20 +343,14 @@ impl TimingCore {
                 ctx.wake_after(Delay::from_cycles(cycles as u64, 2_000), j as u64);
             }
             Instr::Fence(_) if self.cfg.family != ProtocolFamily::Rcc => {
-                // TSO full fences drain the store buffer first.
-                if tso && (!self.store_buffer.is_empty() || self.drain_inflight) {
-                    return false;
-                }
-                // Pure ordering: completes as soon as it may issue.
+                // Pure ordering (a TSO fence has waited for the store
+                // buffer to drain): completes as soon as it may issue.
                 self.state[j] = OpState::Done;
                 self.retired += 1;
             }
             Instr::Store { addr, .. } if tso => {
                 // Retire into the store buffer; the drain makes the
                 // store visible in order, off the critical path.
-                if self.store_buffer.len() >= STORE_BUFFER_CAP {
-                    return false; // buffer full: stall this store
-                }
                 self.state[j] = OpState::Done;
                 self.retired += 1;
                 self.store_buffer.push_back(j);
@@ -320,16 +382,9 @@ impl TimingCore {
                     self.issue_to_l1(j, instr, ctx);
                 }
             }
-            Instr::Rmw { .. } if tso => {
-                // Atomics serialize with the store buffer.
-                if !self.store_buffer.is_empty() || self.drain_inflight {
-                    return false;
-                }
-                self.issue_to_l1(j, instr, ctx);
-            }
+            // A TSO RMW has waited for the store buffer to drain.
             _ => self.issue_to_l1(j, instr, ctx),
         }
-        true
     }
 
     fn issue_to_l1(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) {
@@ -467,6 +522,8 @@ impl Component<SysMsg> for TimingCore {
 mod tests {
     use super::*;
     use c3_protocol::ops::{AccessOrder, Addr};
+    use c3_sim::kernel::{RunOutcome, Simulator};
+    use OpState::{Done, Issued, Waiting};
 
     /// The issue decision for instruction `j` in the core's current state,
     /// through the same gate sweep `try_issue` runs.
@@ -558,5 +615,146 @@ mod tests {
         let p = ThreadProgram::new().work(10).load(Addr(1), Reg(0));
         let c = core(Mcm::Weak, p);
         assert!(!may_issue(&c, 1));
+    }
+
+    /// An L1 stand-in: records when each request arrives and answers it
+    /// `latency(tag)` cycles later, or never for `None`.
+    struct StubL1 {
+        arrivals: Vec<(u64, Time)>,
+        latency: fn(u64) -> Option<u64>,
+    }
+
+    impl Component<SysMsg> for StubL1 {
+        fn name(&self) -> String {
+            "l1".into()
+        }
+        fn handle(&mut self, msg: SysMsg, src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
+            let SysMsg::CoreReq(CoreReq { tag, .. }) = msg else {
+                panic!("l1 received {msg:?}");
+            };
+            self.arrivals.push((tag, ctx.now));
+            if let Some(cycles) = (self.latency)(tag) {
+                let resp = SysMsg::CoreResp(CoreResp { tag, value: 0 });
+                ctx.send_direct(src, resp, Delay::from_cycles(cycles, 2_000));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A core without issue jitter running `program` against a
+    /// [`StubL1`], so every request of one issue pass arrives together.
+    fn system(
+        mcm: Mcm,
+        program: ThreadProgram,
+        latency: fn(u64) -> Option<u64>,
+    ) -> Simulator<SysMsg> {
+        let mut sim = Simulator::new(1);
+        let l1 = sim.add_component(Box::new(StubL1 {
+            arrivals: Vec::new(),
+            latency,
+        }));
+        let cfg = CoreConfig {
+            issue_jitter: 0,
+            ..CoreConfig::new(mcm, ProtocolFamily::Mesi)
+        };
+        sim.add_component(Box::new(TimingCore::new("c", l1, cfg, program, 7)));
+        sim
+    }
+
+    fn states(sim: &Simulator<SysMsg>) -> Vec<OpState> {
+        sim.component_as::<TimingCore>(ComponentId(1))
+            .unwrap()
+            .state
+            .clone()
+    }
+
+    #[test]
+    fn nothing_issues_past_an_incomplete_work() {
+        let p = ThreadProgram::new()
+            .load(Addr(1), Reg(0))
+            .work(1_000) // 500 ns
+            .load(Addr(2), Reg(1))
+            .fence()
+            .store(Addr(3), 1);
+        let mut sim = system(Mcm::Weak, p, |_| Some(1));
+        sim.set_time_limit(Time::from_ns(400));
+        assert_eq!(sim.run(), RunOutcome::TimeLimit);
+        assert_eq!(states(&sim), [Done, Issued, Waiting, Waiting, Waiting]);
+        sim.set_time_limit(Time::MAX);
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(states(&sim), [Done; 5]);
+    }
+
+    #[test]
+    fn work_issues_behind_an_access_that_blocks_every_later_one() {
+        let rmw = ThreadProgram::new().rmw(Addr(1), 1, Reg(0));
+        let acquire = ThreadProgram::new().load_acq(Addr(1), Reg(0));
+        for blocker in [rmw, acquire] {
+            // The frontier never orders work, so stepping over the blocked
+            // load must not skip the work; the pass then ends at the work,
+            // holding back the fence until it completes.
+            let p = blocker
+                .load(Addr(2), Reg(1))
+                .work(1_000)
+                .fence()
+                .store(Addr(3), 1);
+            let mut sim = system(Mcm::Weak, p, |tag| (tag != 0).then_some(1));
+            sim.set_time_limit(Time::from_ns(400));
+            assert_eq!(sim.run(), RunOutcome::TimeLimit);
+            assert_eq!(states(&sim), [Issued, Waiting, Issued, Waiting, Waiting]);
+            sim.set_time_limit(Time::MAX);
+            assert_eq!(sim.run(), RunOutcome::Deadlock);
+            assert_eq!(states(&sim), [Issued, Waiting, Done, Done, Waiting]);
+        }
+    }
+
+    #[test]
+    fn completing_the_oldest_issues_beyond_the_old_horizon_in_one_call() {
+        // Weak: the slow load 0 completes by a response, and the next pass
+        // starts past the completed window. TSO: the fence at index 1
+        // waits for store 0's slow drain; the pass that issues it retires
+        // the window behind it and moves the horizon mid-pass.
+        let weak = ThreadProgram::new();
+        let tso = ThreadProgram::new().store(Addr(1 << 20), 1).fence();
+        for (mcm, head, stalled_at) in [(Mcm::Weak, weak, 0), (Mcm::Tso, tso, 1)] {
+            let old_horizon = (stalled_at + ROB_LOOKAHEAD) as u64;
+            let p = (0..ROB_LOOKAHEAD as u64 + 12).fold(head, |p, a| p.load(Addr(a), Reg(0)));
+            let beyond_count = p.len() - old_horizon as usize;
+            // Tag 0 answers after 1 µs, everything else in one cycle, so
+            // the rest of the old window completes long before it.
+            let mut sim = system(mcm, p, |tag| Some(if tag == 0 { 2_000 } else { 1 }));
+            assert_eq!(sim.run(), RunOutcome::Completed, "{mcm:?}");
+            let l1 = sim.component_as::<StubL1>(ComponentId(0)).unwrap();
+            let beyond: Vec<Time> = l1
+                .arrivals
+                .iter()
+                .filter(|&&(tag, _)| tag & PREFETCH_TAG == 0 && tag >= old_horizon)
+                .map(|&(_, at)| at)
+                .collect();
+            assert_eq!(beyond.len(), beyond_count, "{mcm:?}");
+            assert!(beyond[0] > Time::from_ns(1_000), "{mcm:?} at {beyond:?}");
+            assert!(
+                beyond.iter().all(|&at| at == beyond[0]),
+                "{mcm:?} at {beyond:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_full_window_stops_the_pass() {
+        let window = CoreConfig::new(Mcm::Weak, ProtocolFamily::Mesi).window;
+        let p = (0..=window as u64).fold(ThreadProgram::new(), |p, a| p.load(Addr(a), Reg(0)));
+        // Nothing answers: the window fills and neither the next load nor
+        // the work after it issues.
+        let mut sim = system(Mcm::Weak, p.work(1), |_| None);
+        assert_eq!(sim.run(), RunOutcome::Deadlock);
+        let mut expect = vec![Issued; window];
+        expect.extend([Waiting, Waiting]);
+        assert_eq!(states(&sim), expect);
     }
 }

@@ -66,7 +66,7 @@ pub enum OpClass {
 impl OpClass {
     const ALL: [OpClass; 2] = [OpClass::Load, OpClass::Store];
 
-    fn bit(self) -> u8 {
+    const fn bit(self) -> u8 {
         match self {
             OpClass::Load => 1,
             OpClass::Store => 2,
@@ -209,6 +209,16 @@ impl OrderFrontier {
             || later.addr().is_some_and(|addr| self.holds(addr))
     }
 
+    /// Does [`Self::blocks`] hold for every access, whatever its class,
+    /// annotation, address or model? True once some access is pending and
+    /// either an acquire access is among them (rule 3) or fences order both
+    /// classes after them (rule 2). Pushes only add constraints, so the
+    /// rest of a sweep may step over its accesses undecided.
+    pub fn blocks_every_access(&self) -> bool {
+        const BOTH: u8 = OpClass::Load.bit() | OpClass::Store.bit();
+        self.pending != 0 && (self.acquire || self.fenced == BOTH)
+    }
+
     fn holds(&self, addr: Addr) -> bool {
         let (word, bit) = filter_slot(addr);
         self.addr_filter[word] & bit != 0 && self.addrs.contains(&addr)
@@ -284,9 +294,52 @@ mod tests {
         }
     }
 
+    /// When [`OrderFrontier::blocks_every_access`] holds, `blocks` is true
+    /// for a load, a store and an RMW of every annotation, at an address
+    /// the window holds and at one it does not, under every model.
+    fn assert_blocks_every_access(frontier: &OrderFrontier, window: &[Instr], held: Addr) {
+        let fresh = (0..)
+            .map(Addr)
+            .find(|&a| window.iter().all(|i| i.addr() != Some(a)))
+            .unwrap();
+        let orders = [
+            AccessOrder::Relaxed,
+            AccessOrder::Acquire,
+            AccessOrder::Release,
+            AccessOrder::SeqCst,
+        ];
+        for mcm in [Mcm::Sc, Mcm::Tso, Mcm::Weak] {
+            for addr in [held, fresh] {
+                for order in orders {
+                    let reg = Reg(0);
+                    for later in [
+                        Instr::Load { addr, reg, order },
+                        Instr::Store {
+                            addr,
+                            val: 1,
+                            order,
+                        },
+                        Instr::Rmw {
+                            addr,
+                            add: 1,
+                            reg,
+                            order,
+                        },
+                    ] {
+                        assert!(
+                            frontier.blocks(mcm, &later),
+                            "{mcm:?} steps over {later:?} after {window:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Over seeded random windows, the frontier's O(1) answer equals the
     /// OR of the pairwise rules over every incomplete earlier instruction,
-    /// and so does [`must_order`] itself.
+    /// and so does [`must_order`] itself. Wherever the frontier claims to
+    /// block every access, it does.
     #[test]
     fn frontier_matches_pairwise_rules() {
         let windows = if cfg!(debug_assertions) {
@@ -296,7 +349,7 @@ mod tests {
         };
         let mut rng = SimRng::seed_from(0x0F0F);
         let mut frontier = OrderFrontier::default();
-        let (mut blocked, mut free) = (0u64, 0u64);
+        let (mut blocked, mut free, mut every) = (0u64, 0u64, 0u64);
         for _ in 0..windows {
             let mcm = [Mcm::Sc, Mcm::Tso, Mcm::Weak][rng.below(3) as usize];
             // Four lines repeat addresses often; wide spans make distinct
@@ -307,6 +360,14 @@ mod tests {
             let incomplete: Vec<bool> = (0..len).map(|_| rng.chance(0.6)).collect();
             frontier.clear();
             for (j, later) in window.iter().enumerate() {
+                if frontier.blocks_every_access() {
+                    let held = (0..j)
+                        .filter(|&i| incomplete[i] && classify(&window[i]).is_some())
+                        .find_map(|i| window[i].addr())
+                        .expect("a pending access");
+                    assert_blocks_every_access(&frontier, &window[..j], held);
+                    every += 1;
+                }
                 let mut earlier = (0..j).filter(|&i| incomplete[i]);
                 let expect = earlier
                     .clone()
@@ -326,7 +387,10 @@ mod tests {
                 frontier.push(later, incomplete[j]);
             }
         }
-        assert!(blocked > 0 && free > 0, "{blocked} blocked, {free} free");
+        assert!(
+            blocked > 0 && free > 0 && every > 0,
+            "{blocked} blocked, {free} free, {every} blocking every access"
+        );
     }
 
     fn ld(a: u64) -> Instr {
