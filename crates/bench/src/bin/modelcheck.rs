@@ -112,11 +112,18 @@ fn parse_plan() -> Plan {
             deep: args.flag("--deep"),
             min_reduction: args.value("--min-reduction")?,
         };
+        // A NaN, infinite or non-positive bar could never fail a run.
+        if let Some(m) = args.min_reduction.filter(|m| !(m.is_finite() && *m > 0.0)) {
+            return Err(CliError::BadValue {
+                flag: "--min-reduction".into(),
+                value: m.to_string(),
+            });
+        }
         let runs = plan_runs(&args);
         for cfg in &runs {
             cfg.validate().map_err(|e| CliError::BadValue {
                 flag: format!("configuration {}", label(cfg)),
-                value: e,
+                value: e.to_string(),
             })?;
         }
         Ok(Plan {

@@ -28,7 +28,7 @@ const BINS: [(&str, Option<&str>); 15] = [
 /// that are missing or malformed, and model configurations the
 /// fixed-size model state cannot hold or that would deadlock for a
 /// reason other than a protocol bug.
-const BAD_INPUTS: [(&str, &[&str]); 16] = [
+const BAD_INPUTS: [(&str, &[&str]); 20] = [
     (env!("CARGO_BIN_EXE_table2"), &["BOGUS"]),
     (env!("CARGO_BIN_EXE_trace"), &["nosuch"]),
     (env!("CARGO_BIN_EXE_metrics"), &["nosuch"]),
@@ -67,6 +67,19 @@ const BAD_INPUTS: [(&str, &[&str]); 16] = [
         env!("CARGO_BIN_EXE_modelcheck"),
         &["--config", "2x1", "--faults", "2", "--retries", "1"],
     ),
+    (
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--config", "1x1", "--faults", "1", "--retries", "5"],
+    ),
+    (
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--min-reduction", "nan"],
+    ),
+    (
+        env!("CARGO_BIN_EXE_modelcheck"),
+        &["--min-reduction", "inf"],
+    ),
+    (env!("CARGO_BIN_EXE_modelcheck"), &["--min-reduction", "0"]),
     (env!("CARGO_BIN_EXE_modelcheck"), &["--l1-cores", "3"]),
     (
         env!("CARGO_BIN_EXE_modelcheck"),

@@ -2,8 +2,8 @@
 //!
 //! Keeping every full state in a `HashSet` tops out around a few million
 //! states on a CI worker. This module stores **128-bit fingerprints**
-//! instead (Holzmann-style hash compaction: ~16 bytes per state plus a
-//! 6-byte trace link); the explorer keeps whole states only in its BFS
+//! instead (Holzmann-style hash compaction: ~16 bytes per state plus an
+//! 8-byte trace link); the explorer keeps whole states only in its BFS
 //! queue.
 //!
 //! Counterexample traces survive compaction: each visited node records

@@ -31,7 +31,8 @@ pub mod symmetry;
 
 pub use fsm_checks::{check_fsm, FsmDefect};
 pub use resilient::{
-    check_resilient, Counterexample, Injection, RViolation, ResilientConfig, ResilientResult,
+    check_resilient, ConfigError, Counterexample, Injection, RViolation, ResilientConfig,
+    ResilientResult,
 };
 pub use static_checks::{
     check_all, check_message_graph, check_model_conformance, check_quiescence, check_table,

@@ -59,6 +59,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use c3_sim::component::ComponentId;
+use c3_sim::hash::FxHashSet;
 use c3_sim::time::Time;
 use c3_sim::trace::Tracer;
 
@@ -407,36 +408,89 @@ impl Default for ResilientConfig {
     }
 }
 
+/// Why [`ResilientConfig::validate`] rejects a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A cluster count outside `1..=MAX_CLUSTERS`.
+    Clusters(usize),
+    /// An address count outside `1..=MAX_ADDRS`.
+    Addrs(usize),
+    /// More L1 cores per cluster than [`MAX_CORES`].
+    L1Cores(u8),
+    /// Fewer retries than faults: lost grants would deadlock.
+    RetriesBelowFaults {
+        /// The retry budget.
+        retries: u8,
+        /// The fault budget.
+        faults: u8,
+    },
+    /// More retries than a cluster's host→device FIFO can hold.
+    RetriesOverflowFifo {
+        /// The retry budget.
+        retries: u8,
+        /// The address count (one snoop response slot each).
+        addrs: usize,
+    },
+    /// An injection that exists only in the L1 tier, on a flat run.
+    NeedsL1Tier(Injection),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::Clusters(n) => write!(f, "{n} clusters: must be 1..={MAX_CLUSTERS}"),
+            ConfigError::Addrs(n) => write!(f, "{n} addresses: must be 1..={MAX_ADDRS}"),
+            ConfigError::L1Cores(n) => write!(f, "{n} L1 cores: must be 0..={MAX_CORES}"),
+            ConfigError::RetriesBelowFaults { retries, faults } => write!(
+                f,
+                "{retries} retries cannot cover {faults} faults: lost grants would deadlock"
+            ),
+            ConfigError::RetriesOverflowFifo { retries, addrs } => write!(
+                f,
+                "{retries} retries: the {M2S_CAP}-slot host→device FIFO holds at most {} \
+                 beside one snoop response per address",
+                M2S_CAP.saturating_sub(addrs)
+            ),
+            ConfigError::NeedsL1Tier(inj) => {
+                write!(f, "injection {} needs an L1 tier", inj.name())
+            }
+        }
+    }
+}
+
 impl ResilientConfig {
     /// Reject a configuration the fixed-size state cannot hold or that
     /// would deadlock for reasons other than a protocol bug.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !(1..=MAX_CLUSTERS).contains(&self.clusters) {
-            return Err(format!(
-                "{} clusters: must be 1..={MAX_CLUSTERS}",
-                self.clusters
-            ));
+            return Err(ConfigError::Clusters(self.clusters));
         }
         if !(1..=MAX_ADDRS).contains(&self.addrs) {
-            return Err(format!("{} addresses: must be 1..={MAX_ADDRS}", self.addrs));
+            return Err(ConfigError::Addrs(self.addrs));
         }
         if self.l1_cores as usize > MAX_CORES {
-            return Err(format!(
-                "{} L1 cores: must be 0..={MAX_CORES}",
-                self.l1_cores
-            ));
+            return Err(ConfigError::L1Cores(self.l1_cores));
         }
         if self.max_retries < self.max_faults {
-            return Err(format!(
-                "{} retries cannot cover {} faults: lost grants would deadlock",
-                self.max_retries, self.max_faults
-            ));
+            return Err(ConfigError::RetriesBelowFaults {
+                retries: self.max_retries,
+                faults: self.max_faults,
+            });
+        }
+        // A cluster's FIFO holds its request, or the retries that pile up
+        // behind a lost grant before the DCOH reads them, plus at most
+        // one snoop response per address (one snoop per line at a time).
+        if self.max_retries.max(1) as usize + self.addrs > M2S_CAP {
+            return Err(ConfigError::RetriesOverflowFifo {
+                retries: self.max_retries,
+                addrs: self.addrs,
+            });
         }
         if let Some(inj) = self
             .inject
             .filter(|i| i.needs_l1_tier() && self.l1_cores == 0)
         {
-            return Err(format!("injection {} needs an L1 tier", inj.name()));
+            return Err(ConfigError::NeedsL1Tier(inj));
         }
         Ok(())
     }
@@ -799,6 +853,10 @@ pub struct SuccCtx {
     pub labels: Option<Vec<(usize, String)>>,
     /// When present, receives strict-protocol step witnesses.
     pub witnesses: Option<BTreeSet<(&'static str, &'static str, &'static str)>>,
+    /// The witnesses already in `witnesses`, keyed by where their static
+    /// names live, so a repeat costs one hash probe and no string
+    /// comparison.
+    recorded: FxHashSet<[(usize, usize); 3]>,
 }
 
 impl SuccCtx {
@@ -808,7 +866,11 @@ impl SuccCtx {
         }
     }
     fn witness(&mut self, controller: &'static str, state: &'static str, event: &'static str) {
-        if let Some(w) = self.witnesses.as_mut() {
+        let Some(w) = self.witnesses.as_mut() else {
+            return;
+        };
+        let key = [controller, state, event].map(|n| (n.as_ptr() as usize, n.len()));
+        if self.recorded.insert(key) {
             w.insert((controller, state, event));
         }
     }
@@ -1686,32 +1748,24 @@ fn encode_pend(p: &Pend, aperm: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-fn encode_host_msg(m: Option<&HostMsg>, aperm: &[u8], out: &mut Vec<u8>) {
-    match m {
-        None => out.extend_from_slice(&[0; 8]),
-        Some(HostMsg::Req { addr, excl, seq }) => {
-            out.extend_from_slice(&[1, aperm[*addr as usize], *excl as u8, *seq, 0, 0, 0, 0])
+fn encode_host_msg(m: &HostMsg, aperm: &[u8], out: &mut Vec<u8>) {
+    match *m {
+        HostMsg::Req { addr, excl, seq } => {
+            out.extend_from_slice(&[1, aperm[addr as usize], excl as u8, seq])
         }
-        Some(HostMsg::Rsp {
+        HostMsg::Rsp {
             addr,
             inv,
             dirty,
             epoch,
-        }) => {
-            let (dtag, dver, ddecl, dtaint) = match dirty {
-                None => (0, 0, 0, 0),
-                Some((v, d, t)) => (1, *v, *d as u8, *t as u8),
-            };
-            out.extend_from_slice(&[
-                2,
-                aperm[*addr as usize],
-                *inv as u8,
-                dtag,
-                dver,
-                ddecl,
-                dtaint,
-                *epoch,
-            ]);
+        } => {
+            out.extend_from_slice(&[2, aperm[addr as usize], inv as u8, epoch]);
+            match dirty {
+                None => out.push(0),
+                Some((ver, decl, taint)) => {
+                    out.extend_from_slice(&[1, ver, decl as u8, taint as u8])
+                }
+            }
         }
     }
 }
@@ -1725,22 +1779,13 @@ fn encode_dev_msg(m: &DevMsg, out: &mut Vec<u8>) {
             seq,
             decl,
             taint,
-        } => out.extend_from_slice(&[
-            1,
-            addr,
-            writable as u8,
-            ver,
-            seq,
-            decl as u8,
-            taint as u8,
-            0,
-        ]),
+        } => out.extend_from_slice(&[1, addr, writable as u8, ver, seq, decl as u8, taint as u8]),
         DevMsg::Snp {
             addr,
             inv,
             epoch,
             after,
-        } => out.extend_from_slice(&[2, addr, inv as u8, epoch, after, 0, 0, 0]),
+        } => out.extend_from_slice(&[2, addr, inv as u8, epoch, after]),
     }
 }
 
@@ -1764,7 +1809,9 @@ fn inverse<const N: usize>(perm: &[u8]) -> [usize; N] {
 /// The encoding's header is the fault budget and defect latch; a cluster
 /// block is the cluster's copy, pend and L1 tier; the tail is the DCOH
 /// (which names clusters through holders, grants, the snoop and the
-/// queue), then the channels.
+/// queue), then the channels. Header and blocks have fixed lengths; in
+/// the tail an absent snoop is one byte, and each DCOH queue and channel
+/// is its occupancy followed by only its occupied entries.
 impl Symmetric for RState {
     fn encode_header(&self, out: &mut Vec<u8>) {
         out.push(self.ghost_bug);
@@ -1842,7 +1889,7 @@ impl Symmetric for RState {
                 out.push(d.granted[oc]);
             }
             match d.snoop {
-                None => out.extend_from_slice(&[0; 8]),
+                None => out.push(0),
                 Some(sn) => out.extend_from_slice(&[
                     1,
                     sn.inv as u8,
@@ -1855,34 +1902,34 @@ impl Symmetric for RState {
                 ]),
             }
             out.push(d.qlen);
-            for i in 0..QCAP {
-                if i < d.qlen as usize {
-                    let (qc, qe, qs) = d.queue[i];
-                    out.extend_from_slice(&[cperm[qc as usize], qe, qs]);
-                } else {
-                    out.extend_from_slice(&[0, 0, 0]);
+            for &(qc, qe, qs) in &d.queue[..d.qlen as usize] {
+                out.extend_from_slice(&[cperm[qc as usize], qe, qs]);
+            }
+        }
+        // Each channel is its occupancy, then its occupied slots.
+        for &oc in inv_c {
+            let fifo = &self.m2s[oc];
+            let held = fifo.iter().take_while(|m| m.is_some()).count();
+            out.push(held as u8);
+            for m in fifo[..held].iter().flatten() {
+                encode_host_msg(m, aperm, out);
+            }
+        }
+        let renames = aperm.iter().enumerate().any(|(a, &n)| n as usize != a);
+        for &oc in inv_c {
+            let mut chan = self.s2m[oc];
+            let held = chan.iter().take_while(|m| m.is_some()).count();
+            out.push(held as u8);
+            if renames {
+                // The channel is a multiset, kept sorted: relabel, then
+                // re-sort.
+                for m in chan[..held].iter_mut().flatten() {
+                    *m = relabel_dev_msg(m, aperm);
                 }
+                chan[..held].sort_unstable();
             }
-        }
-        for &oc in inv_c {
-            for slot in self.m2s[oc].iter() {
-                encode_host_msg(slot.as_ref(), aperm, out);
-            }
-        }
-        for &oc in inv_c {
-            // The channel is a multiset: relabel, then re-sort (empty
-            // slots sort first and encode as the trailing padding).
-            let mut relabeled = self.s2m[oc];
-            for m in relabeled.iter_mut().flatten() {
-                *m = relabel_dev_msg(m, aperm);
-            }
-            relabeled.sort_unstable();
-            let held = relabeled.iter().flatten().count();
-            for m in relabeled.iter().flatten() {
+            for m in chan[..held].iter().flatten() {
                 encode_dev_msg(m, out);
-            }
-            for _ in held..CHAN_CAP {
-                out.extend_from_slice(&[0; 8]);
             }
         }
     }
@@ -1907,8 +1954,8 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     // Boxed, so growing the queue moves pointers, not states.
     let mut frontier: VecDeque<(u32, Box<RState>)> = VecDeque::new();
     let mut ctx = SuccCtx {
-        labels: None,
         witnesses: Some(BTreeSet::new()),
+        ..SuccCtx::default()
     };
     let mut canon = Vec::new();
     let mut succs: Vec<RState> = Vec::new();
@@ -1994,7 +2041,7 @@ fn build_counterexample(
     let mut state = RState::initial(cfg);
     let mut ctx = SuccCtx {
         labels: Some(Vec::new()),
-        witnesses: None,
+        ..SuccCtx::default()
     };
     let mut succs = Vec::new();
     let mut steps: Vec<(usize, String)> = Vec::new();
@@ -2098,6 +2145,26 @@ mod tests {
         });
         let (v, _) = r.violation.expect("checker failed to find the Fig. 2 race");
         assert!(matches!(v, RViolation::Swmr(_)), "got {v}");
+    }
+
+    #[test]
+    fn retry_budgets_the_fifo_cannot_hold_are_rejected() {
+        // Four retries stacked behind a lost grant plus a snoop response
+        // would overflow the FIFO; three leave room for it.
+        let cfg = |retries| ResilientConfig {
+            ops_per_cluster: 2,
+            max_retries: retries,
+            ..tiny(2, 1)
+        };
+        assert_eq!(
+            cfg(4).validate(),
+            Err(ConfigError::RetriesOverflowFifo {
+                retries: 4,
+                addrs: 1
+            })
+        );
+        let r = check_resilient(&cfg(3));
+        assert!(r.violation.is_none() && !r.truncated);
     }
 
     #[test]

@@ -35,14 +35,16 @@
 //! names a cluster id). A block names no cluster id and has one length
 //! for every cluster, so the smallest image must carry the smallest
 //! block sequence: for each address permutation, the cluster
-//! permutations that sort the blocks. [`SymmetryGroup::canonical`]
-//! encodes each block once per address permutation, keeps the
-//! `(π, σ)` pairs whose block sequence is minimal (ties keep every tied
-//! pair), and encodes the tail only for those. The pairs whose image
-//! equals the minimum form one coset of the state's stabiliser, so the
-//! orbit size is `|G|` divided by their count. The brute-force minimum
-//! over all images, [`SymmetryGroup::canonical_brute_force`], is the
-//! reference the tests compare against.
+//! permutations that sort the blocks. Only the tail may vary in length.
+//! [`SymmetryGroup::canonical`] encodes each block once per address
+//! permutation and sorts them, keeps the `(π, σ)` pairs that reach the
+//! smallest sorted sequence (ties keep every tied pair), and encodes the
+//! tail only for those. The pairs whose image equals the minimum form
+//! one coset of the state's stabiliser, so the orbit size is `|G|`
+//! divided by their count. The identity group, with no permutation to
+//! sort by, yields the plain encoding. The brute-force minimum over all
+//! images, [`SymmetryGroup::canonical_brute_force`], is the reference
+//! the tests compare against.
 
 use std::cmp::Ordering;
 
@@ -121,6 +123,11 @@ pub struct SymmetryGroup {
     /// Every cluster block under every address permutation; block `c`
     /// under `aperms[a]` is the `a * clusters + c`-th.
     blocks: Vec<u8>,
+    /// One address permutation's clusters, in sorted block order.
+    order: Vec<u8>,
+    /// Per cluster, the first position in `order` holding a block equal
+    /// to its own.
+    class: Vec<u8>,
     /// `(cluster perm, address perm)` indices whose block sequence is
     /// the minimum.
     cands: Vec<(usize, usize)>,
@@ -135,6 +142,8 @@ impl SymmetryGroup {
             cperms,
             aperms,
             blocks: Vec::new(),
+            order: Vec::new(),
+            class: Vec::new(),
             cands: Vec::new(),
             tail: Vec::new(),
         }
@@ -164,11 +173,20 @@ impl SymmetryGroup {
     /// images). The canonical bytes are appended to `out` (cleared
     /// first).
     pub fn canonical<S: Symmetric>(&mut self, s: &S, out: &mut Vec<u8>) -> usize {
+        out.clear();
+        if self.order() == 1 {
+            // The identity's one image keeps the blocks in cluster order,
+            // sorted or not.
+            s.encode_perm(&self.cperms[0], &self.aperms[0], out);
+            return 1;
+        }
         let SymmetryGroup {
             cperms,
             cinvs,
             aperms,
             blocks,
+            order,
+            class,
             cands,
             tail,
         } = self;
@@ -182,34 +200,61 @@ impl SymmetryGroup {
         }
         let len = blocks.len() / (clusters * aperms.len());
         let block = |a: usize, c: u8| &blocks[(a * clusters + c as usize) * len..][..len];
-        // The pairs with the smallest block sequence. Blocks share one
-        // length, so comparing block by block is comparing the bytes.
+        // The smallest block sequence under each address permutation is
+        // its blocks sorted: blocks share one length, so ordering the
+        // sequences block by block orders their bytes.
+        s.encode_header(out);
+        let prefix = out.len();
         cands.clear();
         for a in 0..aperms.len() {
+            order.clear();
+            for c in 0..clusters as u8 {
+                let at = order.partition_point(|&o| block(a, o) <= block(a, c));
+                order.insert(at, c);
+            }
+            tail.clear();
+            for &c in order.iter() {
+                tail.extend_from_slice(block(a, c));
+            }
+            let ord = if a == 0 {
+                Ordering::Less
+            } else {
+                tail.as_slice().cmp(&out[prefix..])
+            };
+            match ord {
+                Ordering::Less => {
+                    out.truncate(prefix);
+                    out.extend_from_slice(tail);
+                    cands.clear();
+                }
+                Ordering::Equal => {}
+                Ordering::Greater => continue,
+            }
+            // The cluster permutations reaching the sorted sequence are
+            // those that put an equal block at every position: label each
+            // cluster by the first sorted position of its block.
+            class.resize(clusters, 0);
+            for (i, &c) in order.iter().enumerate() {
+                class[c as usize] = match i {
+                    0 => 0,
+                    _ if block(a, c) == block(a, order[i - 1]) => class[order[i - 1] as usize],
+                    _ => i as u8,
+                };
+            }
             for (p, inv) in cinvs.iter().enumerate() {
-                let ord = cands.first().map_or(Ordering::Less, |&(bp, ba)| {
-                    let best = cinvs[bp].iter().map(|&c| block(ba, c));
-                    inv.iter().map(|&c| block(a, c)).cmp(best)
-                });
-                match ord {
-                    Ordering::Less => {
-                        cands.clear();
-                        cands.push((p, a));
-                    }
-                    Ordering::Equal => cands.push((p, a)),
-                    Ordering::Greater => {}
+                if inv
+                    .iter()
+                    .zip(order.iter())
+                    .all(|(&x, &y)| class[x as usize] == class[y as usize])
+                {
+                    cands.push((p, a));
                 }
             }
         }
         // Every candidate shares the header and blocks; the smallest tail
         // decides, and the candidates reaching it count the stabiliser.
-        let (bp, ba) = cands[0];
-        out.clear();
-        s.encode_header(out);
-        for &c in &cinvs[bp] {
-            out.extend_from_slice(block(ba, c));
-        }
         let prefix = out.len();
+        let (bp, ba) = cands[0];
         s.encode_tail(&cperms[bp], &aperms[ba], out);
         let mut stabiliser = 1;
         for &(p, a) in &cands[1..] {

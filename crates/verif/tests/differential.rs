@@ -10,13 +10,13 @@
 //! state counts, and prove the checker catches seeded protocol bugs and
 //! dropped design rules.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use c3_verif::frontier::fingerprint;
 use c3_verif::resilient::{
-    check_resilient, successors, Injection, RState, ResilientConfig, SuccCtx,
+    check_resilient, successors, DevMsg, HostMsg, Injection, RState, ResilientConfig, SuccCtx,
 };
-use c3_verif::SymmetryGroup;
+use c3_verif::{Symmetric, SymmetryGroup};
 
 fn cfg(clusters: usize, addrs: usize) -> ResilientConfig {
     ResilientConfig {
@@ -159,6 +159,82 @@ fn pruned_canonical_form_is_the_brute_force_minimum_on_every_edge() {
             pruned_canonical_matches_brute_force(&base),
             counts,
             "{clusters}x{addrs} l1={l1_cores}: (canonical, unreduced, edges) moved"
+        );
+    }
+}
+
+/// The tail length the count-prefixed layout gives `s`: per address the
+/// DCOH's fixed fields, its snoop and its queue behind their counts, then
+/// per cluster each channel's count and occupied slots.
+fn tail_len(s: &RState, cfg: &ResilientConfig) -> usize {
+    let dir: usize = s.dir[..cfg.addrs]
+        .iter()
+        .map(|d| {
+            let snoop = if d.snoop.is_some() { 8 } else { 1 };
+            7 + cfg.clusters + snoop + 1 + 3 * d.qlen as usize
+        })
+        .sum();
+    let m2s: usize = (s.m2s[..cfg.clusters].iter().flatten().flatten())
+        .map(|m| match m {
+            HostMsg::Req { .. } => 4,
+            HostMsg::Rsp { dirty: None, .. } => 5,
+            HostMsg::Rsp { dirty: Some(_), .. } => 8,
+        })
+        .sum();
+    let s2m: usize = (s.s2m[..cfg.clusters].iter().flatten().flatten())
+        .map(|m| match m {
+            DevMsg::Data { .. } => 7,
+            DevMsg::Snp { .. } => 5,
+        })
+        .sum();
+    dir + 2 * cfg.clusters + m2s + s2m
+}
+
+/// Walk every concrete state `cfg` reaches, encoded under the identity
+/// group: no two different states may share an encoding, and each tail
+/// must have the length its counts declare. Returns the number of states.
+fn encoding_is_injective(cfg: &ResilientConfig) -> usize {
+    let mut group = SymmetryGroup::identity(cfg.clusters, cfg.addrs);
+    let cperm: Vec<u8> = (0..cfg.clusters as u8).collect();
+    let aperm: Vec<u8> = (0..cfg.addrs as u8).collect();
+    let (mut bytes, mut tail) = (Vec::new(), Vec::new());
+    let mut seen = HashMap::new();
+    let mut frontier = VecDeque::from([RState::initial(cfg)]);
+    group.canonical(&frontier[0], &mut bytes);
+    seen.insert(bytes.clone(), frontier[0].clone());
+    let (mut succs, mut ctx) = (Vec::new(), SuccCtx::default());
+    while let Some(s) = frontier.pop_front() {
+        tail.clear();
+        s.encode_tail(&cperm, &aperm, &mut tail);
+        assert_eq!(tail.len(), tail_len(&s, cfg), "tail {tail:?} of {s:?}");
+        successors(&s, cfg, &mut succs, &mut ctx);
+        for succ in succs.drain(..) {
+            group.canonical(&succ, &mut bytes);
+            match seen.get(&bytes) {
+                Some(first) => assert_eq!(first, &succ, "two states encode as {bytes:?}"),
+                None => {
+                    seen.insert(bytes.clone(), succ.clone());
+                    frontier.push_back(succ);
+                }
+            }
+        }
+    }
+    seen.len()
+}
+
+#[test]
+fn encoding_never_merges_two_states() {
+    // The tail is count-prefixed: each channel and DCOH queue writes its
+    // occupancy, then only its occupied entries. Without the device→host
+    // counts, a duplicate grant to one of two equal clusters encodes like
+    // one to the other. The other counts merge no state these configs
+    // reach, so the length check is what catches their loss.
+    for (base, states) in [(cfg(2, 2), 1_397), (nested(2, 1), 549)] {
+        let what = format!("{}x{} l1={}", base.clusters, base.addrs, base.l1_cores);
+        assert_eq!(
+            encoding_is_injective(&base),
+            states,
+            "{what}: state count moved"
         );
     }
 }
