@@ -10,6 +10,7 @@
 //! Usage: `cargo run --release -p c3-bench --bin ablation`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::{cli, run_workload, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
@@ -25,7 +26,7 @@ fn cxl_cfg() -> RunConfig {
 
 fn main() {
     cli::parse("usage: ablation\n", |_| Ok(()));
-    println!("== Ablation 1: S2M channel ordering (contention-boosted histogram) ==");
+    outln!("== Ablation 1: S2M channel ordering (contention-boosted histogram) ==");
     // Crank the hot-line contention so request/snoop races are frequent.
     let mut spec = WorkloadSpec::by_name("histogram").expect("workload");
     spec.shared_fraction = 0.20;
@@ -44,14 +45,14 @@ fn main() {
             bisnp += r.report.get("cxl.dcoh.bisnp_sent").unwrap_or(0.0);
             exec += r.exec_ns / 4;
         }
-        println!(
+        outln!(
             "  {label:<20} exec {exec:>8} ns   BIConflicts {conflicts:>5}   BISnp {bisnp:>6}   (4 seeds)"
         );
     }
-    println!("  (conflict handshakes arise only from the unordered fabric — the paper's");
-    println!("   motivation for CXL's explicit conflict resolution, Fig. 2)");
+    outln!("  (conflict handshakes arise only from the unordered fabric — the paper's");
+    outln!("   motivation for CXL's explicit conflict resolution, Fig. 2)");
 
-    println!("\n== Ablation 2: C3 CXL-cache capacity (workload: canneal) ==");
+    outln!("\n== Ablation 2: C3 CXL-cache capacity (workload: canneal) ==");
     let spec = WorkloadSpec::by_name("canneal").expect("workload");
     for (sets, ways) in [(2048usize, 8usize), (256, 4), (64, 4), (16, 4)] {
         let mut cfg = cxl_cfg();
@@ -69,7 +70,7 @@ fn main() {
             .filter(|(k, _)| k.ends_with("bridge.recalls"))
             .map(|(_, v)| v)
             .sum();
-        println!(
+        outln!(
             "  {:>5} lines: exec {:>8} ns   Fig.7 evictions {:>6}   recalls {:>5}",
             sets * ways,
             r.exec_ns,
@@ -77,9 +78,9 @@ fn main() {
             recalls
         );
     }
-    println!("  (inclusion makes the CXL cache a hard capacity bound on host-cached lines)");
+    outln!("  (inclusion makes the CXL cache a hard capacity bound on host-cached lines)");
 
-    println!("\n== Ablation 3: DCOH blocking convoy vs hot-line contention ==");
+    outln!("\n== Ablation 3: DCOH blocking convoy vs hot-line contention ==");
     // Sweep the fraction of accesses that hit contended lines: queued
     // (stalled) requests at the blocking DCOH grow superlinearly — the
     // convoy effect of §VI-C1.
@@ -90,7 +91,7 @@ fn main() {
         spec.hot_fraction = 0.8;
         spec.hot_lines = 4;
         let r = run_workload(&spec, &cxl_cfg());
-        println!(
+        outln!(
             "  hot traffic {:>4.1}%: exec {:>8} ns   DCOH stalled {:>6}   BISnp {:>6}   conflicts {:>4}",
             shared * 80.0,
             r.exec_ns,
@@ -99,5 +100,5 @@ fn main() {
             r.report.get("cxl.dcoh.conflicts").unwrap_or(0.0),
         );
     }
-    println!("  (stalled requests queue behind blocked snoops — the convoy behind Fig. 10's worst cases)");
+    outln!("  (stalled requests queue behind blocked snoops — the convoy behind Fig. 10's worst cases)");
 }

@@ -22,6 +22,7 @@
 use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
 use c3::ResilienceConfig;
 use c3_bench::cli;
+use c3_bench::outln;
 use c3_protocol::ops::{Addr, Reg, ThreadProgram};
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::fabric::LinkId;
@@ -229,7 +230,7 @@ fn main() {
         summary
     });
     for s in &summaries {
-        println!("{s}");
+        outln!("{s}");
     }
-    println!("chaos: all {} sweep point(s) converged", sweeps.len());
+    outln!("chaos: all {} sweep point(s) converged", sweeps.len());
 }

@@ -14,6 +14,7 @@
 //! [--workloads a,b,c] [--csv PATH] [--json PATH] [--threads N]`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::runner::{self, Experiment};
 use c3_bench::{cli, geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
@@ -82,10 +83,14 @@ fn main() {
     }
     let results = runner::run_grid(threads, &grid);
 
-    println!("Figure 10: normalized execution time (baseline MESI-MESI-MESI = 1.00)");
-    println!(
+    outln!("Figure 10: normalized execution time (baseline MESI-MESI-MESI = 1.00)");
+    outln!(
         "{:<18} {:>8} {:>15} {:>15} {:>15}",
-        "workload", "base(us)", "MESI-CXL-MESI", "MESI-CXL-MOESI", "MESI-CXL-MESIF"
+        "workload",
+        "base(us)",
+        "MESI-CXL-MESI",
+        "MESI-CXL-MOESI",
+        "MESI-CXL-MESIF"
     );
 
     let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); 3];
@@ -101,7 +106,7 @@ fn main() {
             .collect();
         let base = times[0];
         let norm: Vec<f64> = times.iter().map(|t| t / base).collect();
-        println!(
+        outln!(
             "{:<18} {:>8.1} {:>15.3} {:>15.3} {:>15.3}",
             spec.name,
             base / 1000.0,
@@ -132,18 +137,18 @@ fn main() {
 
     if let Some(path) = csv {
         std::fs::write(&path, csv_rows.join("\n") + "\n").expect("write csv");
-        println!("\n(wrote {path})");
+        outln!("\n(wrote {path})");
     }
     if let Some(path) = json {
         std::fs::write(&path, runner::grid_json(&grid, &results, true)).expect("write json");
-        println!("\n(wrote {path})");
+        outln!("\n(wrote {path})");
     }
-    println!("\nPer-suite geomean (normalized):");
+    outln!("\nPer-suite geomean (normalized):");
     for (si, name) in ["splash4", "parsec", "phoenix"].iter().enumerate() {
         if per_suite[si][0].is_empty() {
             continue;
         }
-        println!(
+        outln!(
             "{:<18} {:>8} {:>15.3} {:>15.3} {:>15.3}",
             name,
             "",
@@ -154,18 +159,18 @@ fn main() {
     }
     if !per_config[0].is_empty() {
         let max = |v: &Vec<f64>| v.iter().cloned().fold(f64::MIN, f64::max);
-        println!("\nMean slowdown vs baseline:");
-        println!(
+        outln!("\nMean slowdown vs baseline:");
+        outln!(
             "  MESI-CXL-MESI : avg {:+.1}%  max {:+.1}%   (paper: avg +5.5%, range 4.0-26.6%)",
             (geomean(&per_config[0]) - 1.0) * 100.0,
             (max(&per_config[0]) - 1.0) * 100.0
         );
-        println!(
+        outln!(
             "  MESI-CXL-MOESI: avg {:+.1}%  max {:+.1}%   (paper: avg +5.7%, range 3.9-28.6%)",
             (geomean(&per_config[1]) - 1.0) * 100.0,
             (max(&per_config[1]) - 1.0) * 100.0
         );
-        println!(
+        outln!(
             "  MESI-CXL-MESIF: avg {:+.1}%  max {:+.1}%   (paper: avg +5.5%, range 4.0-29.4%)",
             (geomean(&per_config[2]) - 1.0) * 100.0,
             (max(&per_config[2]) - 1.0) * 100.0

@@ -16,6 +16,7 @@
 //! [--threads N]`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::runner::{self, Experiment};
 use c3_bench::{cli, miss_breakdown, RunConfig};
 use c3_protocol::mcm::Mcm;
@@ -53,7 +54,7 @@ fn main() {
     }
     let results = runner::run_grid(threads, &grid);
 
-    println!("Figure 11: total miss cycles (us) by latency band and instruction type");
+    outln!("Figure 11: total miss cycles (us) by latency band and instruction type");
     for (w, name) in workloads.iter().enumerate() {
         let mut rows = Vec::new();
         let mut execs = Vec::new();
@@ -70,19 +71,23 @@ fn main() {
             }
             misses.push(m);
         }
-        println!(
+        outln!(
             "\n== {name} ==   exec: base {:.1} us, CXL {:.1} us ({:+.1}%)",
             execs[0] as f64 / 1000.0,
             execs[1] as f64 / 1000.0,
             (execs[1] as f64 / execs[0] as f64 - 1.0) * 100.0
         );
-        println!(
+        outln!(
             "   misses: base {} vs CXL {} (counts should match)",
-            misses[0], misses[1]
+            misses[0],
+            misses[1]
         );
-        println!(
+        outln!(
             "   {:<22} {:>14} {:>14} {:>8}",
-            "band", "MESI-MESI-MESI", "MESI-CXL-MESI", "ratio"
+            "band",
+            "MESI-MESI-MESI",
+            "MESI-CXL-MESI",
+            "ratio"
         );
         let mut high = (0.0, 0.0);
         for (i, (label, base)) in rows[0].iter().enumerate() {
@@ -95,7 +100,7 @@ fn main() {
             } else {
                 f64::INFINITY
             };
-            println!(
+            outln!(
                 "   {:<22} {:>14.1} {:>14.1} {:>8.2}",
                 label,
                 base / 1000.0,
@@ -108,7 +113,7 @@ fn main() {
             }
         }
         if high.0 > 0.0 {
-            println!(
+            outln!(
                 "   high-band total ratio: {:.2}x   (paper: ~2.9x for affected workloads)",
                 high.1 / high.0
             );

@@ -16,6 +16,7 @@
 //! [--workloads a,b,c] [--threads N]`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::runner::{self, Experiment};
 use c3_bench::{cli, geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
@@ -66,10 +67,14 @@ fn main() {
         }
         let results = runner::run_grid(threads, &grid);
 
-        println!("=== scenario {scenario} ===");
-        println!(
+        outln!("=== scenario {scenario} ===");
+        outln!(
             "{:<18} {:>10} {:>10} {:>10} {:>12}",
-            "workload", "Arm-Arm", "TSO-TSO", "Arm-TSO", "Arm@mixed"
+            "workload",
+            "Arm-Arm",
+            "TSO-TSO",
+            "Arm-TSO",
+            "Arm@mixed"
         );
         let mut suite_norm: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); 3]; 3];
         for (w, spec) in specs.iter().enumerate() {
@@ -82,7 +87,7 @@ fn main() {
             // cluster 0 is the weak one in the mixed (Weak, Tso) assignment
             let mixed_weak_cluster = cell(2).cluster_ns[0] as f64;
             let base = times[0];
-            println!(
+            outln!(
                 "{:<18} {:>10.3} {:>10.3} {:>10.3} {:>12.3}",
                 spec.name,
                 1.0,
@@ -100,12 +105,12 @@ fn main() {
                 suite_norm[si][k].push(times[k] / base);
             }
         }
-        println!("\nPer-suite geomean (normalized to Arm-Arm):");
+        outln!("\nPer-suite geomean (normalized to Arm-Arm):");
         for (si, name) in ["splash4", "parsec", "phoenix"].iter().enumerate() {
             if suite_norm[si][0].is_empty() {
                 continue;
             }
-            println!(
+            outln!(
                 "{:<18} {:>10.3} {:>10.3} {:>10.3}",
                 name,
                 geomean(&suite_norm[si][0]),
@@ -116,20 +121,20 @@ fn main() {
         let all_tso: Vec<f64> = suite_norm.iter().flat_map(|s| s[1].clone()).collect();
         let mixed: Vec<f64> = suite_norm.iter().flat_map(|s| s[2].clone()).collect();
         if !all_tso.is_empty() {
-            println!(
+            outln!(
                 "\nTSO-TSO : avg {:+.1}%   (paper: 22-39% / 22-43% slower)",
                 (geomean(&all_tso) - 1.0) * 100.0
             );
-            println!(
+            outln!(
                 "Arm-TSO : avg {:+.1}%   (paper: 2.6-12.7% / 2.2-14.4% slower)",
                 (geomean(&mixed) - 1.0) * 100.0
             );
-            println!(
+            outln!(
                 "(The Arm@mixed column is the weak cluster's own completion time in the\n\
                  mixed assignment, normalized to all-Arm — the paper's claim that C3\n\
                  does not hinder the weaker memory model.)"
             );
         }
-        println!();
+        outln!();
     }
 }

@@ -20,6 +20,7 @@
 //! workloads (histogram, barnes) show lines read and written by several
 //! hosts; vips shows none.
 
+use c3_bench::outln;
 use std::num::NonZeroU64;
 
 use c3::system::GlobalProtocol;
@@ -208,14 +209,14 @@ fn main() {
 
     let hub = sim.metrics();
     let windows = hub.windows();
-    println!(
+    outln!(
         "{name} [{}]: {:?} at {} after {} events",
         cfg.label(),
         outcome,
         sim.now(),
         sim.events_processed()
     );
-    println!(
+    outln!(
         "telemetry: {windows} window(s) x {} series, interval {} ns ({} decimation(s)) -> {path}",
         hub.metric_names().len(),
         hub.interval().as_ns(),
@@ -231,9 +232,13 @@ fn main() {
     let ends = sim.fabric().link_route_endpoints();
 
     // Windowed summary: up to 16 evenly spaced windows.
-    println!(
+    outln!(
         "\n{:>7} {:>12} {:>9}  {:<28} {:<26} hottest addr",
-        "window", "t_ns", "events", "busiest component", "max-backlog link"
+        "window",
+        "t_ns",
+        "events",
+        "busiest component",
+        "max-backlog link"
     );
     let step = windows.div_ceil(16);
     let shown: Vec<usize> = (0..windows).step_by(step.max(1)).collect();
@@ -257,7 +262,7 @@ fn main() {
             Some(&(a, c)) => format!("{a:#x} ({c})"),
             None => "-".into(),
         };
-        println!(
+        outln!(
             "{:>7} {:>12} {:>9.0}  {:<28} {:<26} {}",
             w,
             hub.window_time(w).as_ns(),
@@ -301,7 +306,7 @@ fn main() {
     if let Some(&(a, c)) = hub.top_addrs(peak).first() {
         parts.push(format!("hottest addr {a:#x} ({c} msgs)"));
     }
-    println!(
+    outln!(
         "\npeak window {peak} [t={} ns]: {}",
         hub.window_time(peak).as_ns(),
         if parts.is_empty() {
@@ -312,10 +317,13 @@ fn main() {
     );
 
     if let Some(dcoh) = sim.component_as::<c3_cxl::CxlDirectory>(handles.global_dir) {
-        println!("\nhot lines at the DCOH (whole run):");
-        println!(
+        outln!("\nhot lines at the DCOH (whole run):");
+        outln!(
             "   {:<8} {:>8} {:>8} {:>8}",
-            "line", "reads", "writes", "hosts"
+            "line",
+            "reads",
+            "writes",
+            "hosts"
         );
         for h in dcoh.engine().hottest(8) {
             let marker = if h.sharers > 1 && h.writes > 0 {
@@ -323,7 +331,7 @@ fn main() {
             } else {
                 ""
             };
-            println!(
+            outln!(
                 "   {:<8} {:>8} {:>8} {:>8}{marker}",
                 h.addr.to_string(),
                 h.reads,

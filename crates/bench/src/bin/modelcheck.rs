@@ -29,6 +29,7 @@
 //! the exploration was truncated), `2` bad usage, including a
 //! configuration the model cannot hold.
 
+use c3_bench::outln;
 use std::str::FromStr;
 
 use c3::bridge::bridge_transition_table;
@@ -249,13 +250,18 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     let t0 = std::time::Instant::now();
     let r = check_resilient(cfg);
     let secs = t0.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "{label}: {} canonical / {} unreduced states, {} edges, \
          reduction {:.2}x (group order {}), {:.2}s",
-        r.canonical_states, r.unreduced_states, r.edges, r.reduction_factor, r.group_order, secs,
+        r.canonical_states,
+        r.unreduced_states,
+        r.edges,
+        r.reduction_factor,
+        r.group_order,
+        secs,
     );
     if r.truncated {
-        println!(
+        outln!(
             "  FAIL: truncated at max-states={} — not exhaustive",
             cfg.max_states
         );
@@ -270,7 +276,7 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
             let bridge = bridge_transition_table(ProtocolFamily::Mesi);
             let defects = check_model_conformance(&r.witnesses, &[&dcoh, &bridge]);
             if defects.is_empty() {
-                println!(
+                outln!(
                     "  clean; {} table witnesses conform to the dcoh+bridge tables",
                     r.witnesses.len()
                 );
@@ -278,7 +284,7 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
                     // The reduction factor is bounded by the group order,
                     // so the bar binds only where the group exceeds it.
                     if cfg.symmetry && r.group_order as f64 > min && r.reduction_factor < min {
-                        println!(
+                        outln!(
                             "  FAIL: reduction factor {:.2}x below required {min:.2}x",
                             r.reduction_factor
                         );
@@ -288,13 +294,13 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
                 true
             } else {
                 for d in &defects {
-                    println!("  model/table divergence: {d}");
+                    outln!("  model/table divergence: {d}");
                 }
                 false
             }
         }
         (None, Some(inj)) => {
-            println!(
+            outln!(
                 "  FAIL: injected bug {:?} was NOT caught (expected a {} violation)",
                 inj.name(),
                 expected_violation(inj)
@@ -302,22 +308,22 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
             false
         }
         (Some((v, cex)), maybe_inj) => {
-            println!("  VIOLATION: {v}");
-            println!("  counterexample ({} steps):", cex.steps.len());
+            outln!("  VIOLATION: {v}");
+            outln!("  counterexample ({} steps):", cex.steps.len());
             for (comp, desc) in &cex.steps {
-                println!("    [{comp}] {desc}");
+                outln!("    [{comp}] {desc}");
             }
-            println!("  trace replay:");
+            outln!("  trace replay:");
             for line in cex.trace.lines() {
-                println!("    {line}");
+                outln!("    {line}");
             }
             match maybe_inj {
                 Some(inj) if violation_class(v) == expected_violation(inj) => {
-                    println!("  OK: injected bug {:?} caught as expected", inj.name());
+                    outln!("  OK: injected bug {:?} caught as expected", inj.name());
                     true
                 }
                 Some(inj) => {
-                    println!(
+                    outln!(
                         "  FAIL: injected bug {:?} tripped {} (expected {})",
                         inj.name(),
                         violation_class(v),
@@ -338,7 +344,7 @@ fn main() {
         ok &= run_one(cfg, plan.min_reduction);
     }
     if plan.self_test {
-        println!(
+        outln!(
             "modelcheck self-test: {}",
             if ok {
                 "every injection caught"
@@ -347,7 +353,7 @@ fn main() {
             }
         );
     } else if ok {
-        println!("modelcheck: all configurations acceptable");
+        outln!("modelcheck: all configurations acceptable");
     }
     std::process::exit(if ok { 0 } else { 1 });
 }

@@ -15,6 +15,7 @@
 //! [-- --quick] [--threads N] [--ops N] [--json PATH]`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::runner::{self, json_escape};
 use c3_bench::{cli, run_workload_with, RunConfig};
 use c3_memsys::{AccessKind, L1Controller};
@@ -150,14 +151,14 @@ fn main() {
 
     let results = runner::run_indexed(threads, &cells, |_, c| run_cell(c));
 
-    println!(
+    outln!(
         "OLTP/KV sweep: {} keys/cell, {} ops/core ({} cells on {} threads)",
         base.hot_lines,
         ops,
         cells.len(),
         threads,
     );
-    println!(
+    outln!(
         "{:<32} {:>8} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>6}",
         "cell",
         "txns",
@@ -177,7 +178,7 @@ fn main() {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "{:<32} {:>8} {:>9.1} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10.1} {:>5.1}%",
             cell.tag,
             r.txns.total(),
@@ -191,7 +192,7 @@ fn main() {
             resident_pct,
         );
     }
-    println!(
+    outln!(
         "\n(touched = distinct directory lines ever seen; peak-res = most ever \
          materialized at once; res% = peak-res / touched, the share of lines \
          holding a full record at the peak)"
@@ -230,6 +231,6 @@ fn main() {
         }
         out.push_str("  ]\n}\n");
         std::fs::write(&path, out).expect("write json");
-        println!("(wrote {path})");
+        outln!("(wrote {path})");
     }
 }

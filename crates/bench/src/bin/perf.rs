@@ -17,15 +17,19 @@
 //!
 //! Each measurement reports **events/sec** (wall-clock, noisy) and
 //! **allocs/event** (exact and deterministic for a seed — the process
-//! runs under [`c3_bench::alloc::CountingAlloc`]). Results append to the
+//! runs under [`c3_bench::alloc::CountingAlloc`]), both in total and for
+//! the event loop alone ("run-only": build and report excluded, so the
+//! steady per-event cost shows even where the build dominates the
+//! total). Results append to the
 //! `runs` array of the output JSON (default `BENCH_perf.json`), so
 //! successive invocations — and CI's per-commit artifacts — accumulate
 //! comparable points instead of overwriting each other.
 //!
 //! Exits nonzero if any measurement reports zero throughput, if
-//! `--alloc-budget FILE` is given and a measurement exceeds its
-//! committed allocs/event budget (the deterministic perf gate; see
-//! `crates/bench/alloc_budget.txt` and the perf-smoke CI job), or if
+//! `--alloc-budget FILE` is given and a measurement exceeds one of its
+//! committed total or run-only allocs/event budgets for this mode (the
+//! deterministic perf gate; see `crates/bench/alloc_budget.txt` and the
+//! perf-smoke CI job), or if
 //! `--floor-label TEXT` is given and the ping-pong, vips or oltp-quick
 //! throughput drops below the median of the committed same-`quick`
 //! entries under that label by more than 20% (quick) or 40% (full), the
@@ -38,6 +42,7 @@
 //! [--exchanges N] [--out PATH] [--label TEXT] [--alloc-budget FILE]
 //! [--floor-label TEXT]`
 
+use c3_bench::outln;
 use std::any::Any;
 
 use c3::system::GlobalProtocol;
@@ -102,6 +107,10 @@ struct Measurement {
     events_per_sec: f64,
     allocs: u64,
     allocs_per_event: f64,
+    /// Allocations inside the event loop alone (build and report
+    /// excluded): the steady per-event cost the total hides.
+    run_allocs: u64,
+    run_allocs_per_event: f64,
 }
 
 impl Measurement {
@@ -113,7 +122,8 @@ impl Measurement {
         format!(
             "{{\"label\": \"{}\", \"config\": \"{}\", \"quick\": {quick}, \"events\": {}, \
              \"sim_ns\": {}, {exec}\"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
-             \"allocs\": {}, \"allocs_per_event\": {:.4}}}",
+             \"allocs\": {}, \"allocs_per_event\": {:.4}, \"run_allocs\": {}, \
+             \"run_allocs_per_event\": {:.4}}}",
             json_escape(label),
             json_escape(&self.config),
             self.events,
@@ -122,7 +132,23 @@ impl Measurement {
             self.events_per_sec,
             self.allocs,
             self.allocs_per_event,
+            self.run_allocs,
+            self.run_allocs_per_event,
         )
+    }
+
+    /// The console line: throughput, then total and run-only allocs/event.
+    fn print(&self, what: &str) {
+        outln!(
+            "{what:<9}: {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event \
+             ({:.4} in the run)",
+            self.config,
+            self.events,
+            self.wall_ms,
+            self.events_per_sec / 1e6,
+            self.allocs_per_event,
+            self.run_allocs_per_event
+        );
     }
 }
 
@@ -152,6 +178,7 @@ fn pingpong(exchanges: u64) -> Measurement {
     let a0 = alloc_count();
     assert_eq!(sim.run(), RunOutcome::Completed, "ping-pong wedged");
     let allocs = alloc_count() - a0;
+    let events = sim.events_processed().max(1) as f64;
     let report = sim.report();
     let eps = report
         .get("sim.events_per_sec")
@@ -164,7 +191,10 @@ fn pingpong(exchanges: u64) -> Measurement {
         wall_ms: sim.wall_time().as_secs_f64() * 1_000.0,
         events_per_sec: eps,
         allocs,
-        allocs_per_event: allocs as f64 / sim.events_processed().max(1) as f64,
+        allocs_per_event: allocs as f64 / events,
+        // The build is two components and a link, made before `a0`.
+        run_allocs: allocs,
+        run_allocs_per_event: allocs as f64 / events,
     }
 }
 
@@ -205,6 +235,8 @@ fn workload(quick: bool, metrics: bool) -> Measurement {
         events_per_sec: r.events_per_sec,
         allocs,
         allocs_per_event: allocs as f64 / r.events.max(1) as f64,
+        run_allocs: r.run_allocs,
+        run_allocs_per_event: r.run_allocs as f64 / r.events.max(1) as f64,
     }
 }
 
@@ -239,6 +271,8 @@ fn workload_oltp(quick: bool) -> Measurement {
         events_per_sec: r.events_per_sec,
         allocs,
         allocs_per_event: allocs as f64 / r.events.max(1) as f64,
+        run_allocs: r.run_allocs,
+        run_allocs_per_event: r.run_allocs as f64 / r.events.max(1) as f64,
     }
 }
 
@@ -304,9 +338,22 @@ fn median_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) 
     }
 }
 
-/// Read and parse the committed budget file: `<config-prefix>
-/// <max-allocs-per-event>` per line, `#` comments allowed.
-fn parse_budget(path: &str) -> Result<Vec<(String, f64)>, CliError> {
+/// One committed allocs/event budget.
+struct Budget {
+    /// Gates `--quick` runs (unqualified lines) or full runs (`full:`).
+    quick: bool,
+    /// Gates the run-only count (`run:`) instead of the total.
+    run_only: bool,
+    /// Measurements whose config starts with this.
+    prefix: String,
+    limit: f64,
+}
+
+/// Read and parse the committed budget file: `[full:][run:]<config-prefix>
+/// <max-allocs-per-event>` per line, `#` comments allowed. Unqualified
+/// lines gate the total of `--quick` runs; `full:` moves a line to full
+/// runs and `run:` to the run-only count.
+fn parse_budget(path: &str) -> Result<Vec<Budget>, CliError> {
     let bad = |reason: String| CliError::BadFile {
         path: path.to_string(),
         reason,
@@ -318,16 +365,29 @@ fn parse_budget(path: &str) -> Result<Vec<(String, f64)>, CliError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (name, limit) = line
+        let (key, limit) = line
             .split_once(char::is_whitespace)
-            .and_then(|(name, limit)| Some((name, limit.trim().parse::<f64>().ok()?)))
+            .and_then(|(key, limit)| Some((key, limit.trim().parse::<f64>().ok()?)))
             .ok_or_else(|| {
                 bad(format!(
-                    "line {}: {line:?} is not `<config-prefix> <allocs/event>`",
+                    "line {}: {line:?} is not `[full:][run:]<config-prefix> <allocs/event>`",
                     n + 1
                 ))
             })?;
-        out.push((name.to_string(), limit));
+        let (quick, key) = match key.strip_prefix("full:") {
+            Some(rest) => (false, rest),
+            None => (true, key),
+        };
+        let (run_only, prefix) = match key.strip_prefix("run:") {
+            Some(rest) => (true, rest),
+            None => (false, key),
+        };
+        out.push(Budget {
+            quick,
+            run_only,
+            prefix: prefix.to_string(),
+            limit,
+        });
     }
     Ok(out)
 }
@@ -354,41 +414,20 @@ fn main() {
     });
     let exchanges = exchanges.unwrap_or(if quick { 200_000 } else { 2_000_000 }) | 1;
 
+    if cfg!(debug_assertions) {
+        // Debug builds check every controller step against its
+        // transition table, built on first use. Build them outside the
+        // measurements so a debug run counts what a release run counts.
+        workload(true, false);
+    }
     let pp = pingpong(exchanges);
-    println!(
-        "pingpong : {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        pp.events,
-        pp.wall_ms,
-        pp.events_per_sec / 1e6,
-        pp.allocs_per_event
-    );
+    pp.print("pingpong");
     let wl = workload(quick, false);
-    println!(
-        "workload : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wl.config,
-        wl.events,
-        wl.wall_ms,
-        wl.events_per_sec / 1e6,
-        wl.allocs_per_event
-    );
+    wl.print("workload");
     let wlm = workload(quick, true);
-    println!(
-        "metrics  : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wlm.config,
-        wlm.events,
-        wlm.wall_ms,
-        wlm.events_per_sec / 1e6,
-        wlm.allocs_per_event
-    );
+    wlm.print("metrics");
     let wlo = workload_oltp(quick);
-    println!(
-        "oltp     : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wlo.config,
-        wlo.events,
-        wlo.wall_ms,
-        wlo.events_per_sec / 1e6,
-        wlo.allocs_per_event
-    );
+    wlo.print("oltp");
 
     // Capture the committed entries before appending: the floor gate
     // below must compare against history, not against this run.
@@ -406,7 +445,7 @@ fn main() {
         entries.join(",\n    ")
     );
     std::fs::write(&out, &json).expect("write perf json");
-    println!("(wrote {out})");
+    outln!("(wrote {out})");
 
     // Evaluate every gate, then exit once: a run that breaks the
     // deterministic budget must say so even when a noisy floor fails too.
@@ -447,7 +486,7 @@ fn main() {
                             base / 1e6
                         ));
                     } else {
-                        println!(
+                        outln!(
                             "floor   : {name} {:.2} M events/sec >= {:.2} M ({pct:.0}% of '{flabel}' median)",
                             m.events_per_sec / 1e6,
                             floor / 1e6
@@ -455,24 +494,35 @@ fn main() {
                     }
                 }
                 None => {
-                    println!("floor   : no committed '{flabel}' {name} baseline yet; skipping")
+                    outln!("floor   : no committed '{flabel}' {name} baseline yet; skipping")
                 }
             }
         }
     }
 
     if let Some((budget, path)) = budget {
-        for (prefix, limit) in budget {
-            match measured.iter().find(|m| m.config.starts_with(&prefix)) {
-                Some(m) if m.allocs_per_event > limit => failures.push(format!(
-                    "{} allocs/event {:.4} exceeds budget {limit} ({path})",
-                    m.config, m.allocs_per_event
-                )),
-                Some(m) => println!(
-                    "budget  : {} {:.4} allocs/event <= {limit}",
-                    m.config, m.allocs_per_event
-                ),
-                None => failures.push(format!("budget entry {prefix} matches no measurement")),
+        for b in budget.iter().filter(|b| b.quick == quick) {
+            let (what, limit) = (if b.run_only { "run-only " } else { "" }, b.limit);
+            match measured.iter().find(|m| m.config.starts_with(&b.prefix)) {
+                Some(m) => {
+                    let got = if b.run_only {
+                        m.run_allocs_per_event
+                    } else {
+                        m.allocs_per_event
+                    };
+                    if got > limit {
+                        failures.push(format!(
+                            "{} {what}allocs/event {got:.4} exceeds budget {limit} ({path})",
+                            m.config
+                        ));
+                    } else {
+                        outln!(
+                            "budget  : {} {what}{got:.4} allocs/event <= {limit}",
+                            m.config
+                        );
+                    }
+                }
+                None => failures.push(format!("budget entry {} matches no measurement", b.prefix)),
             }
         }
     }

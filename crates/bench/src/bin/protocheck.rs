@@ -29,6 +29,7 @@ use c3::bridge::bridge_transition_table;
 use c3::generator::{baseline_fsm, bridge_fsm};
 use c3_bench::cli;
 use c3_bench::runner::json_escape;
+use c3_bench::{out, outln};
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_memsys::l1::l1_transition_table;
 use c3_protocol::states::ProtocolFamily;
@@ -199,30 +200,30 @@ fn print_text(
     for f in families {
         let rows: usize = f.tables.iter().map(|t| t.rows).sum();
         if f.defects.is_empty() {
-            println!("{}: l1+bridge+dcoh tables clean ({rows} rows)", f.family);
+            outln!("{}: l1+bridge+dcoh tables clean ({rows} rows)", f.family);
         } else {
-            println!(
+            outln!(
                 "{}: {} defect(s) in {rows} rows:",
                 f.family,
                 f.defects.len()
             );
             for d in &f.defects {
-                println!("  {d}");
+                outln!("  {d}");
             }
         }
     }
     for f in fsms {
         if !f.defects.is_empty() {
-            println!("{}: {} defect(s):", f.name, f.defects.len());
+            outln!("{}: {} defect(s):", f.name, f.defects.len());
             for d in &f.defects {
-                println!("  {d}");
+                outln!("  {d}");
             }
         }
     }
     if total_defects == 0 {
-        println!("protocheck: {tables_checked} tables + {fsm_count} compound FSMs clean");
+        outln!("protocheck: {tables_checked} tables + {fsm_count} compound FSMs clean");
     } else {
-        println!("protocheck: {total_defects} defect(s)");
+        outln!("protocheck: {total_defects} defect(s)");
     }
 }
 
@@ -280,5 +281,5 @@ fn print_json(families: &[FamilyResult], fsms: &[FsmResult], total_defects: usiz
         fsms.len(),
         total_defects
     ));
-    print!("{out}");
+    out!("{out}");
 }

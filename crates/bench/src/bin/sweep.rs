@@ -16,6 +16,7 @@
 //! [-- --workload W] [--threads N] [--json PATH]`
 
 use c3::system::GlobalProtocol;
+use c3_bench::outln;
 use c3_bench::runner::{self, Experiment};
 use c3_bench::{cli, RunConfig};
 use c3_protocol::mcm::Mcm;
@@ -53,20 +54,23 @@ fn main() {
 
     let results = runner::run_grid(threads, &grid);
 
-    println!(
+    outln!(
         "Link-latency sweep, workload {} (normalized CXL/baseline):",
         spec.name
     );
-    println!(
+    outln!(
         "{:>9} {:>12} {:>12} {:>8}",
-        "link(ns)", "baseline(ns)", "cxl(ns)", "ratio"
+        "link(ns)",
+        "baseline(ns)",
+        "cxl(ns)",
+        "ratio"
     );
     for (i, &link_ns) in link_points.iter().enumerate() {
         let base = results[2 * i].expect_completed(&grid[2 * i].tag).exec_ns;
         let cxl = results[2 * i + 1]
             .expect_completed(&grid[2 * i + 1].tag)
             .exec_ns;
-        println!(
+        outln!(
             "{:>9} {:>12} {:>12} {:>8.3}",
             link_ns,
             base,
@@ -74,9 +78,9 @@ fn main() {
             cxl as f64 / base as f64
         );
     }
-    println!("\n(70 ns is the paper's Table III operating point)");
+    outln!("\n(70 ns is the paper's Table III operating point)");
     if let Some(path) = json {
         std::fs::write(&path, runner::grid_json(&grid, &results, true)).expect("write json");
-        println!("(wrote {path})");
+        outln!("(wrote {path})");
     }
 }

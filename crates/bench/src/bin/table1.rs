@@ -3,14 +3,17 @@
 //! Usage: `cargo run -p c3-bench --bin table1`
 
 use c3_bench::cli;
+use c3_bench::outln;
 use c3_protocol::msg::{direction, mesi_equivalent, CxlOpcode};
 
 fn main() {
     cli::parse("usage: table1\n", |_| Ok(()));
-    println!("Table I: CXL.mem coherence messages and MESI equivalents");
-    println!(
+    outln!("Table I: CXL.mem coherence messages and MESI equivalents");
+    outln!(
         "{:<12} {:<5} {:<10} Description",
-        "Message", "Dir.", "MESI Eq."
+        "Message",
+        "Dir.",
+        "MESI Eq."
     );
     let rows = [
         (
@@ -45,7 +48,7 @@ fn main() {
         ),
     ];
     for (op, name, desc) in rows {
-        println!(
+        outln!(
             "{:<12} {:<5} {:<10} {desc}",
             name,
             direction(op),

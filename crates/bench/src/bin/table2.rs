@@ -5,6 +5,7 @@
 
 use c3::generator::bridge_fsm;
 use c3_bench::cli;
+use c3_bench::outln;
 use c3_protocol::states::ProtocolFamily;
 
 const USAGE: &str = "usage: table2 [MESI|MESIF|MOESI|RCC]   (host family, default MOESI)\n";
@@ -24,8 +25,8 @@ fn main() {
         }),
     });
     let fsm = bridge_fsm(family);
-    println!("{}", fsm.dump_table());
-    println!(
+    outln!("{}", fsm.dump_table());
+    outln!(
         "{} consistent compound states, {} translation rows",
         fsm.states.len(),
         fsm.rows.len()

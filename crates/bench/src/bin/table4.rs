@@ -17,6 +17,7 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::{cli, runner};
+use c3_bench::{out, outln};
 use c3_mcm::harness::{reference_allowed, run_litmus, LitmusConfig};
 use c3_mcm::litmus::LitmusTest;
 use c3_protocol::mcm::Mcm;
@@ -63,19 +64,19 @@ fn main() {
         run_litmus(test, &cfg)
     });
 
-    println!("Table IV: litmus results ({runs} randomized runs per cell)");
-    print!("{:<10}", "Test");
+    outln!("Table IV: litmus results ({runs} randomized runs per cell)");
+    out!("{:<10}", "Test");
     for (pname, _) in &protocol_combos {
         for (mname, _) in &mcm_combos {
-            print!(" {:>9}", format!("{}", mname));
+            out!(" {:>9}", format!("{}", mname));
         }
-        print!("  | {pname}");
+        out!("  | {pname}");
     }
-    println!();
+    outln!();
 
     let mut all_passed = true;
     for (t, test) in tests.iter().enumerate() {
-        print!("{:<10}", test.name);
+        out!("{:<10}", test.name);
         for cell in 0..6 {
             let report = &reports[6 * t + cell];
             let mark = if report.passed() {
@@ -84,15 +85,15 @@ fn main() {
                 all_passed = false;
                 "✗".to_string()
             };
-            print!(" {mark:>9}");
+            out!(" {mark:>9}");
         }
-        println!();
+        outln!();
     }
-    println!("\n(✓ = no forbidden outcome; percentage = allowed outcomes actually observed)");
+    outln!("\n(✓ = no forbidden outcome; percentage = allowed outcomes actually observed)");
 
     // Control experiment (§VI-A): removing synchronization must expose
     // relaxed outcomes on weak clusters.
-    println!("\nControl: synchronization removed (forbidden-under-sync outcomes MUST appear)");
+    outln!("\nControl: synchronization removed (forbidden-under-sync outcomes MUST appear)");
     let control_tests = [LitmusTest::mp(), LitmusTest::sb(), LitmusTest::lb()];
     let controls = runner::run_indexed(threads, &control_tests, |_, test| {
         let cfg = LitmusConfig::new(
@@ -108,7 +109,7 @@ fn main() {
     let mut controls_ok = true;
     for (test, (relaxed, coherent)) in control_tests.iter().zip(&controls) {
         controls_ok &= relaxed & coherent;
-        println!(
+        outln!(
             "  {:<10} relaxed outcome observed: {}   still coherent: {}",
             test.name,
             if *relaxed { "yes ✓" } else { "NO ✗" },
@@ -125,15 +126,15 @@ fn main() {
     .runs(runs.max(400));
     let report = run_litmus(&LitmusTest::mp().without_sync(), &cfg);
     let tso_mp_safe = !report.observed.contains(&vec![1, 0]);
-    println!(
+    outln!(
         "  MP on TSO without fences: forbidden outcome absent: {}",
         if tso_mp_safe { "yes ✓" } else { "NO ✗" }
     );
 
     if all_passed && controls_ok && tso_mp_safe {
-        println!("\nAll litmus campaigns PASSED.");
+        outln!("\nAll litmus campaigns PASSED.");
     } else {
-        println!("\nSOME LITMUS CAMPAIGNS FAILED!");
+        outln!("\nSOME LITMUS CAMPAIGNS FAILED!");
         std::process::exit(1);
     }
 }

@@ -24,6 +24,7 @@
 
 use c3::system::GlobalProtocol;
 use c3_bench::{build_sim, cli, exec_times, render_report, RunConfig};
+use c3_bench::{out, outln};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::kernel::RunOutcome;
@@ -97,7 +98,7 @@ fn main() {
             std::process::exit(1);
         }
         let (exec_ns, _) = exec_times(&sim, &handles);
-        println!("{}", render_report(exec_ns, &sim.report()));
+        outln!("{}", render_report(exec_ns, &sim.report()));
         return;
     }
 
@@ -110,7 +111,7 @@ fn main() {
         std::process::exit(1);
     });
     if o.text {
-        print!("{}", sim.trace_text());
+        out!("{}", sim.trace_text());
     }
 
     if matches!(
@@ -123,19 +124,19 @@ fn main() {
     }
 
     let tracer = sim.tracer();
-    println!(
+    outln!(
         "{name} [{}]: {:?} at {} after {} events",
         cfg.label(),
         outcome,
         sim.now(),
         sim.events_processed()
     );
-    println!(
+    outln!(
         "trace: {} buffered event(s), {} dropped (ring cap {cap}) -> {path}",
         tracer.len(),
         tracer.dropped()
     );
-    println!("open in https://ui.perfetto.dev or chrome://tracing");
+    outln!("open in https://ui.perfetto.dev or chrome://tracing");
 
     // Latency-histogram summary: every `*.lat.*` key the run produced.
     let report = sim.report();
@@ -145,16 +146,21 @@ fn main() {
         .collect();
     classes.sort_unstable();
     if classes.is_empty() {
-        println!("no latency histograms recorded");
+        outln!("no latency histograms recorded");
         return;
     }
-    println!(
+    outln!(
         "\n{:<40} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "transaction class", "count", "p50_ns", "p95_ns", "p99_ns", "max_ns"
+        "transaction class",
+        "count",
+        "p50_ns",
+        "p95_ns",
+        "p99_ns",
+        "max_ns"
     );
     for c in classes {
         let g = |stat: &str| report.get(&format!("{c}.lat.{stat}")).unwrap_or(f64::NAN);
-        println!(
+        outln!(
             "{:<40} {:>10} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
             c,
             g("count"),

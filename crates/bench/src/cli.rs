@@ -9,6 +9,11 @@
 //! Parse functions consume flags first (via [`Args::flag`],
 //! [`Args::value`], [`Args::list`]) and positionals last, so a flag's
 //! value is never mistaken for a positional argument.
+//!
+//! The bins print through [`write_stdout`] (the [`out!`](crate::out) and
+//! [`outln!`](crate::outln) macros) rather than `print!`: piping a bin
+//! into a reader that exits early, such as `head`, then ends the bin
+//! quietly instead of panicking on the closed pipe.
 
 use std::fmt;
 use std::str::FromStr;
@@ -183,13 +188,46 @@ pub fn workload_names() -> String {
     format!("workloads:\n  {}\n", names.join(" "))
 }
 
+/// Write `args` to stdout. When the reader has gone (`EPIPE`, as when
+/// the output is piped into `head`), exit quietly with status 0 instead
+/// of panicking the way `print!` does; any other write error still
+/// panics.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`cli::write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cli::write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Parse the process arguments with `f`. Prints `usage` and exits 0 on
 /// `--help`; prints the error and `usage` on stderr and exits 2 when `f`
 /// fails or leaves an argument unconsumed.
 pub fn parse<T>(usage: &str, f: impl FnOnce(&mut Args) -> Result<T, CliError>) -> T {
     let mut args = Args::new(std::env::args().skip(1));
     if args.flag("--help") | args.flag("-h") {
-        print!("{usage}");
+        write_stdout(format_args!("{usage}"));
         std::process::exit(0);
     }
     match f(&mut args).and_then(|t| args.finish().map(|()| t)) {

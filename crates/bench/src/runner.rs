@@ -146,6 +146,11 @@ pub struct ExperimentResult {
     pub wall_ms: f64,
     /// Kernel throughput (events / wall second; varies run to run).
     pub events_per_sec: f64,
+    /// Allocation calls inside the event loop alone, by
+    /// [`crate::alloc::alloc_count`]: 0 unless the counting allocator is
+    /// installed, and exact only while one experiment runs at a time
+    /// (the counter is process-wide).
+    pub run_allocs: u64,
     /// Full statistics report.
     pub report: Report,
     /// Post-mortem text when `outcome != Completed`.
@@ -170,9 +175,11 @@ impl ExperimentResult {
 /// panicking, so a deadlocked cell doesn't poison a whole grid.
 pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
     let (mut sim, handles) = build_sim(&exp.workload, &exp.cfg);
+    let a0 = crate::alloc::alloc_count();
     let t0 = Instant::now();
     let outcome = sim.run();
     let wall = t0.elapsed();
+    let run_allocs = crate::alloc::alloc_count() - a0;
     let failure = (outcome != RunOutcome::Completed).then(|| {
         format!(
             "{}\npending: {:?}",
@@ -189,6 +196,7 @@ pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
         events: sim.events_processed(),
         wall_ms: wall.as_secs_f64() * 1_000.0,
         events_per_sec: sim.events_per_sec(),
+        run_allocs,
         report: sim.report(),
         failure,
     }

@@ -148,3 +148,35 @@ fn truncated_model_check_is_not_a_pass() {
     assert!(stdout.contains("truncated"), "{stdout}");
     assert!(!stdout.contains("clean"), "{stdout}");
 }
+
+/// A bin whose reader closes stdout before the bin writes (as `| head`
+/// does once it has its lines) ends quietly: no panic on the broken
+/// pipe, no backtrace, exit status 0. `table1` is included for a bin
+/// that prints as soon as it starts.
+#[test]
+fn closed_stdout_exits_quietly() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_modelcheck"),
+            &["--config", "2x2", "--no-symmetry"][..],
+        ),
+        (env!("CARGO_BIN_EXE_table1"), &[][..]),
+        (env!("CARGO_BIN_EXE_modelcheck"), &["--help"][..]),
+    ] {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn bench bin");
+        // Close the read end before the child can have written a line.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for bench bin");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "{bin} {args:?} panicked on a closed stdout:\n{stderr}"
+        );
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}: {stderr}");
+    }
+}

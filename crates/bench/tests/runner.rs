@@ -235,3 +235,42 @@ fn report_dump_byte_identity() {
         );
     }
 }
+
+/// MOESI deadlock regression: a MOESI cluster's bridge-local directory
+/// records an exclusive L1 as the O owner the moment it forwards a
+/// GetS to it. If that L1's clean eviction (`PutE`) crossed the
+/// forward, the directory must drop it as owner; before it did, seed 3
+/// of this run left a stale owner that later received its own forwarded
+/// GetS and wedged the run at ~163k events. The run takes ~0.2 s in
+/// release and far longer in debug, so it is release-only.
+#[cfg(not(debug_assertions))]
+#[test]
+fn moesi_put_e_crossing_fwd_gets_does_not_deadlock() {
+    use c3_sim::kernel::RunOutcome;
+    let spec = WorkloadSpec::by_name("oltp-zipf").expect("workload");
+    let mut cfg = RunConfig::scaled(
+        (ProtocolFamily::Mesi, ProtocolFamily::Moesi),
+        GlobalProtocol::Cxl,
+        (Mcm::Weak, Mcm::Weak),
+    );
+    cfg.ops_per_core = 3000;
+    cfg.seed = 3;
+    let (mut sim, handles) = c3_bench::build_sim(&spec, &cfg);
+    let outcome = sim.run();
+    assert_eq!(
+        outcome,
+        RunOutcome::Completed,
+        "2x4 MESI/MOESI oltp-zipf seed 3 wedged:\n{}",
+        sim.post_mortem(outcome)
+    );
+    for &l1 in handles.l1s.iter().flatten() {
+        let l1 = sim
+            .component_as::<c3_memsys::L1Controller>(l1)
+            .expect("L1 controller");
+        assert!(
+            l1.violations().is_empty(),
+            "L1 protocol violations: {:?}",
+            l1.violations()
+        );
+    }
+}

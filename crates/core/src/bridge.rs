@@ -28,7 +28,6 @@
 //! resolved with the `BIConflict` handshake exactly as in Fig. 2.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use c3_sim::hash::{FxHashMap, FxHashSet};
 
@@ -231,6 +230,10 @@ pub struct C3Bridge {
     cfg: BridgeConfig,
     fsm: CompoundFsm,
     engine: Option<DirEngine>,
+    /// The engine's effect buffer: every entry point appends here and
+    /// [`C3Bridge::pump`] carries the effects out in FIFO order, so the
+    /// buffer is allocated once and reused.
+    effects: Vec<DirEffect>,
     cxl: CacheArray<CxlLine>,
     global_peers: FxHashSet<ComponentId>,
     fetches: FxHashMap<Addr, PendingFetch>,
@@ -290,6 +293,7 @@ impl C3Bridge {
             global_peers: cfg.global_peers.iter().copied().collect(),
             cfg,
             engine: None,
+            effects: Vec::new(),
             fetches: FxHashMap::default(),
             writebacks: FxHashMap::default(),
             snoops: FxHashMap::default(),
@@ -411,8 +415,22 @@ impl C3Bridge {
         self.abandoned
     }
 
-    fn engine_mut(&mut self) -> &mut DirEngine {
-        self.engine.as_mut().expect("engine initialized in start()")
+    /// Run one engine entry point, leaving its effects queued in
+    /// `self.effects` behind any the pump in progress has not reached.
+    fn queue_engine(&mut self, call: impl FnOnce(&mut DirEngine, &mut Vec<DirEffect>)) {
+        let engine = self.engine.as_mut().expect("engine initialized in start()");
+        call(engine, &mut self.effects);
+    }
+
+    /// Run one engine entry point and carry out its effects now.
+    fn run_engine(
+        &mut self,
+        ctx: &mut Ctx<'_, SysMsg>,
+        call: impl FnOnce(&mut DirEngine, &mut Vec<DirEffect>),
+    ) {
+        let mark = self.effects.len();
+        self.queue_engine(call);
+        self.pump(mark, ctx);
     }
 
     fn perms(&self, addr: Addr) -> BackendPerms {
@@ -455,9 +473,15 @@ impl C3Bridge {
 
     // ---- engine effect pump ----
 
-    fn pump(&mut self, first: Vec<DirEffect>, ctx: &mut Ctx<'_, SysMsg>) {
-        let mut q: VecDeque<DirEffect> = first.into();
-        while let Some(e) = q.pop_front() {
+    /// Carry out the effects queued at `self.effects[mark..]`, including
+    /// those the handlers queue behind them, in FIFO order; then drop
+    /// them from the buffer. A pump started inside a handler (at a higher
+    /// mark) runs to completion first, exactly like a nested call, and
+    /// leaves the outer pump's pending effects untouched.
+    fn pump(&mut self, mark: usize, ctx: &mut Ctx<'_, SysMsg>) {
+        let mut next = mark;
+        while let Some(&e) = self.effects.get(next) {
+            next += 1;
             match e {
                 DirEffect::Send { dst, msg } => {
                     // Graceful degradation: fills of a poisoned cluster
@@ -483,14 +507,8 @@ impl C3Bridge {
                     };
                     ctx.send(dst, SysMsg::Host(msg));
                 }
-                DirEffect::BackendRead { addr } => {
-                    let more = self.start_fetch(addr, false, ctx);
-                    q.extend(more);
-                }
-                DirEffect::BackendWrite { addr } => {
-                    let more = self.start_fetch(addr, true, ctx);
-                    q.extend(more);
-                }
+                DirEffect::BackendRead { addr } => self.start_fetch(addr, false, ctx),
+                DirEffect::BackendWrite { addr } => self.start_fetch(addr, true, ctx),
                 DirEffect::DataUpdated { addr, poisoned, .. } => {
                     // Dirty data arrived at the cluster level: global E
                     // silently becomes M (mirrors the host's silent
@@ -513,26 +531,20 @@ impl C3Bridge {
                     data,
                     was_dirty,
                     ..
-                } => {
-                    let more = self.on_recall_done(addr, data, was_dirty, ctx);
-                    q.extend(more);
-                }
+                } => self.on_recall_done(addr, data, was_dirty, ctx),
                 DirEffect::TxnDone { .. } => {}
             }
         }
+        self.effects.truncate(mark);
     }
 
     // ---- global fetch path (Rule I upward delegation) ----
 
-    /// Begin a global fetch; returns follow-up engine effects (from
-    /// eviction recalls). Fig. 7: when the CXL cache set is full, the
-    /// victim's eviction completes before the fetch is issued.
-    fn start_fetch(
-        &mut self,
-        addr: Addr,
-        exclusive: bool,
-        ctx: &mut Ctx<'_, SysMsg>,
-    ) -> Vec<DirEffect> {
+    /// Begin a global fetch; follow-up engine effects (from eviction
+    /// recalls) are queued for the caller to pump. Fig. 7: when the CXL
+    /// cache set is full, the victim's eviction completes before the
+    /// fetch is issued.
+    fn start_fetch(&mut self, addr: Addr, exclusive: bool, ctx: &mut Ctx<'_, SysMsg>) {
         #[cfg(debug_assertions)]
         self.assert_conforms(if exclusive { "FetchX" } else { "FetchS" }, addr);
         if self.writebacks.contains_key(&addr) || self.stash.contains_key(&addr) {
@@ -541,7 +553,7 @@ impl C3Bridge {
             // the pending BIConflict ambiguous (which request does it
             // refer to?). Refetch once the line settles.
             self.deferred_fetches.insert(addr, exclusive);
-            return Vec::new();
+            return;
         }
         if self.cxl.peek(addr).is_none() {
             // Need a slot. Find a stable victim, skipping busy lines.
@@ -563,7 +575,8 @@ impl C3Bridge {
                     .entry(v)
                     .or_default()
                     .push((addr, exclusive));
-                return self.start_eviction(v, ctx);
+                self.start_eviction(v, ctx);
+                return;
             }
             if self.cxl.victim(addr).is_some() {
                 // Every way is busy; wait for one of them to settle by
@@ -573,7 +586,7 @@ impl C3Bridge {
                     .entry(v)
                     .or_default()
                     .push((addr, exclusive));
-                return Vec::new();
+                return;
             }
             // Free way: reserve it with a placeholder so concurrent fills
             // cannot overflow the set.
@@ -629,7 +642,6 @@ impl C3Bridge {
                 ctx.send(dir, SysMsg::Host(msg));
             }
         }
-        Vec::new()
     }
 
     /// Arm the deadline for a fresh global-side transaction attempt and
@@ -679,12 +691,13 @@ impl C3Bridge {
             );
         }
         let perms = self.perms(addr);
-        let effects = if f.exclusive {
-            self.engine_mut().backend_write_done(addr, f.data, perms)
-        } else {
-            self.engine_mut().backend_read_done(addr, f.data, perms)
-        };
-        self.pump(effects, ctx);
+        self.run_engine(ctx, |e, out| {
+            if f.exclusive {
+                e.backend_write_done(addr, f.data, perms, out)
+            } else {
+                e.backend_read_done(addr, f.data, perms, out)
+            }
+        });
         // Fig. 2 middle: our request was serialized before the snoop —
         // honour the snoop now that the fill completed.
         if matches!(
@@ -702,7 +715,9 @@ impl C3Bridge {
 
     // ---- CXL-cache eviction (Fig. 7) ----
 
-    fn start_eviction(&mut self, victim: Addr, ctx: &mut Ctx<'_, SysMsg>) -> Vec<DirEffect> {
+    /// Begin evicting `victim`; a recall's effects are queued for the
+    /// caller to pump.
+    fn start_eviction(&mut self, victim: Addr, ctx: &mut Ctx<'_, SysMsg>) {
         #[cfg(debug_assertions)]
         self.assert_conforms("Evict", victim);
         self.evictions += 1;
@@ -717,12 +732,11 @@ impl C3Bridge {
         if host.any() && self.cfg.host_family.enforces_swmr() {
             // Conceptual store into the host domain reclaims all copies.
             self.recalls_delegated += 1;
-            self.engine_mut().recall(victim, RecallKind::Exclusive)
+            self.queue_engine(|e, out| e.recall(victim, RecallKind::Exclusive, out));
             // continues in on_recall_done
         } else {
             let data = self.engine.as_ref().map(|e| e.data(victim)).unwrap_or(0);
             self.finish_eviction_recall(victim, data, false, ctx);
-            Vec::new()
         }
     }
 
@@ -833,8 +847,9 @@ impl C3Bridge {
         }
         if let Some(waiters) = self.evict_waiters.remove(&victim) {
             for (addr, exclusive) in waiters {
-                let more = self.start_fetch(addr, exclusive, ctx);
-                self.pump(more, ctx);
+                let mark = self.effects.len();
+                self.start_fetch(addr, exclusive, ctx);
+                self.pump(mark, ctx);
             }
         }
     }
@@ -884,8 +899,9 @@ impl C3Bridge {
     /// Resume a fetch that waited for this line's writeback to complete.
     fn resume_deferred(&mut self, addr: Addr, ctx: &mut Ctx<'_, SysMsg>) {
         if let Some(exclusive) = self.deferred_fetches.remove(&addr) {
-            let more = self.start_fetch(addr, exclusive, ctx);
-            self.pump(more, ctx);
+            let mark = self.effects.len();
+            self.start_fetch(addr, exclusive, ctx);
+            self.pump(mark, ctx);
         }
     }
 
@@ -896,8 +912,9 @@ impl C3Bridge {
             return;
         }
         if self.cxl.peek(addr).is_some() {
-            let effects = self.start_eviction(addr, ctx);
-            self.pump(effects, ctx);
+            let mark = self.effects.len();
+            self.start_eviction(addr, ctx);
+            self.pump(mark, ctx);
         } else {
             self.finish_eviction(addr, ctx);
         }
@@ -935,8 +952,7 @@ impl C3Bridge {
                     XAccess::Store => RecallKind::Exclusive,
                     XAccess::Load => RecallKind::Shared,
                 };
-                let effects = self.engine_mut().recall(addr, rk);
-                self.pump(effects, ctx);
+                self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
             }
             None => {
                 let data = self.engine.as_ref().map(|e| e.data(addr)).unwrap_or(0);
@@ -1038,13 +1054,15 @@ impl C3Bridge {
         }
     }
 
+    /// React to a completed recall; the engine's drain effects are
+    /// queued for the pump in progress.
     fn on_recall_done(
         &mut self,
         addr: Addr,
         data: u64,
         was_dirty: bool,
         ctx: &mut Ctx<'_, SysMsg>,
-    ) -> Vec<DirEffect> {
+    ) {
         #[cfg(debug_assertions)]
         self.assert_conforms("RecallDone", addr);
         if let Some(snoop) = self.snoops.remove(&addr) {
@@ -1067,7 +1085,7 @@ impl C3Bridge {
             self.finish_eviction_recall(addr, data, was_dirty, ctx);
         }
         let perms = self.perms(addr);
-        self.engine_mut().drain_after_recall(addr, perms)
+        self.queue_engine(|e, out| e.drain_after_recall(addr, perms, out));
     }
 
     // ---- message handlers ----
@@ -1216,8 +1234,7 @@ impl C3Bridge {
                         } else {
                             RecallKind::Shared
                         };
-                        let effects = self.engine_mut().recall(addr, rk);
-                        self.pump(effects, ctx);
+                        self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
                     } else {
                         self.respond_snoop_conflict_loser(addr, kind, ctx);
                     }
@@ -1396,8 +1413,7 @@ impl C3Bridge {
                     }
                     self.passive_snoop_txns.insert(addr, (txn, ctx.now));
                     self.passive_snoop_stash.insert(addr, msg);
-                    let effects = self.engine_mut().recall(addr, rk);
-                    self.pump(effects, ctx);
+                    self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
                 } else {
                     let data = self.engine.as_ref().map(|e| e.data(addr)).unwrap_or(0);
                     let dirty = self.cxl_state(addr) == StableState::M;
@@ -1575,8 +1591,7 @@ impl C3Bridge {
     fn handle_local_host(&mut self, msg: HostMsg, src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
         let addr = msg.addr();
         let perms = self.perms(addr);
-        let effects = self.engine_mut().handle_host(src, msg, perms);
-        self.pump(effects, ctx);
+        self.run_engine(ctx, |e, out| e.handle_host(src, msg, perms, out));
     }
 }
 
@@ -1611,12 +1626,14 @@ impl Component<SysMsg> for C3Bridge {
         if let Some(a) = addr {
             self.kick_waiters(a, ctx);
         }
+        debug_assert!(self.effects.is_empty(), "unpumped: {:?}", self.effects);
     }
 
     fn on_wake(&mut self, token: u64, ctx: &mut Ctx<'_, SysMsg>) {
         if token == TIMER_TOKEN {
             self.scan_timers(ctx);
         }
+        debug_assert!(self.effects.is_empty(), "unpumped: {:?}", self.effects);
     }
 
     fn done(&self) -> bool {

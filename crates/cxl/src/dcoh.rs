@@ -22,25 +22,33 @@
 //! direction is FIFO per host, the device→host (S2M) direction is
 //! unordered. This matches the CXL channel rules that make `BIConflict`
 //! resolution sound while still exhibiting the Fig. 2 races.
+//!
+//! Every entry point appends its effects to a caller-owned
+//! `&mut Vec<DcohEffect>` and never clears it; holder, snoop and
+//! requester sets are [`PeerSet`] bitmasks over the engine's
+//! [`PeerSlots`] registry of hosts. A warmed engine handles a message
+//! without allocating.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use c3_protocol::msg::{CxlGrant, CxlMsg};
 use c3_protocol::ops::Addr;
 use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet};
 use c3_sim::component::ComponentId;
 use c3_sim::lines::{Footprint, LineEntry, LineMap};
+use c3_sim::peers::{PeerSet, PeerSlots};
 use c3_sim::time::{Delay, Time};
 use c3_sim::trace::InflightTxn;
 
-/// Which hosts hold a line, from the device's point of view.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// Which hosts hold a line, from the device's point of view. Sharer
+/// sets are slots of the engine's registry ([`DcohEngine::peers`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CxlHolders {
     /// No host holds the line; device memory is current.
     #[default]
     None,
     /// Hosts with shared, clean copies.
-    Shared(BTreeSet<ComponentId>),
+    Shared(PeerSet),
     /// One host holds the line exclusively (E or M).
     Exclusive(ComponentId),
 }
@@ -66,7 +74,7 @@ pub struct HotLine {
 }
 
 /// An action the DCOH asks its component wrapper to perform.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DcohEffect {
     /// Send a CXL.mem message to a host.
     Send {
@@ -88,7 +96,8 @@ enum SnoopKind {
 #[derive(Clone, Debug)]
 struct Snoop {
     kind: SnoopKind,
-    waiting: BTreeSet<ComponentId>,
+    /// Hosts still owing a `BIRsp`.
+    waiting: PeerSet,
     /// The request that triggered the snoop, completed once it resolves.
     requester: ComponentId,
     grant: CxlGrant,
@@ -100,71 +109,53 @@ struct Snoop {
     retries: u32,
 }
 
-/// Compact holder set: a bitmask over the engine's first-contact host
-/// registry (`DcohEngine::hosts`). `mask == 0` means no holders;
-/// `exclusive` implies exactly one bit set. CXL hosts may drop clean
-/// lines *silently* (HDM-DB), so recorded holders are stable state the
-/// DCOH carries indefinitely — keeping it `Copy` lets a line demote to
-/// its flat summary while still held, which is what bounds resident
-/// records by *concurrency* instead of *footprint*.
+/// Compact holder set over the engine's host registry
+/// (`DcohEngine::peers`). An empty `set` means no holders; `exclusive`
+/// implies exactly one slot. CXL hosts may drop clean lines *silently*
+/// (HDM-DB), so recorded holders are stable state the DCOH carries
+/// indefinitely — keeping it `Copy` lets a line demote to its flat
+/// summary while still held, which is what bounds resident records by
+/// *concurrency* instead of *footprint*.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 struct HolderMask {
-    mask: u64,
+    set: PeerSet,
     exclusive: bool,
 }
 
 impl HolderMask {
     const NONE: HolderMask = HolderMask {
-        mask: 0,
+        set: PeerSet::EMPTY,
         exclusive: false,
     };
 
-    fn exclusive(bit: u64) -> HolderMask {
+    fn exclusive(slot: usize) -> HolderMask {
         HolderMask {
-            mask: bit,
+            set: PeerSet::single(slot),
             exclusive: true,
         }
     }
 
-    fn shared(mask: u64) -> HolderMask {
+    fn shared(set: PeerSet) -> HolderMask {
         HolderMask {
-            mask,
+            set,
             exclusive: false,
         }
     }
 
     fn is_none(self) -> bool {
-        self.mask == 0
+        self.set.is_empty()
     }
 
-    fn is_exclusively(self, bit: u64) -> bool {
-        self.exclusive && self.mask == bit
+    fn is_exclusively(self, slot: usize) -> bool {
+        self.exclusive && self.set == PeerSet::single(slot)
     }
-}
 
-/// Expand a holder bitmask to the public [`CxlHolders`] form. The
-/// `BTreeSet` sorts by `ComponentId`, so holder iteration order is
-/// independent of registry slot order (identical to the pre-mask
-/// representation).
-fn mask_to_holders(hosts: &[ComponentId], m: HolderMask) -> CxlHolders {
-    if m.is_none() {
-        return CxlHolders::None;
+    fn open_slot(self, slot: usize) -> HolderMask {
+        HolderMask {
+            set: self.set.open_slot(slot),
+            ..self
+        }
     }
-    if m.exclusive {
-        return CxlHolders::Exclusive(hosts[m.mask.trailing_zeros() as usize]);
-    }
-    CxlHolders::Shared(mask_to_set(hosts, m.mask))
-}
-
-/// The `ComponentId`s of a bitmask, as an (inherently sorted) set.
-fn mask_to_set(hosts: &[ComponentId], mut mask: u64) -> BTreeSet<ComponentId> {
-    let mut set = BTreeSet::new();
-    while mask != 0 {
-        let slot = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        set.insert(hosts[slot]);
-    }
-    set
 }
 
 #[derive(Clone, Debug, Default)]
@@ -177,11 +168,11 @@ struct Line {
     snoop: Option<Snoop>,
     queue: VecDeque<(ComponentId, CxlMsg)>,
     /// Profiling (§VI-C1): read/write request counts and requesting hosts
-    /// (a bitmask over the engine's first-contact host registry, so a
-    /// quiescent line can demote to a flat summary).
+    /// (a set over the engine's host registry, so a quiescent line can
+    /// demote to a flat summary).
     reads: u64,
     writes: u64,
-    req_mask: u64,
+    req_mask: PeerSet,
 }
 
 /// The quiescent form of a DCOH line: no snoop in flight, no convoy
@@ -194,7 +185,7 @@ struct LineSummary {
     data: u64,
     reads: u64,
     writes: u64,
-    req_mask: u64,
+    req_mask: PeerSet,
     poisoned: bool,
 }
 
@@ -237,16 +228,16 @@ impl LineEntry for Line {
 /// use c3_sim::component::ComponentId;
 ///
 /// let mut dcoh = DcohEngine::new();
-/// let effects = dcoh.handle(ComponentId(1), CxlMsg::MemRdA { addr: Addr(7) });
+/// let mut effects = Vec::new();
+/// dcoh.handle(ComponentId(1), CxlMsg::MemRdA { addr: Addr(7) }, &mut effects);
 /// assert_eq!(effects.len(), 1); // MemData granting M
 /// ```
 #[derive(Debug, Default)]
 pub struct DcohEngine {
     lines: LineMap<Line>,
-    /// First-contact host registry backing each line's `req_mask`: host
-    /// `hosts[i]` owns bit `i`. Deterministic (engine processing order)
-    /// and tiny — one entry per bridge, linear scan beats hashing.
-    hosts: Vec<ComponentId>,
+    /// The hosts that contacted the device, numbering every holder,
+    /// snoop and requester set (one slot per bridge).
+    peers: PeerSlots,
     /// Requests that found the line blocked and queued (convoy effect).
     pub stalled_requests: u64,
     /// Back-invalidation snoops issued.
@@ -329,7 +320,37 @@ impl DcohEngine {
             .map(|l| l.holders)
             .or_else(|| self.lines.summary(addr.0).map(|s| s.holders))
             .unwrap_or(HolderMask::NONE);
-        mask_to_holders(&self.hosts, m)
+        match m.set.first() {
+            None => CxlHolders::None,
+            Some(slot) if m.exclusive => CxlHolders::Exclusive(self.peers.id(slot)),
+            Some(_) => CxlHolders::Shared(m.set),
+        }
+    }
+
+    /// The registry numbering the sharer sets of [`CxlHolders`].
+    pub fn peers(&self) -> &PeerSlots {
+        &self.peers
+    }
+
+    /// The registry slot of host `id`, registering it on first contact
+    /// and re-numbering every stored set — resident lines and summaries —
+    /// if that opened a slot below existing ones.
+    fn slot(&mut self, id: ComponentId) -> usize {
+        let (slot, opened) = self.peers.register(id);
+        if opened {
+            self.lines.for_each_live_mut(|l| {
+                l.holders = l.holders.open_slot(slot);
+                l.req_mask = l.req_mask.open_slot(slot);
+                if let Some(s) = &mut l.snoop {
+                    s.waiting = s.waiting.open_slot(slot);
+                }
+            });
+            self.lines.for_each_summary_mut(|s| {
+                s.holders = s.holders.open_slot(slot);
+                s.req_mask = s.req_mask.open_slot(slot);
+            });
+        }
+        slot
     }
 
     /// The table-level state of `addr` (see [`dcoh_transition_table`]):
@@ -430,13 +451,13 @@ impl DcohEngine {
                 addr: Addr(k),
                 reads: l.reads,
                 writes: l.writes,
-                sharers: l.req_mask.count_ones() as usize,
+                sharers: l.req_mask.len(),
             })
             .chain(self.lines.iter_summaries().map(|(k, s)| HotLine {
                 addr: Addr(k),
                 reads: s.reads,
                 writes: s.writes,
-                sharers: s.req_mask.count_ones() as usize,
+                sharers: s.req_mask.len(),
             }))
             .collect();
         // Ties broken by address so the profile does not depend on
@@ -462,7 +483,7 @@ impl DcohEngine {
             if let Some(s) = &l.snoop {
                 // A blocking transient state: the line is held hostage by
                 // the hosts that have not answered the BISnp yet.
-                let first_waiter = s.waiting.iter().next().copied();
+                let first_waiter = s.waiting.first().map(|slot| self.peers.id(slot));
                 out.push(InflightTxn {
                     component: self_id,
                     addr: Some(addr),
@@ -470,8 +491,8 @@ impl DcohEngine {
                     since: s.since,
                     waiting_on: first_waiter,
                     detail: format!(
-                        "awaiting BIRsp from {:?}; {} queued request(s)",
-                        s.waiting,
+                        "awaiting BIRsp from {}; {} queued request(s)",
+                        self.peers.describe(s.waiting),
                         l.queue.len()
                     ),
                 });
@@ -489,9 +510,10 @@ impl DcohEngine {
         out
     }
 
-    /// Process one CXL.mem message from host `src`.
-    pub fn handle(&mut self, src: ComponentId, msg: CxlMsg) -> Vec<DcohEffect> {
-        self.handle_at(src, msg, None)
+    /// Process one CXL.mem message from host `src`, appending the
+    /// effects to `out`.
+    pub fn handle(&mut self, src: ComponentId, msg: CxlMsg, out: &mut Vec<DcohEffect>) {
+        self.handle_at(src, msg, None, out)
     }
 
     /// Like [`DcohEngine::handle`], with the current simulated time so
@@ -501,7 +523,8 @@ impl DcohEngine {
         src: ComponentId,
         msg: CxlMsg,
         now: Option<Time>,
-    ) -> Vec<DcohEffect> {
+        out: &mut Vec<DcohEffect>,
+    ) {
         let addr = msg.addr();
         #[cfg(debug_assertions)]
         if !self.resilient && msg.is_m2s() {
@@ -511,11 +534,10 @@ impl DcohEngine {
                 "dcoh: dynamic step ({state} x {ev}) for {addr} matches no table row",
             );
         }
-        let mut out = Vec::new();
         match msg {
             // ---- requests: blocked while a snoop is in flight ----
             CxlMsg::MemRdA { .. } | CxlMsg::MemRdS { .. } => {
-                let req_bit = host_bit(&mut self.hosts, src);
+                let req_slot = self.slot(src);
                 let line = self.lines.entry(addr.0);
                 if self.resilient {
                     // A retried (or fabric-duplicated) request from a host
@@ -527,14 +549,14 @@ impl DcohEngine {
                         || line.queue.iter().any(|(h, m)| *h == src && *m == msg);
                     if dup {
                         self.dup_suppressed += 1;
-                        return out;
+                        return;
                     }
                     // A retry from the line's recorded exclusive owner:
                     // the grant we sent was lost in the fabric. Replay it
                     // directly — queueing it would deadlock whenever the
                     // in-flight snoop targets that same owner, because the
                     // owner cannot answer a snoop for a fill it never got.
-                    if line.holders.is_exclusively(req_bit) {
+                    if line.holders.is_exclusively(req_slot) {
                         self.grants_replayed += 1;
                         out.push(DcohEffect::Send {
                             dst: src,
@@ -550,7 +572,7 @@ impl DcohEngine {
                             },
                             needs_memory: true,
                         });
-                        return out;
+                        return;
                     }
                 }
                 if matches!(msg, CxlMsg::MemRdA { .. }) {
@@ -558,21 +580,21 @@ impl DcohEngine {
                 } else {
                     line.reads += 1;
                 }
-                line.req_mask |= req_bit;
+                line.req_mask = line.req_mask.with(req_slot);
                 if line.snoop.is_some() {
                     self.stalled_requests += 1;
                     line.queue.push_back((src, msg));
                 } else {
-                    self.admit(src, msg, now, &mut out);
+                    self.admit(src, msg, now, out);
                 }
             }
             // ---- writebacks: always accepted (may be a snoop's dirty
             // response or an eviction racing one) ----
             CxlMsg::MemWrI { data, poisoned, .. } => {
                 self.writebacks += 1;
-                let src_bit = host_bit(&mut self.hosts, src);
+                let src_slot = self.slot(src);
                 let line = self.lines.entry(addr.0);
-                if self.resilient && Self::writeback_is_stale(line.holders, src_bit) {
+                if self.resilient && Self::writeback_is_stale(line.holders, src_slot) {
                     // A replayed or out-of-epoch MemWr: the line moved on
                     // (another host owns it). Applying the stale data
                     // would clobber the newer copy; still complete the
@@ -581,7 +603,7 @@ impl DcohEngine {
                 } else {
                     line.data = data;
                     line.poisoned = poisoned;
-                    if line.holders.is_exclusively(src_bit) {
+                    if line.holders.is_exclusively(src_slot) {
                         line.holders = HolderMask::NONE;
                     }
                 }
@@ -593,15 +615,15 @@ impl DcohEngine {
             }
             CxlMsg::MemWrS { data, poisoned, .. } => {
                 self.writebacks += 1;
-                let src_bit = host_bit(&mut self.hosts, src);
+                let src_slot = self.slot(src);
                 let line = self.lines.entry(addr.0);
-                if self.resilient && Self::writeback_is_stale(line.holders, src_bit) {
+                if self.resilient && Self::writeback_is_stale(line.holders, src_slot) {
                     self.stale_writebacks += 1;
                 } else {
                     line.data = data;
                     line.poisoned = poisoned;
-                    if line.holders.is_exclusively(src_bit) {
-                        line.holders = HolderMask::shared(src_bit);
+                    if line.holders.is_exclusively(src_slot) {
+                        line.holders = HolderMask::shared(PeerSet::single(src_slot));
                     }
                 }
                 out.push(DcohEffect::Send {
@@ -611,8 +633,8 @@ impl DcohEngine {
                 });
             }
             // ---- snoop responses ----
-            CxlMsg::BiRspI { .. } => self.snoop_response(src, addr, false, now, &mut out),
-            CxlMsg::BiRspS { .. } => self.snoop_response(src, addr, true, now, &mut out),
+            CxlMsg::BiRspI { .. } => self.snoop_response(src, addr, false, now, out),
+            CxlMsg::BiRspS { .. } => self.snoop_response(src, addr, true, now, out),
             // ---- conflict handshake ----
             CxlMsg::BiConflict { .. } => {
                 self.conflicts += 1;
@@ -633,15 +655,13 @@ impl DcohEngine {
             other => panic!("DCOH received device-bound message {other:?}"),
         }
         self.demote_quiesced(addr);
-        out
     }
 
-    /// Whether a writeback from the host owning `src_bit` is
-    /// out-of-epoch: the directory no longer records that host as a
-    /// holder, so the line has been granted to someone else since the
-    /// data left it.
-    fn writeback_is_stale(holders: HolderMask, src_bit: u64) -> bool {
-        !holders.is_none() && holders.mask & src_bit == 0
+    /// Whether a writeback from the host in `src_slot` is out-of-epoch:
+    /// the directory no longer records that host as a holder, so the
+    /// line has been granted to someone else since the data left it.
+    fn writeback_is_stale(holders: HolderMask, src_slot: usize) -> bool {
+        !holders.is_none() && !holders.set.contains(src_slot)
     }
 
     /// Re-issue `BISnp*` for blocking snoops whose response deadline has
@@ -655,8 +675,8 @@ impl DcohEngine {
         now: Time,
         timeout: Delay,
         max_retries: u32,
-    ) -> Vec<DcohEffect> {
-        let mut out = Vec::new();
+        out: &mut Vec<DcohEffect>,
+    ) {
         // Sorted: FxHashMap iteration order is run-stable but an
         // artifact of hashing, not a protocol order (DESIGN.md §12).
         let mut expired: Vec<Addr> = self
@@ -678,9 +698,9 @@ impl DcohEngine {
                 snoop.retries += 1;
                 snoop.since = Some(now);
                 let kind = snoop.kind;
-                let targets: Vec<ComponentId> = snoop.waiting.iter().copied().collect();
+                let targets = snoop.waiting;
                 self.bisnp_resent += targets.len() as u64;
-                for dst in targets {
+                for dst in self.peers.ids(targets) {
                     out.push(DcohEffect::Send {
                         dst,
                         msg: match kind {
@@ -696,14 +716,14 @@ impl DcohEngine {
                 // response may never arrive.
                 let snoop = line.snoop.take().expect("collected above");
                 self.snoops_forced += 1;
-                let requester_bit = host_bit(&mut self.hosts, snoop.requester);
+                let requester_slot = self.slot(snoop.requester);
                 let line = self.lines.get_mut(addr.0).expect("collected above");
                 match snoop.kind {
                     SnoopKind::Inv => {
-                        line.holders = HolderMask::exclusive(requester_bit);
+                        line.holders = HolderMask::exclusive(requester_slot);
                     }
                     SnoopKind::Data => {
-                        line.holders = HolderMask::shared(requester_bit);
+                        line.holders = HolderMask::shared(PeerSet::single(requester_slot));
                     }
                 }
                 out.push(DcohEffect::Send {
@@ -725,12 +745,11 @@ impl DcohEngine {
                     let Some((h, m)) = line.queue.pop_front() else {
                         break;
                     };
-                    self.admit(h, m, Some(now), &mut out);
+                    self.admit(h, m, Some(now), out);
                 }
             }
             self.demote_quiesced(addr);
         }
-        out
     }
 
     fn admit(
@@ -742,16 +761,16 @@ impl DcohEngine {
     ) {
         let addr = msg.addr();
         let exclusive = matches!(msg, CxlMsg::MemRdA { .. });
-        let src_bit = host_bit(&mut self.hosts, src);
+        let src_slot = self.slot(src);
         let line = self.lines.entry(addr.0);
         debug_assert!(line.snoop.is_none());
         let holders = line.holders;
-        if holders.is_none() || holders.is_exclusively(src_bit) {
+        if holders.is_none() || holders.is_exclusively(src_slot) {
             // No holders, or the recorded owner asks again (it silently
             // dropped its clean copy — HDM-DB allows that): grant
             // directly. Snooping the requester itself would deadlock.
             let grant = if exclusive { CxlGrant::M } else { CxlGrant::E };
-            line.holders = HolderMask::exclusive(src_bit);
+            line.holders = HolderMask::exclusive(src_slot);
             out.push(DcohEffect::Send {
                 dst: src,
                 msg: CxlMsg::MemData {
@@ -764,7 +783,7 @@ impl DcohEngine {
             });
         } else if !exclusive && !holders.exclusive {
             // Shared read joins the sharer set.
-            line.holders = HolderMask::shared(holders.mask | src_bit);
+            line.holders = HolderMask::shared(holders.set.with(src_slot));
             out.push(DcohEffect::Send {
                 dst: src,
                 msg: CxlMsg::MemData {
@@ -775,9 +794,9 @@ impl DcohEngine {
                 },
                 needs_memory: true,
             });
-        } else if exclusive && holders.mask & !src_bit == 0 {
+        } else if exclusive && holders.set.without(src_slot).is_empty() {
             // Requester is the sole sharer: promote without a snoop.
-            line.holders = HolderMask::exclusive(src_bit);
+            line.holders = HolderMask::exclusive(src_slot);
             out.push(DcohEffect::Send {
                 dst: src,
                 msg: CxlMsg::MemData {
@@ -797,11 +816,11 @@ impl DcohEngine {
                 SnoopKind::Data
             };
             let grant = if exclusive { CxlGrant::M } else { CxlGrant::S };
-            let targets = mask_to_set(&self.hosts, holders.mask & !src_bit);
-            for h in &targets {
+            let targets = holders.set.without(src_slot);
+            for dst in self.peers.ids(targets) {
                 self.bisnp_sent += 1;
                 out.push(DcohEffect::Send {
-                    dst: *h,
+                    dst,
                     msg: match kind {
                         SnoopKind::Inv => CxlMsg::BiSnpInv { addr },
                         SnoopKind::Data => CxlMsg::BiSnpData { addr },
@@ -829,34 +848,35 @@ impl DcohEngine {
         now: Option<Time>,
         out: &mut Vec<DcohEffect>,
     ) {
-        let src_bit = host_bit(&mut self.hosts, src);
+        let src_slot = self.slot(src);
         let line = self.lines.entry(addr.0);
         let Some(snoop) = &mut line.snoop else {
             // A BIRsp can arrive for a line whose snoop already resolved
             // (e.g. the host's eviction writeback completed it); harmless.
             return;
         };
-        if !snoop.waiting.remove(&src) {
+        if !snoop.waiting.contains(src_slot) {
             return; // duplicate / stale
         }
+        snoop.waiting = snoop.waiting.without(src_slot);
         if !snoop.waiting.is_empty() {
             return;
         }
         let snoop = line.snoop.take().expect("checked above");
-        let requester_bit = host_bit(&mut self.hosts, snoop.requester);
+        let requester_slot = self.slot(snoop.requester);
         let line = self.lines.get_mut(addr.0).expect("resident above");
         // Update holders and complete the blocked request.
         match snoop.kind {
             SnoopKind::Inv => {
-                line.holders = HolderMask::exclusive(requester_bit);
+                line.holders = HolderMask::exclusive(requester_slot);
             }
             SnoopKind::Data => {
-                let mut mask = requester_bit;
+                let mut set = PeerSet::single(requester_slot);
                 if retained_shared {
                     // The previous owner keeps a shared copy.
-                    mask |= src_bit;
+                    set = set.with(src_slot);
                 }
-                line.holders = HolderMask::shared(mask);
+                line.holders = HolderMask::shared(set);
             }
         }
         out.push(DcohEffect::Send {
@@ -881,22 +901,6 @@ impl DcohEngine {
             self.admit(h, m, now, out);
         }
     }
-}
-
-/// Registry bit for `src`, registering it on first contact. Holder
-/// tracking is correctness-bearing, so more than 64 distinct hosts is a
-/// hard error rather than a silent saturation; real topologies have one
-/// host per bridge (a handful).
-fn host_bit(hosts: &mut Vec<ComponentId>, src: ComponentId) -> u64 {
-    let slot = hosts.iter().position(|h| *h == src).unwrap_or_else(|| {
-        hosts.push(src);
-        hosts.len() - 1
-    });
-    assert!(
-        slot < 64,
-        "DCOH holder masks support at most 64 distinct hosts"
-    );
-    1u64 << slot
 }
 
 /// The DCOH's table, built once for the debug conformance assert in
@@ -1147,6 +1151,15 @@ mod tests {
     const H3: ComponentId = ComponentId(3);
     const X: Addr = Addr(0x20);
 
+    impl DcohEngine {
+        /// [`DcohEngine::handle`] with a fresh effect buffer.
+        fn fresh(&mut self, src: ComponentId, msg: CxlMsg) -> Vec<DcohEffect> {
+            let mut out = Vec::new();
+            self.handle(src, msg, &mut out);
+            out
+        }
+    }
+
     fn sends(effects: &[DcohEffect]) -> Vec<(ComponentId, CxlMsg)> {
         effects
             .iter()
@@ -1156,11 +1169,45 @@ mod tests {
             .collect()
     }
 
+    /// Hosts that make first contact in descending id order re-number
+    /// every stored set (resident and demoted): holders survive, the
+    /// snoop fanout goes out in ascending id order and the requester
+    /// count stays exact.
+    #[test]
+    fn late_lower_id_host_renumbers_stored_sets() {
+        let mut d = DcohEngine::new();
+        let (y, z) = (Addr(0x21), Addr(0x22));
+        d.fresh(H3, CxlMsg::MemRdS { addr: X });
+        d.fresh(H3, CxlMsg::MemRdS { addr: z });
+        d.fresh(H1, CxlMsg::MemRdS { addr: y });
+        assert_eq!(d.holders(X), CxlHolders::Exclusive(H3));
+        assert_eq!(d.holders(y), CxlHolders::Exclusive(H1));
+        d.fresh(H1, CxlMsg::MemRdS { addr: z });
+        d.fresh(H3, CxlMsg::BiRspS { addr: z });
+        assert_eq!(d.holders(z), CxlHolders::Shared(d.peers().set_of([H1, H3])));
+        // H2 registers mid-way, while z is held by H1 and H3.
+        let eff = d.fresh(H2, CxlMsg::MemRdA { addr: z });
+        assert_eq!(
+            sends(&eff),
+            vec![
+                (H1, CxlMsg::BiSnpInv { addr: z }),
+                (H3, CxlMsg::BiSnpInv { addr: z })
+            ]
+        );
+        d.fresh(H3, CxlMsg::BiRspI { addr: z });
+        d.fresh(H1, CxlMsg::BiRspI { addr: z });
+        assert_eq!(d.holders(z), CxlHolders::Exclusive(H2));
+        let hot = d.hottest(3);
+        let z_hot = hot.iter().find(|h| h.addr == z).expect("z profiled");
+        assert_eq!(z_hot.sharers, 3);
+        assert!(d.idle());
+    }
+
     #[test]
     fn read_unshared_grants_exclusive() {
         let mut d = DcohEngine::new();
         d.seed_data(X, 5);
-        let eff = d.handle(H1, CxlMsg::MemRdS { addr: X });
+        let eff = d.fresh(H1, CxlMsg::MemRdS { addr: X });
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1179,7 +1226,7 @@ mod tests {
     #[test]
     fn rda_grants_m() {
         let mut d = DcohEngine::new();
-        let eff = d.handle(H1, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(H1, CxlMsg::MemRdA { addr: X });
         assert!(matches!(
             sends(&eff)[0].1,
             CxlMsg::MemData {
@@ -1192,12 +1239,12 @@ mod tests {
     #[test]
     fn read_with_owner_snoops_then_grants() {
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        let eff = d.handle(H2, CxlMsg::MemRdS { addr: X });
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(H2, CxlMsg::MemRdS { addr: X });
         assert_eq!(sends(&eff), vec![(H1, CxlMsg::BiSnpData { addr: X })]);
         assert!(!d.idle());
         // Owner was dirty: writes back retaining S, then responds BIRspS.
-        let eff = d.handle(
+        let eff = d.fresh(
             H1,
             CxlMsg::MemWrS {
                 addr: X,
@@ -1206,7 +1253,7 @@ mod tests {
             },
         );
         assert_eq!(sends(&eff), vec![(H1, CxlMsg::Cmp { addr: X })]);
-        let eff = d.handle(H1, CxlMsg::BiRspS { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiRspS { addr: X });
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1219,7 +1266,7 @@ mod tests {
                 }
             )]
         );
-        assert_eq!(d.holders(X), CxlHolders::Shared(BTreeSet::from([H1, H2])));
+        assert_eq!(d.holders(X), CxlHolders::Shared(d.peers().set_of([H1, H2])));
         assert!(d.idle());
     }
 
@@ -1227,16 +1274,16 @@ mod tests {
     fn write_with_sharers_invalidates_all() {
         let mut d = DcohEngine::new();
         // Make H1 exclusive, downgrade via H2 read, then H3 writes.
-        d.handle(H1, CxlMsg::MemRdS { addr: X });
-        d.handle(H2, CxlMsg::MemRdS { addr: X });
-        d.handle(H1, CxlMsg::BiRspS { addr: X });
-        assert_eq!(d.holders(X), CxlHolders::Shared(BTreeSet::from([H1, H2])));
-        let eff = d.handle(H3, CxlMsg::MemRdA { addr: X });
+        d.fresh(H1, CxlMsg::MemRdS { addr: X });
+        d.fresh(H2, CxlMsg::MemRdS { addr: X });
+        d.fresh(H1, CxlMsg::BiRspS { addr: X });
+        assert_eq!(d.holders(X), CxlHolders::Shared(d.peers().set_of([H1, H2])));
+        let eff = d.fresh(H3, CxlMsg::MemRdA { addr: X });
         let s = sends(&eff);
         assert_eq!(s.len(), 2);
         assert!(s.iter().all(|(_, m)| matches!(m, CxlMsg::BiSnpInv { .. })));
-        d.handle(H1, CxlMsg::BiRspI { addr: X });
-        let eff = d.handle(H2, CxlMsg::BiRspI { addr: X });
+        d.fresh(H1, CxlMsg::BiRspI { addr: X });
+        let eff = d.fresh(H2, CxlMsg::BiRspI { addr: X });
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1253,13 +1300,13 @@ mod tests {
     #[test]
     fn requests_queue_behind_snoop_convoy() {
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        d.handle(H2, CxlMsg::MemRdA { addr: X }); // snoops H1, blocks
-        let eff = d.handle(H3, CxlMsg::MemRdS { addr: X }); // queues
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        d.fresh(H2, CxlMsg::MemRdA { addr: X }); // snoops H1, blocks
+        let eff = d.fresh(H3, CxlMsg::MemRdS { addr: X }); // queues
         assert!(sends(&eff).is_empty());
         assert_eq!(d.stalled_requests, 1);
         // H1 responds (clean): H2 granted, then H3's queued read snoops H2.
-        let eff = d.handle(H1, CxlMsg::BiRspI { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiRspI { addr: X });
         let s = sends(&eff);
         assert!(s.iter().any(|(h, m)| *h == H2
             && matches!(
@@ -1278,11 +1325,11 @@ mod tests {
     fn conflict_ack_reports_serialization_order() {
         let mut d = DcohEngine::new();
         // H1 exclusive; H2 requests ownership -> BISnpInv to H1.
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        d.handle(H2, CxlMsg::MemRdA { addr: X });
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        d.fresh(H2, CxlMsg::MemRdA { addr: X });
         // Fig. 2 right: H1's own upgrade arrives while blocked -> queued.
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        let eff = d.handle(H1, CxlMsg::BiConflict { addr: X });
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiConflict { addr: X });
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1295,7 +1342,7 @@ mod tests {
         );
         // Fig. 2 middle: H2 (whose request was already granted... simulate
         // by asking for a conflict with nothing queued).
-        let eff = d.handle(H2, CxlMsg::BiConflict { addr: X });
+        let eff = d.fresh(H2, CxlMsg::BiConflict { addr: X });
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1312,8 +1359,8 @@ mod tests {
     #[test]
     fn eviction_writeback_clears_owner() {
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        let eff = d.handle(
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(
             H1,
             CxlMsg::MemWrI {
                 addr: X,
@@ -1325,7 +1372,7 @@ mod tests {
         assert_eq!(d.holders(X), CxlHolders::None);
         assert_eq!(d.data(X), 44);
         // A fresh reader is granted E with the written data.
-        let eff = d.handle(H2, CxlMsg::MemRdS { addr: X });
+        let eff = d.fresh(H2, CxlMsg::MemRdS { addr: X });
         assert!(matches!(
             sends(&eff)[0].1,
             CxlMsg::MemData {
@@ -1342,9 +1389,9 @@ mod tests {
         // write. The MemWr carries the data; the BIRspI completes the
         // snoop.
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        d.handle(H2, CxlMsg::MemRdA { addr: X }); // BISnpInv -> H1
-        let eff = d.handle(
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        d.fresh(H2, CxlMsg::MemRdA { addr: X }); // BISnpInv -> H1
+        let eff = d.fresh(
             H1,
             CxlMsg::MemWrI {
                 addr: X,
@@ -1353,7 +1400,7 @@ mod tests {
             },
         );
         assert_eq!(sends(&eff), vec![(H1, CxlMsg::Cmp { addr: X })]);
-        let eff = d.handle(H1, CxlMsg::BiRspI { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiRspI { addr: X });
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1370,10 +1417,10 @@ mod tests {
     #[test]
     fn silent_dropper_is_regranted_without_snooping_itself() {
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
         // H1 silently dropped its clean copy and asks again: the DCOH must
         // NOT snoop H1 (deadlock) but re-grant directly.
-        let eff = d.handle(H1, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(H1, CxlMsg::MemRdA { addr: X });
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1386,7 +1433,7 @@ mod tests {
                 }
             )]
         );
-        let eff = d.handle(H1, CxlMsg::MemRdS { addr: X });
+        let eff = d.fresh(H1, CxlMsg::MemRdS { addr: X });
         assert!(matches!(
             sends(&eff)[0].1,
             CxlMsg::MemData {
@@ -1405,9 +1452,9 @@ mod tests {
         // (H1 cannot answer a snoop for a fill it never received).
         let mut d = DcohEngine::new();
         d.resilient = true;
-        d.handle(H1, CxlMsg::MemRdA { addr: X });
-        d.handle(H2, CxlMsg::MemRdA { addr: X }); // BISnpInv -> H1
-        let eff = d.handle(H1, CxlMsg::MemRdA { addr: X }); // retry
+        d.fresh(H1, CxlMsg::MemRdA { addr: X });
+        d.fresh(H2, CxlMsg::MemRdA { addr: X }); // BISnpInv -> H1
+        let eff = d.fresh(H1, CxlMsg::MemRdA { addr: X }); // retry
         assert_eq!(
             sends(&eff),
             vec![(
@@ -1422,7 +1469,7 @@ mod tests {
         );
         assert_eq!(d.grants_replayed, 1);
         // The snoop is untouched: once H1 answers it, H2 is served.
-        let eff = d.handle(H1, CxlMsg::BiRspI { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiRspI { addr: X });
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1434,7 +1481,7 @@ mod tests {
             )
         ));
         // H2 now owns the line, so its own retry is likewise replayed.
-        let eff = d.handle(H2, CxlMsg::MemRdA { addr: X });
+        let eff = d.fresh(H2, CxlMsg::MemRdA { addr: X });
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1452,17 +1499,17 @@ mod tests {
     #[test]
     fn stale_birsp_is_ignored() {
         let mut d = DcohEngine::new();
-        let eff = d.handle(H1, CxlMsg::BiRspI { addr: X });
+        let eff = d.fresh(H1, CxlMsg::BiRspI { addr: X });
         assert!(eff.is_empty());
     }
 
     #[test]
     fn shared_read_grants_s() {
         let mut d = DcohEngine::new();
-        d.handle(H1, CxlMsg::MemRdS { addr: X }); // E
-        d.handle(H2, CxlMsg::MemRdS { addr: X }); // snoop H1
-        d.handle(H1, CxlMsg::BiRspS { addr: X });
-        let eff = d.handle(H3, CxlMsg::MemRdS { addr: X });
+        d.fresh(H1, CxlMsg::MemRdS { addr: X }); // E
+        d.fresh(H2, CxlMsg::MemRdS { addr: X }); // snoop H1
+        d.fresh(H1, CxlMsg::BiRspS { addr: X });
+        let eff = d.fresh(H3, CxlMsg::MemRdS { addr: X });
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1475,7 +1522,7 @@ mod tests {
         ));
         assert_eq!(
             d.holders(X),
-            CxlHolders::Shared(BTreeSet::from([H1, H2, H3]))
+            CxlHolders::Shared(d.peers().set_of([H1, H2, H3]))
         );
     }
 }

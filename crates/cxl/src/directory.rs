@@ -29,6 +29,8 @@ pub struct SnoopRetryPolicy {
 pub struct CxlDirectory {
     name: String,
     engine: DcohEngine,
+    /// The engine's effect buffer, cleared and reused for every call.
+    effects: Vec<DcohEffect>,
     mem_latency: Delay,
     retry: Option<SnoopRetryPolicy>,
     /// Whether a deadline-scan wakeup is already scheduled.
@@ -46,6 +48,7 @@ impl CxlDirectory {
         CxlDirectory {
             name: name.into(),
             engine: DcohEngine::new(),
+            effects: Vec::new(),
             mem_latency,
             retry: None,
             armed: false,
@@ -77,8 +80,10 @@ impl CxlDirectory {
         &mut self.engine
     }
 
-    fn dispatch(&mut self, effects: Vec<DcohEffect>, ctx: &mut Ctx<'_, SysMsg>) {
-        for effect in effects {
+    /// Carry out the effects the engine left in `self.effects`, then
+    /// empty the buffer for the next call.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
+        for effect in self.effects.drain(..) {
             match effect {
                 DcohEffect::Send {
                     dst,
@@ -116,8 +121,9 @@ impl Component<SysMsg> for CxlDirectory {
         let SysMsg::Cxl(m) = msg else {
             panic!("CXL directory received {msg:?}");
         };
-        let effects = self.engine.handle_at(src, m, Some(ctx.now));
-        self.dispatch(effects, ctx);
+        self.engine
+            .handle_at(src, m, Some(ctx.now), &mut self.effects);
+        self.dispatch(ctx);
         self.rearm(ctx);
     }
 
@@ -127,8 +133,9 @@ impl Component<SysMsg> for CxlDirectory {
         }
         self.armed = false;
         if let Some(p) = self.retry {
-            let effects = self.engine.expire_snoops(ctx.now, p.timeout, p.max_retries);
-            self.dispatch(effects, ctx);
+            self.engine
+                .expire_snoops(ctx.now, p.timeout, p.max_retries, &mut self.effects);
+            self.dispatch(ctx);
         }
         self.rearm(ctx);
     }

@@ -20,27 +20,37 @@
 //!
 //! The same engine, with a backend that always grants permission, is the
 //! baseline global MESI directory ([`crate::global_dir::GlobalMesiDir`]).
+//!
+//! Every entry point appends its effects to a caller-owned
+//! `&mut Vec<DirEffect>` in the order they must be carried out; it never
+//! clears the buffer. Owners keep one buffer and reuse it, so a warmed
+//! engine handles a message without allocating. Holder sets are
+//! [`PeerSet`] bitmasks over the engine's [`PeerSlots`] registry of the
+//! caches that contacted it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use c3_protocol::msg::{Grant, HostMsg};
 use c3_protocol::ops::Addr;
 use c3_protocol::ssp::DirPolicy;
 use c3_sim::component::ComponentId;
 use c3_sim::lines::{Footprint, LineEntry, LineMap};
+use c3_sim::peers::{PeerSet, PeerSlots};
 
 /// Which private caches hold a line, from the directory's point of view.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// Sharer sets are slots of the engine's registry
+/// ([`DirEngine::peers`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Holders {
     /// No private cache holds the line.
     #[default]
     None,
     /// Read-only sharers; the directory's data copy is current.
-    Shared(BTreeSet<ComponentId>),
+    Shared(PeerSet),
     /// A single exclusive owner (E or M); its copy may be dirty.
     Exclusive(ComponentId),
     /// MOESI: a dirty owner plus read-only sharers.
-    Owned(ComponentId, BTreeSet<ComponentId>),
+    Owned(ComponentId, PeerSet),
 }
 
 impl Holders {
@@ -61,6 +71,25 @@ impl Holders {
             Holders::Shared(s) => s.len(),
             Holders::Exclusive(_) => 1,
             Holders::Owned(_, s) => 1 + s.len(),
+        }
+    }
+
+    /// Re-number the sharer sets after the registry opened `slot`.
+    fn open_slot(self, slot: usize) -> Holders {
+        match self {
+            Holders::Shared(s) => Holders::Shared(s.open_slot(slot)),
+            Holders::Owned(o, s) => Holders::Owned(o, s.open_slot(slot)),
+            h => h,
+        }
+    }
+
+    /// Sharers left after `slot` leaves a shared set.
+    fn shared_without(set: PeerSet, slot: usize) -> Holders {
+        let set = set.without(slot);
+        if set.is_empty() {
+            Holders::None
+        } else {
+            Holders::Shared(set)
         }
     }
 }
@@ -98,7 +127,7 @@ pub enum RecallKind {
 }
 
 /// An effect the engine asks its owning component to carry out.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirEffect {
     /// Send a host-domain message.
     Send {
@@ -255,6 +284,8 @@ pub struct DirEngine {
     policy: DirPolicy,
     self_id: ComponentId,
     lines: LineMap<Line>,
+    /// The caches that contacted the engine, numbering the holder sets.
+    peers: PeerSlots,
     /// Statistics: transactions that had to consult the backend.
     pub backend_reads: u64,
     /// Statistics: write-permission backend consultations.
@@ -273,6 +304,7 @@ impl DirEngine {
             policy,
             self_id,
             lines: LineMap::default(),
+            peers: PeerSlots::default(),
             backend_reads: 0,
             backend_writes: 0,
             recalls: 0,
@@ -285,8 +317,25 @@ impl DirEngine {
     pub fn holders(&self, addr: Addr) -> Holders {
         self.lines
             .get(addr.0)
-            .map(|l| l.holders.clone())
+            .map(|l| l.holders)
             .unwrap_or_default()
+    }
+
+    /// The registry numbering the sharer sets of [`Holders`].
+    pub fn peers(&self) -> &PeerSlots {
+        &self.peers
+    }
+
+    /// The registry slot of cache `id`, registering it on first contact
+    /// (and re-numbering every resident holder set if that opened a slot
+    /// below existing ones). Demoted lines hold no holders.
+    fn slot(&mut self, id: ComponentId) -> usize {
+        let (slot, opened) = self.peers.register(id);
+        if opened {
+            self.lines
+                .for_each_live_mut(|l| l.holders = l.holders.open_slot(slot));
+        }
+        slot
     }
 
     /// Current cluster-level data copy.
@@ -411,19 +460,19 @@ impl DirEngine {
         src: ComponentId,
         msg: HostMsg,
         perms: BackendPerms,
-    ) -> Vec<DirEffect> {
+        out: &mut Vec<DirEffect>,
+    ) {
         let addr = msg.addr();
-        let mut out = Vec::new();
         match msg {
             // ---- response-class: never blocked ----
             HostMsg::PutS { .. } | HostMsg::PutE { .. } => {
-                self.handle_put_clean(src, addr, &mut out);
+                self.handle_put_clean(src, addr, out);
             }
             HostMsg::PutM { data, poisoned, .. } | HostMsg::PutO { data, poisoned, .. } => {
-                self.handle_put_dirty(src, addr, data, poisoned, &mut out);
+                self.handle_put_dirty(src, addr, data, poisoned, out);
             }
             HostMsg::InvAck { .. } => {
-                self.recall_ack(addr, &mut out);
+                self.recall_ack(addr, out);
             }
             HostMsg::Data {
                 data,
@@ -437,7 +486,7 @@ impl DirEngine {
                 poisoned,
                 ..
             } => {
-                self.recall_data(addr, data, dirty, poisoned, &mut out);
+                self.recall_data(addr, data, dirty, poisoned, out);
             }
             HostMsg::Unblock { to_state, .. } => {
                 let line = self.lines.entry(addr.0);
@@ -452,7 +501,7 @@ impl DirEngine {
                         );
                         line.host = None;
                         out.push(DirEffect::TxnDone { addr });
-                        self.drain(addr, perms, &mut out);
+                        self.drain(addr, perms, out);
                     }
                     other => panic!("unexpected Unblock from {src} (busy: {other:?})"),
                 }
@@ -467,17 +516,16 @@ impl DirEngine {
                     self.stalled_requests += 1;
                     line.queue.push_back((src, msg));
                 } else {
-                    self.admit(src, msg, perms, &mut out);
+                    self.admit(src, msg, perms, out);
                     // Instant completions (write-throughs, atomics) leave
                     // the line idle: let queued work proceed.
-                    self.drain(addr, perms, &mut out);
+                    self.drain(addr, perms, out);
                 }
             }
             // dir-to-cache-only opcodes arriving here indicate a wiring bug
             other => panic!("directory received cache-bound message {other:?}"),
         }
         self.lines.demote(addr.0);
-        out
     }
 
     /// Resume a transaction suspended on [`DirEffect::BackendRead`]: the
@@ -487,9 +535,10 @@ impl DirEngine {
         addr: Addr,
         data: u64,
         perms: BackendPerms,
-    ) -> Vec<DirEffect> {
+        out: &mut Vec<DirEffect>,
+    ) {
         debug_assert!(perms.read_ok, "backend_read_done without read permission");
-        self.backend_resume(addr, data, perms, false)
+        self.backend_resume(addr, data, perms, false, out)
     }
 
     /// Resume a transaction suspended on [`DirEffect::BackendWrite`]: the
@@ -499,12 +548,13 @@ impl DirEngine {
         addr: Addr,
         data: u64,
         perms: BackendPerms,
-    ) -> Vec<DirEffect> {
+        out: &mut Vec<DirEffect>,
+    ) {
         debug_assert!(
             perms.write_ok,
             "backend_write_done without write permission"
         );
-        self.backend_resume(addr, data, perms, true)
+        self.backend_resume(addr, data, perms, true, out)
     }
 
     fn backend_resume(
@@ -513,8 +563,8 @@ impl DirEngine {
         data: u64,
         perms: BackendPerms,
         write: bool,
-    ) -> Vec<DirEffect> {
-        let mut out = Vec::new();
+        out: &mut Vec<DirEffect>,
+    ) {
         let line = self.lines.entry(addr.0);
         // Only refresh the data copy if no local cache holds dirty data —
         // a recall that ran while we were suspended may have collected a
@@ -529,27 +579,26 @@ impl DirEngine {
         match busy.phase {
             HostPhase::ReadBackend => {
                 debug_assert!(!write, "read suspension resumed by write completion");
-                self.admit(requester, HostMsg::GetS { addr }, perms, &mut out);
+                self.admit(requester, HostMsg::GetS { addr }, perms, out);
             }
             HostPhase::WriteBackend => {
-                self.admit(requester, HostMsg::GetM { addr }, perms, &mut out);
+                self.admit(requester, HostMsg::GetM { addr }, perms, out);
             }
             HostPhase::WtBackend { data: wt } => {
                 self.admit(
                     requester,
                     HostMsg::WriteThrough { addr, data: wt },
                     perms,
-                    &mut out,
+                    out,
                 );
             }
             HostPhase::AtomicBackend { add } => {
-                self.admit(requester, HostMsg::AtomicRmw { addr, add }, perms, &mut out);
+                self.admit(requester, HostMsg::AtomicRmw { addr, add }, perms, out);
             }
             HostPhase::WaitUnblock => panic!("backend completion while waiting for Unblock"),
         }
-        self.drain(addr, perms, &mut out);
+        self.drain(addr, perms, out);
         self.lines.demote(addr.0);
-        out
     }
 
     /// Global-initiated recall — C³'s conceptual cross-domain access.
@@ -557,8 +606,7 @@ impl DirEngine {
     /// Runs immediately if the line is idle *or* suspended on the backend
     /// (the Fig. 2 conflict case); otherwise it is queued with priority
     /// over host requests.
-    pub fn recall(&mut self, addr: Addr, kind: RecallKind) -> Vec<DirEffect> {
-        let mut out = Vec::new();
+    pub fn recall(&mut self, addr: Addr, kind: RecallKind, out: &mut Vec<DirEffect>) {
         let line = self.lines.entry(addr.0);
         debug_assert!(line.recall.is_none(), "one recall per line at a time");
         let must_wait = matches!(
@@ -571,27 +619,25 @@ impl DirEngine {
         if must_wait {
             line.pending_recall.push_back(kind);
         } else {
-            self.start_recall(addr, kind, &mut out);
+            self.start_recall(addr, kind, out);
         }
         self.lines.demote(addr.0);
-        out
     }
 
     // ---- internals ----
 
     fn handle_put_clean(&mut self, src: ComponentId, addr: Addr, out: &mut Vec<DirEffect>) {
+        let slot = self.slot(src);
         let line = self.lines.entry(addr.0);
-        match &mut line.holders {
-            Holders::Shared(set) => {
-                set.remove(&src);
-                if set.is_empty() {
-                    line.holders = Holders::None;
-                }
-            }
-            Holders::Exclusive(o) if *o == src => line.holders = Holders::None,
-            Holders::Owned(_, set) => {
-                set.remove(&src);
-            }
+        match line.holders {
+            Holders::Shared(set) => line.holders = Holders::shared_without(set, slot),
+            Holders::Exclusive(o) if o == src => line.holders = Holders::None,
+            // A PutE from the recorded owner of an Owned line: its clean
+            // eviction crossed the FwdGetS that recorded it as O (MOESI
+            // records the owner before the forward lands). It holds
+            // nothing now; only the sharers remain.
+            Holders::Owned(o, set) if o == src => line.holders = Holders::shared_without(set, slot),
+            Holders::Owned(o, set) => line.holders = Holders::Owned(o, set.without(slot)),
             _ => {} // stale eviction notice — line already reassigned
         }
         if line.fholder == Some(src) {
@@ -611,9 +657,10 @@ impl DirEngine {
         poisoned: bool,
         out: &mut Vec<DirEffect>,
     ) {
+        let slot = self.slot(src);
         let line = self.lines.entry(addr.0);
         let mut updated = false;
-        match line.holders.clone() {
+        match line.holders {
             Holders::Exclusive(o) if o == src => {
                 line.holders = Holders::None;
                 line.data = data;
@@ -622,23 +669,14 @@ impl DirEngine {
             // A PutM can arrive from the owner of an Owned line when the
             // owner's eviction crossed a Fwd-GetS that demoted M to O.
             Holders::Owned(o, set) if o == src => {
-                line.holders = if set.is_empty() {
-                    Holders::None
-                } else {
-                    Holders::Shared(set)
-                };
+                line.holders = Holders::shared_without(set, slot);
                 line.data = data;
                 updated = true;
             }
-            Holders::Shared(mut set) if set.contains(&src) => {
+            Holders::Shared(set) if set.contains(slot) => {
                 // The owner was demoted to sharer by a Fwd-GetS that crossed
                 // its eviction; its data is still authoritative.
-                set.remove(&src);
-                line.holders = if set.is_empty() {
-                    Holders::None
-                } else {
-                    Holders::Shared(set)
-                };
+                line.holders = Holders::shared_without(set, slot);
                 line.data = data;
                 updated = true;
             }
@@ -715,6 +753,12 @@ impl DirEngine {
 
     fn start_recall(&mut self, addr: Addr, kind: RecallKind, out: &mut Vec<DirEffect>) {
         let self_id = self.self_id;
+        // A Shared recall of an exclusive line records the owner as a
+        // sharer (MESI): register it before borrowing the line.
+        let owner_slot = match self.lines.get(addr.0).map(|l| l.holders) {
+            Some(Holders::Exclusive(owner)) => self.slot(owner),
+            _ => 0,
+        };
         let eager = self.policy.eager_invalidation;
         let line = self.lines.entry(addr.0);
         c3_sim::sim_trace!(
@@ -733,7 +777,6 @@ impl DirEngine {
                 was_dirty: false,
             });
             self.recalls += 1;
-            self.after_recall(addr, out);
             return;
         }
         let mut busy = RecallBusy {
@@ -743,7 +786,7 @@ impl DirEngine {
             got_data: false,
             dirty: false,
         };
-        match (kind, line.holders.clone()) {
+        match (kind, line.holders) {
             (_, Holders::None) => {
                 out.push(DirEffect::RecallDone {
                     addr,
@@ -752,7 +795,6 @@ impl DirEngine {
                     was_dirty: false,
                 });
                 self.recalls += 1;
-                self.after_recall(addr, out);
                 return;
             }
             (RecallKind::Shared, Holders::Shared(_)) => {
@@ -764,13 +806,12 @@ impl DirEngine {
                     was_dirty: false,
                 });
                 self.recalls += 1;
-                self.after_recall(addr, out);
                 return;
             }
             (RecallKind::Exclusive, Holders::Shared(set)) => {
-                for s in &set {
+                for dst in self.peers.ids(set) {
                     out.push(DirEffect::Send {
-                        dst: *s,
+                        dst,
                         msg: HostMsg::Inv {
                             addr,
                             requestor: self_id,
@@ -802,9 +843,9 @@ impl DirEngine {
                         acks: 0,
                     },
                 });
-                for s in &set {
+                for dst in self.peers.ids(set) {
                     out.push(DirEffect::Send {
-                        dst: *s,
+                        dst,
                         msg: HostMsg::Inv {
                             addr,
                             requestor: self_id,
@@ -826,9 +867,9 @@ impl DirEngine {
                 });
                 busy.need_data = true;
                 line.holders = if self.policy.owner_after_fwd_gets == c3_protocol::StableState::O {
-                    Holders::Owned(owner, BTreeSet::new())
+                    Holders::Owned(owner, PeerSet::EMPTY)
                 } else {
-                    Holders::Shared(BTreeSet::from([owner]))
+                    Holders::Shared(PeerSet::single(owner_slot))
                 };
             }
             (RecallKind::Shared, Holders::Owned(owner, set)) => {
@@ -862,26 +903,22 @@ impl DirEngine {
                 was_dirty: r.dirty,
             });
             self.recalls += 1;
-            self.after_recall(addr, out);
         }
     }
 
-    fn after_recall(&mut self, addr: Addr, _out: &mut [DirEffect]) {
-        // The host slot may still hold a backend-suspended transaction; it
-        // resumes via backend_*_done. Queued requests drain when the line
-        // becomes fully idle (on TxnDone), or now if nothing is suspended —
-        // but draining requires fresh perms, so the component calls
-        // `drain_after_recall` explicitly.
-        let _ = addr;
-    }
-
     /// Drain queued work after a recall completed, with fresh permissions.
-    /// Call this after acting on [`DirEffect::RecallDone`].
-    pub fn drain_after_recall(&mut self, addr: Addr, perms: BackendPerms) -> Vec<DirEffect> {
-        let mut out = Vec::new();
-        self.drain(addr, perms, &mut out);
+    /// Call this after acting on [`DirEffect::RecallDone`]: a completing
+    /// recall does not drain the line itself, because draining needs the
+    /// owner's fresh permissions. (A backend-suspended transaction still
+    /// in the host slot resumes via `backend_*_done` instead.)
+    pub fn drain_after_recall(
+        &mut self,
+        addr: Addr,
+        perms: BackendPerms,
+        out: &mut Vec<DirEffect>,
+    ) {
+        self.drain(addr, perms, out);
         self.lines.demote(addr.0);
-        out
     }
 
     fn drain(&mut self, addr: Addr, perms: BackendPerms, out: &mut Vec<DirEffect>) {
@@ -983,8 +1020,13 @@ impl DirEngine {
         out: &mut Vec<DirEffect>,
     ) {
         let policy = self.policy;
+        let src_slot = self.slot(src);
+        let owner_slot = match self.lines.get(addr.0).map(|l| l.holders) {
+            Some(Holders::Exclusive(owner)) => self.slot(owner),
+            _ => 0,
+        };
         let line = self.lines.entry(addr.0);
-        match line.holders.clone() {
+        match line.holders {
             Holders::None => {
                 if !perms.read_ok {
                     self.backend_reads += 1;
@@ -1006,7 +1048,7 @@ impl DirEngine {
                 if policy.eager_invalidation {
                     line.holders = match grant {
                         Grant::E => Holders::Exclusive(src),
-                        _ => Holders::Shared(BTreeSet::from([src])),
+                        _ => Holders::Shared(PeerSet::single(src_slot)),
                     };
                 } // RCC: directory does not track sharers.
                 out.push(DirEffect::Send {
@@ -1027,7 +1069,7 @@ impl DirEngine {
                     });
                 }
             }
-            Holders::Shared(mut set) => {
+            Holders::Shared(set) => {
                 // Local sharers imply the cluster data copy is valid
                 // (inclusion), so the read can be served locally even if
                 // the caller currently reports no *backend* permission —
@@ -1062,8 +1104,7 @@ impl DirEngine {
                     line.fholder = Some(src);
                 }
                 if policy.eager_invalidation {
-                    set.insert(src);
-                    line.holders = Holders::Shared(set);
+                    line.holders = Holders::Shared(set.with(src_slot));
                     line.host = Some(HostBusy {
                         requester: src,
                         phase: HostPhase::WaitUnblock,
@@ -1082,9 +1123,9 @@ impl DirEngine {
                     },
                 });
                 line.holders = if policy.owner_after_fwd_gets == c3_protocol::StableState::O {
-                    Holders::Owned(owner, BTreeSet::from([src]))
+                    Holders::Owned(owner, PeerSet::single(src_slot))
                 } else {
-                    Holders::Shared(BTreeSet::from([owner, src]))
+                    Holders::Shared(PeerSet::single(owner_slot).with(src_slot))
                 };
                 if grant == Grant::F {
                     line.fholder = Some(src);
@@ -1094,7 +1135,7 @@ impl DirEngine {
                     phase: HostPhase::WaitUnblock,
                 });
             }
-            Holders::Owned(owner, mut set) => {
+            Holders::Owned(owner, set) => {
                 out.push(DirEffect::Send {
                     dst: owner,
                     msg: HostMsg::FwdGetS {
@@ -1103,8 +1144,7 @@ impl DirEngine {
                         grant: Grant::S,
                     },
                 });
-                set.insert(src);
-                line.holders = Holders::Owned(owner, set);
+                line.holders = Holders::Owned(owner, set.with(src_slot));
                 line.host = Some(HostBusy {
                     requester: src,
                     phase: HostPhase::WaitUnblock,
@@ -1120,8 +1160,9 @@ impl DirEngine {
         perms: BackendPerms,
         out: &mut Vec<DirEffect>,
     ) {
+        let src_slot = self.slot(src);
         let line = self.lines.entry(addr.0);
-        match line.holders.clone() {
+        match line.holders {
             Holders::None => {
                 if !perms.write_ok {
                     self.backend_writes += 1;
@@ -1160,10 +1201,10 @@ impl DirEngine {
                     out.push(DirEffect::BackendWrite { addr });
                     return;
                 }
-                let invs: Vec<ComponentId> = set.iter().copied().filter(|s| *s != src).collect();
-                for s in &invs {
+                let invs = set.without(src_slot);
+                for dst in self.peers.ids(invs) {
                     out.push(DirEffect::Send {
-                        dst: *s,
+                        dst,
                         msg: HostMsg::Inv {
                             addr,
                             requestor: src,
@@ -1205,10 +1246,10 @@ impl DirEngine {
                 });
             }
             Holders::Owned(owner, set) => {
-                let invs: Vec<ComponentId> = set.iter().copied().filter(|s| *s != src).collect();
-                for s in &invs {
+                let invs = set.without(src_slot);
+                for dst in self.peers.ids(invs) {
                     out.push(DirEffect::Send {
-                        dst: *s,
+                        dst,
                         msg: HostMsg::Inv {
                             addr,
                             requestor: src,
@@ -1274,6 +1315,30 @@ mod tests {
         DirEngine::new(SspSpec::rcc().dir, DIR)
     }
 
+    /// The entry points with a fresh effect buffer per call.
+    impl DirEngine {
+        fn host(&mut self, src: ComponentId, msg: HostMsg, perms: BackendPerms) -> Vec<DirEffect> {
+            let mut out = Vec::new();
+            self.handle_host(src, msg, perms, &mut out);
+            out
+        }
+        fn recall_now(&mut self, addr: Addr, kind: RecallKind) -> Vec<DirEffect> {
+            let mut out = Vec::new();
+            self.recall(addr, kind, &mut out);
+            out
+        }
+        fn read_done(&mut self, addr: Addr, data: u64, perms: BackendPerms) -> Vec<DirEffect> {
+            let mut out = Vec::new();
+            self.backend_read_done(addr, data, perms, &mut out);
+            out
+        }
+        fn write_done(&mut self, addr: Addr, data: u64, perms: BackendPerms) -> Vec<DirEffect> {
+            let mut out = Vec::new();
+            self.backend_write_done(addr, data, perms, &mut out);
+            out
+        }
+    }
+
     fn sends(effects: &[DirEffect]) -> Vec<(ComponentId, HostMsg)> {
         effects
             .iter()
@@ -1285,7 +1350,7 @@ mod tests {
     }
 
     fn unblock(engine: &mut DirEngine, src: ComponentId, addr: Addr, st: StableState) {
-        engine.handle_host(
+        engine.host(
             src,
             HostMsg::Unblock { addr, to_state: st },
             BackendPerms::ALL,
@@ -1296,7 +1361,7 @@ mod tests {
     fn gets_on_idle_grants_exclusive() {
         let mut e = mesi_engine();
         e.seed_data(X, 42);
-        let eff = e.handle_host(A, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        let eff = e.host(A, HostMsg::GetS { addr: X }, BackendPerms::ALL);
         let s = sends(&eff);
         assert_eq!(s.len(), 1);
         assert!(matches!(
@@ -1323,7 +1388,7 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        let eff = e.handle_host(A, HostMsg::GetS { addr: X }, perms);
+        let eff = e.host(A, HostMsg::GetS { addr: X }, perms);
         assert!(matches!(
             sends(&eff)[0].1,
             HostMsg::Data {
@@ -1340,11 +1405,11 @@ mod tests {
             read_ok: false,
             write_ok: false,
         };
-        let eff = e.handle_host(A, HostMsg::GetS { addr: X }, perms);
+        let eff = e.host(A, HostMsg::GetS { addr: X }, perms);
         assert_eq!(eff, vec![DirEffect::BackendRead { addr: X }]);
         assert!(e.is_busy(X));
         // Backend returns data; transaction resumes and grants.
-        let eff = e.backend_read_done(
+        let eff = e.read_done(
             X,
             7,
             BackendPerms {
@@ -1364,7 +1429,7 @@ mod tests {
             )
         ));
         unblock(&mut e, A, X, StableState::S);
-        assert_eq!(e.holders(X), Holders::Shared(BTreeSet::from([A])));
+        assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([A])));
     }
 
     #[test]
@@ -1375,12 +1440,12 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        e.handle_host(A, HostMsg::GetS { addr: X }, perms_s);
+        e.host(A, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, A, X, StableState::S);
-        e.handle_host(B, HostMsg::GetS { addr: X }, perms_s);
+        e.host(B, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, B, X, StableState::S);
         // C requests ownership.
-        let eff = e.handle_host(C, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        let eff = e.host(C, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         let s = sends(&eff);
         let invs: Vec<_> = s
             .iter()
@@ -1408,11 +1473,11 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        e.handle_host(A, HostMsg::GetS { addr: X }, perms_s);
+        e.host(A, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, A, X, StableState::S);
-        e.handle_host(B, HostMsg::GetS { addr: X }, perms_s);
+        e.host(B, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, B, X, StableState::S);
-        let eff = e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        let eff = e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         let s = sends(&eff);
         // only B is invalidated; A gets acks=1
         assert!(s
@@ -1429,9 +1494,9 @@ mod tests {
     #[test]
     fn gets_with_owner_forwards_three_hop() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         unblock(&mut e, A, X, StableState::M);
-        let eff = e.handle_host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        let eff = e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
         let s = sends(&eff);
         assert_eq!(s.len(), 1);
         assert!(matches!(
@@ -1439,17 +1504,17 @@ mod tests {
             (A, HostMsg::FwdGetS { requestor, grant: Grant::S, .. }) if requestor == B
         ));
         // MESI: owner demotes to sharer; dir expects both as sharers.
-        assert_eq!(e.holders(X), Holders::Shared(BTreeSet::from([A, B])));
+        assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([A, B])));
     }
 
     #[test]
     fn moesi_gets_with_owner_keeps_owner() {
         let mut e = moesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         unblock(&mut e, A, X, StableState::M);
-        let eff = e.handle_host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        let eff = e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
         sends(&eff);
-        assert_eq!(e.holders(X), Holders::Owned(A, BTreeSet::from([B])));
+        assert_eq!(e.holders(X), Holders::Owned(A, e.peers().set_of([B])));
     }
 
     #[test]
@@ -1460,10 +1525,10 @@ mod tests {
             write_ok: false,
         };
         // A becomes the first sharer (no F yet — dir supplied).
-        e.handle_host(A, HostMsg::GetS { addr: X }, perms_s);
+        e.host(A, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, A, X, StableState::S);
         // B asks: dir supplies, B becomes F.
-        let eff = e.handle_host(B, HostMsg::GetS { addr: X }, perms_s);
+        let eff = e.host(B, HostMsg::GetS { addr: X }, perms_s);
         assert!(matches!(
             sends(&eff)[0],
             (
@@ -1476,7 +1541,7 @@ mod tests {
         ));
         unblock(&mut e, B, X, StableState::F);
         // C asks: forwarded to B (the F holder), C becomes the new F.
-        let eff = e.handle_host(C, HostMsg::GetS { addr: X }, perms_s);
+        let eff = e.host(C, HostMsg::GetS { addr: X }, perms_s);
         assert!(matches!(
             sends(&eff)[0],
             (B, HostMsg::FwdGetS { requestor, grant: Grant::F, .. }) if requestor == C
@@ -1486,13 +1551,13 @@ mod tests {
     #[test]
     fn requests_queue_while_busy() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         // B's request queues (no effects yet).
-        let eff = e.handle_host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        let eff = e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
         assert!(sends(&eff).is_empty());
         assert_eq!(e.stalled_requests, 1);
         // A unblocks -> B's queued request launches (FwdGetS to A).
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::Unblock {
                 addr: X,
@@ -1508,9 +1573,9 @@ mod tests {
     #[test]
     fn put_m_from_owner_updates_data() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         unblock(&mut e, A, X, StableState::M);
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::PutM {
                 addr: X,
@@ -1534,12 +1599,12 @@ mod tests {
     #[test]
     fn stale_put_m_is_acked_but_ignored() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         unblock(&mut e, A, X, StableState::M);
         // B takes ownership (3-hop via A).
-        e.handle_host(B, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(B, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         // A's eviction crossed the FwdGetM: stale PutM arrives.
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::PutM {
                 addr: X,
@@ -1560,15 +1625,15 @@ mod tests {
     #[test]
     fn recall_exclusive_from_owner_collects_dirty_data() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         unblock(&mut e, A, X, StableState::M);
-        let eff = e.recall(X, RecallKind::Exclusive);
+        let eff = e.recall_now(X, RecallKind::Exclusive);
         assert!(matches!(
             sends(&eff)[0],
             (A, HostMsg::FwdGetM { requestor, .. }) if requestor == DIR
         ));
         // Owner responds with dirty data addressed to the directory.
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::Data {
                 addr: X,
@@ -1599,20 +1664,20 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        e.handle_host(A, HostMsg::GetS { addr: X }, perms_s);
+        e.host(A, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, A, X, StableState::S);
-        e.handle_host(B, HostMsg::GetS { addr: X }, perms_s);
+        e.host(B, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, B, X, StableState::S);
-        let eff = e.recall(X, RecallKind::Exclusive);
+        let eff = e.recall_now(X, RecallKind::Exclusive);
         assert_eq!(sends(&eff).len(), 2);
-        let eff = e.handle_host(A, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
+        let eff = e.host(A, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
         assert!(
             eff.is_empty()
                 || !eff
                     .iter()
                     .any(|x| matches!(x, DirEffect::RecallDone { .. }))
         );
-        let eff = e.handle_host(B, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
+        let eff = e.host(B, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
         assert!(eff.iter().any(|x| matches!(
             x,
             DirEffect::RecallDone {
@@ -1629,25 +1694,25 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        e.handle_host(A, HostMsg::GetS { addr: X }, perms_s);
+        e.host(A, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, A, X, StableState::S);
-        let eff = e.recall(X, RecallKind::Shared);
+        let eff = e.recall_now(X, RecallKind::Shared);
         assert!(eff
             .iter()
             .any(|x| matches!(x, DirEffect::RecallDone { .. })));
         // Sharers keep their copies.
-        assert_eq!(e.holders(X), Holders::Shared(BTreeSet::from([A])));
+        assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([A])));
     }
 
     #[test]
     fn recall_waits_for_unblock_phase_transaction() {
         let mut e = mesi_engine();
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         // recall arrives mid-transaction: must queue
-        let eff = e.recall(X, RecallKind::Exclusive);
+        let eff = e.recall_now(X, RecallKind::Exclusive);
         assert!(eff.is_empty());
         // unblock: recall launches (FwdGetM to new owner A)
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::Unblock {
                 addr: X,
@@ -1668,22 +1733,22 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        e.handle_host(B, HostMsg::GetS { addr: X }, perms_s);
+        e.host(B, HostMsg::GetS { addr: X }, perms_s);
         unblock(&mut e, B, X, StableState::S);
-        let eff = e.handle_host(A, HostMsg::GetM { addr: X }, perms_s);
+        let eff = e.host(A, HostMsg::GetM { addr: X }, perms_s);
         assert_eq!(eff, vec![DirEffect::BackendWrite { addr: X }]);
         // Recall runs despite the suspended transaction, invalidating B.
-        let eff = e.recall(X, RecallKind::Exclusive);
+        let eff = e.recall_now(X, RecallKind::Exclusive);
         assert!(sends(&eff)
             .iter()
             .any(|(d, m)| *d == B && matches!(m, HostMsg::Inv { .. })));
-        let eff = e.handle_host(B, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
+        let eff = e.host(B, HostMsg::InvAck { addr: X }, BackendPerms::ALL);
         assert!(eff
             .iter()
             .any(|x| matches!(x, DirEffect::RecallDone { .. })));
         // Later, the backend grants ownership; A's GetM resumes with no
         // sharers left to invalidate.
-        let eff = e.backend_write_done(X, 5, BackendPerms::ALL);
+        let eff = e.write_done(X, 5, BackendPerms::ALL);
         assert!(sends(&eff).iter().any(|(d, m)| *d == A
             && matches!(
                 m,
@@ -1700,7 +1765,7 @@ mod tests {
         let mut e = rcc_engine();
         e.seed_data(X, 1);
         // write-through with global permission
-        let eff = e.handle_host(
+        let eff = e.host(
             A,
             HostMsg::WriteThrough { addr: X, data: 9 },
             BackendPerms::ALL,
@@ -1714,7 +1779,7 @@ mod tests {
             .iter()
             .any(|(d, m)| *d == A && matches!(m, HostMsg::WtAck { .. })));
         // recall completes immediately (self-invalidation protocol)
-        let eff = e.recall(X, RecallKind::Exclusive);
+        let eff = e.recall_now(X, RecallKind::Exclusive);
         assert!(eff
             .iter()
             .any(|x| matches!(x, DirEffect::RecallDone { data: 9, .. })));
@@ -1727,9 +1792,9 @@ mod tests {
             read_ok: true,
             write_ok: false,
         };
-        let eff = e.handle_host(A, HostMsg::WriteThrough { addr: X, data: 3 }, perms);
+        let eff = e.host(A, HostMsg::WriteThrough { addr: X, data: 3 }, perms);
         assert_eq!(eff, vec![DirEffect::BackendWrite { addr: X }]);
-        let eff = e.backend_write_done(X, 0, BackendPerms::ALL);
+        let eff = e.write_done(X, 0, BackendPerms::ALL);
         assert!(sends(&eff)
             .iter()
             .any(|(d, m)| *d == A && matches!(m, HostMsg::WtAck { .. })));
@@ -1740,18 +1805,121 @@ mod tests {
     fn atomic_rmw_returns_old_value() {
         let mut e = rcc_engine();
         e.seed_data(X, 10);
-        let eff = e.handle_host(A, HostMsg::AtomicRmw { addr: X, add: 5 }, BackendPerms::ALL);
+        let eff = e.host(A, HostMsg::AtomicRmw { addr: X, add: 5 }, BackendPerms::ALL);
         assert!(sends(&eff)
             .iter()
             .any(|(d, m)| *d == A && matches!(m, HostMsg::AtomicResp { old: 10, .. })));
         assert_eq!(e.data(X), 15);
     }
 
+    /// MOESI records an exclusive owner as O the moment it forwards a
+    /// GetS to it. An owner whose clean eviction (`PutE`) crossed that
+    /// forward holds nothing once acked; it must not stay recorded.
+    #[test]
+    fn moesi_put_e_crossing_fwd_gets_leaves_no_owner() {
+        // Via a Shared recall (BISnpData): the owner had no sharers.
+        let mut e = moesi_engine();
+        e.host(A, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        unblock(&mut e, A, X, StableState::E);
+        let eff = e.recall_now(X, RecallKind::Shared);
+        assert!(matches!(sends(&eff)[0], (A, HostMsg::FwdGetS { .. })));
+        assert_eq!(e.holders(X), Holders::Owned(A, PeerSet::EMPTY));
+        let eff = e.host(A, HostMsg::PutE { addr: X }, BackendPerms::ALL);
+        assert_eq!(sends(&eff), vec![(A, HostMsg::PutAck { addr: X })]);
+        assert_eq!(e.holders(X), Holders::None);
+        // A answers the forward from EI_A with clean data.
+        let data = HostMsg::Data {
+            addr: X,
+            data: 0,
+            grant: Grant::S,
+            acks: 0,
+            dirty: false,
+            poisoned: false,
+        };
+        let eff = e.host(A, data, BackendPerms::ALL);
+        assert!(eff
+            .iter()
+            .any(|x| matches!(x, DirEffect::RecallDone { .. })));
+        assert_eq!(e.holders(X), Holders::None);
+        assert!(!e.is_busy(X));
+
+        // Via another cache's GetS: the requester stays a sharer.
+        let mut e = moesi_engine();
+        e.host(A, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        unblock(&mut e, A, X, StableState::E);
+        e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        assert_eq!(e.holders(X), Holders::Owned(A, e.peers().set_of([B])));
+        e.host(A, HostMsg::PutE { addr: X }, BackendPerms::ALL);
+        assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([B])));
+        // A PutS from a sharer of an Owned line keeps the owner.
+        let mut e = moesi_engine();
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        unblock(&mut e, A, X, StableState::M);
+        e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        unblock(&mut e, B, X, StableState::S);
+        e.host(B, HostMsg::PutS { addr: X }, BackendPerms::ALL);
+        assert_eq!(e.holders(X), Holders::Owned(A, PeerSet::EMPTY));
+    }
+
+    /// MESIF: an F holder whose clean eviction crossed the forward that
+    /// made it F stops being the forwarder, so the next reader is served
+    /// by the directory instead of being forwarded to a cache that no
+    /// longer holds the line.
+    #[test]
+    fn mesif_put_from_the_forwarder_clears_it() {
+        for put in [HostMsg::PutS { addr: X }, HostMsg::PutE { addr: X }] {
+            let mut e = mesif_engine();
+            let perms_s = BackendPerms {
+                read_ok: true,
+                write_ok: false,
+            };
+            e.host(A, HostMsg::GetS { addr: X }, perms_s);
+            unblock(&mut e, A, X, StableState::S);
+            e.host(B, HostMsg::GetS { addr: X }, perms_s);
+            unblock(&mut e, B, X, StableState::F);
+            e.host(B, put, perms_s);
+            assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([A])));
+            let eff = e.host(C, HostMsg::GetS { addr: X }, perms_s);
+            assert!(
+                matches!(
+                    sends(&eff)[0],
+                    (
+                        C,
+                        HostMsg::Data {
+                            grant: Grant::F,
+                            ..
+                        }
+                    )
+                ),
+                "{put:?}: {eff:?}"
+            );
+        }
+    }
+
+    /// Holder sets keep ascending-id order whatever order the caches
+    /// first contacted the engine in: invalidations fan out by id.
+    #[test]
+    fn fanout_order_is_ascending_id_regardless_of_contact_order() {
+        let mut e = mesi_engine();
+        let perms_s = BackendPerms {
+            read_ok: true,
+            write_ok: false,
+        };
+        for src in [C, A, B] {
+            e.host(src, HostMsg::GetS { addr: X }, perms_s);
+            unblock(&mut e, src, X, StableState::S);
+        }
+        assert_eq!(e.holders(X), Holders::Shared(e.peers().set_of([A, B, C])));
+        let eff = e.recall_now(X, RecallKind::Exclusive);
+        let order: Vec<ComponentId> = sends(&eff).iter().map(|(d, _)| *d).collect();
+        assert_eq!(order, [A, B, C]);
+    }
+
     #[test]
     fn idle_reports_pending_work() {
         let mut e = mesi_engine();
         assert!(e.idle());
-        e.handle_host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
+        e.host(A, HostMsg::GetM { addr: X }, BackendPerms::ALL);
         assert!(!e.idle());
         unblock(&mut e, A, X, StableState::M);
         assert!(e.idle());

@@ -25,6 +25,8 @@ pub struct GlobalMesiDir {
     engine: Option<DirEngine>,
     policy: DirPolicy,
     mem_latency: Delay,
+    /// The engine's effect buffer, cleared and reused for every message.
+    effects: Vec<DirEffect>,
     data_responses: u64,
     /// Emit line-store footprint gauges/report lines. Off by default:
     /// the extra keys would shift the pinned report/metrics fingerprints
@@ -42,6 +44,7 @@ impl GlobalMesiDir {
             engine: None,
             policy,
             mem_latency,
+            effects: Vec::new(),
             data_responses: 0,
             state_metrics: false,
         }
@@ -70,8 +73,8 @@ impl GlobalMesiDir {
         self.engine.as_ref().map(|e| e.data(addr)).unwrap_or(0)
     }
 
-    fn apply(&mut self, effects: Vec<DirEffect>, ctx: &mut Ctx<'_, SysMsg>) {
-        for e in effects {
+    fn apply(&mut self, effects: &[DirEffect], ctx: &mut Ctx<'_, SysMsg>) {
+        for &e in effects {
             match e {
                 DirEffect::Send { dst, msg } => {
                     if matches!(msg, HostMsg::Data { .. }) {
@@ -105,9 +108,12 @@ impl Component<SysMsg> for GlobalMesiDir {
         let SysMsg::Host(h) = msg else {
             panic!("global directory received {msg:?}");
         };
-        let self_id = ctx.self_id;
-        let effects = self.engine(self_id).handle_host(src, h, BackendPerms::ALL);
-        self.apply(effects, ctx);
+        let mut effects = std::mem::take(&mut self.effects);
+        effects.clear();
+        self.engine(ctx.self_id)
+            .handle_host(src, h, BackendPerms::ALL, &mut effects);
+        self.apply(&effects, ctx);
+        self.effects = effects;
     }
 
     fn done(&self) -> bool {

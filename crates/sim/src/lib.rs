@@ -49,6 +49,7 @@ pub mod hash;
 pub mod kernel;
 pub mod lines;
 pub mod metrics;
+pub mod peers;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -237,6 +237,21 @@ impl<V: LineEntry> LineMap<V> {
         self.live.iter().map(|(&k, &s)| (k, &self.slab[s as usize]))
     }
 
+    /// Apply `f` to every materialized entry — for rewriting state that
+    /// every line carries (re-numbering stored holder sets), not for
+    /// per-line work.
+    pub fn for_each_live_mut(&mut self, mut f: impl FnMut(&mut V)) {
+        for &slot in self.live.values() {
+            f(&mut self.slab[slot as usize]);
+        }
+    }
+
+    /// Apply `f` to every demoted line's summary, default ones included
+    /// (see [`LineMap::for_each_live_mut`]).
+    pub fn for_each_summary_mut(&mut self, f: impl FnMut(&mut V::Summary)) {
+        self.quiet.values_mut().for_each(f);
+    }
+
     /// Iterate all non-default `(line, summary)` pairs of demoted lines,
     /// in the same kind of order as [`LineMap::iter_live`].
     pub fn iter_summaries(&self) -> impl Iterator<Item = (u64, V::Summary)> + '_ {
