@@ -186,43 +186,59 @@ fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
 /// event counts, RNG draws) trips this test. Re-pin deliberately when a
 /// behaviour change is intended (e.g. the inclusive-jitter fix).
 ///
-/// Four configurations: barnes on weak cores; vips on the `stream`
-/// benchmark's pairing (MESI/TSO beside MOESI/weak), which drives the TSO
-/// store buffer, its store-to-load forwarding and the RFO prefetches; an
-/// RCC (GPU-style) cluster of weak cores beside a MESI cluster of TSO
-/// cores; and the 2²⁰-key `oltp-zipf` engine on MESI weak cores, the only
-/// pin that reaches the OLTP generator and its Zipfian sampler.
+/// Five configurations, two cores per cluster unless noted: barnes on
+/// weak cores; vips on the `stream` benchmark's pairing (MESI/TSO beside
+/// MOESI/weak), which drives the TSO store buffer, its store-to-load
+/// forwarding and the RFO prefetches; an RCC (GPU-style) cluster of weak
+/// cores beside a MESI cluster of TSO cores; the 2²⁰-key `oltp-zipf`
+/// engine on MESI weak cores, the only pin that reaches the OLTP
+/// generator and its Zipfian sampler; and `oltp-zipf` on four-core
+/// MESIF/TSO beside MOESI/weak clusters, the only pin whose report
+/// differs from its MESI twin, so the F state's forwards, invalidations
+/// and evictions are exercised.
 #[test]
 fn report_dump_byte_identity() {
-    use ProtocolFamily::{Mesi, Moesi, Rcc};
-    for (name, protocols, mcms, pinned) in [
+    use ProtocolFamily::{Mesi, Mesif, Moesi, Rcc};
+    for (name, protocols, mcms, cores, pinned) in [
         (
             "barnes",
             (Mesi, Moesi),
             (Mcm::Weak, Mcm::Weak),
+            2,
             4_553_830_574_658_468_899u64,
         ),
         (
             "vips",
             (Mesi, Moesi),
             (Mcm::Tso, Mcm::Weak),
+            2,
             152_484_082_630_253_032,
         ),
         (
             "barnes",
             (Rcc, Mesi),
             (Mcm::Weak, Mcm::Tso),
+            2,
             11_670_868_887_311_467_392,
         ),
         (
             "oltp-zipf",
             (Mesi, Mesi),
             (Mcm::Weak, Mcm::Weak),
+            2,
             15_559_684_961_206_078_623,
+        ),
+        (
+            "oltp-zipf",
+            (Mesif, Moesi),
+            (Mcm::Tso, Mcm::Weak),
+            4,
+            14_500_999_957_875_614_501,
         ),
     ] {
         let spec = WorkloadSpec::by_name(name).expect("workload");
         let mut cfg = RunConfig::scaled(protocols, GlobalProtocol::Cxl, mcms).quick();
+        cfg.cores_per_cluster = cores;
         cfg.ops_per_core = 200;
         let a = render(&spec, &cfg);
         let b = render(&spec, &cfg);
@@ -236,41 +252,62 @@ fn report_dump_byte_identity() {
     }
 }
 
-/// MOESI deadlock regression: a MOESI cluster's bridge-local directory
-/// records an exclusive L1 as the O owner the moment it forwards a
-/// GetS to it. If that L1's clean eviction (`PutE`) crossed the
-/// forward, the directory must drop it as owner; before it did, seed 3
-/// of this run left a stale owner that later received its own forwarded
-/// GetS and wedged the run at ~163k events. The run takes ~0.2 s in
-/// release and far longer in debug, so it is release-only.
+/// ROADMAP item 1's seed sweep: `oltp-zipf` with 3,000 ops per core on
+/// weak cores over CXL, seeds 1–64, across six cluster mixes. Every run
+/// must complete; a recorded L1 protocol violation keeps the L1 from
+/// reporting done, so a violation cannot complete either. Seed 3 of the
+/// 2x4 MESI/MOESI mix is the MOESI deadlock regression: a MOESI
+/// cluster's bridge-local directory records an exclusive L1 as the O
+/// owner the moment it forwards a GetS to it, and if that L1's clean
+/// eviction (`PutE`) crossed the forward the directory must drop it as
+/// owner. Before it did, that run left a stale owner that later received
+/// its own forwarded GetS and wedged at ~163k events; 11 of the 384 runs
+/// failed. The sweep takes about a minute of CPU in release and far
+/// longer in debug, so it is release-only.
 #[cfg(not(debug_assertions))]
 #[test]
-fn moesi_put_e_crossing_fwd_gets_does_not_deadlock() {
+fn oltp_seed_sweep_completes() {
     use c3_sim::kernel::RunOutcome;
+    use ProtocolFamily::{Mesi, Mesif, Moesi, Rcc};
     let spec = WorkloadSpec::by_name("oltp-zipf").expect("workload");
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Moesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    );
-    cfg.ops_per_core = 3000;
-    cfg.seed = 3;
-    let (mut sim, handles) = c3_bench::build_sim(&spec, &cfg);
-    let outcome = sim.run();
-    assert_eq!(
-        outcome,
-        RunOutcome::Completed,
-        "2x4 MESI/MOESI oltp-zipf seed 3 wedged:\n{}",
-        sim.post_mortem(outcome)
-    );
-    for &l1 in handles.l1s.iter().flatten() {
-        let l1 = sim
-            .component_as::<c3_memsys::L1Controller>(l1)
-            .expect("L1 controller");
-        assert!(
-            l1.violations().is_empty(),
-            "L1 protocol violations: {:?}",
-            l1.violations()
-        );
+    let mixes = [
+        (2, (Mesi, Moesi)),
+        (2, (Moesi, Moesi)),
+        (4, (Mesi, Moesi)),
+        (4, (Moesi, Moesi)),
+        (4, (Mesif, Moesi)),
+        (2, (Moesi, Rcc)),
+    ];
+    let mut grid = Vec::new();
+    for (clusters, protocols) in mixes {
+        for seed in 1..=64 {
+            let mut cfg = RunConfig::scaled(protocols, GlobalProtocol::Cxl, (Mcm::Weak, Mcm::Weak))
+                .with_clusters(clusters);
+            cfg.ops_per_core = 3000;
+            cfg.seed = seed;
+            grid.push(Experiment::new(spec, cfg).tagged(format!("{clusters}x4 seed {seed}")));
+        }
     }
+    assert_eq!(grid.len(), 384);
+    let results = runner::run_grid(runner::default_threads(), &grid);
+    let failed: Vec<String> = grid
+        .iter()
+        .zip(&results)
+        .filter(|(_, r)| r.outcome != RunOutcome::Completed)
+        .map(|(e, r)| {
+            format!(
+                "{} {}: {:?}\n{}",
+                e.cfg.label(),
+                e.tag,
+                r.outcome,
+                r.failure.as_deref().unwrap_or("")
+            )
+        })
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "{} of 384 runs did not complete:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
 }

@@ -5,6 +5,15 @@
 //! or RCC (self-invalidation, §IV-D2 of the paper). One instance per core;
 //! Table III: 128 KiB, 8-way, 1-cycle hit latency. The paper's tool models
 //! a unified I+D cache per core, and so do we.
+//!
+//! The stable-state behaviour is not written out here: at construction the
+//! family's SSP spec is compiled once into a dense `[stable state][event]`
+//! array of [`L1Step`]s ([`L1Steps::compile`]). Core accesses, victim
+//! evictions, the RCC acquire/release sweeps and the stable forward and
+//! invalidation arms each look their step up and run it through one small
+//! executor, and [`l1_transition_table`] renders its stable rows from the
+//! same steps. Only the transient states (MSHRs), which SSPs omit by
+//! design, are handled by hand.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -76,6 +85,200 @@ const KIND_LABELS: [(&str, &str, &str); 3] = [
     ("rmw", "rmw.hits", "rmw.misses"),
 ];
 
+/// An event an L1 line in a stable state reacts to: the transition
+/// table's core and directory events plus the RCC sync points. `Rmw`
+/// follows the SSP's `Store` row and `Repl` is its `Evict`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum L1Event {
+    /// Core load.
+    Load,
+    /// Core store.
+    Store,
+    /// Core read-modify-write.
+    Rmw,
+    /// The line was chosen as a victim.
+    Repl,
+    /// Forwarded read.
+    FwdGetS,
+    /// Forwarded write (or recall).
+    FwdGetM,
+    /// Invalidation of a shared copy.
+    Inv,
+    /// RCC acquire (self-invalidation point).
+    Acquire,
+    /// RCC release (write-through point).
+    Release,
+}
+
+impl L1Event {
+    const COUNT: usize = 9;
+
+    /// The event's name in the transition table (in SSP text for the sync
+    /// points, which the table does not model).
+    pub fn name(self) -> &'static str {
+        const NAMES: [&str; L1Event::COUNT] = [
+            "Load", "Store", "Rmw", "Repl", "FwdGetS", "FwdGetM", "Inv", "Acquire", "Release",
+        ];
+        NAMES[self as usize]
+    }
+
+    /// The L1 events an SSP event decides.
+    fn of(event: SspEvent) -> &'static [L1Event] {
+        match event {
+            SspEvent::Load => &[L1Event::Load],
+            SspEvent::Store => &[L1Event::Store, L1Event::Rmw],
+            SspEvent::Evict => &[L1Event::Repl],
+            SspEvent::FwdGetS => &[L1Event::FwdGetS],
+            SspEvent::FwdGetM => &[L1Event::FwdGetM],
+            SspEvent::Inv => &[L1Event::Inv],
+            SspEvent::Acquire => &[L1Event::Acquire],
+            SspEvent::Release => &[L1Event::Release],
+        }
+    }
+}
+
+/// One compiled stable-state step: what a line in one stable state does on
+/// one [`L1Event`], as the family's SSP says.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct L1Step {
+    next: SspNext,
+    /// The transient the step's request to the directory opens.
+    request: Option<TState>,
+    hold: StableState,
+    data_to_req: bool,
+    data_to_dir: bool,
+    inv_ack: bool,
+}
+
+impl L1Step {
+    /// `tr`'s step for one of the L1 events it decides (`rmw` for `Rmw`).
+    fn compile(tr: &SspTransition, rmw: bool, swmr: bool) -> L1Step {
+        let request = tr
+            .actions
+            .iter()
+            .find_map(|&a| TState::opened_by(a, tr.from, rmw, swmr));
+        let hold = match (request, tr.to) {
+            // An upgrade keeps its readable copy until the grant.
+            (Some(TState::SM_AD), _) => tr.from,
+            // A fetch leaves nothing behind, and an atomic drops the copy
+            // it would leave stale.
+            (Some(TState::IS_D | TState::IM_AD | TState::AT_D), _) => StableState::I,
+            // Evictions go to I; a write-through that retains its copy (RCC
+            // release) keeps it in the next state.
+            (_, SspNext::Fixed(to)) => to,
+            (_, SspNext::FromGrant) => panic!(
+                "{} {}: only a fetch can leave the next state to the grant",
+                tr.from,
+                tr.event.name()
+            ),
+        };
+        L1Step {
+            next: tr.to,
+            request,
+            hold,
+            data_to_req: tr.actions.contains(&SspAction::SendDataToReq),
+            data_to_dir: tr.actions.contains(&SspAction::SendDataToDir),
+            inv_ack: tr.actions.contains(&SspAction::SendInvAck),
+        }
+    }
+
+    /// The SSP's next state: where the line ends up once any request the
+    /// step opens has completed.
+    pub fn next(&self) -> SspNext {
+        self.next
+    }
+
+    /// The state the resident copy holds as soon as the step has run (I:
+    /// dropped). An upgrade keeps its readable copy until the grant.
+    pub fn hold(&self) -> StableState {
+        self.hold
+    }
+
+    /// The request the step sends the directory and the MSHR transient it
+    /// opens, if any.
+    pub fn request(&self) -> Option<(&'static str, &'static str)> {
+        self.request.map(|t| (t.request(), t.name()))
+    }
+
+    /// The table row this step decides. A request sends it to the
+    /// directory and opens its transient; otherwise the row moves to the
+    /// held state with the step's replies, answering the core on an access
+    /// (a replacement is silent).
+    fn row(&self, from: StableState, event: L1Event, provenance: String) -> TransitionRow {
+        let (from, ev) = (from.name(), event.name());
+        if let Some(req) = self.request {
+            let send = Action::send(req.request(), Vnet::Req, "bridge");
+            return TransitionRow::next(from, ev, req.name(), vec![send], provenance);
+        }
+        let mut actions = Vec::new();
+        if self.data_to_req {
+            actions.push(Action::send("Data", Vnet::Resp, "l1"));
+        }
+        if self.data_to_dir {
+            actions.push(Action::send("DataToDir", Vnet::Resp, "bridge"));
+        }
+        if self.inv_ack {
+            actions.push(Action::send("InvAck", Vnet::Resp, "l1"));
+        }
+        if matches!(event, L1Event::Load | L1Event::Store | L1Event::Rmw) {
+            actions.push(Action::complete("CoreResp", Vnet::Resp, "core"));
+        }
+        TransitionRow::next(from, ev, self.hold.name(), actions, provenance)
+    }
+}
+
+/// A family's SSP compiled into a dense `[stable state][event]` array of
+/// [`L1Step`]s: the L1's whole stable-state behaviour, executed by the
+/// controller and rendered by [`l1_transition_table`].
+#[derive(Clone, Copy, Debug)]
+pub struct L1Steps {
+    steps: [[Option<L1Step>; L1Event::COUNT]; StableState::ALL.len()],
+    /// Whether any state reacts to the sync points; the acquire and
+    /// release sweeps are no-ops otherwise.
+    syncs: bool,
+}
+
+impl L1Steps {
+    /// Compile `spec`. Replacing an absent line has no step: victim
+    /// selection only ever picks a resident line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not validate, or if a step without a request
+    /// leaves its next state to the grant.
+    pub fn compile(spec: &SspSpec) -> L1Steps {
+        if let Err(errs) = spec.validate() {
+            panic!("{} SSP spec invalid: {errs:?}", spec.family);
+        }
+        let swmr = spec.family.enforces_swmr();
+        let mut steps = [[None; L1Event::COUNT]; StableState::ALL.len()];
+        let mut syncs = false;
+        for tr in &spec.transitions {
+            for &event in L1Event::of(tr.event) {
+                if event == L1Event::Repl && tr.from == StableState::I {
+                    continue;
+                }
+                let step = L1Step::compile(tr, event == L1Event::Rmw, swmr);
+                steps[tr.from as usize][event as usize] = Some(step);
+                syncs |= matches!(event, L1Event::Acquire | L1Event::Release);
+            }
+        }
+        L1Steps { steps, syncs }
+    }
+
+    /// The step a line in `from` takes on `event`; `None` where the SSP
+    /// gives none (a message in that state is a protocol violation).
+    pub fn get(&self, from: StableState, event: L1Event) -> Option<L1Step> {
+        self.steps[from as usize][event as usize]
+    }
+
+    /// The step for an event every resident state must answer.
+    fn must(&self, from: StableState, event: L1Event) -> L1Step {
+        self.get(from, event)
+            .unwrap_or_else(|| panic!("the SSP gives no {from} x {} step", event.name()))
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Line {
     state: StableState,
@@ -118,19 +321,45 @@ enum TState {
 impl TState {
     /// Table-state name (allocation-free `{:?}` equivalent).
     fn name(self) -> &'static str {
+        const NAMES: [&str; 12] = [
+            "IS_D", "IM_AD", "IM_A", "SM_AD", "SM_A", "MI_A", "OI_A", "EI_A", "SI_A", "II_A",
+            "WT_A", "AT_D",
+        ];
+        NAMES[self as usize]
+    }
+
+    /// The transient an SSP action opens from `from` with a request to the
+    /// directory; `None` for actions the L1 performs without one.
+    fn opened_by(action: SspAction, from: StableState, rmw: bool, swmr: bool) -> Option<TState> {
+        use SspAction::*;
+        Some(match (action, from) {
+            (IssueGetS, _) => TState::IS_D,
+            (IssueGetM, StableState::I) => TState::IM_AD,
+            (IssueGetM, _) => TState::SM_AD,
+            // A store that needs no ownership cannot make an atomic atomic:
+            // RCC atomics execute at the shared level.
+            (LocalWrite, _) if rmw => TState::AT_D,
+            (IssuePutClean, StableState::E) => TState::EI_A,
+            (IssuePutClean, _) => TState::SI_A,
+            (WritebackDirty | WritebackRetain, _) if !swmr => TState::WT_A,
+            (WritebackDirty, StableState::O) => TState::OI_A,
+            (WritebackDirty, _) => TState::MI_A,
+            _ => return None,
+        })
+    }
+
+    /// The request that opens this transient.
+    fn request(self) -> &'static str {
         match self {
-            TState::IS_D => "IS_D",
-            TState::IM_AD => "IM_AD",
-            TState::IM_A => "IM_A",
-            TState::SM_AD => "SM_AD",
-            TState::SM_A => "SM_A",
-            TState::MI_A => "MI_A",
-            TState::OI_A => "OI_A",
-            TState::EI_A => "EI_A",
-            TState::SI_A => "SI_A",
-            TState::II_A => "II_A",
-            TState::WT_A => "WT_A",
-            TState::AT_D => "AT_D",
+            TState::IS_D => "GetS",
+            TState::IM_AD | TState::SM_AD => "GetM",
+            TState::MI_A => "PutM",
+            TState::OI_A => "PutO",
+            TState::EI_A => "PutE",
+            TState::SI_A => "PutS",
+            TState::WT_A => "WriteThrough",
+            TState::AT_D => "AtomicRmw",
+            TState::IM_A | TState::SM_A | TState::II_A => unreachable!("no request opens {self:?}"),
         }
     }
 }
@@ -160,9 +389,6 @@ struct Mshr {
 struct ReleaseOp {
     tag: u64,
     remaining: u32,
-    /// Deferred load to run once the release drains (store-release's
-    /// response, or a fence completion).
-    respond_value: u64,
 }
 
 /// Per-access-kind miss statistics.
@@ -182,7 +408,10 @@ pub struct MissStats {
 #[derive(Debug)]
 pub struct L1Controller {
     cfg: L1Config,
-    /// The family's directory policy (what an owner does on `FwdGetS`).
+    /// The family's stable-state steps, compiled from its SSP.
+    steps: L1Steps,
+    /// The family's directory policy (what an evicting owner does on
+    /// `FwdGetS`; whether stores need ownership).
     dir_policy: DirPolicy,
     name: String,
     array: CacheArray<Line>,
@@ -211,9 +440,20 @@ pub struct L1Controller {
 impl L1Controller {
     /// Create a controller; `name` is used in reports (`"c0.l1"` etc.).
     pub fn new(name: impl Into<String>, cfg: L1Config) -> Self {
+        Self::with_spec(name, cfg, &SspSpec::for_family(cfg.family))
+    }
+
+    /// Create a controller that runs `spec`'s stable-state steps (`new`
+    /// passes the family's own spec).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not compile ([`L1Steps::compile`]).
+    pub fn with_spec(name: impl Into<String>, cfg: L1Config, spec: &SspSpec) -> Self {
         L1Controller {
             array: CacheArray::new(cfg.sets, cfg.ways),
-            dir_policy: SspSpec::for_family(cfg.family).dir,
+            steps: L1Steps::compile(spec),
+            dir_policy: spec.dir,
             cfg,
             name: name.into(),
             mshrs: FxHashMap::default(),
@@ -357,15 +597,32 @@ impl L1Controller {
         }
     }
 
-    fn respond(&self, req: &CoreReq, value: u64, ctx: &mut Ctx<'_, SysMsg>) {
-        ctx.send_direct(
-            self.cfg.core,
-            SysMsg::CoreResp(CoreResp {
-                tag: req.tag,
-                value,
-            }),
-            self.cfg.hit_latency,
-        );
+    /// Perform `instr` on a line that may serve it and return the value
+    /// the core is answered with. A store overwrites the whole line and so
+    /// heals poison; reading a poisoned value (a load, or the old value of
+    /// an RMW) is counted. A prefetch only wanted the permission.
+    fn access(line: &mut Line, instr: &Instr, poisoned_reads: &mut u64) -> u64 {
+        match *instr {
+            Instr::Store { val, .. } => {
+                line.data = val;
+                line.poisoned = false;
+                0
+            }
+            Instr::Load { .. } | Instr::Rmw { .. } => {
+                *poisoned_reads += u64::from(line.poisoned);
+                let old = line.data;
+                if let Instr::Rmw { add, .. } = *instr {
+                    line.data = old.wrapping_add(add);
+                }
+                old
+            }
+            _ => 0,
+        }
+    }
+
+    fn respond(&self, tag: u64, value: u64, ctx: &mut Ctx<'_, SysMsg>) {
+        let resp = SysMsg::CoreResp(CoreResp { tag, value });
+        ctx.send_direct(self.cfg.core, resp, self.cfg.hit_latency);
     }
 
     fn send_dir(&self, msg: HostMsg, ctx: &mut Ctx<'_, SysMsg>) {
@@ -381,18 +638,53 @@ impl L1Controller {
         );
     }
 
-    /// Allocate an MSHR for `addr`, opening its trace span. Every miss
-    /// transaction this cache carries goes through here, so the span
-    /// begin/end pairs stay balanced with MSHR lifetime.
-    fn open_mshr(
+    /// Run a step's request: leave the resident copy (`line`, if any) in
+    /// the step's held state, send the request to the directory and open
+    /// its MSHR with the trace span it carries. Every miss transaction this
+    /// cache carries goes through here, so the span begin/end pairs stay
+    /// balanced with MSHR lifetime.
+    fn request(
         &mut self,
         addr: Addr,
-        tstate: TState,
-        data: u64,
+        step: L1Step,
+        line: Option<Line>,
         initiator: Option<CoreReq>,
         from_release: bool,
         ctx: &mut Ctx<'_, SysMsg>,
     ) {
+        let tstate = step.request.expect("a request step");
+        let (data, poisoned) = line.map_or((0, false), |l| (l.data, l.poisoned));
+        if line.is_some() {
+            if step.hold == StableState::I {
+                self.array.remove(addr);
+            } else if let Some(l) = self.array.get_mut(addr) {
+                l.state = step.hold;
+            }
+        }
+        let msg = match tstate {
+            TState::IS_D => HostMsg::GetS { addr },
+            TState::IM_AD | TState::SM_AD => HostMsg::GetM { addr },
+            TState::SI_A => HostMsg::PutS { addr },
+            TState::EI_A => HostMsg::PutE { addr },
+            TState::MI_A => HostMsg::PutM {
+                addr,
+                data,
+                poisoned,
+            },
+            TState::OI_A => HostMsg::PutO {
+                addr,
+                data,
+                poisoned,
+            },
+            TState::WT_A => HostMsg::WriteThrough { addr, data },
+            _ => match initiator.map(|r| r.instr) {
+                Some(Instr::Rmw { add, .. }) => HostMsg::AtomicRmw { addr, add },
+                other => unreachable!("{tstate:?} opened by {other:?}"),
+            },
+        };
+        if matches!(tstate, TState::MI_A | TState::OI_A | TState::WT_A) {
+            self.writebacks += 1;
+        }
         let txn = ctx.next_txn();
         if ctx.tracing() {
             let name = format!("{tstate:?} {addr}");
@@ -406,15 +698,20 @@ impl L1Controller {
             initiator,
             pending: VecDeque::new(),
             from_release,
-            poisoned: false,
+            // A dropped poisoned line may still be asked to supply data
+            // (Fwd* while the Put* drains); an upgrade's fill brings its
+            // own mark.
+            poisoned: poisoned && step.hold == StableState::I,
             started: ctx.now,
             txn,
         };
         self.mshrs.insert(addr.0, mshr);
         self.peak_mshrs = self.peak_mshrs.max(self.mshrs.len());
+        self.send_dir(msg, ctx);
     }
 
-    /// Make room for `addr`, starting a victim eviction if necessary.
+    /// Make room for `addr`, evicting a victim by its `Repl` step if
+    /// necessary.
     ///
     /// Lines with an in-flight transaction (SM_AD upgrades, RCC
     /// write-throughs) are skipped: touching them bumps their LRU rank so
@@ -443,292 +740,153 @@ impl L1Controller {
         self.assert_conforms("Repl", vaddr);
         let line = self.array.remove(vaddr).expect("victim resident");
         self.hint_core(vaddr, ctx);
-        let rcc = self.cfg.family == ProtocolFamily::Rcc;
-        let (tstate, msg) = match line.state {
-            StableState::S | StableState::F => {
-                if rcc {
-                    // RCC drops clean lines silently.
-                    self.self_invalidations += 1;
-                    return;
-                }
-                (TState::SI_A, HostMsg::PutS { addr: vaddr })
-            }
-            StableState::E => (TState::EI_A, HostMsg::PutE { addr: vaddr }),
-            StableState::M => {
-                self.writebacks += 1;
-                if rcc {
-                    (
-                        TState::WT_A,
-                        HostMsg::WriteThrough {
-                            addr: vaddr,
-                            data: line.data,
-                        },
-                    )
-                } else {
-                    (
-                        TState::MI_A,
-                        HostMsg::PutM {
-                            addr: vaddr,
-                            data: line.data,
-                            poisoned: line.poisoned,
-                        },
-                    )
-                }
-            }
-            StableState::O => {
-                self.writebacks += 1;
-                (
-                    TState::OI_A,
-                    HostMsg::PutO {
-                        addr: vaddr,
-                        data: line.data,
-                        poisoned: line.poisoned,
-                    },
-                )
-            }
-            StableState::I => unreachable!("I lines are not resident"),
-        };
-        self.open_mshr(vaddr, tstate, line.data, None, false, ctx);
-        // An evicted poisoned line may still be asked to supply data
-        // (Fwd* while the Put* drains); keep the mark with the buffer.
-        self.mshrs.get_mut(&vaddr.0).expect("just opened").poisoned = line.poisoned;
-        self.send_dir(msg, ctx);
+        let step = self.steps.must(line.state, L1Event::Repl);
+        if step.request.is_some() {
+            self.request(vaddr, step, Some(line), None, false, ctx);
+        } else {
+            // A silent clean drop (RCC).
+            self.self_invalidations += 1;
+        }
     }
 
-    /// RCC acquire: drop all clean (S) lines so later loads refetch.
-    fn self_invalidate_clean(&mut self) {
-        let clean: Vec<Addr> = self
+    /// Acquire: run every resident line's `Acquire` step (RCC: drop clean
+    /// copies so later loads refetch; dirty data survives).
+    fn acquire(&mut self) {
+        if !self.steps.syncs {
+            return;
+        }
+        let steps = self.steps;
+        let dropped: Vec<Addr> = self
             .array
             .iter()
-            .filter(|(_, l)| l.state == StableState::S)
+            .filter(|(_, l)| {
+                steps
+                    .get(l.state, L1Event::Acquire)
+                    .is_some_and(|s| s.hold == StableState::I)
+            })
             .map(|(a, _)| a)
             .collect();
-        self.self_invalidations += clean.len() as u64;
-        for a in clean {
+        self.self_invalidations += dropped.len() as u64;
+        for a in dropped {
             self.array.remove(a);
         }
     }
 
-    /// RCC release: write all dirty lines through; returns the number of
-    /// WtAcks to wait for.
-    fn flush_dirty(&mut self, ctx: &mut Ctx<'_, SysMsg>) -> u32 {
-        let dirty: Vec<(Addr, u64)> = self
-            .array
-            .iter()
-            .filter(|(_, l)| l.state == StableState::M)
-            .map(|(a, l)| (a, l.data))
-            .collect();
-        let mut count = 0;
-        for (a, data) in dirty {
-            if self.mshrs.contains_key(&a.0) {
-                continue; // already being written through (eviction)
-            }
-            // Retain a clean copy after the write-through.
-            if let Some(l) = self.array.get_mut(a) {
-                l.state = StableState::S;
-            }
-            self.open_mshr(a, TState::WT_A, data, None, true, ctx);
-            self.send_dir(HostMsg::WriteThrough { addr: a, data }, ctx);
-            self.writebacks += 1;
-            count += 1;
-        }
-        count
-    }
-
-    fn start_release(&mut self, tag: u64, respond_value: u64, ctx: &mut Ctx<'_, SysMsg>) {
+    /// Release: run every resident line's `Release` step (RCC: write dirty
+    /// lines through, keeping a clean copy), then answer request `tag`
+    /// once every write-through is acknowledged.
+    fn release(&mut self, tag: u64, ctx: &mut Ctx<'_, SysMsg>) {
         debug_assert!(self.release.is_none(), "one release at a time");
-        let remaining = self.flush_dirty(ctx);
+        let mut remaining = 0;
+        if self.steps.syncs {
+            let steps = self.steps;
+            let flush: Vec<(Addr, Line, L1Step)> = self
+                .array
+                .iter()
+                // A line already being written through (eviction) is skipped.
+                .filter(|(a, _)| !self.mshrs.contains_key(&a.0))
+                .filter_map(|(a, l)| {
+                    let step = steps.get(l.state, L1Event::Release)?;
+                    step.request.map(|_| (a, *l, step))
+                })
+                .collect();
+            for &(a, line, step) in &flush {
+                self.request(a, step, Some(line), None, true, ctx);
+            }
+            remaining = flush.len() as u32;
+        }
         if remaining == 0 {
-            self.respond(
-                &CoreReq {
-                    tag,
-                    instr: Instr::Work(0),
-                },
-                respond_value,
-                ctx,
-            );
+            self.respond(tag, 0, ctx);
         } else {
-            self.release = Some(ReleaseOp {
-                tag,
-                remaining,
-                respond_value,
-            });
+            self.release = Some(ReleaseOp { tag, remaining });
         }
     }
 
     fn handle_core(&mut self, req: CoreReq, ctx: &mut Ctx<'_, SysMsg>) {
-        let rcc = self.cfg.family == ProtocolFamily::Rcc;
-        // Fences: RCC caches participate; SWMR caches answer immediately
-        // (ordering is enforced in the core pipeline — §IV-D3).
-        if let Instr::Fence(kind) = req.instr {
-            if !rcc {
-                self.respond(&req, 0, ctx);
-                return;
-            }
-            let acquire = matches!(kind, FenceKind::Full | FenceKind::LoadLoad);
-            let release = matches!(kind, FenceKind::Full | FenceKind::StoreStore);
-            if acquire {
-                self.self_invalidate_clean();
-            }
-            if release {
-                self.start_release(req.tag, 0, ctx);
-            } else {
-                self.respond(&req, 0, ctx);
-            }
-            return;
-        }
-        if let Instr::Work(_) = req.instr {
-            self.respond(&req, 0, ctx);
-            return;
-        }
-        if let Instr::Prefetch { addr } = req.instr {
-            // RFO hint from a TSO store buffer: acquire write permission
-            // early so the in-order drain hits. Never queued behind an
-            // existing transaction — it is only a hint.
-            self.respond(&req, 0, ctx);
-            if rcc || self.mshrs.contains_key(&addr.0) {
-                return;
-            }
-            match self.array.get(addr) {
-                Some(line) if line.state.can_write() => {}
-                present => {
-                    let upgrade = present.is_some();
-                    self.stats[AccessKind::Store as usize].misses += 1;
-                    let tstate = if upgrade {
-                        TState::SM_AD
-                    } else {
-                        TState::IM_AD
-                    };
-                    self.open_mshr(addr, tstate, 0, Some(req), false, ctx);
-                    self.send_dir(HostMsg::GetM { addr }, ctx);
+        let (event, kind, addr) = match req.instr {
+            Instr::Load { addr, .. } => (L1Event::Load, AccessKind::Load, addr),
+            Instr::Store { addr, .. } => (L1Event::Store, AccessKind::Store, addr),
+            Instr::Rmw { addr, .. } => (L1Event::Rmw, AccessKind::Rmw, addr),
+            Instr::Prefetch { addr } => return self.prefetch(req, addr, ctx),
+            Instr::Work(_) => return self.respond(req.tag, 0, ctx),
+            // Fences: RCC caches run their sync steps; the sweeps are
+            // no-ops in SWMR caches, which answer at once (ordering is
+            // enforced in the core pipeline — §IV-D3).
+            Instr::Fence(kind) => {
+                if matches!(kind, FenceKind::Full | FenceKind::LoadLoad) {
+                    self.acquire();
                 }
+                if matches!(kind, FenceKind::Full | FenceKind::StoreStore) {
+                    self.release(req.tag, ctx);
+                } else {
+                    self.respond(req.tag, 0, ctx);
+                }
+                return;
             }
-            return;
-        }
-        let addr = req.instr.addr().expect("memory instruction");
+        };
         #[cfg(debug_assertions)]
-        {
-            let event = match req.instr {
-                Instr::Load { .. } => "Load",
-                Instr::Store { .. } => "Store",
-                Instr::Rmw { .. } => "Rmw",
-                _ => unreachable!("handled above"),
-            };
-            self.assert_conforms(event, addr);
-        }
+        self.assert_conforms(event.name(), addr);
         // Same-line transaction in flight: defer.
         if let Some(mshr) = self.mshrs.get_mut(&addr.0) {
             mshr.pending.push_back(req);
             return;
         }
-        match req.instr {
-            Instr::Load { order, .. } => {
-                if rcc && order.is_acquire() {
-                    self.self_invalidate_clean();
-                }
-                match self.array.get(addr) {
-                    Some(line) if line.state.can_read() => {
-                        let v = line.data;
-                        if line.poisoned {
-                            self.poisoned_reads += 1;
-                        }
-                        self.stats[AccessKind::Load as usize].hits += 1;
-                        self.respond(&req, v, ctx);
-                    }
-                    _ => {
-                        self.stats[AccessKind::Load as usize].misses += 1;
-                        self.open_mshr(addr, TState::IS_D, 0, Some(req), false, ctx);
-                        self.send_dir(HostMsg::GetS { addr }, ctx);
-                    }
-                }
+        if matches!(req.instr, Instr::Load { order, .. } if order.is_acquire()) {
+            self.acquire();
+        }
+        let kind = kind as usize;
+        let line = self.array.get_mut(addr);
+        let from = line.as_ref().map_or(StableState::I, |l| l.state);
+        let step = self.steps.must(from, event);
+        let value = match (step.request, line) {
+            (None, Some(line)) => {
+                self.stats[kind].hits += 1;
+                line.state = step.hold; // e.g. the silent E -> M upgrade
+                Self::access(line, &req.instr, &mut self.poisoned_reads)
             }
-            Instr::Store { val, order, .. } => {
-                if rcc {
-                    // RCC stores complete locally, without ownership.
-                    if self.array.peek(addr).is_none() {
-                        self.ensure_way(addr, ctx);
-                        self.stats[AccessKind::Store as usize].misses += 1;
-                        self.array.insert(
-                            addr,
-                            Line {
-                                state: StableState::M,
-                                data: val,
-                                poisoned: false,
-                            },
-                        );
-                    } else {
-                        self.stats[AccessKind::Store as usize].hits += 1;
-                        let line = self.array.get_mut(addr).expect("present");
-                        line.state = StableState::M;
-                        line.data = val;
-                    }
-                    if order.is_release() {
-                        self.start_release(req.tag, 0, ctx);
-                    } else {
-                        self.respond(&req, 0, ctx);
-                    }
-                    return;
-                }
-                match self.array.get(addr).copied() {
-                    Some(line) if line.state.can_write() => {
-                        self.stats[AccessKind::Store as usize].hits += 1;
-                        let l = self.array.get_mut(addr).expect("present");
-                        l.state = StableState::M; // silent E -> M upgrade
-                        l.data = val;
-                        l.poisoned = false; // full-line overwrite heals poison
-                        self.respond(&req, 0, ctx);
-                    }
-                    Some(_) => {
-                        // readable copy: upgrade
-                        self.stats[AccessKind::Store as usize].misses += 1;
-                        self.open_mshr(addr, TState::SM_AD, 0, Some(req), false, ctx);
-                        self.send_dir(HostMsg::GetM { addr }, ctx);
-                    }
-                    None => {
-                        self.stats[AccessKind::Store as usize].misses += 1;
-                        self.open_mshr(addr, TState::IM_AD, 0, Some(req), false, ctx);
-                        self.send_dir(HostMsg::GetM { addr }, ctx);
-                    }
-                }
+            // A local write into an absent line (RCC).
+            (None, None) => {
+                self.ensure_way(addr, ctx);
+                self.stats[kind].misses += 1;
+                let mut line = Line {
+                    state: step.hold,
+                    data: 0,
+                    poisoned: false,
+                };
+                let value = Self::access(&mut line, &req.instr, &mut self.poisoned_reads);
+                self.array.insert(addr, line);
+                value
             }
-            Instr::Rmw { add, .. } => {
-                if rcc {
-                    // GPU-style: atomics execute at the shared level.
-                    self.array.remove(addr); // local copy would go stale
-                    self.stats[AccessKind::Rmw as usize].misses += 1;
-                    self.open_mshr(addr, TState::AT_D, add, Some(req), false, ctx);
-                    self.send_dir(HostMsg::AtomicRmw { addr, add }, ctx);
-                    return;
-                }
-                match self.array.get(addr).copied() {
-                    Some(line) if line.state.can_write() => {
-                        self.stats[AccessKind::Rmw as usize].hits += 1;
-                        if line.poisoned {
-                            // The old value read by the RMW is corrupt, and
-                            // so is anything derived from it.
-                            self.poisoned_reads += 1;
-                        }
-                        let l = self.array.get_mut(addr).expect("present");
-                        let old = l.data;
-                        l.state = StableState::M;
-                        l.data = old.wrapping_add(add);
-                        self.respond(&req, old, ctx);
-                    }
-                    Some(_) => {
-                        self.stats[AccessKind::Rmw as usize].misses += 1;
-                        self.open_mshr(addr, TState::SM_AD, 0, Some(req), false, ctx);
-                        self.send_dir(HostMsg::GetM { addr }, ctx);
-                    }
-                    None => {
-                        self.stats[AccessKind::Rmw as usize].misses += 1;
-                        self.open_mshr(addr, TState::IM_AD, 0, Some(req), false, ctx);
-                        self.send_dir(HostMsg::GetM { addr }, ctx);
-                    }
-                }
+            (Some(_), line) => {
+                let line = line.copied();
+                self.stats[kind].misses += 1;
+                self.request(addr, step, line, Some(req), false, ctx);
+                return;
             }
-            Instr::Fence(_) | Instr::Work(_) | Instr::Prefetch { .. } => {
-                unreachable!("handled above")
-            }
+        };
+        if matches!(req.instr, Instr::Store { order, .. } if order.is_release()) {
+            self.release(req.tag, ctx);
+        } else {
+            self.respond(req.tag, value, ctx);
+        }
+    }
+
+    /// RFO hint from a TSO store buffer: acquire write permission early so
+    /// the in-order drain hits. Never queued behind an existing
+    /// transaction — it is only a hint — and meaningless where stores need
+    /// no ownership (RCC).
+    fn prefetch(&mut self, req: CoreReq, addr: Addr, ctx: &mut Ctx<'_, SysMsg>) {
+        self.respond(req.tag, 0, ctx);
+        if !self.dir_policy.eager_invalidation || self.mshrs.contains_key(&addr.0) {
+            return;
+        }
+        let line = self.array.get_mut(addr).copied();
+        let step = self
+            .steps
+            .must(line.map_or(StableState::I, |l| l.state), L1Event::Store);
+        if step.request.is_some() {
+            self.stats[AccessKind::Store as usize].misses += 1;
+            self.request(addr, step, line, Some(req), false, ctx);
         }
     }
 
@@ -744,39 +902,11 @@ impl L1Controller {
         };
         let initiator = mshr.initiator.take().expect("core-initiated fill");
         let kind = Self::kind_of(&initiator.instr);
-        let value = match initiator.instr {
-            Instr::Load { .. } => {
-                if line.poisoned {
-                    self.poisoned_reads += 1;
-                }
-                line.data
-            }
-            Instr::Store { val, .. } => {
-                debug_assert!(state.can_write());
-                line.state = StableState::M;
-                line.data = val;
-                line.poisoned = false; // full-line overwrite heals poison
-                0
-            }
-            Instr::Rmw { add, .. } => {
-                debug_assert!(state.can_write());
-                if line.poisoned {
-                    self.poisoned_reads += 1;
-                }
-                let old = line.data;
-                line.state = StableState::M;
-                line.data = old.wrapping_add(add);
-                old
-            }
-            Instr::Prefetch { .. } => {
-                // RFO fill: ownership acquired, data untouched. The core
-                // was already answered when the hint arrived.
-                debug_assert!(state.can_write());
-                0
-            }
-            _ => unreachable!("fills are memory accesses"),
-        };
-        let final_state = line.state;
+        debug_assert!(
+            matches!(initiator.instr, Instr::Load { .. }) || state.can_write(),
+            "a write filled without write permission"
+        );
+        let value = Self::access(&mut line, &initiator.instr, &mut self.poisoned_reads);
         self.ensure_way(addr, ctx);
         let evicted = self.array.insert(addr, line);
         debug_assert!(evicted.is_none(), "way freed by ensure_way");
@@ -787,19 +917,17 @@ impl L1Controller {
         self.stats[kind as usize].hist.record(latency);
         ctx.trace_end(mshr.txn);
         if ctx.tracing() {
-            ctx.trace_state(Some(addr.0), &mshr.tstate, &final_state);
+            ctx.trace_state(Some(addr.0), &mshr.tstate, &state);
         }
         if !matches!(initiator.instr, Instr::Prefetch { .. }) {
-            self.respond(&initiator, value, ctx);
+            self.respond(initiator.tag, value, ctx);
         }
-        if self.cfg.family != ProtocolFamily::Rcc {
-            self.send_dir(
-                HostMsg::Unblock {
-                    addr,
-                    to_state: final_state,
-                },
-                ctx,
-            );
+        if self.cfg.family.enforces_swmr() {
+            let unblock = HostMsg::Unblock {
+                addr,
+                to_state: state,
+            };
+            self.send_dir(unblock, ctx);
         }
         // Replay deferred same-line requests.
         let pending: Vec<CoreReq> = mshr.pending.drain(..).collect();
@@ -819,7 +947,150 @@ impl L1Controller {
         }
     }
 
-    fn handle_host(&mut self, msg: HostMsg, _src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
+    /// A forward or invalidation. A stable line, or the readable copy an
+    /// upgrade (`SM_AD`) still holds, runs its step; an upgrader whose copy
+    /// the step drops falls back to `IM_AD` and lets its own grant refill
+    /// the line. Evictions in flight answer from their MSHR.
+    fn snoop(
+        &mut self,
+        addr: Addr,
+        event: L1Event,
+        requestor: ComponentId,
+        grant: Grant,
+        acks: u32,
+        ctx: &mut Ctx<'_, SysMsg>,
+    ) {
+        let tstate = self.mshrs.get(&addr.0).map(|m| m.tstate);
+        if tstate.is_some_and(|t| t != TState::SM_AD) {
+            return self.snoop_evicting(addr, event, requestor, grant, acks, ctx);
+        }
+        let resident = self.array.peek(addr).copied();
+        let Some((line, step)) = resident.and_then(|l| Some((l, self.steps.get(l.state, event)?)))
+        else {
+            let state = self.line_state(addr).name();
+            return self.violation(state, event.name(), addr, ctx);
+        };
+        #[cfg(debug_assertions)]
+        self.assert_conforms(event.name(), addr);
+        if step.hold == StableState::I {
+            self.array.remove(addr);
+            self.hint_core(addr, ctx);
+            if let Some(m) = self.mshrs.get_mut(&addr.0) {
+                m.tstate = TState::IM_AD;
+            }
+        } else {
+            self.array.get_mut(addr).expect("resident").state = step.hold;
+        }
+        if ctx.tracing() {
+            ctx.trace_state(Some(addr.0), &line.state, &step.hold);
+        }
+        let dirty = line.state.is_dirty();
+        if step.data_to_req {
+            let data = HostMsg::Data {
+                addr,
+                data: line.data,
+                grant,
+                acks,
+                dirty,
+                poisoned: line.poisoned,
+            };
+            ctx.send(requestor, SysMsg::Host(data));
+        }
+        if step.data_to_dir {
+            let wb = HostMsg::DataToDir {
+                addr,
+                data: line.data,
+                dirty,
+                poisoned: line.poisoned,
+            };
+            self.send_dir(wb, ctx);
+        }
+        if step.inv_ack {
+            ctx.send(requestor, SysMsg::Host(HostMsg::InvAck { addr }));
+        }
+    }
+
+    /// A forward or invalidation that meets an eviction in flight: the
+    /// eviction's buffered data still serves it.
+    fn snoop_evicting(
+        &mut self,
+        addr: Addr,
+        event: L1Event,
+        requestor: ComponentId,
+        grant: Grant,
+        acks: u32,
+        ctx: &mut Ctx<'_, SysMsg>,
+    ) {
+        use TState::*;
+        let allowed: &[TState] = match event {
+            // SI_A: an evicting ex-forwarder (MESIF).
+            L1Event::FwdGetS => &[SI_A, MI_A, EI_A, OI_A],
+            L1Event::FwdGetM => &[MI_A, EI_A, OI_A],
+            _ => &[SI_A],
+        };
+        let writes_back = self.dir_policy.owner_writes_back_on_fwd_gets;
+        let Some(mshr) = self.expect_mshr(addr, event.name(), allowed, ctx) else {
+            return;
+        };
+        let (tstate, data, poisoned) = (mshr.tstate, mshr.data, mshr.poisoned);
+        let dirty = matches!(tstate, MI_A | OI_A);
+        let reply = match event {
+            L1Event::Inv => HostMsg::InvAck { addr },
+            _ => HostMsg::Data {
+                addr,
+                data,
+                grant,
+                acks,
+                dirty,
+                poisoned,
+            },
+        };
+        // A remote writer takes the line over; an evicting E/M owner that
+        // answers a read makes the directory's copy current and drains as
+        // a sharer where suppliers do not stay owners (MESI/MESIF).
+        let wb = event == L1Event::FwdGetS && matches!(tstate, MI_A | EI_A) && writes_back;
+        match event {
+            L1Event::FwdGetS if wb => mshr.tstate = SI_A,
+            L1Event::FwdGetS => {}
+            _ => mshr.tstate = II_A,
+        }
+        ctx.send(requestor, SysMsg::Host(reply));
+        if wb {
+            let wb = HostMsg::DataToDir {
+                addr,
+                data,
+                dirty,
+                poisoned,
+            };
+            self.send_dir(wb, ctx);
+        }
+    }
+
+    /// The MSHR of `addr` when `event` may meet it there (in one of
+    /// `allowed`); otherwise the event is recorded as a violation.
+    fn expect_mshr(
+        &mut self,
+        addr: Addr,
+        event: &'static str,
+        allowed: &[TState],
+        ctx: &mut Ctx<'_, SysMsg>,
+    ) -> Option<&mut Mshr> {
+        if !self
+            .mshrs
+            .get(&addr.0)
+            .is_some_and(|m| allowed.contains(&m.tstate))
+        {
+            let state = self.table_state(addr);
+            self.violation(state, event, addr, ctx);
+            return None;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_conforms(event, addr);
+        self.mshrs.get_mut(&addr.0)
+    }
+
+    fn handle_host(&mut self, msg: HostMsg, ctx: &mut Ctx<'_, SysMsg>) {
+        use TState::*;
         let addr = msg.addr();
         match msg {
             HostMsg::Data {
@@ -829,410 +1100,75 @@ impl L1Controller {
                 poisoned,
                 ..
             } => {
-                if !matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::IS_D | TState::IM_AD | TState::SM_AD)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "Data", addr, ctx);
+                let Some(mshr) = self.expect_mshr(addr, "Data", &[IS_D, IM_AD, SM_AD], ctx) else {
                     return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("Data", addr);
-                let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
+                };
                 mshr.data = data;
                 mshr.poisoned |= poisoned;
                 mshr.data_received = true;
                 mshr.acks += acks as i32;
-                match mshr.tstate {
-                    TState::IS_D => {
-                        debug_assert_eq!(acks, 0);
-                        self.complete_fill(addr, grant.state(), ctx);
-                    }
-                    TState::IM_AD | TState::SM_AD => {
-                        debug_assert_eq!(grant, Grant::M);
-                        if mshr.acks <= 0 {
-                            self.complete_fill(addr, StableState::M, ctx);
-                        } else {
-                            mshr.tstate = if mshr.tstate == TState::IM_AD {
-                                TState::IM_A
-                            } else {
-                                TState::SM_A
-                            };
-                        }
-                    }
-                    _ => unreachable!("checked above"),
+                debug_assert!(mshr.tstate == IS_D || grant == Grant::M);
+                if mshr.tstate == IS_D {
+                    debug_assert_eq!(acks, 0);
+                    self.complete_fill(addr, grant.state(), ctx);
+                } else if mshr.acks > 0 {
+                    mshr.tstate = if mshr.tstate == IM_AD { IM_A } else { SM_A };
+                } else {
+                    self.complete_fill(addr, StableState::M, ctx);
                 }
             }
             HostMsg::InvAck { .. } => {
-                if !matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::IM_AD | TState::SM_AD | TState::IM_A | TState::SM_A)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "InvAck", addr, ctx);
+                let allowed = [IM_AD, SM_AD, IM_A, SM_A];
+                let Some(mshr) = self.expect_mshr(addr, "InvAck", &allowed, ctx) else {
                     return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("InvAck", addr);
-                let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
+                };
                 mshr.acks -= 1;
-                if matches!(mshr.tstate, TState::IM_A | TState::SM_A) && mshr.acks <= 0 {
+                if matches!(mshr.tstate, IM_A | SM_A) && mshr.acks <= 0 {
                     self.complete_fill(addr, StableState::M, ctx);
                 }
             }
             HostMsg::FwdGetS {
                 requestor, grant, ..
-            } => {
-                // An upgrading O/F owner (SM_AD) can be asked to supply: the
-                // line is still resident; serve it and keep upgrading.
-                if matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::SM_AD)
-                ) {
-                    #[cfg(debug_assertions)]
-                    self.assert_conforms("FwdGetS", addr);
-                    let line = *self.array.peek(addr).expect("upgrader holds the line");
-                    debug_assert!(
-                        line.state.supplies_data(),
-                        "FwdGetS to non-supplier upgrader"
-                    );
-                    let dirty = line.state.is_dirty();
-                    ctx.send(
-                        requestor,
-                        SysMsg::Host(HostMsg::Data {
-                            addr,
-                            data: line.data,
-                            grant,
-                            acks: 0,
-                            dirty,
-                            poisoned: line.poisoned,
-                        }),
-                    );
-                    if dirty && self.dir_policy.owner_writes_back_on_fwd_gets {
-                        self.send_dir(
-                            HostMsg::DataToDir {
-                                addr,
-                                data: line.data,
-                                dirty,
-                                poisoned: line.poisoned,
-                            },
-                            ctx,
-                        );
-                    }
-                    self.array.get_mut(addr).expect("present").state =
-                        self.dir_policy.owner_after_fwd_gets;
-                    return;
-                }
-                if self.mshrs.contains_key(&addr.0) {
-                    if !matches!(
-                        self.mshrs.get(&addr.0).map(|m| m.tstate),
-                        Some(TState::SI_A | TState::MI_A | TState::EI_A | TState::OI_A)
-                    ) {
-                        let state = self.table_state(addr);
-                        self.violation(state, "FwdGetS", addr, ctx);
-                        return;
-                    }
-                    #[cfg(debug_assertions)]
-                    self.assert_conforms("FwdGetS", addr);
-                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
-                    match mshr.tstate {
-                        TState::SI_A => {
-                            // Evicting ex-forwarder (MESIF): the eviction
-                            // data still serves the request.
-                            let data = mshr.data;
-                            ctx.send(
-                                requestor,
-                                SysMsg::Host(HostMsg::Data {
-                                    addr,
-                                    data,
-                                    grant,
-                                    acks: 0,
-                                    dirty: false,
-                                    poisoned: mshr.poisoned,
-                                }),
-                            );
-                        }
-                        TState::MI_A | TState::EI_A => {
-                            let dirty = mshr.tstate == TState::MI_A;
-                            let data = mshr.data;
-                            let poisoned = mshr.poisoned;
-                            ctx.send(
-                                requestor,
-                                SysMsg::Host(HostMsg::Data {
-                                    addr,
-                                    data,
-                                    grant,
-                                    acks: 0,
-                                    dirty,
-                                    poisoned: mshr.poisoned,
-                                }),
-                            );
-                            if self.dir_policy.owner_writes_back_on_fwd_gets {
-                                mshr.tstate = TState::SI_A;
-                                self.send_dir(
-                                    HostMsg::DataToDir {
-                                        addr,
-                                        data,
-                                        dirty,
-                                        poisoned,
-                                    },
-                                    ctx,
-                                );
-                            }
-                            // MOESI: remain dirty owner; eviction continues.
-                        }
-                        TState::OI_A => {
-                            let data = mshr.data;
-                            ctx.send(
-                                requestor,
-                                SysMsg::Host(HostMsg::Data {
-                                    addr,
-                                    data,
-                                    grant,
-                                    acks: 0,
-                                    dirty: true,
-                                    poisoned: mshr.poisoned,
-                                }),
-                            );
-                        }
-                        _ => unreachable!("checked above"),
-                    }
-                    return;
-                }
-                let Some(line) = self.array.peek(addr).copied() else {
-                    self.violation("I", "FwdGetS", addr, ctx);
-                    return;
-                };
-                if !line.state.supplies_data() {
-                    self.violation(line.state.name(), "FwdGetS", addr, ctx);
-                    return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("FwdGetS", addr);
-                let dirty = line.state.is_dirty();
-                ctx.send(
-                    requestor,
-                    SysMsg::Host(HostMsg::Data {
-                        addr,
-                        data: line.data,
-                        grant,
-                        acks: 0,
-                        dirty,
-                        poisoned: line.poisoned,
-                    }),
-                );
-                // MOESI suppliers stay owner (M/O → O, and clean E → O as
-                // well: the directory cannot distinguish E from M after a
-                // silent upgrade, so it keeps treating the supplier as the
-                // owner; a clean O simply writes identical data back later).
-                // MESI/MESIF owners drop to S and make the directory's copy
-                // current.
-                if dirty && self.dir_policy.owner_writes_back_on_fwd_gets {
-                    self.send_dir(
-                        HostMsg::DataToDir {
-                            addr,
-                            data: line.data,
-                            dirty,
-                            poisoned: line.poisoned,
-                        },
-                        ctx,
-                    );
-                }
-                self.array.get_mut(addr).expect("present").state =
-                    self.dir_policy.owner_after_fwd_gets;
-            }
+            } => self.snoop(addr, L1Event::FwdGetS, requestor, grant, 0, ctx),
             HostMsg::FwdGetM {
                 requestor, acks, ..
-            } => {
-                // An upgrading O/F owner loses its copy to a racing writer
-                // (or recall): supply from the resident line, fall back to
-                // IM_AD and let the own upgrade refill later.
-                if matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::SM_AD)
-                ) {
-                    #[cfg(debug_assertions)]
-                    self.assert_conforms("FwdGetM", addr);
-                    let line = self.array.remove(addr).expect("upgrader holds the line");
-                    self.hint_core(addr, ctx);
-                    debug_assert!(
-                        line.state.supplies_data(),
-                        "FwdGetM to non-supplier upgrader"
-                    );
-                    ctx.send(
-                        requestor,
-                        SysMsg::Host(HostMsg::Data {
-                            addr,
-                            data: line.data,
-                            grant: Grant::M,
-                            acks,
-                            dirty: line.state.is_dirty(),
-                            poisoned: line.poisoned,
-                        }),
-                    );
-                    self.mshrs.get_mut(&addr.0).expect("present").tstate = TState::IM_AD;
-                    return;
-                }
-                if self.mshrs.contains_key(&addr.0) {
-                    if !matches!(
-                        self.mshrs.get(&addr.0).map(|m| m.tstate),
-                        Some(TState::MI_A | TState::EI_A | TState::OI_A)
-                    ) {
-                        let state = self.table_state(addr);
-                        self.violation(state, "FwdGetM", addr, ctx);
-                        return;
-                    }
-                    #[cfg(debug_assertions)]
-                    self.assert_conforms("FwdGetM", addr);
-                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
-                    let dirty = mshr.tstate != TState::EI_A;
-                    ctx.send(
-                        requestor,
-                        SysMsg::Host(HostMsg::Data {
-                            addr,
-                            data: mshr.data,
-                            grant: Grant::M,
-                            acks,
-                            dirty,
-                            poisoned: mshr.poisoned,
-                        }),
-                    );
-                    mshr.tstate = TState::II_A;
-                    return;
-                }
-                let Some(line) = self.array.peek(addr).copied() else {
-                    self.violation("I", "FwdGetM", addr, ctx);
-                    return;
-                };
-                if !line.state.supplies_data() {
-                    self.violation(line.state.name(), "FwdGetM", addr, ctx);
-                    return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("FwdGetM", addr);
-                self.array.remove(addr).expect("checked above");
-                self.hint_core(addr, ctx);
-                ctx.send(
-                    requestor,
-                    SysMsg::Host(HostMsg::Data {
-                        addr,
-                        data: line.data,
-                        grant: Grant::M,
-                        acks,
-                        dirty: line.state.is_dirty(),
-                        poisoned: line.poisoned,
-                    }),
-                );
-            }
+            } => self.snoop(addr, L1Event::FwdGetM, requestor, Grant::M, acks, ctx),
             HostMsg::Inv { requestor, .. } => {
                 self.invalidations_received += 1;
-                if self.mshrs.contains_key(&addr.0) {
-                    if !matches!(
-                        self.mshrs.get(&addr.0).map(|m| m.tstate),
-                        Some(TState::SM_AD | TState::SI_A)
-                    ) {
-                        let state = self.table_state(addr);
-                        self.violation(state, "Inv", addr, ctx);
-                        return;
-                    }
-                    #[cfg(debug_assertions)]
-                    self.assert_conforms("Inv", addr);
-                    let mshr = self.mshrs.get_mut(&addr.0).expect("checked above");
-                    match mshr.tstate {
-                        TState::SM_AD => {
-                            // Lost the shared copy mid-upgrade; the data
-                            // grant will still arrive.
-                            mshr.tstate = TState::IM_AD;
-                            self.array.remove(addr);
-                            ctx.send(requestor, SysMsg::Host(HostMsg::InvAck { addr }));
-                            self.hint_core(addr, ctx);
-                        }
-                        TState::SI_A => {
-                            mshr.tstate = TState::II_A;
-                            ctx.send(requestor, SysMsg::Host(HostMsg::InvAck { addr }));
-                        }
-                        _ => unreachable!("checked above"),
-                    }
-                    return;
-                }
-                if !matches!(
-                    self.array.peek(addr).map(|l| l.state),
-                    Some(StableState::S | StableState::F)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "Inv", addr, ctx);
-                    return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("Inv", addr);
-                let line = self.array.remove(addr);
-                self.hint_core(addr, ctx);
-                if ctx.tracing() {
-                    if let Some(l) = line {
-                        ctx.trace_state(Some(addr.0), &l.state, &StableState::I);
-                    }
-                }
-                ctx.send(requestor, SysMsg::Host(HostMsg::InvAck { addr }));
+                self.snoop(addr, L1Event::Inv, requestor, Grant::M, 0, ctx);
             }
             HostMsg::PutAck { .. } => {
-                if !matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::MI_A | TState::OI_A | TState::EI_A | TState::SI_A | TState::II_A)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "PutAck", addr, ctx);
-                    return;
+                let allowed = [MI_A, OI_A, EI_A, SI_A, II_A];
+                if self.expect_mshr(addr, "PutAck", &allowed, ctx).is_some() {
+                    self.retire_mshr(addr, ctx);
                 }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("PutAck", addr);
-                self.retire_mshr(addr, ctx);
             }
             HostMsg::WtAck { .. } => {
-                if !matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::WT_A)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "WtAck", addr, ctx);
+                let Some(mshr) = self.expect_mshr(addr, "WtAck", &[WT_A], ctx) else {
                     return;
-                }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("WtAck", addr);
-                let mshr = self.mshrs.get(&addr.0).expect("checked above");
+                };
                 let from_release = mshr.from_release;
                 self.retire_mshr(addr, ctx);
                 if from_release {
                     let rel = self.release.as_mut().expect("release in progress");
                     rel.remaining -= 1;
                     if rel.remaining == 0 {
-                        let rel = self.release.take().expect("present");
-                        let req = CoreReq {
-                            tag: rel.tag,
-                            instr: Instr::Work(0),
-                        };
-                        self.respond(&req, rel.respond_value, ctx);
+                        let tag = self.release.take().expect("present").tag;
+                        self.respond(tag, 0, ctx);
                     }
                 }
             }
             HostMsg::AtomicResp { old, .. } => {
-                if !matches!(
-                    self.mshrs.get(&addr.0).map(|m| m.tstate),
-                    Some(TState::AT_D)
-                ) {
-                    let state = self.table_state(addr);
-                    self.violation(state, "AtomicResp", addr, ctx);
+                if self.expect_mshr(addr, "AtomicResp", &[AT_D], ctx).is_none() {
                     return;
                 }
-                #[cfg(debug_assertions)]
-                self.assert_conforms("AtomicResp", addr);
                 let mshr = self.mshrs.remove(&addr.0).expect("checked above");
                 let initiator = mshr.initiator.expect("atomic has initiator");
                 let latency = ctx.now.since(mshr.started);
                 self.stats[AccessKind::Rmw as usize].bands.record(latency);
                 self.stats[AccessKind::Rmw as usize].hist.record(latency);
                 ctx.trace_end(mshr.txn);
-                self.respond(&initiator, old, ctx);
+                self.respond(initiator.tag, old, ctx);
                 for req in mshr.pending {
                     self.handle_core(req, ctx);
                 }
@@ -1256,7 +1192,7 @@ impl Component<SysMsg> for L1Controller {
         c3_sim::sim_trace!("[{}] {} <- {src}: {msg:?}", ctx.now, self.name);
         match msg {
             SysMsg::CoreReq(req) => self.handle_core(req, ctx),
-            SysMsg::Host(h) => self.handle_host(h, src, ctx),
+            SysMsg::Host(h) => self.handle_host(h, ctx),
             other => {
                 let event = format!("{other:?}");
                 self.violation("-", &event, Addr(0), ctx);
@@ -1375,20 +1311,40 @@ impl Component<SysMsg> for L1Controller {
 ///
 /// Row states are MSHR transient-state names while a transaction is in
 /// flight, else the resident stable state (`I` when absent). The rows for
-/// a stable state come from the family's SSP spec through `ssp_row`;
-/// the transient-state rows are written out here, because SSPs omit
+/// a stable state render the [`L1Steps`] the controller executes; the
+/// transient-state rows are written out here, because SSPs omit
 /// transients by design. Debug builds assert every dynamic handler step
 /// against this table; `c3-verif::static_checks` and the `protocheck`
 /// binary check the table itself offline.
 pub fn l1_transition_table(family: ProtocolFamily) -> TransitionTable {
+    l1_table_from_spec(&SspSpec::for_family(family))
+}
+
+/// [`l1_transition_table`] for any spec: its stable rows render the steps
+/// [`L1Steps::compile`] builds from `spec`, the ones an
+/// [`L1Controller::with_spec`] runs.
+///
+/// # Panics
+///
+/// Panics if `spec` does not compile.
+pub fn l1_table_from_spec(spec: &SspSpec) -> TransitionTable {
     type R = TransitionRow;
-    let spec = SspSpec::for_family(family);
+    let family = spec.family;
     let swmr = family.enforces_swmr();
-    let mut rows: Vec<TransitionRow> = spec
-        .transitions
-        .iter()
-        .flat_map(|tr| l1_events(tr).iter().map(|event| ssp_row(&spec, tr, event)))
-        .collect();
+    let steps = L1Steps::compile(spec);
+    let mut rows: Vec<TransitionRow> = Vec::new();
+    for tr in &spec.transitions {
+        // The sync points are not table events.
+        let tabled = L1Event::of(tr.event)
+            .iter()
+            .filter(|e| !matches!(e, L1Event::Acquire | L1Event::Release));
+        for &event in tabled {
+            if let Some(step) = steps.get(tr.from, event) {
+                let provenance = format!("ssp:{family} {} {}", tr.from, tr.event.name());
+                rows.push(step.row(tr.from, event, provenance));
+            }
+        }
+    }
     // The SSPs let an absent line evict to itself; victim selection
     // only ever picks a resident line.
     rows.push(R::forbidden(
@@ -1420,7 +1376,7 @@ pub fn l1_transition_table(family: ProtocolFamily) -> TransitionTable {
             if family.has_state(StableState::O) {
                 t.push("OI_A");
             }
-            rows.extend(swmr_transient_rows(&spec, &t));
+            rows.extend(swmr_transient_rows(spec, &t));
             (
                 t,
                 &["Data", "InvAck", "PutAck"],
@@ -1500,161 +1456,67 @@ pub fn l1_transition_table(family: ProtocolFamily) -> TransitionTable {
 /// The SWMR transient-state rows for the directory's responses and
 /// forwards (the `IS_D` grants are shared with RCC).
 fn swmr_transient_rows(spec: &SspSpec, transients: &[&'static str]) -> Vec<TransitionRow> {
-    type R = TransitionRow;
-    let resp = Action::complete("CoreResp", Vnet::Resp, "core");
-    let unblock = Action::send("Unblock", Vnet::Resp, "bridge");
-    let data_l1 = Action::send("Data", Vnet::Resp, "l1");
-    let data_dir = Action::send("DataToDir", Vnet::Resp, "bridge");
-    let inv_ack = Action::send("InvAck", Vnet::Resp, "l1");
+    let done = [
+        Action::complete("CoreResp", Vnet::Resp, "core"),
+        Action::send("Unblock", Vnet::Resp, "bridge"),
+    ];
+    let data = [Action::send("Data", Vnet::Resp, "l1")];
+    let data_wb = [
+        data[0].clone(),
+        Action::send("DataToDir", Vnet::Resp, "bridge"),
+    ];
+    let ack = [Action::send("InvAck", Vnet::Resp, "l1")];
     // Evictions of a line the directory may still forward to.
     let supplier_evictions: Vec<&'static str> = ["MI_A", "EI_A", "OI_A"]
         .into_iter()
         .filter(|t| transients.contains(t))
         .collect();
+    let owner_stays = spec.dir.owner_after_fwd_gets == StableState::O;
     let mut rows = Vec::new();
-
+    let mut next = |s, e, to, acts: &[Action], why| {
+        let why = format!("l1.rs:handle_host/{why}");
+        rows.push(TransitionRow::next(s, e, to, acts.to_vec(), why));
+    };
     // GetM is always granted M, once every invalidation ack is in.
     for (t, awaiting) in [("IM_AD", "IM_A"), ("SM_AD", "SM_A")] {
-        rows.push(R::next(
-            t,
-            "Data",
-            "M",
-            vec![resp.clone(), unblock.clone()],
-            "l1.rs:handle_host/Data-acks-settled",
-        ));
-        rows.push(R::next(
-            t,
-            "Data",
-            awaiting,
-            vec![],
-            "l1.rs:handle_host/Data-awaiting-acks",
-        ));
+        next(t, "Data", "M", &done, "Data-acks-settled");
+        next(t, "Data", awaiting, &[], "Data-awaiting-acks");
+        next(t, "InvAck", t, &[], "InvAck-early");
+        next(awaiting, "InvAck", awaiting, &[], "InvAck");
+        next(awaiting, "InvAck", "M", &done, "InvAck-last");
     }
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "Data",
-        "Data without a matching MSHR",
-        "l1.rs:handle_host/Data",
-    ));
-    for t in ["IM_AD", "SM_AD"] {
-        rows.push(R::next(
-            t,
-            "InvAck",
-            t,
-            vec![],
-            "l1.rs:handle_host/InvAck-early",
-        ));
-    }
-    for t in ["IM_A", "SM_A"] {
-        rows.push(R::next(t, "InvAck", t, vec![], "l1.rs:handle_host/InvAck"));
-        rows.push(R::next(
-            t,
-            "InvAck",
-            "M",
-            vec![resp.clone(), unblock.clone()],
-            "l1.rs:handle_host/InvAck-last",
-        ));
-    }
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "InvAck",
-        "InvAck without a matching MSHR",
-        "l1.rs:handle_host/InvAck",
-    ));
-
     // FwdGetS mid-transaction: the line still supplies data. An evicting
     // supplier stays owner where the SSP keeps suppliers owning (MOESI),
     // else it makes the directory's copy current and drops to SI_A.
     for t in ["SM_AD", "SI_A"] {
-        rows.push(R::next(
-            t,
-            "FwdGetS",
-            t,
-            vec![data_l1.clone()],
-            "l1.rs:handle_host/FwdGetS@transient",
-        ));
+        next(t, "FwdGetS", t, &data, "FwdGetS@transient");
     }
-    let owner_stays = spec.dir.owner_after_fwd_gets == StableState::O;
     for &t in &supplier_evictions {
         if owner_stays {
-            rows.push(R::next(
-                t,
-                "FwdGetS",
-                t,
-                vec![data_l1.clone()],
-                "l1.rs:handle_host/FwdGetS@evict(owner)",
-            ));
+            next(t, "FwdGetS", t, &data, "FwdGetS@evict(owner)");
         } else {
-            rows.push(R::next(
-                t,
-                "FwdGetS",
-                "SI_A",
-                vec![data_l1.clone(), data_dir.clone()],
-                "l1.rs:handle_host/FwdGetS@evict",
-            ));
+            next(t, "FwdGetS", "SI_A", &data_wb, "FwdGetS@evict");
         }
+        next(t, "FwdGetM", "II_A", &data, "FwdGetM@evict");
     }
-    rows.push(R::next(
-        "SM_AD",
-        "FwdGetM",
-        "IM_AD",
-        vec![data_l1.clone()],
-        "l1.rs:handle_host/FwdGetM@SM_AD",
-    ));
-    for &t in &supplier_evictions {
-        rows.push(R::next(
-            t,
-            "FwdGetM",
-            "II_A",
-            vec![data_l1.clone()],
-            "l1.rs:handle_host/FwdGetM@evict",
-        ));
-    }
-    for e in ["FwdGetS", "FwdGetM"] {
-        rows.push(R::forbidden(
-            ANY_STATE,
-            e,
-            "forward to a non-supplier or absent line",
-            "l1.rs:handle_host/Fwd",
-        ));
-    }
-
-    rows.push(R::next(
-        "SM_AD",
-        "Inv",
-        "IM_AD",
-        vec![inv_ack.clone()],
-        "l1.rs:handle_host/Inv@SM_AD",
-    ));
-    rows.push(R::next(
-        "SI_A",
-        "Inv",
-        "II_A",
-        vec![inv_ack],
-        "l1.rs:handle_host/Inv@SI_A",
-    ));
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "Inv",
-        "Inv for a non-shared line",
-        "l1.rs:handle_host/Inv",
-    ));
-
+    next("SM_AD", "FwdGetM", "IM_AD", &data, "FwdGetM@SM_AD");
+    next("SM_AD", "Inv", "IM_AD", &ack, "Inv@SM_AD");
+    next("SI_A", "Inv", "II_A", &ack, "Inv@SI_A");
     for t in supplier_evictions.into_iter().chain(["SI_A", "II_A"]) {
-        rows.push(R::next(
-            t,
-            "PutAck",
-            "I",
-            vec![],
-            "l1.rs:handle_host/PutAck",
-        ));
+        next(t, "PutAck", "I", &[], "PutAck");
     }
-    rows.push(R::forbidden(
-        ANY_STATE,
-        "PutAck",
-        "PutAck without an eviction MSHR",
-        "l1.rs:handle_host/PutAck",
-    ));
+    for (e, why) in [
+        ("Data", "Data without a matching MSHR"),
+        ("InvAck", "InvAck without a matching MSHR"),
+        ("FwdGetS", "forward to a non-supplier or absent line"),
+        ("FwdGetM", "forward to a non-supplier or absent line"),
+        ("Inv", "Inv for a non-shared line"),
+        ("PutAck", "PutAck without an eviction MSHR"),
+    ] {
+        let at = if e.starts_with("Fwd") { "Fwd" } else { e };
+        let at = format!("l1.rs:handle_host/{at}");
+        rows.push(TransitionRow::forbidden(ANY_STATE, e, why, at));
+    }
     rows
 }
 
@@ -1663,6 +1525,7 @@ fn swmr_transient_rows(spec: &SspSpec, transients: &[&'static str]) -> Vec<Trans
 fn rcc_transient_rows() -> Vec<TransitionRow> {
     type R = TransitionRow;
     let resp = Action::complete("CoreResp", Vnet::Resp, "core");
+    let at = "l1.rs:handle_host";
     let mut rows = vec![
         // An eviction write-through retires to I; a release-flush one
         // retains the clean copy.
@@ -1672,14 +1535,14 @@ fn rcc_transient_rows() -> Vec<TransitionRow> {
             "WtAck",
             "S",
             vec![],
-            "l1.rs:handle_host/WtAck-release-retain",
+            format!("{at}/WtAck-release-retain"),
         ),
         R::next(
             "AT_D",
             "AtomicResp",
             "I",
             vec![resp],
-            "l1.rs:handle_host/AtomicResp",
+            format!("{at}/AtomicResp"),
         ),
     ];
     for e in ["Data", "WtAck", "AtomicResp"] {
@@ -1687,84 +1550,8 @@ fn rcc_transient_rows() -> Vec<TransitionRow> {
             ANY_STATE,
             e,
             "response without a matching MSHR",
-            "l1.rs:handle_host",
+            at,
         ));
     }
     rows
-}
-
-/// The table events an SSP transition decides: `Rmw` follows `Store`,
-/// and `Evict` is the table's `Repl`. None for an eviction from `I` (an
-/// absent line is never a victim) or for the RCC sync points, which the
-/// table does not model.
-fn l1_events(tr: &SspTransition) -> &'static [&'static str] {
-    match tr.event {
-        SspEvent::Load => &["Load"],
-        SspEvent::Store => &["Store", "Rmw"],
-        SspEvent::Evict if tr.from != StableState::I => &["Repl"],
-        SspEvent::FwdGetS => &["FwdGetS"],
-        SspEvent::FwdGetM => &["FwdGetM"],
-        SspEvent::Inv => &["Inv"],
-        _ => &[],
-    }
-}
-
-/// The request message and MSHR transient state an SSP action opens from
-/// `from`; `None` for actions the L1 performs without a request.
-fn l1_request(
-    action: SspAction,
-    from: StableState,
-    rmw: bool,
-    swmr: bool,
-) -> Option<(&'static str, &'static str)> {
-    use SspAction::*;
-    Some(match (action, from) {
-        (IssueGetS, _) => ("GetS", "IS_D"),
-        (IssueGetM, StableState::I) => ("GetM", "IM_AD"),
-        (IssueGetM, _) => ("GetM", "SM_AD"),
-        // A store that needs no ownership cannot make an atomic atomic:
-        // RCC atomics execute at the shared level.
-        (LocalWrite, _) if rmw => ("AtomicRmw", "AT_D"),
-        (IssuePutClean, StableState::E) => ("PutE", "EI_A"),
-        (IssuePutClean, _) => ("PutS", "SI_A"),
-        (WritebackDirty, _) if !swmr => ("WriteThrough", "WT_A"),
-        (WritebackDirty, StableState::O) => ("PutO", "OI_A"),
-        (WritebackDirty, _) => ("PutM", "MI_A"),
-        _ => return None,
-    })
-}
-
-/// The L1 row an SSP transition decides for one table `event`. An action
-/// that needs a request sends it to the directory and opens the MSHR
-/// transient [`l1_request`] names. Otherwise the row moves straight to
-/// the SSP's next state with the SSP's replies to a forward, answering
-/// the core on an access (a replacement is silent).
-fn ssp_row(spec: &SspSpec, tr: &SspTransition, event: &'static str) -> TransitionRow {
-    let from = tr.from.name();
-    let provenance = format!("ssp:{} {from} {}", spec.family, tr.event.name());
-    let request = tr
-        .actions
-        .iter()
-        .find_map(|&a| l1_request(a, tr.from, event == "Rmw", spec.family.enforces_swmr()));
-    if let Some((msg, transient)) = request {
-        let send = Action::send(msg, Vnet::Req, "bridge");
-        return TransitionRow::next(from, event, transient, vec![send], provenance);
-    }
-    let SspNext::Fixed(to) = tr.to else {
-        panic!("{provenance}: only a request can leave the next state to the grant");
-    };
-    let mut actions: Vec<Action> = tr
-        .actions
-        .iter()
-        .filter_map(|a| match a {
-            SspAction::SendDataToReq => Some(Action::send("Data", Vnet::Resp, "l1")),
-            SspAction::SendDataToDir => Some(Action::send("DataToDir", Vnet::Resp, "bridge")),
-            SspAction::SendInvAck => Some(Action::send("InvAck", Vnet::Resp, "l1")),
-            _ => None,
-        })
-        .collect();
-    if matches!(event, "Load" | "Store" | "Rmw") {
-        actions.push(Action::complete("CoreResp", Vnet::Resp, "core"));
-    }
-    TransitionRow::next(from, event, to.name(), actions, provenance)
 }

@@ -4,14 +4,19 @@
 //! scripted driver plays both the core and the directory with exact
 //! timing, pinning down each row of the transient table:
 //! `SM_AD + Inv`, `SM_AD + FwdGetM`, `MI_A + FwdGetM`, `MI_A + FwdGetS`,
-//! ack-before-data arrivals, and the RCC flush protocol.
+//! ack-before-data arrivals, and the RCC flush protocol. Two tests reach
+//! the stable steps the controller compiles from its SSP: an RCC store
+//! heals a poisoned line, and one mutated SSP transition changes the
+//! compiled step, the table row and the running controller together.
 
 use std::any::Any;
 
-use c3_memsys::l1::{L1Config, L1Controller};
-use c3_protocol::msg::{CoreReq, Grant, HostMsg, SysMsg};
+use c3_memsys::l1::{l1_table_from_spec, L1Config, L1Controller, L1Event, L1Steps};
+use c3_protocol::msg::{CoreReq, CoreResp, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::{AccessOrder, Addr, Instr, Reg};
+use c3_protocol::ssp::{SspEvent, SspNext, SspSpec};
 use c3_protocol::states::{ProtocolFamily, StableState};
+use c3_protocol::table::RowOutcome;
 use c3_sim::component::{Component, ComponentId, Ctx};
 use c3_sim::prelude::*;
 
@@ -81,19 +86,28 @@ fn harness(
     family: ProtocolFamily,
     script: Vec<(Time, ComponentId, SysMsg)>,
 ) -> (Simulator<SysMsg>, ComponentId, ComponentId) {
+    harness_with(&SspSpec::for_family(family), script)
+}
+
+/// [`harness`] with an L1 that runs `spec`'s stable-state steps.
+fn harness_with(
+    spec: &SspSpec,
+    script: Vec<(Time, ComponentId, SysMsg)>,
+) -> (Simulator<SysMsg>, ComponentId, ComponentId) {
     let mut sim: Simulator<SysMsg> = Simulator::new(1);
     let l1_id = ComponentId(0);
     let driver_id = ComponentId(1);
-    let got = sim.add_component(Box::new(L1Controller::new(
+    let got = sim.add_component(Box::new(L1Controller::with_spec(
         "l1",
         L1Config {
-            family,
+            family: spec.family,
             sets: 4,
             ways: 2,
             hit_latency: Delay::from_cycles(1, 2_000),
             core: driver_id,
             dir: driver_id,
         },
+        spec,
     )));
     assert_eq!(got, l1_id);
     let got = sim.add_component(Box::new(Driver::new(script)));
@@ -756,4 +770,99 @@ fn rcc_atomic_executes_remotely() {
     // No local copy is retained (it would go stale).
     let l1c = sim.component_as::<L1Controller>(l1).unwrap();
     assert_eq!(l1c.line_state(X), StableState::I);
+}
+
+fn core_req(tag: u64, instr: Instr) -> SysMsg {
+    SysMsg::CoreReq(CoreReq { tag, instr })
+}
+
+fn data(grant: Grant, value: u64, poisoned: bool) -> SysMsg {
+    SysMsg::Host(HostMsg::Data {
+        addr: X,
+        data: value,
+        grant,
+        acks: 0,
+        dirty: false,
+        poisoned,
+    })
+}
+
+#[test]
+fn rcc_store_heals_a_poisoned_line() {
+    // A load fills X with poisoned data; a later store overwrites the
+    // whole line, so the load after it reads clean data and X is no
+    // longer reported poisoned.
+    let script = vec![
+        (Time::from_ns(1), L1, core_req(1, load(X, Reg(0)))),
+        (Time::from_ns(20), L1, data(Grant::S, 7, true)),
+        (Time::from_ns(40), L1, core_req(2, store(X, 8))),
+        (Time::from_ns(60), L1, core_req(3, load(X, Reg(1)))),
+    ];
+    let (mut sim, l1, driver) = harness(ProtocolFamily::Rcc, script);
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    let l1c = sim.component_as::<L1Controller>(l1).unwrap();
+    // The one poisoned read is the fill's own load.
+    assert_eq!(l1c.poisoned_reads(), 1, "the store did not heal the line");
+    assert!(!l1c.line_poisoned(X));
+    assert!(l1c.poisoned_lines().is_empty());
+    assert_eq!(l1c.line(X), Some((StableState::M, 8)));
+    let log = &sim.component_as::<Driver>(driver).unwrap().log;
+    assert!(log
+        .iter()
+        .any(|(_, m)| matches!(m, SysMsg::CoreResp(CoreResp { tag: 3, value: 8 }))));
+}
+
+#[test]
+fn one_ssp_mutation_changes_step_row_and_run() {
+    use StableState::{E, O, S};
+    // MOESI says `E x FwdGetS -> O`; the mutant says `-> S`.
+    let canonical = SspSpec::moesi();
+    let mut mutant = SspSpec::moesi();
+    for tr in &mut mutant.transitions {
+        if (tr.from, tr.event) == (E, SspEvent::FwdGetS) {
+            tr.to = SspNext::Fixed(S);
+        }
+    }
+    for (spec, to) in [(&canonical, O), (&mutant, S)] {
+        // The compiled step...
+        let step = L1Steps::compile(spec).get(E, L1Event::FwdGetS).unwrap();
+        assert_eq!((step.next(), step.hold()), (SspNext::Fixed(to), to));
+        assert_eq!(step.request(), None);
+        // ...the table row rendered from it...
+        let table = l1_table_from_spec(spec);
+        let rows: Vec<_> = table
+            .rows
+            .iter()
+            .filter(|r| (r.state, r.event) == ("E", "FwdGetS"))
+            .collect();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].outcome, RowOutcome::Next(to.name()));
+        // ...and the controller running it: E, then a forwarded read.
+        let script = vec![
+            (Time::from_ns(1), L1, core_req(1, load(X, Reg(0)))),
+            (Time::from_ns(20), L1, data(Grant::E, 5, false)),
+            (
+                Time::from_ns(40),
+                L1,
+                SysMsg::Host(HostMsg::FwdGetS {
+                    addr: X,
+                    requestor: ComponentId(1),
+                    grant: Grant::S,
+                }),
+            ),
+        ];
+        let (mut sim, l1, driver) = harness_with(spec, script);
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let l1c = sim.component_as::<L1Controller>(l1).unwrap();
+        assert_eq!(l1c.line(X), Some((to, 5)));
+        let msgs = host_msgs(&sim.component_as::<Driver>(driver).unwrap().log);
+        assert!(msgs.iter().any(|m| matches!(
+            m,
+            HostMsg::Data {
+                data: 5,
+                dirty: false,
+                ..
+            }
+        )));
+    }
 }
