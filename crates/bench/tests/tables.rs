@@ -83,7 +83,7 @@ const PINS: [(ProtocolFamily, &str, usize, u64); 12] = [
     (ProtocolFamily::Moesi, "l1", 116, 0x80f4d16801d194dd),
     (ProtocolFamily::Moesi, "bridge", 85, 0x15d8289cf3a13f23),
     (ProtocolFamily::Moesi, "dcoh", 47, 0x2ea331b073368a83),
-    (ProtocolFamily::Rcc, "l1", 37, 0xbc544028441775f1),
+    (ProtocolFamily::Rcc, "l1", 37, 0x084c2cb8602dedcd),
     (ProtocolFamily::Rcc, "bridge", 59, 0x5886cb4e69050089),
     (ProtocolFamily::Rcc, "dcoh", 47, 0x2ea331b073368a83),
 ];

@@ -13,7 +13,10 @@
 //! invalidation arms each look their step up and run it through one small
 //! executor, and [`l1_transition_table`] renders its stable rows from the
 //! same steps. Only the transient states (MSHRs), which SSPs omit by
-//! design, are handled by hand.
+//! design, are handled by hand. One rule joins two SSP rows: an atomic
+//! executes at the directory (RCC), so on a dirty line it first runs the
+//! line's write-through `Release` step and replays once that is
+//! acknowledged.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -261,6 +264,18 @@ impl L1Steps {
                 let step = L1Step::compile(tr, event == L1Event::Rmw, swmr);
                 steps[tr.from as usize][event as usize] = Some(step);
                 syncs |= matches!(event, L1Event::Acquire | L1Event::Release);
+            }
+        }
+        // An atomic executes at the directory and drops the copy it would
+        // leave stale, so a dirty copy must reach the directory first: an
+        // atomic on one writes it through, as its release does, and runs
+        // again from the clean copy once that is acknowledged.
+        for row in &mut steps {
+            let (rmw, release) = (row[L1Event::Rmw as usize], row[L1Event::Release as usize]);
+            if let (Some(rmw), Some(release)) = (rmw, release) {
+                if rmw.request == Some(TState::AT_D) && release.request == Some(TState::WT_A) {
+                    row[L1Event::Rmw as usize] = Some(release);
+                }
             }
         }
         L1Steps { steps, syncs }
@@ -856,6 +871,15 @@ impl L1Controller {
                 let value = Self::access(&mut line, &req.instr, &mut self.poisoned_reads);
                 self.array.insert(addr, line);
                 value
+            }
+            // A write-through ahead of an atomic: the atomic waits behind
+            // it and runs again on its WtAck.
+            (Some(TState::WT_A), line) => {
+                let line = line.copied();
+                self.request(addr, step, line, None, false, ctx);
+                let mshr = self.mshrs.get_mut(&addr.0).expect("just opened");
+                mshr.pending.push_back(req);
+                return;
             }
             (Some(_), line) => {
                 let line = line.copied();

@@ -4,10 +4,11 @@
 //! scripted driver plays both the core and the directory with exact
 //! timing, pinning down each row of the transient table:
 //! `SM_AD + Inv`, `SM_AD + FwdGetM`, `MI_A + FwdGetM`, `MI_A + FwdGetS`,
-//! ack-before-data arrivals, and the RCC flush protocol. Two tests reach
-//! the stable steps the controller compiles from its SSP: an RCC store
-//! heals a poisoned line, and one mutated SSP transition changes the
-//! compiled step, the table row and the running controller together.
+//! ack-before-data arrivals, and the RCC flush protocol. Three tests
+//! reach the stable steps the controller compiles from its SSP: an RCC
+//! store heals a poisoned line, an RCC atomic on a dirty line writes it
+//! through first, and one mutated SSP transition changes the compiled
+//! step, the table row and the running controller together.
 
 use std::any::Any;
 
@@ -769,6 +770,89 @@ fn rcc_atomic_executes_remotely() {
     assert_eq!(resp, Some(10));
     // No local copy is retained (it would go stale).
     let l1c = sim.component_as::<L1Controller>(l1).unwrap();
+    assert_eq!(l1c.line_state(X), StableState::I);
+}
+
+/// A directory that answers RCC write-throughs and atomics from one word
+/// of memory per line.
+#[derive(Default)]
+struct WordDir {
+    mem: std::collections::BTreeMap<Addr, u64>,
+}
+
+impl Component<SysMsg> for WordDir {
+    fn name(&self) -> String {
+        "dir".into()
+    }
+    fn handle(&mut self, msg: SysMsg, src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
+        let reply = match msg {
+            SysMsg::Host(HostMsg::WriteThrough { addr, data }) => {
+                self.mem.insert(addr, data);
+                HostMsg::WtAck { addr }
+            }
+            SysMsg::Host(HostMsg::AtomicRmw { addr, add }) => {
+                let word = self.mem.entry(addr).or_insert(0);
+                let old = *word;
+                *word = old.wrapping_add(add);
+                HostMsg::AtomicResp { addr, old }
+            }
+            other => panic!("the directory got {other:?}"),
+        };
+        ctx.send_direct(src, SysMsg::Host(reply), Delay::from_ps(1));
+    }
+    fn done(&self) -> bool {
+        true
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn rcc_atomic_on_a_dirty_line_writes_it_through_first() {
+    // X = 5 stays local (M, not yet written through); an atomic X += 1
+    // executes at the directory, so it must see 5 there.
+    let rmw = Instr::Rmw {
+        addr: X,
+        add: 1,
+        reg: Reg(2),
+        order: AccessOrder::Relaxed,
+    };
+    let script = vec![
+        (Time::from_ns(1), L1, core_req(1, store(X, 5))),
+        (Time::from_ns(20), L1, core_req(2, rmw)),
+    ];
+    let mut sim: Simulator<SysMsg> = Simulator::new(1);
+    let (core, dir) = (ComponentId(1), ComponentId(2));
+    let cfg = L1Config {
+        family: ProtocolFamily::Rcc,
+        sets: 4,
+        ways: 2,
+        hit_latency: Delay::from_cycles(1, 2_000),
+        core,
+        dir,
+    };
+    assert_eq!(
+        sim.add_component(Box::new(L1Controller::new("l1", cfg))),
+        L1
+    );
+    assert_eq!(sim.add_component(Box::new(Driver::new(script))), core);
+    assert_eq!(sim.add_component(Box::new(WordDir::default())), dir);
+    sim.fabric_mut()
+        .wire_p2p(&[L1, core, dir], &LinkConfig::intra_cluster());
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    let log = &sim.component_as::<Driver>(core).unwrap().log;
+    assert!(
+        log.iter()
+            .any(|(_, m)| matches!(m, SysMsg::CoreResp(CoreResp { tag: 2, value: 5 }))),
+        "the atomic did not read the stored 5: {log:?}"
+    );
+    assert_eq!(sim.component_as::<WordDir>(dir).unwrap().mem[&X], 6);
+    // The atomic dropped the copy it would leave stale.
+    let l1c = sim.component_as::<L1Controller>(L1).unwrap();
     assert_eq!(l1c.line_state(X), StableState::I);
 }
 

@@ -20,11 +20,24 @@ pub const NO_PARENT: u32 = u32::MAX;
 
 /// 128-bit fingerprint of an encoded state.
 ///
-/// Two independent 64-bit lanes of a SplitMix64-style word mixer. With
-/// `n` states the collision probability is about `n² / 2¹²⁹` — around
-/// 10⁻²⁰ for 10⁸ states — which is the standard hash-compaction trade
-/// for explicit-state exploration (the deterministic `FxHasher` alone
-/// would be far too weak to bet soundness on).
+/// Two independently keyed 64-bit lanes of a SplitMix64-style mixer,
+/// fed 16 bytes a step: each lane absorbs both words of the step as its
+/// own linear combination, and the two combinations together are an
+/// invertible map of the step (the matrix of multipliers has an odd
+/// determinant), so every step difference reaches a lane. One mix per
+/// lane per 16 bytes halves the serial chain of a mix per 8 bytes. A
+/// finalizer then feeds each lane into the other, so every output bit
+/// depends on both. With `n` states the collision probability is about
+/// `n² / 2¹²⁹` — around 10⁻²⁰ for 10⁸ states — which is the standard
+/// hash-compaction trade for explicit-state exploration (the
+/// deterministic `FxHasher` alone would be far too weak to bet
+/// soundness on).
+///
+/// An odd determinant needs an even multiplier, and lane `a`'s second
+/// word gets it, so lane `a` cannot see a step difference in the top
+/// bit of byte 15 alone. Only lane `b` tells such a pair apart, and it
+/// collides with probability about 2⁻⁶⁴. Canonical images hold small
+/// counters and tags, so a byte of 128 or more is rare in them.
 pub fn fingerprint(bytes: &[u8]) -> u128 {
     #[inline]
     fn mix(mut z: u64) -> u64 {
@@ -32,24 +45,38 @@ pub fn fingerprint(bytes: &[u8]) -> u128 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^ (z >> 31)
     }
+    // `K[1]` is even and the others odd: `K[0]·K[3] − K[1]·K[2]` is odd.
+    // Lane `a` therefore drops the top bit of `w1`; lane `b` keeps it.
+    const K: [u64; 4] = [
+        0x9e3779b97f4a7c15,
+        0xc2b2ae3d27d4eb4e,
+        0x165667b19e3779f9,
+        0xd6e8feb86659fd93,
+    ];
     let mut a: u64 = 0x243f6a8885a308d3; // pi
     let mut b: u64 = 0x13198a2e03707344;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut step = |w: [u8; 16]| {
+        let w0 = u64::from_le_bytes(w[..8].try_into().unwrap());
+        let w1 = u64::from_le_bytes(w[8..].try_into().unwrap());
+        a = mix(a ^ w0.wrapping_mul(K[0]).wrapping_add(w1.wrapping_mul(K[1])));
+        b = mix(b ^ w0.wrapping_mul(K[2]).wrapping_add(w1.wrapping_mul(K[3])));
+    };
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().unwrap());
-        a = mix(a ^ w.wrapping_mul(0x9e3779b97f4a7c15));
-        b = mix(b ^ w.wrapping_mul(0xc2b2ae3d27d4eb4f));
+        step(c.try_into().unwrap());
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
-        let mut w = [0u8; 8];
+        // Zero-padded; the length below tells a padded input from a
+        // longer one.
+        let mut w = [0u8; 16];
         w[..rem.len()].copy_from_slice(rem);
-        let w = u64::from_le_bytes(w) ^ ((rem.len() as u64) << 56);
-        a = mix(a ^ w.wrapping_mul(0x9e3779b97f4a7c15));
-        b = mix(b ^ w.wrapping_mul(0xc2b2ae3d27d4eb4f));
+        step(w);
     }
-    a = mix(a ^ (bytes.len() as u64));
-    b = mix(b ^ (bytes.len() as u64).rotate_left(32));
+    let len = bytes.len() as u64;
+    let a = mix(a ^ len);
+    let b = mix(b ^ len.rotate_left(32) ^ a);
+    let a = mix(a ^ b);
     ((a as u128) << 64) | b as u128
 }
 
@@ -130,6 +157,52 @@ mod tests {
         // Length is mixed in: a zero-padded prefix differs from the
         // shorter input.
         assert_ne!(fingerprint(&[0, 0, 0]), fingerprint(&[0, 0]));
+    }
+
+    #[test]
+    fn single_bit_flips_change_about_half_the_output_bits() {
+        // Every bit of inputs from 1 to 160 bytes long (partial and whole
+        // 16-byte steps), flipped one at a time: on average half the 128
+        // output bits change, and each output bit changes about half the
+        // time (the strict avalanche criterion). The flips include the
+        // top bit of every step, which reaches lane `b` alone.
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let (mut flips, mut changed) = (0u64, 0u64);
+        let mut per_bit = [0u64; 128];
+        for len in 1..=160 {
+            let input: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let base = fingerprint(&input);
+            for bit in 0..8 * len {
+                let mut flipped = input.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let diff = base ^ fingerprint(&flipped);
+                assert_ne!(diff, 0, "flipping bit {bit} of a {len}-byte input");
+                flips += 1;
+                changed += diff.count_ones() as u64;
+                for (b, n) in per_bit.iter_mut().enumerate() {
+                    *n += (diff >> b & 1) as u64;
+                }
+            }
+        }
+        let mean = changed as f64 / flips as f64;
+        assert!(
+            (63.0..65.0).contains(&mean),
+            "{mean} bits change on average"
+        );
+        for (b, &n) in per_bit.iter().enumerate() {
+            let p = n as f64 / flips as f64;
+            assert!(
+                (0.48..0.52).contains(&p),
+                "output bit {b} changes with p = {p}"
+            );
+        }
     }
 
     #[test]

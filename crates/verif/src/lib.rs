@@ -38,4 +38,4 @@ pub use static_checks::{
     check_all, check_message_graph, check_model_conformance, check_quiescence, check_table,
     StaticDefect,
 };
-pub use symmetry::{Symmetric, SymmetryGroup};
+pub use symmetry::{CanonStats, Symmetric, SymmetryGroup};

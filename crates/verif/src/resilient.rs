@@ -64,7 +64,7 @@ use c3_sim::time::Time;
 use c3_sim::trace::Tracer;
 
 use crate::frontier::{fingerprint, VisitedSet, NO_PARENT};
-use crate::symmetry::{Symmetric, SymmetryGroup};
+use crate::symmetry::{CanonStats, Symmetric, SymmetryGroup};
 
 /// Maximum clusters the fixed-size state supports.
 pub const MAX_CLUSTERS: usize = 3;
@@ -186,7 +186,7 @@ pub enum Pend {
 }
 
 /// One core of the L1 tier.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreSt {
     /// Remaining operation budget.
     pub budget: u8,
@@ -197,7 +197,7 @@ pub struct CoreSt {
 }
 
 /// Per-cluster state.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ClusterSt {
     /// Remaining operation budget (0 with an L1 tier: the cores carry it).
     pub budget: u8,
@@ -259,7 +259,7 @@ pub struct SnoopSt {
 }
 
 /// Per-address directory (DCOH) state.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DirSt {
     /// Holder bitmap.
     pub holders: u8,
@@ -285,8 +285,9 @@ pub struct DirSt {
     pub qlen: u8,
 }
 
-/// The whole model state.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// The whole model state: plain `Copy` data, so a successor starts as
+/// one memory copy of its parent.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RState {
     /// Clusters (first `cfg.clusters` entries active).
     pub cl: [ClusterSt; MAX_CLUSTERS],
@@ -555,6 +556,8 @@ pub struct ResilientResult {
     pub reduction_factor: f64,
     /// Symmetry group order used.
     pub group_order: usize,
+    /// The canonicalization work of the run, exact for a config.
+    pub canon: CanonStats,
     /// First violation found, with its counterexample.
     pub violation: Option<(RViolation, Counterexample)>,
     /// Whether exploration hit `max_states`.
@@ -960,7 +963,7 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
             match c.copy[a].st {
                 St::S | St::M => {
                     // Load hit.
-                    let mut n = s.clone();
+                    let mut n = *s;
                     n.cl[ci].budget -= 1;
                     n.cl[ci].seen[a] = n.cl[ci].seen[a].max(c.copy[a].ver);
                     ctx.label(ci, || format!("cl{ci}: load hit a{a} v{}", c.copy[a].ver));
@@ -968,7 +971,7 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                 }
                 St::I => {
                     // Load miss: delegate upward.
-                    let mut n = s.clone();
+                    let mut n = *s;
                     let seq = open_fetch(&mut n, ci, 0, a, false);
                     ctx.label(ci, || format!("cl{ci}: load miss a{a}, RdS seq{seq}"));
                     out.push(n);
@@ -977,7 +980,7 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
             if c.copy[a].st == St::M {
                 // Store hit: a new version, poison cleared (full-line
                 // write of fresh data).
-                let mut n = s.clone();
+                let mut n = *s;
                 n.cl[ci].budget -= 1;
                 n.dir[a].max_ver += 1;
                 let v = n.dir[a].max_ver;
@@ -989,7 +992,7 @@ fn core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mu
                 out.push(n);
             } else {
                 // Store miss / upgrade: delegate ownership acquisition.
-                let mut n = s.clone();
+                let mut n = *s;
                 let seq = open_fetch(&mut n, ci, 0, a, true);
                 ctx.label(ci, || format!("cl{ci}: store miss a{a}, RdA seq{seq}"));
                 out.push(n);
@@ -1047,12 +1050,12 @@ fn l1_core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: 
                 let open = c.recall[a].is_none();
                 // -- load --
                 if l1.st != St::I {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     observe(&mut n, ci, k, a, l1.ver);
                     ctx.label(ci, || format!("cl{ci}.{k}: load hit a{a} v{}", l1.ver));
                     out.push(n);
                 } else if c.copy[a].st != St::I && open {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     let nc = &mut n.cl[ci];
                     if let Some(j) = (0..cores).find(|&j| nc.cores[j].l1[a].st == St::M) {
                         nc.copy[a] = Copy {
@@ -1072,19 +1075,19 @@ fn l1_core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: 
                     });
                     out.push(n);
                 } else if c.pend == Pend::Idle && open {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     let seq = open_fetch(&mut n, ci, k, a, false);
                     ctx.label(ci, || format!("cl{ci}.{k}: load miss a{a}, RdS seq{seq}"));
                     out.push(n);
                 }
                 // -- store --
                 if l1.st == St::M {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     let v = store(&mut n, ci, k, a);
                     ctx.label(ci, || format!("cl{ci}.{k}: store hit a{a} -> v{v}"));
                     out.push(n);
                 } else if c.copy[a].st == St::M && open {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     for sib in &mut n.cl[ci].cores[..cores] {
                         sib.l1[a].st = St::I;
                     }
@@ -1094,7 +1097,7 @@ fn l1_core_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: 
                     });
                     out.push(n);
                 } else if c.pend == Pend::Idle && open {
-                    let mut n = s.clone();
+                    let mut n = *s;
                     let seq = open_fetch(&mut n, ci, k, a, true);
                     ctx.label(ci, || format!("cl{ci}.{k}: store miss a{a}, RdA seq{seq}"));
                     out.push(n);
@@ -1133,7 +1136,7 @@ fn retry_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
         ) {
             continue;
         }
-        let mut n = s.clone();
+        let mut n = *s;
         if let Pend::Fetch { retries: r, .. } = &mut n.cl[ci].pend {
             *r += 1;
         }
@@ -1169,7 +1172,7 @@ fn resend_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &
         ) {
             continue;
         }
-        let mut n = s.clone();
+        let mut n = *s;
         let mut nsn = sn;
         nsn.resends += 1;
         n.dir[a].snoop = Some(nsn);
@@ -1272,7 +1275,7 @@ fn admit_all(
     // Snoop one other holder per successor: to invalidate it for a store,
     // or, for a load, to downgrade the lone exclusive owner.
     for target in (0..cfg.clusters).filter(|t| others & (1 << t) != 0) {
-        let mut m = n.clone();
+        let mut m = n;
         issue_snoop(&mut m, a, excl, target, ci, seq);
         out.push(m);
     }
@@ -1320,7 +1323,7 @@ fn label_dcoh(
 fn dcoh_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &mut SuccCtx) {
     for ci in 0..cfg.clusters {
         let Some(head) = s.m2s[ci][0] else { continue };
-        let mut n = s.clone();
+        let mut n = *s;
         m2s_pop(&mut n.m2s[ci]);
         match head {
             HostMsg::Req { addr, excl, seq } => {
@@ -1441,7 +1444,7 @@ fn deliver_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: 
             if slot > 0 && s.s2m[ci][slot - 1] == Some(msg) {
                 continue;
             }
-            let mut n = s.clone();
+            let mut n = *s;
             s2m_remove(&mut n.s2m[ci], slot);
             host_receive(&mut n, s, ci, msg, cfg, ctx);
             out.push(n);
@@ -1622,7 +1625,7 @@ fn recall_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &
                 continue;
             };
             ctx.witness("bridge", "SnoopRecall", "RecallDone");
-            let mut n = s.clone();
+            let mut n = *s;
             let c = &mut n.cl[ci];
             for core in &mut c.cores[..cfg.l1_cores as usize] {
                 let l = &mut core.l1[a];
@@ -1674,7 +1677,7 @@ fn fault_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
                 continue; // identical duplicates: same successors
             }
             // Drop.
-            let mut n = s.clone();
+            let mut n = *s;
             s2m_remove(&mut n.s2m[ci], slot);
             n.faults_left -= 1;
             ctx.label(comp_fabric(cfg), || {
@@ -1684,7 +1687,7 @@ fn fault_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
             // Duplicate (if the channel has room).
             let slots_used = s.s2m[ci].iter().flatten().count();
             if slots_used < CHAN_CAP {
-                let mut n = s.clone();
+                let mut n = *s;
                 s2m_push(&mut n.s2m[ci], msg);
                 n.faults_left -= 1;
                 ctx.label(comp_fabric(cfg), || format!("fault: dup {msg:?} -> cl{ci}"));
@@ -1698,7 +1701,7 @@ fn fault_steps(s: &RState, cfg: &ResilientConfig, out: &mut Vec<RState>, ctx: &m
                 ..
             } = msg
             {
-                let mut n = s.clone();
+                let mut n = *s;
                 s2m_remove(&mut n.s2m[ci], slot);
                 let mut bad = msg;
                 if let DevMsg::Data { decl, taint, .. } = &mut bad {
@@ -1806,6 +1809,81 @@ fn inverse<const N: usize>(perm: &[u8]) -> [usize; N] {
     inv
 }
 
+/// Append one `W`-byte field per address of a cluster block, in
+/// new-address order (`inv_a[new] = old`). `start` is where the block
+/// begins in `out`. With `ident`, the block under the identity address
+/// permutation, each field is copied from the same section of it;
+/// otherwise `field(old address)` encodes it.
+fn addr_fields<const W: usize>(
+    start: usize,
+    ident: Option<&[u8]>,
+    inv_a: &[usize],
+    out: &mut Vec<u8>,
+    field: impl Fn(usize) -> [u8; W],
+) {
+    let at = out.len() - start;
+    for &oa in inv_a {
+        let run: [u8; W] = match ident {
+            Some(block) => block[at + oa * W..][..W].try_into().unwrap(),
+            None => field(oa),
+        };
+        out.extend_from_slice(&run);
+    }
+}
+
+impl RState {
+    /// Append cluster `c`'s block under `aperm`: its budget and pend,
+    /// each address's copy and counters, then the L1 tier. With `ident`
+    /// (the block under the identity address permutation), per-address
+    /// fields are copied from it rather than encoded; the address-free
+    /// bytes and the pend, whose address is renamed, are encoded.
+    fn write_cluster(&self, c: usize, aperm: &[u8], ident: Option<&[u8]>, out: &mut Vec<u8>) {
+        let inv_a = &inverse::<MAX_ADDRS>(aperm)[..aperm.len()];
+        let start = out.len();
+        let c = &self.cl[c];
+        out.push(c.budget);
+        encode_pend(&c.pend, aperm, out);
+        addr_fields(start, ident, inv_a, out, |oa| {
+            [
+                c.copy[oa].st as u8,
+                c.copy[oa].ver,
+                c.copy[oa].decl as u8,
+                c.copy[oa].taint as u8,
+                c.seen[oa],
+                c.inst_seq[oa],
+                c.fetch_ctr[oa],
+                c.snp_epoch[oa],
+            ]
+        });
+        // The L1 tier, present only when the run has one, so the flat
+        // relation's encoding is unchanged.
+        if self.l1_cores > 0 {
+            out.push(match c.pend {
+                Pend::Fetch { core, .. } => core,
+                Pend::Idle => 0,
+            });
+            addr_fields(start, ident, inv_a, out, |oa| match c.recall[oa] {
+                None => [0, 0],
+                Some((inv, epoch)) => [1 + inv as u8, epoch],
+            });
+            for core in &c.cores[..self.l1_cores as usize] {
+                out.push(core.budget);
+                addr_fields(start, ident, inv_a, out, |oa| {
+                    let l = core.l1[oa];
+                    [
+                        l.st as u8,
+                        l.ver,
+                        l.decl as u8,
+                        l.taint as u8,
+                        core.seen[oa],
+                    ]
+                });
+            }
+        }
+        debug_assert!(ident.is_none_or(|b| b.len() == out.len() - start));
+    }
+}
+
 /// The encoding's header is the fault budget and defect latch; a cluster
 /// block is the cluster's copy, pend and L1 tier; the tail is the DCOH
 /// (which names clusters through holders, grants, the snoop and the
@@ -1819,49 +1897,14 @@ impl Symmetric for RState {
     }
 
     fn encode_cluster(&self, c: usize, aperm: &[u8], out: &mut Vec<u8>) {
-        let inv_a = &inverse::<MAX_ADDRS>(aperm)[..aperm.len()];
-        let c = &self.cl[c];
-        out.push(c.budget);
-        encode_pend(&c.pend, aperm, out);
-        for &oa in inv_a {
-            out.extend_from_slice(&[
-                c.copy[oa].st as u8,
-                c.copy[oa].ver,
-                c.copy[oa].decl as u8,
-                c.copy[oa].taint as u8,
-                c.seen[oa],
-                c.inst_seq[oa],
-                c.fetch_ctr[oa],
-                c.snp_epoch[oa],
-            ]);
-        }
-        // The L1 tier, present only when the run has one, so the flat
-        // relation's encoding is unchanged.
-        if self.l1_cores > 0 {
-            out.push(match c.pend {
-                Pend::Fetch { core, .. } => core,
-                Pend::Idle => 0,
-            });
-            for &oa in inv_a {
-                out.extend_from_slice(&match c.recall[oa] {
-                    None => [0, 0],
-                    Some((inv, epoch)) => [1 + inv as u8, epoch],
-                });
-            }
-            for core in &c.cores[..self.l1_cores as usize] {
-                out.push(core.budget);
-                for &oa in inv_a {
-                    let l = core.l1[oa];
-                    out.extend_from_slice(&[
-                        l.st as u8,
-                        l.ver,
-                        l.decl as u8,
-                        l.taint as u8,
-                        core.seen[oa],
-                    ]);
-                }
-            }
-        }
+        self.write_cluster(c, aperm, None, out);
+    }
+
+    /// Every per-address field of a block sits at a fixed offset, so the
+    /// block under `aperm` copies `ident`'s fields to their new places.
+    fn permute_cluster(&self, c: usize, aperm: &[u8], ident: &[u8], out: &mut Vec<u8>) -> bool {
+        self.write_cluster(c, aperm, Some(ident), out);
+        true
     }
 
     fn encode_tail(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
@@ -1906,26 +1949,30 @@ impl Symmetric for RState {
                 out.extend_from_slice(&[cperm[qc as usize], qe, qs]);
             }
         }
-        // Each channel is its occupancy, then its occupied slots.
+        // Each channel is its occupancy, then its occupied slots; the
+        // occupancy byte is filled in once the slots are written.
         for &oc in inv_c {
-            let fifo = &self.m2s[oc];
-            let held = fifo.iter().take_while(|m| m.is_some()).count();
-            out.push(held as u8);
-            for m in fifo[..held].iter().flatten() {
+            let at = out.len();
+            out.push(0);
+            for m in self.m2s[oc].iter().map_while(Option::as_ref) {
                 encode_host_msg(m, aperm, out);
+                out[at] += 1;
             }
         }
         let renames = aperm.iter().enumerate().any(|(a, &n)| n as usize != a);
         for &oc in inv_c {
             let mut chan = self.s2m[oc];
-            let held = chan.iter().take_while(|m| m.is_some()).count();
+            let mut held = 0;
+            for m in chan.iter_mut().map_while(Option::as_mut) {
+                if renames {
+                    *m = relabel_dev_msg(m, aperm);
+                }
+                held += 1;
+            }
             out.push(held as u8);
             if renames {
                 // The channel is a multiset, kept sorted: relabel, then
                 // re-sort.
-                for m in chan[..held].iter_mut().flatten() {
-                    *m = relabel_dev_msg(m, aperm);
-                }
                 chan[..held].sort_unstable();
             }
             for m in chan[..held].iter().flatten() {
@@ -2021,6 +2068,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
         unreduced_states: orbit_sum,
         reduction_factor: orbit_sum as f64 / canonical_states.max(1) as f64,
         group_order,
+        canon: group.stats(),
         violation,
         truncated,
         witnesses,

@@ -36,10 +36,13 @@
 //! for every cluster, so the smallest image must carry the smallest
 //! block sequence: for each address permutation, the cluster
 //! permutations that sort the blocks. Only the tail may vary in length.
-//! [`SymmetryGroup::canonical`] encodes each block once per address
-//! permutation and sorts them, keeps the `(π, σ)` pairs that reach the
-//! smallest sorted sequence (ties keep every tied pair), and encodes the
-//! tail only for those. The pairs whose image equals the minimum form
+//! [`SymmetryGroup::canonical`] encodes each block once, under the
+//! identity address permutation, and derives it under the others
+//! ([`Symmetric::permute_cluster`]). It sorts each address permutation's
+//! blocks from their pairwise comparisons in fixed arrays, keeps the
+//! `(π, σ)` pairs that reach the smallest sorted sequence (ties keep
+//! every tied pair), writes only that sequence, and encodes the tail
+//! only for those pairs. The pairs whose image equals the minimum form
 //! one coset of the state's stabiliser, so the orbit size is `|G|`
 //! divided by their count. The identity group, with no permutation to
 //! sort by, yields the plain encoding. The brute-force minimum over all
@@ -47,6 +50,10 @@
 //! the tests compare against.
 
 use std::cmp::Ordering;
+
+// Candidate search sorts the cluster blocks in fixed arrays of the
+// model's sizes.
+use crate::resilient::{MAX_ADDRS, MAX_CLUSTERS};
 
 /// A state that can encode itself under a cluster/address relabelling.
 ///
@@ -62,6 +69,17 @@ pub trait Symmetric {
     /// Append cluster `c`'s block with address `a` renamed to
     /// `aperm[a]`.
     fn encode_cluster(&self, c: usize, aperm: &[u8], out: &mut Vec<u8>);
+
+    /// Append the bytes [`Symmetric::encode_cluster`] would, derived from
+    /// `ident`, cluster `c`'s block under the identity address
+    /// permutation, and return `true`; or return `false` and append
+    /// nothing, to have the block re-encoded (the default). A state whose
+    /// block holds its per-address fields at fixed offsets can permute
+    /// `ident`'s bytes.
+    fn permute_cluster(&self, c: usize, aperm: &[u8], ident: &[u8], out: &mut Vec<u8>) -> bool {
+        let _ = (c, aperm, ident, out);
+        false
+    }
 
     /// Append the tail with cluster `i` renamed to `cperm[i]` and
     /// address `a` renamed to `aperm[a]`.
@@ -102,62 +120,101 @@ fn permutations(n: usize) -> Vec<Vec<u8>> {
     out
 }
 
+/// A permutation padded into a fixed array.
+fn fixed<const N: usize>(p: &[u8]) -> [u8; N] {
+    let mut a = [0; N];
+    a[..p.len()].copy_from_slice(p);
+    a
+}
+
 /// The inverse of a permutation: `inv[new] = old`.
-fn inverse(p: &[u8]) -> Vec<u8> {
-    let mut inv = vec![0; p.len()];
+fn inverse<const N: usize>(p: &[u8]) -> [u8; N] {
+    let mut inv = [0; N];
     for (old, &new) in p.iter().enumerate() {
         inv[new as usize] = old as u8;
     }
     inv
 }
 
+/// Exact counts of the work [`SymmetryGroup::canonical`] did since the
+/// group was built. They depend only on the states canonicalized, so a
+/// run's counts are the same on every host and gate like allocation
+/// budgets do.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CanonStats {
+    /// Canonicalized states.
+    pub calls: u64,
+    /// Canonical image bytes written, summed over the calls.
+    pub image_bytes: u64,
+    /// Cluster blocks encoded from the state ([`Symmetric::encode_cluster`]).
+    pub blocks_encoded: u64,
+    /// Cluster blocks derived from an encoded one
+    /// ([`Symmetric::permute_cluster`] returned `true`).
+    pub blocks_derived: u64,
+    /// Tails encoded ([`Symmetric::encode_tail`]).
+    pub tails: u64,
+}
+
 /// The combined cluster × address permutation group, with the buffers
 /// canonicalization reuses from call to call.
 pub struct SymmetryGroup {
+    /// Clusters permuted.
+    clusters: usize,
+    /// Addresses permuted.
+    addrs: usize,
     /// Cluster permutations (identity first).
-    cperms: Vec<Vec<u8>>,
+    cperms: Vec<[u8; MAX_CLUSTERS]>,
     /// Their inverses: the old cluster at each new position.
-    cinvs: Vec<Vec<u8>>,
+    cinvs: Vec<[u8; MAX_CLUSTERS]>,
     /// Address permutations (identity first).
-    aperms: Vec<Vec<u8>>,
-    /// Every cluster block under every address permutation; block `c`
-    /// under `aperms[a]` is the `a * clusters + c`-th.
-    blocks: Vec<u8>,
-    /// One address permutation's clusters, in sorted block order.
-    order: Vec<u8>,
-    /// Per cluster, the first position in `order` holding a block equal
-    /// to its own.
-    class: Vec<u8>,
+    aperms: Vec<[u8; MAX_ADDRS]>,
+    /// Per address permutation, every cluster block under it, block `c`
+    /// at `c * len`.
+    blocks: Vec<Vec<u8>>,
     /// `(cluster perm, address perm)` indices whose block sequence is
     /// the minimum.
     cands: Vec<(usize, usize)>,
     /// One candidate's tail.
     tail: Vec<u8>,
+    /// Work counts.
+    stats: CanonStats,
 }
 
 impl SymmetryGroup {
-    fn from_perms(cperms: Vec<Vec<u8>>, aperms: Vec<Vec<u8>>) -> Self {
+    fn from_perms(
+        clusters: usize,
+        addrs: usize,
+        cperms: Vec<Vec<u8>>,
+        aperms: Vec<Vec<u8>>,
+    ) -> Self {
+        assert!(
+            clusters <= MAX_CLUSTERS && addrs <= MAX_ADDRS,
+            "symmetry group over {clusters} clusters x {addrs} addresses"
+        );
         SymmetryGroup {
+            clusters,
+            addrs,
             cinvs: cperms.iter().map(|p| inverse(p)).collect(),
-            cperms,
-            aperms,
-            blocks: Vec::new(),
-            order: Vec::new(),
-            class: Vec::new(),
+            cperms: cperms.iter().map(|p| fixed(p)).collect(),
+            blocks: vec![Vec::new(); aperms.len()],
+            aperms: aperms.iter().map(|p| fixed(p)).collect(),
             cands: Vec::new(),
             tail: Vec::new(),
+            stats: CanonStats::default(),
         }
     }
 
     /// The full group for `clusters × addrs`.
     pub fn new(clusters: usize, addrs: usize) -> Self {
-        Self::from_perms(permutations(clusters), permutations(addrs))
+        Self::from_perms(clusters, addrs, permutations(clusters), permutations(addrs))
     }
 
     /// The trivial group (identity only) — used to switch reduction off
     /// while keeping the same exploration code path.
     pub fn identity(clusters: usize, addrs: usize) -> Self {
         Self::from_perms(
+            clusters,
+            addrs,
             vec![(0..clusters as u8).collect()],
             vec![(0..addrs as u8).collect()],
         )
@@ -168,98 +225,119 @@ impl SymmetryGroup {
         self.cperms.len() * self.aperms.len()
     }
 
+    /// The work counts of every [`SymmetryGroup::canonical`] call so far.
+    pub fn stats(&self) -> CanonStats {
+        self.stats
+    }
+
     /// Canonicalize: returns the lexicographically minimal encoding over
     /// all permutation images, and the orbit size (number of distinct
     /// images). The canonical bytes are appended to `out` (cleared
     /// first).
     pub fn canonical<S: Symmetric>(&mut self, s: &S, out: &mut Vec<u8>) -> usize {
         out.clear();
-        if self.order() == 1 {
-            // The identity's one image keeps the blocks in cluster order,
-            // sorted or not.
-            s.encode_perm(&self.cperms[0], &self.aperms[0], out);
-            return 1;
-        }
         let SymmetryGroup {
+            clusters: n,
+            addrs,
             cperms,
             cinvs,
             aperms,
             blocks,
-            order,
-            class,
             cands,
             tail,
+            stats,
         } = self;
-        let clusters = cinvs[0].len();
-        // Each cluster block, once per address permutation.
-        blocks.clear();
-        for ap in aperms.iter() {
-            for c in 0..clusters {
-                s.encode_cluster(c, ap, blocks);
+        let (n, addrs) = (*n, *addrs);
+        stats.calls += 1;
+        stats.blocks_encoded += n as u64;
+        if cperms.len() * aperms.len() == 1 {
+            // The identity's one image keeps the blocks in cluster order,
+            // sorted or not.
+            s.encode_perm(&cperms[0][..n], &aperms[0][..addrs], out);
+            stats.tails += 1;
+            stats.image_bytes += out.len() as u64;
+            return 1;
+        }
+        // Each cluster block, encoded once under the identity address
+        // permutation and derived from that under the others.
+        let (ident, derived) = blocks.split_first_mut().expect("an address permutation");
+        ident.clear();
+        for c in 0..n {
+            s.encode_cluster(c, &aperms[0][..addrs], ident);
+        }
+        let len = ident.len() / n;
+        for (ap, buf) in aperms[1..].iter().zip(derived) {
+            buf.clear();
+            for c in 0..n {
+                if s.permute_cluster(c, &ap[..addrs], &ident[c * len..][..len], buf) {
+                    stats.blocks_derived += 1;
+                } else {
+                    s.encode_cluster(c, &ap[..addrs], buf);
+                    stats.blocks_encoded += 1;
+                }
             }
         }
-        let len = blocks.len() / (clusters * aperms.len());
-        let block = |a: usize, c: u8| &blocks[(a * clusters + c as usize) * len..][..len];
+        let block = |a: usize, c: u8| &blocks[a][c as usize * len..][..len];
         // The smallest block sequence under each address permutation is
         // its blocks sorted: blocks share one length, so ordering the
-        // sequences block by block orders their bytes.
-        s.encode_header(out);
-        let prefix = out.len();
+        // sequences block by block orders their bytes. Only the winning
+        // sequence is ever written out.
+        let (mut best_a, mut best) = (0, [0u8; MAX_CLUSTERS]);
         cands.clear();
         for a in 0..aperms.len() {
-            order.clear();
-            for c in 0..clusters as u8 {
-                let at = order.partition_point(|&o| block(a, o) <= block(a, c));
-                order.insert(at, c);
-            }
-            tail.clear();
-            for &c in order.iter() {
-                tail.extend_from_slice(block(a, c));
-            }
-            let ord = if a == 0 {
-                Ordering::Less
-            } else {
-                tail.as_slice().cmp(&out[prefix..])
-            };
-            match ord {
-                Ordering::Less => {
-                    out.truncate(prefix);
-                    out.extend_from_slice(tail);
-                    cands.clear();
+            // A stable sort from the pairwise comparisons: a block's
+            // position is the count of smaller blocks plus equal ones of
+            // lower cluster id. The count of smaller blocks alone is its
+            // class, the first position holding an equal block.
+            let (mut class, mut ties) = ([0u8; MAX_CLUSTERS], [0u8; MAX_CLUSTERS]);
+            for i in 0..n {
+                for j in i + 1..n {
+                    match block(a, i as u8).cmp(block(a, j as u8)) {
+                        Ordering::Less => class[j] += 1,
+                        Ordering::Greater => class[i] += 1,
+                        Ordering::Equal => ties[j] += 1,
+                    }
                 }
-                Ordering::Equal => {}
-                Ordering::Greater => continue,
             }
+            let (mut ord, mut at) = ([0u8; MAX_CLUSTERS], [0u8; MAX_CLUSTERS]);
+            for c in 0..n {
+                let pos = (class[c] + ties[c]) as usize;
+                (ord[pos], at[pos]) = (c as u8, class[c]);
+            }
+            if a > 0 {
+                let ord_vs_best = (0..n)
+                    .map(|i| block(a, ord[i]).cmp(block(best_a, best[i])))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal);
+                match ord_vs_best {
+                    Ordering::Less => cands.clear(),
+                    Ordering::Equal => {}
+                    Ordering::Greater => continue,
+                }
+            }
+            (best_a, best) = (a, ord);
             // The cluster permutations reaching the sorted sequence are
-            // those that put an equal block at every position: label each
-            // cluster by the first sorted position of its block.
-            class.resize(clusters, 0);
-            for (i, &c) in order.iter().enumerate() {
-                class[c as usize] = match i {
-                    0 => 0,
-                    _ if block(a, c) == block(a, order[i - 1]) => class[order[i - 1] as usize],
-                    _ => i as u8,
-                };
-            }
+            // those that put a block of the position's class at every
+            // position.
             for (p, inv) in cinvs.iter().enumerate() {
-                if inv
-                    .iter()
-                    .zip(order.iter())
-                    .all(|(&x, &y)| class[x as usize] == class[y as usize])
-                {
+                if (0..n).all(|i| class[inv[i] as usize] == at[i]) {
                     cands.push((p, a));
                 }
             }
+        }
+        s.encode_header(out);
+        for &c in &best[..n] {
+            out.extend_from_slice(block(best_a, c));
         }
         // Every candidate shares the header and blocks; the smallest tail
         // decides, and the candidates reaching it count the stabiliser.
         let prefix = out.len();
         let (bp, ba) = cands[0];
-        s.encode_tail(&cperms[bp], &aperms[ba], out);
+        s.encode_tail(&cperms[bp][..n], &aperms[ba][..addrs], out);
         let mut stabiliser = 1;
         for &(p, a) in &cands[1..] {
             tail.clear();
-            s.encode_tail(&cperms[p], &aperms[a], tail);
+            s.encode_tail(&cperms[p][..n], &aperms[a][..addrs], tail);
             match tail.as_slice().cmp(&out[prefix..]) {
                 Ordering::Less => {
                     out.truncate(prefix);
@@ -270,6 +348,8 @@ impl SymmetryGroup {
                 Ordering::Greater => {}
             }
         }
+        stats.tails += cands.len() as u64;
+        stats.image_bytes += out.len() as u64;
         cperms.len() * aperms.len() / stabiliser
     }
 
@@ -281,7 +361,7 @@ impl SymmetryGroup {
         for cp in &self.cperms {
             for ap in &self.aperms {
                 let mut image = Vec::new();
-                s.encode_perm(cp, ap, &mut image);
+                s.encode_perm(&cp[..self.clusters], &ap[..self.addrs], &mut image);
                 images.push(image);
             }
         }
@@ -331,7 +411,7 @@ mod tests {
 
         fn encode_tail(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
             // Write address fields in *new* index order.
-            for &old in &inverse(aperm) {
+            for &old in &inverse::<MAX_ADDRS>(aperm)[..aperm.len()] {
                 out.push(self.vals[old as usize]);
             }
             let mut holders = 0;

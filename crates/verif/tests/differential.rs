@@ -16,7 +16,7 @@ use c3_verif::frontier::fingerprint;
 use c3_verif::resilient::{
     check_resilient, successors, DevMsg, HostMsg, Injection, RState, ResilientConfig, SuccCtx,
 };
-use c3_verif::{Symmetric, SymmetryGroup};
+use c3_verif::{CanonStats, Symmetric, SymmetryGroup};
 
 fn cfg(clusters: usize, addrs: usize) -> ResilientConfig {
     ResilientConfig {
@@ -163,6 +163,81 @@ fn pruned_canonical_form_is_the_brute_force_minimum_on_every_edge() {
     }
 }
 
+/// perfbench's `modelcheck` shape: 3 hosts x 2 addresses, one op per
+/// cluster, a two-fault budget.
+fn perfbench_shape() -> ResilientConfig {
+    ResilientConfig {
+        max_faults: 2,
+        max_retries: 2,
+        ..cfg(3, 2)
+    }
+}
+
+#[test]
+fn explorer_cost_counters_are_pinned() {
+    // Exact for a config, so they gate like allocation budgets. Per call:
+    // three blocks encoded and three derived under the address swap,
+    // 125.3 image bytes (the count-prefixed tail), 1.155 tails per edge.
+    // Encoding the blocks under both address permutations, or padding
+    // the tail, moves these.
+    let r = check_resilient(&perfbench_shape());
+    assert_eq!(r.edges, 80_285);
+    assert_eq!(
+        r.canon,
+        CanonStats {
+            calls: 80_286,
+            image_bytes: 10_061_112,
+            blocks_encoded: 240_858,
+            blocks_derived: 240_858,
+            tails: 92_747,
+        }
+    );
+}
+
+/// Explore `cfg` keyed by whole canonical images rather than their
+/// fingerprints, and check that no two distinct images share a
+/// fingerprint. Returns the number of distinct images.
+fn fingerprints_never_collide(cfg: &ResilientConfig) -> usize {
+    let mut group = SymmetryGroup::new(cfg.clusters, cfg.addrs);
+    let mut image = Vec::new();
+    let init = RState::initial(cfg);
+    group.canonical(&init, &mut image);
+    let mut seen = HashSet::from([image.clone()]);
+    let mut fps = HashSet::from([fingerprint(&image)]);
+    let mut frontier = VecDeque::from([init]);
+    let (mut succs, mut ctx) = (Vec::new(), SuccCtx::default());
+    while let Some(s) = frontier.pop_front() {
+        successors(&s, cfg, &mut succs, &mut ctx);
+        for succ in succs.drain(..) {
+            group.canonical(&succ, &mut image);
+            if !seen.contains(&image) {
+                assert!(fps.insert(fingerprint(&image)), "fingerprint collision");
+                seen.insert(image.clone());
+                frontier.push_back(succ);
+            }
+        }
+    }
+    seen.len()
+}
+
+#[test]
+fn distinct_canonical_images_have_distinct_fingerprints() {
+    // A collision canary: the explorer keeps only fingerprints, so a
+    // collision would silently merge two states. The counts are
+    // `check_resilient`'s, so the fingerprint-keyed walk lost nothing.
+    let nested_2x2 = ResilientConfig {
+        ops_per_cluster: 2,
+        max_faults: 1,
+        max_retries: 1,
+        ..nested(2, 2)
+    };
+    for (base, images) in [(perfbench_shape(), 25_097), (nested_2x2, 16_796)] {
+        let what = format!("{}x{} l1={}", base.clusters, base.addrs, base.l1_cores);
+        assert_eq!(fingerprints_never_collide(&base), images, "{what}");
+        assert_eq!(check_resilient(&base).canonical_states, images, "{what}");
+    }
+}
+
 /// The tail length the count-prefixed layout gives `s`: per address the
 /// DCOH's fixed fields, its snoop and its queue behind their counts, then
 /// per cluster each channel's count and occupied slots.
@@ -201,7 +276,7 @@ fn encoding_is_injective(cfg: &ResilientConfig) -> usize {
     let mut seen = HashMap::new();
     let mut frontier = VecDeque::from([RState::initial(cfg)]);
     group.canonical(&frontier[0], &mut bytes);
-    seen.insert(bytes.clone(), frontier[0].clone());
+    seen.insert(bytes.clone(), frontier[0]);
     let (mut succs, mut ctx) = (Vec::new(), SuccCtx::default());
     while let Some(s) = frontier.pop_front() {
         tail.clear();
@@ -213,7 +288,7 @@ fn encoding_is_injective(cfg: &ResilientConfig) -> usize {
             match seen.get(&bytes) {
                 Some(first) => assert_eq!(first, &succ, "two states encode as {bytes:?}"),
                 None => {
-                    seen.insert(bytes.clone(), succ.clone());
+                    seen.insert(bytes.clone(), succ);
                     frontier.push_back(succ);
                 }
             }
