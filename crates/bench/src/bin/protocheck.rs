@@ -2,8 +2,9 @@
 //! transition tables.
 //!
 //! Builds the declarative [`TransitionTable`]s exported by the L1
-//! (`c3-memsys::l1`), the C³ bridge (`c3::bridge`) and the DCOH
-//! (`c3-cxl::dcoh`) for every host protocol family, and runs the
+//! (`c3-memsys::l1`), the host directory engine (`c3-memsys::direngine`),
+//! the C³ bridge (`c3::bridge`) and the DCOH (`c3-cxl::dcoh`) for every
+//! host protocol family, and runs the
 //! `c3-verif::static_checks` suite over them: validation, completeness,
 //! reachability, forbidden states, response-sink, Rule-II discipline and
 //! cross-controller static deadlock analysis. The generated compound
@@ -31,6 +32,7 @@ use c3_bench::cli;
 use c3_bench::runner::json_escape;
 use c3_bench::{out, outln};
 use c3_cxl::dcoh::dcoh_transition_table;
+use c3_memsys::direngine::direngine_transition_table;
 use c3_memsys::l1::l1_transition_table;
 use c3_protocol::states::ProtocolFamily;
 use c3_protocol::table::{TransitionRow, TransitionTable};
@@ -137,7 +139,7 @@ fn main() {
                 apply_injection(inj, &mut l1, &mut bridge);
             }
         }
-        let set = [&l1, &bridge, &dcoh];
+        let set = [&l1, &bridge, &dcoh, &direngine_transition_table(fam)];
         families.push(FamilyResult {
             family: fam.to_string(),
             tables: set
@@ -200,7 +202,8 @@ fn print_text(
     for f in families {
         let rows: usize = f.tables.iter().map(|t| t.rows).sum();
         if f.defects.is_empty() {
-            outln!("{}: l1+bridge+dcoh tables clean ({rows} rows)", f.family);
+            let n = f.tables.len();
+            outln!("{}: {n} tables clean ({rows} rows)", f.family);
         } else {
             outln!(
                 "{}: {} defect(s) in {rows} rows:",

@@ -144,7 +144,7 @@ impl Dir {
             self.host(B, HostMsg::GetS { addr: x }, BackendPerms::ALL);
             self.unblock(B, x);
             self.host(B, HostMsg::PutE { addr: x }, BackendPerms::ALL);
-            assert!(!self.engine.holders(x).any(), "line {x} left held");
+            assert!(!self.engine.holders(x).class().any(), "line {x} left held");
         }
         assert!(self.engine.idle());
     }
@@ -203,7 +203,7 @@ fn warmed_engines_do_not_allocate() {
     let mut dirs: Vec<Dir> = [SspSpec::mesi(), SspSpec::moesi(), SspSpec::mesif()]
         .into_iter()
         .map(|spec| Dir {
-            engine: DirEngine::new(spec.dir, DIR),
+            engine: DirEngine::new(&spec, DIR),
             out: Vec::new(),
             replies: Vec::new(),
         })

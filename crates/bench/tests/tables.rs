@@ -1,6 +1,6 @@
 //! Content pins for the controllers' declarative transition tables.
 //!
-//! Each of the twelve (host family × {l1, bridge, dcoh}) tables is
+//! Each of the sixteen (host family × {l1, bridge, dcoh, direngine}) tables is
 //! rendered canonically — its sorted declarations, then one sorted
 //! `state event outcome actions nested` line per row, provenance left
 //! out — and the FNV-1a of that rendering is pinned together with the
@@ -12,6 +12,7 @@
 use c3::bridge::bridge_transition_table;
 use c3_bench::fnv1a;
 use c3_cxl::dcoh::dcoh_transition_table;
+use c3_memsys::direngine::direngine_transition_table;
 use c3_memsys::l1::l1_transition_table;
 use c3_protocol::states::ProtocolFamily;
 use c3_protocol::table::{RowOutcome, TransitionTable};
@@ -73,7 +74,7 @@ fn canonical(t: &TransitionTable) -> String {
 }
 
 /// `(family, controller, rows, fnv)` for every checked table.
-const PINS: [(ProtocolFamily, &str, usize, u64); 12] = [
+const PINS: [(ProtocolFamily, &str, usize, u64); 16] = [
     (ProtocolFamily::Mesi, "l1", 101, 0xa268d58b8147a186),
     (ProtocolFamily::Mesi, "bridge", 85, 0x15d8289cf3a13f23),
     (ProtocolFamily::Mesi, "dcoh", 47, 0x2ea331b073368a83),
@@ -86,17 +87,27 @@ const PINS: [(ProtocolFamily, &str, usize, u64); 12] = [
     (ProtocolFamily::Rcc, "l1", 37, 0x084c2cb8602dedcd),
     (ProtocolFamily::Rcc, "bridge", 59, 0x5886cb4e69050089),
     (ProtocolFamily::Rcc, "dcoh", 47, 0x2ea331b073368a83),
+    (ProtocolFamily::Mesi, "direngine", 58, 0xf61dd38bc518965f),
+    (ProtocolFamily::Mesif, "direngine", 85, 0xe078e62c385f3392),
+    (ProtocolFamily::Moesi, "direngine", 100, 0x53234d66e32ffd8a),
+    (ProtocolFamily::Rcc, "direngine", 5, 0x0483c92fea0c074e),
 ];
+
+/// The table `PINS` names.
+fn table(family: ProtocolFamily, controller: &str) -> TransitionTable {
+    match controller {
+        "l1" => l1_transition_table(family),
+        "bridge" => bridge_transition_table(family),
+        "direngine" => direngine_transition_table(family),
+        _ => dcoh_transition_table(),
+    }
+}
 
 #[test]
 fn table_contents_are_pinned() {
     let mut mismatches = Vec::new();
     for (family, controller, rows, fnv) in PINS {
-        let table = match controller {
-            "l1" => l1_transition_table(family),
-            "bridge" => bridge_transition_table(family),
-            _ => dcoh_transition_table(),
-        };
+        let table = table(family, controller);
         let got = (table.rows.len(), fnv1a(&canonical(&table)));
         if got != (rows, fnv) {
             mismatches.push(format!(
@@ -112,11 +123,7 @@ fn table_contents_are_pinned() {
 #[test]
 fn no_table_states_a_rule_twice() {
     for (family, controller, _, _) in PINS {
-        let table = match controller {
-            "l1" => l1_transition_table(family),
-            "bridge" => bridge_transition_table(family),
-            _ => dcoh_transition_table(),
-        };
+        let table = table(family, controller);
         for (i, a) in table.rows.iter().enumerate() {
             for b in &table.rows[i + 1..] {
                 assert!(

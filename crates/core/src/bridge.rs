@@ -32,9 +32,10 @@ use std::any::Any;
 use c3_sim::hash::{FxHashMap, FxHashSet};
 
 use c3_memsys::cache::CacheArray;
-use c3_memsys::direngine::{BackendPerms, DirEffect, DirEngine, Holders, RecallKind};
+use c3_memsys::direngine::{BackendPerms, DirEffect, DirEngine, RecallKind};
 use c3_protocol::msg::{CxlMsg, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::Addr;
+use c3_protocol::ssp::SspSpec;
 use c3_protocol::states::{ProtocolFamily, StableState};
 use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet, ANY_STATE};
 use c3_sim::component::{Component, ComponentId, Ctx};
@@ -451,12 +452,8 @@ impl C3Bridge {
     }
 
     fn host_class(&self, addr: Addr) -> HostClass {
-        match self.engine.as_ref().map(|e| e.holders(addr)) {
-            None | Some(Holders::None) => HostClass::None,
-            Some(Holders::Shared(_)) => HostClass::Shared,
-            Some(Holders::Exclusive(_)) => HostClass::Exclusive,
-            Some(Holders::Owned(_, _)) => HostClass::Owned,
-        }
+        let holders = self.engine.as_ref().map(|e| e.holders(addr));
+        holders.unwrap_or_default().class()
     }
 
     fn line_busy(&self, addr: Addr) -> bool {
@@ -1601,8 +1598,8 @@ impl Component<SysMsg> for C3Bridge {
     }
 
     fn start(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
-        let policy = self.fsm.host_dir_policy();
-        self.engine = Some(DirEngine::new(policy, ctx.self_id));
+        let spec = SspSpec::for_family(self.cfg.host_family);
+        self.engine = Some(DirEngine::new(&spec, ctx.self_id));
     }
 
     fn handle(&mut self, msg: SysMsg, src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
@@ -2236,7 +2233,7 @@ fn generated_rows(fsm: &CompoundFsm) -> Vec<TransitionRow> {
             (Incoming::HostRead | Incoming::HostWrite, None) => vec![], // served locally
             (Incoming::HostRead | Incoming::HostWrite, Some(x)) => {
                 let (fetch, rd, grants) = match x {
-                    XAccess::Load => ("FetchS", "MemRdS", fsm.global_dir_policy().read_grants()),
+                    XAccess::Load => ("FetchS", "MemRdS", SspSpec::cxl_mem().read_grants()),
                     XAccess::Store => ("FetchX", "MemRdA", vec![r.next.cxl]),
                 };
                 let prov = "generator:delegation";

@@ -26,41 +26,7 @@ use std::fmt;
 use c3_protocol::ssp::{SspAction, SspEvent, SspSpec};
 use c3_protocol::states::{ProtocolFamily, StableState};
 
-/// Abstract class of host-side holders (the "local" half of a compound
-/// state). Representative stable states: I / S / M / O.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum HostClass {
-    /// No host cache holds the line.
-    None,
-    /// Clean sharers only.
-    Shared,
-    /// A single exclusive (possibly dirty) owner.
-    Exclusive,
-    /// MOESI dirty owner plus sharers.
-    Owned,
-}
-
-impl HostClass {
-    /// Representative stable state used in Table-II-style displays.
-    pub fn representative(self) -> StableState {
-        match self {
-            HostClass::None => StableState::I,
-            HostClass::Shared => StableState::S,
-            HostClass::Exclusive => StableState::M,
-            HostClass::Owned => StableState::O,
-        }
-    }
-
-    /// Whether some host cache may hold dirty data.
-    pub fn maybe_dirty(self) -> bool {
-        matches!(self, HostClass::Exclusive | HostClass::Owned)
-    }
-
-    /// Whether any host cache holds a copy.
-    pub fn any(self) -> bool {
-        self != HostClass::None
-    }
-}
+pub use c3_memsys::direngine::HostClass;
 
 /// A stable compound state `(host, cxl)` — §IV-B "state compounding".
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -387,23 +353,6 @@ impl CompoundFsm {
         }
     }
 
-    /// Whether the host protocol lets C³ grant local exclusivity (E) on
-    /// reads — requires both the host policy and global write permission.
-    pub fn exclusive_read_grants(&self) -> bool {
-        self.host.dir.exclusive_grant_when_unshared
-    }
-
-    /// The host directory policy (drives the embedded
-    /// [`c3_memsys::DirEngine`]).
-    pub fn host_dir_policy(&self) -> c3_protocol::ssp::DirPolicy {
-        self.host.dir
-    }
-
-    /// The global directory policy (decides which states a fill grants).
-    pub fn global_dir_policy(&self) -> c3_protocol::ssp::DirPolicy {
-        self.global.dir
-    }
-
     fn push_snoop_rows(&mut self, s: CompoundState) {
         for snoop in [Incoming::BiSnpInv, Incoming::BiSnpData] {
             if s.cxl == StableState::I {
@@ -418,7 +367,7 @@ impl CompoundFsm {
             let next_host = match (snoop, s.host) {
                 (Incoming::BiSnpInv, _) => HostClass::None,
                 (Incoming::BiSnpData, HostClass::Exclusive) => {
-                    if self.host.dir.owner_after_fwd_gets == StableState::O {
+                    if self.host.owner_stays_on_fwd_gets() {
                         HostClass::Owned
                     } else {
                         HostClass::Shared
@@ -469,7 +418,7 @@ impl CompoundFsm {
             let next_host = if write {
                 HostClass::Exclusive
             } else if s.host == HostClass::None {
-                if self.host.dir.exclusive_grant_when_unshared && next_cxl.can_write() {
+                if self.host.exclusive_read_grant() && next_cxl.can_write() {
                     HostClass::Exclusive
                 } else {
                     HostClass::Shared

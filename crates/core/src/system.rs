@@ -266,7 +266,7 @@ impl SystemBuilder {
             GlobalProtocol::Hierarchical(family) => {
                 let got = sim.add_component(Box::new(GlobalMesiDir::new(
                     "global.dir",
-                    SspSpec::for_family(family).dir,
+                    &SspSpec::for_family(family),
                     self.mem_latency,
                 )));
                 assert_eq!(got, dir_id);

@@ -21,6 +21,13 @@
 //! The same engine, with a backend that always grants permission, is the
 //! baseline global MESI directory ([`crate::global_dir::GlobalMesiDir`]).
 //!
+//! The holder behaviour is not written out by hand: the family's SSP is
+//! compiled once into a dense `[holder class][source role][request]` array
+//! of [`DirStep`]s ([`DirSteps::compile`]) that one executor runs and
+//! [`direngine_transition_table`] renders. What the SSP leaves to the
+//! directory (E grants, owners kept across a `FwdGetS`, MESIF forwarders)
+//! is read off its rows ([`SspSpec::read_grants`]).
+//!
 //! Every entry point appends its effects to a caller-owned
 //! `&mut Vec<DirEffect>` in the order they must be carried out; it never
 //! clears the buffer. Owners keep one buffer and reuse it, so a warmed
@@ -32,7 +39,9 @@ use std::collections::VecDeque;
 
 use c3_protocol::msg::{Grant, HostMsg};
 use c3_protocol::ops::Addr;
-use c3_protocol::ssp::DirPolicy;
+use c3_protocol::ssp::SspSpec;
+use c3_protocol::states::{ProtocolFamily, StableState};
+use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet};
 use c3_sim::component::ComponentId;
 use c3_sim::lines::{Footprint, LineEntry, LineMap};
 use c3_sim::peers::{PeerSet, PeerSlots};
@@ -54,23 +63,23 @@ pub enum Holders {
 }
 
 impl Holders {
-    /// Whether any private cache holds a copy.
-    pub fn any(&self) -> bool {
-        !matches!(self, Holders::None)
-    }
-
-    /// Whether some private cache may hold a dirty copy.
-    pub fn maybe_dirty(&self) -> bool {
-        matches!(self, Holders::Exclusive(_) | Holders::Owned(_, _))
-    }
-
-    /// Number of caches holding a copy.
-    pub fn count(&self) -> usize {
+    /// The holder class, without the identities.
+    pub fn class(&self) -> HostClass {
         match self {
-            Holders::None => 0,
-            Holders::Shared(s) => s.len(),
-            Holders::Exclusive(_) => 1,
-            Holders::Owned(_, s) => 1 + s.len(),
+            Holders::None => HostClass::None,
+            Holders::Shared(_) => HostClass::Shared,
+            Holders::Exclusive(_) => HostClass::Exclusive,
+            Holders::Owned(_, _) => HostClass::Owned,
+        }
+    }
+
+    /// The exclusive or O owner, if any, and the read-only sharers.
+    fn parts(self) -> (Option<ComponentId>, PeerSet) {
+        match self {
+            Holders::None => (None, PeerSet::EMPTY),
+            Holders::Shared(s) => (None, s),
+            Holders::Exclusive(o) => (Some(o), PeerSet::EMPTY),
+            Holders::Owned(o, s) => (Some(o), s),
         }
     }
 
@@ -80,16 +89,6 @@ impl Holders {
             Holders::Shared(s) => Holders::Shared(s.open_slot(slot)),
             Holders::Owned(o, s) => Holders::Owned(o, s.open_slot(slot)),
             h => h,
-        }
-    }
-
-    /// Sharers left after `slot` leaves a shared set.
-    fn shared_without(set: PeerSet, slot: usize) -> Holders {
-        let set = set.without(slot);
-        if set.is_empty() {
-            Holders::None
-        } else {
-            Holders::Shared(set)
         }
     }
 }
@@ -176,6 +175,410 @@ pub enum DirEffect {
     },
 }
 
+/// A line's holder class: [`Holders`] without the identities (the host
+/// half of a C³ compound state).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum HostClass {
+    /// No private cache holds the line.
+    None,
+    /// Read-only sharers.
+    Shared,
+    /// One exclusive owner, possibly dirty.
+    Exclusive,
+    /// A dirty owner plus read-only sharers (MOESI).
+    Owned,
+}
+
+impl HostClass {
+    /// Representative stable state used in Table-II-style displays.
+    pub fn representative(self) -> StableState {
+        match self {
+            HostClass::None => StableState::I,
+            HostClass::Shared => StableState::S,
+            HostClass::Exclusive => StableState::M,
+            HostClass::Owned => StableState::O,
+        }
+    }
+
+    /// Whether some private cache may hold dirty data.
+    pub fn maybe_dirty(self) -> bool {
+        matches!(self, HostClass::Exclusive | HostClass::Owned)
+    }
+
+    /// Whether any private cache holds a copy.
+    pub fn any(self) -> bool {
+        self != HostClass::None
+    }
+}
+
+/// The role the source of a request holds in a line.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Role {
+    /// No copy (a recall's source, the engine's owner, never holds one).
+    None,
+    /// A read-only sharer.
+    Sharer,
+    /// The exclusive or O owner.
+    Owner,
+    /// The MESIF forwarder, the sharer that answers reads.
+    Forwarder,
+}
+
+/// Each role a source can hold in each holder class, with the name of
+/// that view in the transition table.
+const VIEWS: [(HostClass, Role, &str); 9] = [
+    (HostClass::None, Role::None, "None"),
+    (HostClass::Shared, Role::None, "Shared"),
+    (HostClass::Shared, Role::Sharer, "Shared/sharer"),
+    (HostClass::Shared, Role::Forwarder, "Shared/F"),
+    (HostClass::Exclusive, Role::None, "Exclusive"),
+    (HostClass::Exclusive, Role::Owner, "Exclusive/owner"),
+    (HostClass::Owned, Role::None, "Owned"),
+    (HostClass::Owned, Role::Sharer, "Owned/sharer"),
+    (HostClass::Owned, Role::Owner, "Owned/owner"),
+];
+
+/// A request the directory answers from its holder record.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DirRequest {
+    /// `GetS`.
+    GetS,
+    /// `GetM`.
+    GetM,
+    /// A clean eviction notice (`PutS`/`PutE`).
+    PutClean,
+    /// A dirty writeback (`PutM`/`PutO`).
+    PutDirty,
+    /// A [`RecallKind::Shared`] recall from the engine's owner.
+    RecallS,
+    /// A [`RecallKind::Exclusive`] recall from the engine's owner.
+    RecallX,
+}
+
+impl DirRequest {
+    const ALL: [DirRequest; 6] = [
+        DirRequest::GetS,
+        DirRequest::GetM,
+        DirRequest::PutClean,
+        DirRequest::PutDirty,
+        DirRequest::RecallS,
+        DirRequest::RecallX,
+    ];
+
+    /// The request's event name in the transition table.
+    pub fn name(self) -> &'static str {
+        ["GetS", "GetM", "PutClean", "PutDirty", "RecallS", "RecallX"][self as usize]
+    }
+
+    fn recall(self) -> Option<RecallKind> {
+        match self {
+            DirRequest::RecallS => Some(RecallKind::Shared),
+            DirRequest::RecallX => Some(RecallKind::Exclusive),
+            _ => None,
+        }
+    }
+
+    fn is_put(self) -> bool {
+        matches!(self, DirRequest::PutClean | DirRequest::PutDirty)
+    }
+}
+
+/// Who answers a request with data.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Supplier {
+    Nobody,
+    Directory,
+    /// The owner, by `FwdGetS`/`FwdGetM`.
+    Owner,
+    /// The MESIF forwarder by `FwdGetS`, or the directory if there is none.
+    Forwarder,
+}
+
+/// What the directory does for one request from a source in one role on a
+/// line of one holder class.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DirStep {
+    /// Rule I: the global permission needed first (`true`: write); without
+    /// it the request suspends on the backend.
+    needs: Option<bool>,
+    supplier: Supplier,
+    /// Whether the sharers other than the source are invalidated.
+    invalidates: bool,
+    /// The grant sent with the data or forward, whose role the requester
+    /// takes up. An E grant needs global write permission too.
+    grant: Option<Grant>,
+    next: HostClass,
+    /// Whether the requester then owes an `Unblock`. (A recall waits for
+    /// the data and acks it asked for.)
+    unblock: bool,
+    /// Whether a dirty writeback becomes the directory's copy.
+    takes_data: bool,
+}
+
+/// Why `req` never comes from a source in `role` on a line in `class`, if
+/// it never does.
+fn refusal(class: HostClass, role: Role, req: DirRequest) -> Option<&'static str> {
+    match req {
+        DirRequest::GetS if role != Role::None => Some("a holder never asks for a copy it holds"),
+        DirRequest::RecallS | DirRequest::RecallX if role != Role::None => {
+            Some("a recall comes from the engine's owner, which holds no copy")
+        }
+        DirRequest::GetM if (class, role) == (HostClass::Exclusive, Role::Owner) => {
+            Some("an exclusive owner writes without asking")
+        }
+        _ => None,
+    }
+}
+
+impl DirStep {
+    /// `spec`'s step for `req` from `role` on a `class` line, unless refused.
+    fn compile(spec: &SspSpec, class: HostClass, role: Role, req: DirRequest) -> Option<DirStep> {
+        use HostClass as H;
+        let swmr = spec.family.enforces_swmr();
+        // A self-invalidating cache only reads: it stores locally, drops
+        // clean lines silently and writes dirty ones through.
+        let reads = req != DirRequest::GetM && !req.is_put();
+        if refusal(class, role, req).is_some() || !(swmr || reads) {
+            return None;
+        }
+        let owned = matches!(class, H::Exclusive | H::Owned);
+        // Where a forwarded owner goes: MOESI keeps it as O.
+        let forwarded = || {
+            if spec.owner_stays_on_fwd_gets() {
+                H::Owned
+            } else {
+                H::Shared
+            }
+        };
+        // By default an owned line's owner supplies and a shared line's
+        // sharers are invalidated, as for a GetM or an Exclusive recall.
+        let mut s = DirStep {
+            needs: None,
+            supplier: if owned {
+                Supplier::Owner
+            } else {
+                Supplier::Nobody
+            },
+            invalidates: matches!(class, H::Shared | H::Owned),
+            grant: None,
+            next: class,
+            unblock: swmr && matches!(req, DirRequest::GetS | DirRequest::GetM),
+            takes_data: false,
+        };
+        match req {
+            DirRequest::GetS if class == H::None => {
+                let exclusive = spec.exclusive_read_grant();
+                s.needs = Some(false);
+                s.supplier = Supplier::Directory;
+                s.grant = Some(if exclusive { Grant::E } else { Grant::S });
+                // Self-invalidating (RCC) caches are not tracked.
+                s.next = match (swmr, exclusive) {
+                    (false, _) => H::None,
+                    (true, true) => H::Exclusive,
+                    (true, false) => H::Shared,
+                };
+            }
+            // Sharers imply a current directory copy (inclusion): a shared
+            // line is read locally whatever the backend allows.
+            DirRequest::GetS => {
+                s.grant = Some(spec.shared_read_grant());
+                s.invalidates = false;
+                if class == H::Shared {
+                    s.supplier = match s.grant {
+                        Some(Grant::F) => Supplier::Forwarder,
+                        _ => Supplier::Directory,
+                    };
+                } else if class == H::Exclusive {
+                    s.next = forwarded();
+                }
+            }
+            DirRequest::GetM => {
+                s.needs = (!owned).then_some(true);
+                if !owned || role == Role::Owner {
+                    s.supplier = Supplier::Directory;
+                }
+                s.grant = Some(Grant::M);
+                s.next = H::Exclusive;
+            }
+            // The source leaves whatever role it held. Only the owner's
+            // writeback is current, or on a shared line a demoted owner's
+            // whose forward crossed its eviction.
+            DirRequest::PutClean | DirRequest::PutDirty => {
+                s.supplier = Supplier::Nobody;
+                s.invalidates = false;
+                s.next = match (class, role) {
+                    (H::Exclusive, Role::Owner) => H::None,
+                    (H::Owned, Role::Owner) => H::Shared,
+                    _ => class,
+                };
+                s.takes_data = req == DirRequest::PutDirty
+                    && (role == Role::Owner || (class == H::Shared && role != Role::None));
+            }
+            DirRequest::RecallS => {
+                s.invalidates = false;
+                if owned {
+                    s.grant = Some(Grant::S);
+                    s.next = forwarded();
+                }
+            }
+            DirRequest::RecallX => s.next = H::None,
+        }
+        Some(s)
+    }
+
+    /// The holder class the line moves to.
+    pub fn next(&self) -> HostClass {
+        self.next
+    }
+
+    /// Push the rows this step decides from `state`, a view in `role`: a
+    /// suspension that leaves the holders alone, then each way of supplying
+    /// (a MESIF read goes to the forwarder, or the directory without one)
+    /// into every view of each class the line may move to.
+    fn rows(&self, state: &'static str, role: Role, req: DirRequest, out: &mut TransitionTable) {
+        let (event, at) = (req.name(), "direngine.rs:DirSteps");
+        let send = |msg, vnet, dest| Some(Action::send(msg, vnet, dest));
+        if let Some(write) = self.needs {
+            let fetch = if write { "BackendWrite" } else { "BackendRead" };
+            let fetch = vec![Action::send(fetch, Vnet::Req, "bridge")];
+            out.rows
+                .push(TransitionRow::next(state, event, state, fetch, at).nested());
+        }
+        let reads = matches!(req, DirRequest::GetS | DirRequest::RecallS);
+        let fwd = send(if reads { "FwdGetS" } else { "FwdGetM" }, Vnet::Snoop, "l1");
+        let data = Some(Action::complete("Data", Vnet::Resp, "l1"));
+        let supplies = match self.supplier {
+            Supplier::Nobody => vec![None],
+            Supplier::Directory => vec![data],
+            Supplier::Owner => vec![fwd],
+            Supplier::Forwarder => vec![fwd, data],
+        };
+        // A GetM's invalidations go before its data, a recall's after.
+        let inv = send("Inv", Vnet::Snoop, "l1").filter(|_| self.invalidates);
+        let recall = req.recall().is_some();
+        let (before, after) = (inv.clone().filter(|_| !recall), inv.filter(|_| recall));
+        let ack = send("PutAck", Vnet::Resp, "l1").filter(|_| req.is_put());
+        let update = send("DataUpdated", Vnet::Resp, "bridge").filter(|_| self.takes_data);
+        let mut nexts = vec![self.next];
+        if self.grant == Some(Grant::E) {
+            nexts.push(HostClass::Shared); // no global write permission
+        }
+        if req.is_put() && role != Role::None && self.next == HostClass::Shared {
+            nexts.push(HostClass::None); // the last sharer left
+        }
+        for supply in &supplies {
+            let acts = [&before, supply, &after, &ack, &update];
+            let acts: Vec<Action> = acts.into_iter().flatten().cloned().collect();
+            for &(class, _, to) in VIEWS.iter().filter(|v| out.states.contains(&v.2)) {
+                if nexts.contains(&class) {
+                    out.rows
+                        .push(TransitionRow::next(state, event, to, acts.clone(), at));
+                }
+            }
+        }
+    }
+}
+
+/// A family's SSP compiled into a dense `[holder class][source role]
+/// [request]` array of [`DirStep`]s: the directory's whole holder
+/// behaviour, run by [`DirEngine`] and rendered by [`DirSteps::table`].
+#[derive(Clone, Copy, Debug)]
+pub struct DirSteps {
+    steps: [[[Option<DirStep>; DirRequest::ALL.len()]; 4]; 4],
+    family: ProtocolFamily,
+}
+
+impl DirSteps {
+    /// Compile `spec`. Self-invalidating (RCC) lines have no holders; SWMR
+    /// lines are Owned only where suppliers stay owner, and have a
+    /// forwarder only where the family grants F.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not validate.
+    pub fn compile(spec: &SspSpec) -> DirSteps {
+        if let Err(errs) = spec.validate() {
+            panic!("{} SSP spec invalid: {errs:?}", spec.family);
+        }
+        let swmr = spec.family.enforces_swmr();
+        let mut steps = [[[None; DirRequest::ALL.len()]; 4]; 4];
+        for (class, role, _) in VIEWS {
+            let tracked = match class {
+                HostClass::None => true,
+                HostClass::Owned => swmr && spec.owner_stays_on_fwd_gets(),
+                _ => swmr,
+            };
+            if !tracked || (role == Role::Forwarder && spec.shared_read_grant() != Grant::F) {
+                continue;
+            }
+            for req in DirRequest::ALL {
+                steps[class as usize][role as usize][req as usize] =
+                    DirStep::compile(spec, class, role, req);
+            }
+        }
+        DirSteps {
+            steps,
+            family: spec.family,
+        }
+    }
+
+    /// The step for `req` from a source in `role` on a line in `class`.
+    pub fn get(&self, class: HostClass, role: Role, req: DirRequest) -> Option<DirStep> {
+        self.steps[class as usize][role as usize][req as usize]
+    }
+
+    /// The transition table these steps render: a state per view with a
+    /// step, an event per request with one, and `Quiesce`. A refused
+    /// request has a forbidden row; a missing step has none, which the
+    /// table's completeness check reports.
+    pub fn table(&self) -> TransitionTable {
+        let has = |c, r, q: DirRequest| self.get(c, r, q).is_some();
+        let views: Vec<_> = VIEWS
+            .into_iter()
+            .filter(|&(c, r, _)| DirRequest::ALL.into_iter().any(|q| has(c, r, q)))
+            .collect();
+        let requests: Vec<DirRequest> = DirRequest::ALL
+            .into_iter()
+            .filter(|&q| views.iter().any(|&(c, r, _)| has(c, r, q)))
+            .collect();
+        let mut events: Vec<&'static str> = requests.iter().map(|q| q.name()).collect();
+        events.push("Quiesce");
+        let caches = requests.iter().filter(|q| q.recall().is_none());
+        let mut table = TransitionTable {
+            controller: "direngine",
+            states: views.iter().map(|v| v.2).collect(),
+            events: events.clone(),
+            event_vnets: caches.map(|q| (q.name(), Vnet::Req)).collect(),
+            initial: vec!["None"],
+            forbidden: vec![],
+            // Requests and recalls come from outside; none stalls here.
+            assumed_available: events,
+            rows: Vec::new(),
+        };
+        for &(class, role, state) in &views {
+            for &req in &requests {
+                match (self.get(class, role, req), refusal(class, role, req)) {
+                    (Some(step), _) => step.rows(state, role, req, &mut table),
+                    (None, Some(why)) => table.rows.push(TransitionRow::forbidden(
+                        state,
+                        req.name(),
+                        why,
+                        "direngine.rs:DirSteps",
+                    )),
+                    (None, None) => {}
+                }
+            }
+            // A line demotes to its summary only once nothing holds it.
+            let at = "direngine.rs:try_demote";
+            table.rows.push(match class {
+                HostClass::None => TransitionRow::next(state, "Quiesce", state, vec![], at),
+                _ => TransitionRow::forbidden(state, "Quiesce", "holders keep a line resident", at),
+            });
+        }
+        table
+    }
+}
+
 #[derive(Clone, Debug)]
 enum HostPhase {
     /// Suspended: waiting for the backend to grant read permission.
@@ -221,6 +624,19 @@ struct Line {
 impl Line {
     fn blocks_requests(&self) -> bool {
         self.host.is_some() || self.recall.is_some()
+    }
+
+    /// The line's holder class and the role `src` (registry slot `slot`)
+    /// holds in it.
+    fn view(&self, src: ComponentId, slot: Option<usize>) -> (HostClass, Role) {
+        let shares = |set: PeerSet| slot.is_some_and(|s| set.contains(s));
+        let role = match self.holders {
+            Holders::Exclusive(o) | Holders::Owned(o, _) if o == src => Role::Owner,
+            Holders::Shared(set) if shares(set) && self.fholder == Some(src) => Role::Forwarder,
+            Holders::Shared(set) | Holders::Owned(_, set) if shares(set) => Role::Sharer,
+            _ => Role::None,
+        };
+        (self.holders.class(), role)
     }
 }
 
@@ -281,7 +697,8 @@ pub struct BusyLine {
 /// The directory engine. See the module docs for the role it plays.
 #[derive(Debug)]
 pub struct DirEngine {
-    policy: DirPolicy,
+    /// The family's holder steps, compiled from its SSP.
+    steps: DirSteps,
     self_id: ComponentId,
     lines: LineMap<Line>,
     /// The caches that contacted the engine, numbering the holder sets.
@@ -297,11 +714,15 @@ pub struct DirEngine {
 }
 
 impl DirEngine {
-    /// Create an engine applying `policy`, owned by component `self_id`
-    /// (recalled data is addressed to `self_id`).
-    pub fn new(policy: DirPolicy, self_id: ComponentId) -> Self {
+    /// Create an engine running `spec`'s holder steps, owned by component
+    /// `self_id` (recalled data is addressed to `self_id`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not compile ([`DirSteps::compile`]).
+    pub fn new(spec: &SspSpec, self_id: ComponentId) -> Self {
         DirEngine {
-            policy,
+            steps: DirSteps::compile(spec),
             self_id,
             lines: LineMap::default(),
             peers: PeerSlots::default(),
@@ -466,10 +887,11 @@ impl DirEngine {
         match msg {
             // ---- response-class: never blocked ----
             HostMsg::PutS { .. } | HostMsg::PutE { .. } => {
-                self.handle_put_clean(src, addr, out);
+                self.run(src, addr, DirRequest::PutClean, perms, None, out);
             }
             HostMsg::PutM { data, poisoned, .. } | HostMsg::PutO { data, poisoned, .. } => {
-                self.handle_put_dirty(src, addr, data, poisoned, out);
+                let put = Some((data, poisoned));
+                self.run(src, addr, DirRequest::PutDirty, perms, put, out);
             }
             HostMsg::InvAck { .. } => {
                 self.recall_ack(addr, out);
@@ -569,7 +991,7 @@ impl DirEngine {
         // Only refresh the data copy if no local cache holds dirty data —
         // a recall that ran while we were suspended may have collected a
         // newer value than the one the backend returned.
-        if !line.holders.maybe_dirty() {
+        if !line.holders.class().maybe_dirty() {
             line.data = data;
         }
         let busy = line.host.take().unwrap_or_else(|| {
@@ -626,79 +1048,6 @@ impl DirEngine {
 
     // ---- internals ----
 
-    fn handle_put_clean(&mut self, src: ComponentId, addr: Addr, out: &mut Vec<DirEffect>) {
-        let slot = self.slot(src);
-        let line = self.lines.entry(addr.0);
-        match line.holders {
-            Holders::Shared(set) => line.holders = Holders::shared_without(set, slot),
-            Holders::Exclusive(o) if o == src => line.holders = Holders::None,
-            // A PutE from the recorded owner of an Owned line: its clean
-            // eviction crossed the FwdGetS that recorded it as O (MOESI
-            // records the owner before the forward lands). It holds
-            // nothing now; only the sharers remain.
-            Holders::Owned(o, set) if o == src => line.holders = Holders::shared_without(set, slot),
-            Holders::Owned(o, set) => line.holders = Holders::Owned(o, set.without(slot)),
-            _ => {} // stale eviction notice — line already reassigned
-        }
-        if line.fholder == Some(src) {
-            line.fholder = None;
-        }
-        out.push(DirEffect::Send {
-            dst: src,
-            msg: HostMsg::PutAck { addr },
-        });
-    }
-
-    fn handle_put_dirty(
-        &mut self,
-        src: ComponentId,
-        addr: Addr,
-        data: u64,
-        poisoned: bool,
-        out: &mut Vec<DirEffect>,
-    ) {
-        let slot = self.slot(src);
-        let line = self.lines.entry(addr.0);
-        let mut updated = false;
-        match line.holders {
-            Holders::Exclusive(o) if o == src => {
-                line.holders = Holders::None;
-                line.data = data;
-                updated = true;
-            }
-            // A PutM can arrive from the owner of an Owned line when the
-            // owner's eviction crossed a Fwd-GetS that demoted M to O.
-            Holders::Owned(o, set) if o == src => {
-                line.holders = Holders::shared_without(set, slot);
-                line.data = data;
-                updated = true;
-            }
-            Holders::Shared(set) if set.contains(slot) => {
-                // The owner was demoted to sharer by a Fwd-GetS that crossed
-                // its eviction; its data is still authoritative.
-                line.holders = Holders::shared_without(set, slot);
-                line.data = data;
-                updated = true;
-            }
-            _ => {} // stale PutM from a cache that already lost ownership
-        }
-        if line.fholder == Some(src) {
-            line.fholder = None;
-        }
-        out.push(DirEffect::Send {
-            dst: src,
-            msg: HostMsg::PutAck { addr },
-        });
-        if updated {
-            line.poisoned = poisoned;
-            out.push(DirEffect::DataUpdated {
-                addr,
-                data,
-                poisoned,
-            });
-        }
-    }
-
     fn recall_ack(&mut self, addr: Addr, out: &mut Vec<DirEffect>) {
         let line = self.lines.entry(addr.0);
         let Some(r) = &mut line.recall else {
@@ -752,140 +1101,189 @@ impl DirEngine {
     }
 
     fn start_recall(&mut self, addr: Addr, kind: RecallKind, out: &mut Vec<DirEffect>) {
-        let self_id = self.self_id;
-        // A Shared recall of an exclusive line records the owner as a
-        // sharer (MESI): register it before borrowing the line.
-        let owner_slot = match self.lines.get(addr.0).map(|l| l.holders) {
-            Some(Holders::Exclusive(owner)) => self.slot(owner),
-            _ => 0,
+        let req = match kind {
+            RecallKind::Shared => DirRequest::RecallS,
+            RecallKind::Exclusive => DirRequest::RecallX,
         };
-        let eager = self.policy.eager_invalidation;
+        self.run(self.self_id, addr, req, BackendPerms::ALL, None, out);
+    }
+
+    /// Run the step for `src`'s `req` on `addr`: suspend on the backend if
+    /// it needs a permission `perms` lacks; else send the invalidations,
+    /// the data or forward and the `PutAck` in the order the caches
+    /// expect, keep a dirty Put's data and poison mark `put` where the
+    /// step takes it, move the holders to the step's class with `src`
+    /// leaving the role it held and taking up the one its grant gives,
+    /// and open what the line then waits for.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        src: ComponentId,
+        addr: Addr,
+        req: DirRequest,
+        perms: BackendPerms,
+        put: Option<(u64, bool)>,
+        out: &mut Vec<DirEffect>,
+    ) {
+        let recall = req.recall();
+        // A recall's source is the engine's owner, which holds no copy.
+        let slot = recall.is_none().then(|| self.slot(src));
         let line = self.lines.entry(addr.0);
-        c3_sim::sim_trace!(
-            "    engine{}: start_recall {kind:?} {addr} holders={:?} host={:?}",
-            self_id.0,
-            line.holders,
-            line.host
-        );
-        // RCC clusters are never invalidated eagerly (§IV-D2): local caches
-        // self-invalidate at acquire points, so the recall is immediate.
-        if !eager {
-            out.push(DirEffect::RecallDone {
-                addr,
-                kind,
-                data: line.data,
-                was_dirty: false,
+        let (class, role) = line.view(src, slot);
+        let family = self.steps.family;
+        let mut step = self.steps.get(class, role, req).unwrap_or_else(|| {
+            panic!("{family} has no {req:?} step for {class:?}/{role:?} from {src}")
+        });
+        // Conformance: the step matches a row of the family's table.
+        #[cfg(debug_assertions)]
+        {
+            let name = req.name();
+            let table =
+                c3_protocol::table::cached_table("direngine", family, direngine_transition_table);
+            let state = VIEWS
+                .iter()
+                .find(|v| (v.0, v.1) == (class, role))
+                .map_or("?", |v| v.2);
+            debug_assert!(
+                table.permits(state, name),
+                "({state} x {name}) has no {family} row"
+            );
+        }
+        let lacks = |write| !(if write { perms.write_ok } else { perms.read_ok });
+        if let Some(write) = step.needs.filter(|&w| lacks(w)) {
+            // Rule I: wait for the backend to grant the permission.
+            let (count, phase, effect) = if write {
+                let effect = DirEffect::BackendWrite { addr };
+                (&mut self.backend_writes, HostPhase::WriteBackend, effect)
+            } else {
+                let effect = DirEffect::BackendRead { addr };
+                (&mut self.backend_reads, HostPhase::ReadBackend, effect)
+            };
+            *count += 1;
+            out.push(effect);
+            line.host = Some(HostBusy {
+                requester: src,
+                phase,
             });
-            self.recalls += 1;
             return;
         }
-        let mut busy = RecallBusy {
-            kind,
-            pending_acks: 0,
-            need_data: false,
-            got_data: false,
-            dirty: false,
-        };
-        match (kind, line.holders) {
-            (_, Holders::None) => {
-                out.push(DirEffect::RecallDone {
-                    addr,
-                    kind,
-                    data: line.data,
-                    was_dirty: false,
-                });
-                self.recalls += 1;
-                return;
-            }
-            (RecallKind::Shared, Holders::Shared(_)) => {
-                // Local copies are read-only and the data copy is current.
-                out.push(DirEffect::RecallDone {
-                    addr,
-                    kind,
-                    data: line.data,
-                    was_dirty: false,
-                });
-                self.recalls += 1;
-                return;
-            }
-            (RecallKind::Exclusive, Holders::Shared(set)) => {
-                for dst in self.peers.ids(set) {
-                    out.push(DirEffect::Send {
-                        dst,
-                        msg: HostMsg::Inv {
-                            addr,
-                            requestor: self_id,
-                        },
-                    });
-                }
-                busy.pending_acks = set.len() as u32;
-                line.holders = Holders::None;
-                line.fholder = None;
-            }
-            (RecallKind::Exclusive, Holders::Exclusive(owner)) => {
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetM {
-                        addr,
-                        requestor: self_id,
-                        acks: 0,
-                    },
-                });
-                busy.need_data = true;
-                line.holders = Holders::None;
-            }
-            (RecallKind::Exclusive, Holders::Owned(owner, set)) => {
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetM {
-                        addr,
-                        requestor: self_id,
-                        acks: 0,
-                    },
-                });
-                for dst in self.peers.ids(set) {
-                    out.push(DirEffect::Send {
-                        dst,
-                        msg: HostMsg::Inv {
-                            addr,
-                            requestor: self_id,
-                        },
-                    });
-                }
-                busy.need_data = true;
-                busy.pending_acks = set.len() as u32;
-                line.holders = Holders::None;
-            }
-            (RecallKind::Shared, Holders::Exclusive(owner)) => {
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetS {
-                        addr,
-                        requestor: self_id,
-                        grant: Grant::S,
-                    },
-                });
-                busy.need_data = true;
-                line.holders = if self.policy.owner_after_fwd_gets == c3_protocol::StableState::O {
-                    Holders::Owned(owner, PeerSet::EMPTY)
-                } else {
-                    Holders::Shared(PeerSet::single(owner_slot))
-                };
-            }
-            (RecallKind::Shared, Holders::Owned(owner, set)) => {
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetS {
-                        addr,
-                        requestor: self_id,
-                        grant: Grant::S,
-                    },
-                });
-                busy.need_data = true;
-                line.holders = Holders::Owned(owner, set);
-            }
+        if step.grant == Some(Grant::E) && !perms.write_ok {
+            // Rule I: a local E may silently become M, so a cluster grants
+            // E only while it holds global write permission.
+            (step.grant, step.next) = (Some(Grant::S), HostClass::Shared);
         }
-        line.recall = Some(busy);
+        let (owner, sharers) = line.holders.parts();
+        let others = slot.map_or(sharers, |s| sharers.without(s));
+        let invs = if step.invalidates {
+            others
+        } else {
+            PeerSet::EMPTY
+        };
+        // A GetM's requester counts its acks; a recall's come back here.
+        let acks = recall.map_or(invs.len() as u32, |_| 0);
+        let grant = step.grant.unwrap_or(Grant::S);
+        let forward_to = match step.supplier {
+            Supplier::Owner => owner,
+            Supplier::Forwarder => line.fholder,
+            _ => None,
+        };
+        let msg = match (forward_to, req) {
+            (None, _) => HostMsg::Data {
+                addr,
+                data: line.data,
+                grant,
+                acks,
+                dirty: false,
+                poisoned: line.poisoned,
+            },
+            (_, DirRequest::GetS | DirRequest::RecallS) => HostMsg::FwdGetS {
+                addr,
+                requestor: src,
+                grant,
+            },
+            _ => HostMsg::FwdGetM {
+                addr,
+                requestor: src,
+                acks,
+            },
+        };
+        // A GetM's invalidations go before its data, a recall's after.
+        let inv = |dst| {
+            let msg = HostMsg::Inv {
+                addr,
+                requestor: src,
+            };
+            DirEffect::Send { dst, msg }
+        };
+        if recall.is_none() && !invs.is_empty() {
+            out.extend(self.peers.ids(invs).map(inv));
+        }
+        // Without a forwarder, a MESIF read is answered by the directory.
+        if step.supplier != Supplier::Nobody {
+            let dst = forward_to.unwrap_or(src);
+            out.push(DirEffect::Send { dst, msg });
+        }
+        if recall.is_some() && !invs.is_empty() {
+            out.extend(self.peers.ids(invs).map(inv));
+        }
+        if req.is_put() {
+            let msg = HostMsg::PutAck { addr };
+            out.push(DirEffect::Send { dst: src, msg });
+        }
+        if let Some((data, poisoned)) = put.filter(|_| step.takes_data) {
+            (line.data, line.poisoned) = (data, poisoned);
+            out.push(DirEffect::DataUpdated {
+                addr,
+                data,
+                poisoned,
+            });
+        }
+        let granted = step.grant.filter(|_| recall.is_none());
+        let mut owner = owner.filter(|&o| o != src);
+        let mut sharers = others;
+        match (granted, slot) {
+            (Some(Grant::E | Grant::M), _) => owner = Some(src),
+            (Some(_), Some(s)) => sharers = sharers.with(s),
+            _ => {}
+        }
+        line.holders = match (step.next, owner) {
+            (HostClass::Exclusive, Some(o)) => Holders::Exclusive(o),
+            (HostClass::Owned, Some(o)) => Holders::Owned(o, sharers),
+            (HostClass::Shared, _) => {
+                // A demoted owner keeps its copy as a sharer.
+                let demoted = owner.and_then(|o| self.peers.find(o));
+                let set = demoted.map_or(sharers, |s| sharers.with(s));
+                if set.is_empty() {
+                    Holders::None
+                } else {
+                    Holders::Shared(set)
+                }
+            }
+            _ => Holders::None,
+        };
+        // The forwarder is one of a shared line's sharers.
+        if line.fholder == Some(src) || !matches!(line.holders, Holders::Shared(_)) {
+            line.fholder = None;
+        }
+        if granted == Some(Grant::F) {
+            line.fholder = Some(src);
+        }
+        if let Some(kind) = recall {
+            line.recall = Some(RecallBusy {
+                kind,
+                pending_acks: invs.len() as u32,
+                need_data: step.supplier == Supplier::Owner,
+                got_data: false,
+                dirty: false,
+            });
+            // Done at once when it asked nobody.
+            self.try_finish_recall(addr, out);
+        } else if step.unblock {
+            line.host = Some(HostBusy {
+                requester: src,
+                phase: HostPhase::WaitUnblock,
+            });
+        }
     }
 
     fn try_finish_recall(&mut self, addr: Addr, out: &mut Vec<DirEffect>) {
@@ -955,8 +1353,12 @@ impl DirEngine {
             self.lines.get(addr.0).map(|l| &l.holders)
         );
         match msg {
-            HostMsg::GetS { .. } => self.admit_gets(src, addr, perms, out),
-            HostMsg::GetM { .. } => self.admit_getm(src, addr, perms, out),
+            HostMsg::GetS { .. } => {
+                self.run(src, addr, DirRequest::GetS, perms, None, out);
+            }
+            HostMsg::GetM { .. } => {
+                self.run(src, addr, DirRequest::GetM, perms, None, out);
+            }
             HostMsg::WriteThrough { data, .. } => {
                 if !perms.write_ok {
                     self.backend_writes += 1;
@@ -1011,283 +1413,15 @@ impl DirEngine {
             other => unreachable!("admit() called with non-request {other:?}"),
         }
     }
+}
 
-    fn admit_gets(
-        &mut self,
-        src: ComponentId,
-        addr: Addr,
-        perms: BackendPerms,
-        out: &mut Vec<DirEffect>,
-    ) {
-        let policy = self.policy;
-        let src_slot = self.slot(src);
-        let owner_slot = match self.lines.get(addr.0).map(|l| l.holders) {
-            Some(Holders::Exclusive(owner)) => self.slot(owner),
-            _ => 0,
-        };
-        let line = self.lines.entry(addr.0);
-        match line.holders {
-            Holders::None => {
-                if !perms.read_ok {
-                    self.backend_reads += 1;
-                    line.host = Some(HostBusy {
-                        requester: src,
-                        phase: HostPhase::ReadBackend,
-                    });
-                    out.push(DirEffect::BackendRead { addr });
-                    return;
-                }
-                // Grant E only when the policy wants it AND the cluster
-                // holds global exclusivity (Rule I: a local E allows a
-                // silent local M, which must be covered globally).
-                let grant = if policy.exclusive_grant_when_unshared && perms.write_ok {
-                    Grant::E
-                } else {
-                    Grant::S
-                };
-                if policy.eager_invalidation {
-                    line.holders = match grant {
-                        Grant::E => Holders::Exclusive(src),
-                        _ => Holders::Shared(PeerSet::single(src_slot)),
-                    };
-                } // RCC: directory does not track sharers.
-                out.push(DirEffect::Send {
-                    dst: src,
-                    msg: HostMsg::Data {
-                        addr,
-                        data: line.data,
-                        grant,
-                        acks: 0,
-                        dirty: false,
-                        poisoned: line.poisoned,
-                    },
-                });
-                if policy.eager_invalidation {
-                    line.host = Some(HostBusy {
-                        requester: src,
-                        phase: HostPhase::WaitUnblock,
-                    });
-                }
-            }
-            Holders::Shared(set) => {
-                // Local sharers imply the cluster data copy is valid
-                // (inclusion), so the read can be served locally even if
-                // the caller currently reports no *backend* permission —
-                // that occurs while a retain-shared writeback (`MemWr,S`)
-                // is in flight, during which the copy stays readable.
-                let grant = policy.gets_grant_with_sharers;
-                if let (Grant::F, Some(f)) = (grant, line.fholder) {
-                    // The current forwarder supplies data; forwarder duty
-                    // moves to the new requester.
-                    out.push(DirEffect::Send {
-                        dst: f,
-                        msg: HostMsg::FwdGetS {
-                            addr,
-                            requestor: src,
-                            grant,
-                        },
-                    });
-                } else {
-                    out.push(DirEffect::Send {
-                        dst: src,
-                        msg: HostMsg::Data {
-                            addr,
-                            data: line.data,
-                            grant,
-                            acks: 0,
-                            dirty: false,
-                            poisoned: line.poisoned,
-                        },
-                    });
-                }
-                if grant == Grant::F {
-                    line.fholder = Some(src);
-                }
-                if policy.eager_invalidation {
-                    line.holders = Holders::Shared(set.with(src_slot));
-                    line.host = Some(HostBusy {
-                        requester: src,
-                        phase: HostPhase::WaitUnblock,
-                    });
-                }
-            }
-            Holders::Exclusive(owner) => {
-                debug_assert_ne!(owner, src, "owner re-requesting GetS");
-                let grant = policy.gets_grant_with_sharers;
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetS {
-                        addr,
-                        requestor: src,
-                        grant,
-                    },
-                });
-                line.holders = if policy.owner_after_fwd_gets == c3_protocol::StableState::O {
-                    Holders::Owned(owner, PeerSet::single(src_slot))
-                } else {
-                    Holders::Shared(PeerSet::single(owner_slot).with(src_slot))
-                };
-                if grant == Grant::F {
-                    line.fholder = Some(src);
-                }
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-            Holders::Owned(owner, set) => {
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetS {
-                        addr,
-                        requestor: src,
-                        grant: Grant::S,
-                    },
-                });
-                line.holders = Holders::Owned(owner, set.with(src_slot));
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-        }
-    }
-
-    fn admit_getm(
-        &mut self,
-        src: ComponentId,
-        addr: Addr,
-        perms: BackendPerms,
-        out: &mut Vec<DirEffect>,
-    ) {
-        let src_slot = self.slot(src);
-        let line = self.lines.entry(addr.0);
-        match line.holders {
-            Holders::None => {
-                if !perms.write_ok {
-                    self.backend_writes += 1;
-                    line.host = Some(HostBusy {
-                        requester: src,
-                        phase: HostPhase::WriteBackend,
-                    });
-                    out.push(DirEffect::BackendWrite { addr });
-                    return;
-                }
-                out.push(DirEffect::Send {
-                    dst: src,
-                    msg: HostMsg::Data {
-                        addr,
-                        data: line.data,
-                        grant: Grant::M,
-                        acks: 0,
-                        dirty: false,
-                        poisoned: line.poisoned,
-                    },
-                });
-                line.holders = Holders::Exclusive(src);
-                line.fholder = None;
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-            Holders::Shared(set) => {
-                if !perms.write_ok {
-                    self.backend_writes += 1;
-                    line.host = Some(HostBusy {
-                        requester: src,
-                        phase: HostPhase::WriteBackend,
-                    });
-                    out.push(DirEffect::BackendWrite { addr });
-                    return;
-                }
-                let invs = set.without(src_slot);
-                for dst in self.peers.ids(invs) {
-                    out.push(DirEffect::Send {
-                        dst,
-                        msg: HostMsg::Inv {
-                            addr,
-                            requestor: src,
-                        },
-                    });
-                }
-                out.push(DirEffect::Send {
-                    dst: src,
-                    msg: HostMsg::Data {
-                        addr,
-                        data: line.data,
-                        grant: Grant::M,
-                        acks: invs.len() as u32,
-                        dirty: false,
-                        poisoned: line.poisoned,
-                    },
-                });
-                line.holders = Holders::Exclusive(src);
-                line.fholder = None;
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-            Holders::Exclusive(owner) => {
-                debug_assert_ne!(owner, src, "exclusive owner issuing GetM");
-                out.push(DirEffect::Send {
-                    dst: owner,
-                    msg: HostMsg::FwdGetM {
-                        addr,
-                        requestor: src,
-                        acks: 0,
-                    },
-                });
-                line.holders = Holders::Exclusive(src);
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-            Holders::Owned(owner, set) => {
-                let invs = set.without(src_slot);
-                for dst in self.peers.ids(invs) {
-                    out.push(DirEffect::Send {
-                        dst,
-                        msg: HostMsg::Inv {
-                            addr,
-                            requestor: src,
-                        },
-                    });
-                }
-                if owner == src {
-                    // Owner upgrading O -> M: it already has the data.
-                    out.push(DirEffect::Send {
-                        dst: src,
-                        msg: HostMsg::Data {
-                            addr,
-                            data: line.data,
-                            grant: Grant::M,
-                            acks: invs.len() as u32,
-                            dirty: false,
-                            poisoned: line.poisoned,
-                        },
-                    });
-                } else {
-                    out.push(DirEffect::Send {
-                        dst: owner,
-                        msg: HostMsg::FwdGetM {
-                            addr,
-                            requestor: src,
-                            acks: invs.len() as u32,
-                        },
-                    });
-                }
-                line.holders = Holders::Exclusive(src);
-                line.fholder = None;
-                line.host = Some(HostBusy {
-                    requester: src,
-                    phase: HostPhase::WaitUnblock,
-                });
-            }
-        }
-    }
+/// The declarative transition relation of the [`DirEngine`] for `family`,
+/// rendered from its [`DirSteps`]. A state is a holder class with the role
+/// the request's source holds in it (`Owned/owner`; the class alone for a
+/// source without a copy). Queueing, RCC write-throughs and atomics, and
+/// the responses a waiting line collects have no rows.
+pub fn direngine_transition_table(family: ProtocolFamily) -> TransitionTable {
+    DirSteps::compile(&SspSpec::for_family(family)).table()
 }
 
 #[cfg(test)]
@@ -1303,16 +1437,16 @@ mod tests {
     const X: Addr = Addr(0x10);
 
     fn mesi_engine() -> DirEngine {
-        DirEngine::new(SspSpec::mesi().dir, DIR)
+        DirEngine::new(&SspSpec::mesi(), DIR)
     }
     fn moesi_engine() -> DirEngine {
-        DirEngine::new(SspSpec::moesi().dir, DIR)
+        DirEngine::new(&SspSpec::moesi(), DIR)
     }
     fn mesif_engine() -> DirEngine {
-        DirEngine::new(SspSpec::mesif().dir, DIR)
+        DirEngine::new(&SspSpec::mesif(), DIR)
     }
     fn rcc_engine() -> DirEngine {
-        DirEngine::new(SspSpec::rcc().dir, DIR)
+        DirEngine::new(&SspSpec::rcc(), DIR)
     }
 
     /// The entry points with a fresh effect buffer per call.
@@ -1913,6 +2047,51 @@ mod tests {
         let eff = e.recall_now(X, RecallKind::Exclusive);
         let order: Vec<ComponentId> = sends(&eff).iter().map(|(d, _)| *d).collect();
         assert_eq!(order, [A, B, C]);
+    }
+
+    /// A MOESI spec read from text, which has no directory settings,
+    /// still records a forwarded owner as O: the fact comes from its
+    /// `M FwdGetS` row.
+    #[test]
+    fn moesi_rows_alone_record_an_owned_line() {
+        use c3_protocol::ssp_text::{from_text, to_text};
+        let spec = from_text(&to_text(&SspSpec::moesi())).unwrap();
+        let mut e = DirEngine::new(&spec, DIR);
+        e.host(A, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        unblock(&mut e, A, X, StableState::E);
+        e.host(B, HostMsg::GetS { addr: X }, BackendPerms::ALL);
+        assert_eq!(e.holders(X), Holders::Owned(A, e.peers().set_of([B])));
+    }
+
+    /// A missing holder step leaves a hole in the rendered table (which
+    /// `protocheck`'s completeness check names) rather than a row.
+    #[test]
+    fn a_missing_step_is_a_missing_row() {
+        let mut steps = DirSteps::compile(&SspSpec::moesi());
+        assert!(steps.table().covered("Owned/owner", "PutClean"));
+        let (c, r, q) = (HostClass::Owned, Role::Owner, DirRequest::PutClean);
+        steps.steps[c as usize][r as usize][q as usize] = None;
+        assert!(!steps.table().covered("Owned/owner", "PutClean"));
+    }
+
+    /// Families without Owned or F states have no views of them, and RCC,
+    /// which tracks no holders, has one state.
+    #[test]
+    fn table_states_follow_the_family() {
+        let states = |spec: SspSpec| DirSteps::compile(&spec).table().states;
+        assert_eq!(
+            states(SspSpec::mesi()),
+            [
+                "None",
+                "Shared",
+                "Shared/sharer",
+                "Exclusive",
+                "Exclusive/owner"
+            ]
+        );
+        assert!(states(SspSpec::mesif()).contains(&"Shared/F"));
+        assert!(states(SspSpec::moesi()).contains(&"Owned/owner"));
+        assert_eq!(states(SspSpec::rcc()), ["None"]);
     }
 
     #[test]

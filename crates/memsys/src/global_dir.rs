@@ -11,7 +11,7 @@
 use std::any::Any;
 
 use c3_protocol::msg::{HostMsg, SysMsg};
-use c3_protocol::ssp::DirPolicy;
+use c3_protocol::ssp::SspSpec;
 use c3_sim::component::{Component, ComponentId, Ctx};
 use c3_sim::time::Delay;
 use c3_sim::trace::InflightTxn;
@@ -23,7 +23,8 @@ use crate::direngine::{BackendPerms, DirEffect, DirEngine};
 pub struct GlobalMesiDir {
     name: String,
     engine: Option<DirEngine>,
-    policy: DirPolicy,
+    /// The global protocol's SSP, which the engine runs.
+    spec: SspSpec,
     mem_latency: Delay,
     /// The engine's effect buffer, cleared and reused for every message.
     effects: Vec<DirEffect>,
@@ -35,14 +36,14 @@ pub struct GlobalMesiDir {
 }
 
 impl GlobalMesiDir {
-    /// Create the directory; `policy` is the global protocol's directory
-    /// policy (MESI for the paper's baseline), `mem_latency` the DDR access
-    /// time added to directory-sourced data.
-    pub fn new(name: impl Into<String>, policy: DirPolicy, mem_latency: Delay) -> Self {
+    /// Create the directory; `spec` is the global protocol's SSP (MESI for
+    /// the paper's baseline), `mem_latency` the DDR access time added to
+    /// directory-sourced data.
+    pub fn new(name: impl Into<String>, spec: &SspSpec, mem_latency: Delay) -> Self {
         GlobalMesiDir {
             name: name.into(),
             engine: None,
-            policy,
+            spec: spec.clone(),
             mem_latency,
             effects: Vec::new(),
             data_responses: 0,
@@ -58,7 +59,7 @@ impl GlobalMesiDir {
 
     fn engine(&mut self, self_id: ComponentId) -> &mut DirEngine {
         if self.engine.is_none() {
-            self.engine = Some(DirEngine::new(self.policy, self_id));
+            self.engine = Some(DirEngine::new(&self.spec, self_id));
         }
         self.engine.as_mut().expect("just initialized")
     }

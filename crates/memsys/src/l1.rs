@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use c3_protocol::msg::{CoreReq, CoreResp, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::{Addr, FenceKind, Instr};
-use c3_protocol::ssp::{DirPolicy, SspAction, SspEvent, SspNext, SspSpec, SspTransition};
+use c3_protocol::ssp::{SspAction, SspEvent, SspNext, SspSpec, SspTransition};
 use c3_protocol::states::{ProtocolFamily, StableState};
 use c3_protocol::table::{
     Action, ProtocolViolation, TransitionRow, TransitionTable, Vnet, ANY_STATE,
@@ -425,9 +425,6 @@ pub struct L1Controller {
     cfg: L1Config,
     /// The family's stable-state steps, compiled from its SSP.
     steps: L1Steps,
-    /// The family's directory policy (what an evicting owner does on
-    /// `FwdGetS`; whether stores need ownership).
-    dir_policy: DirPolicy,
     name: String,
     array: CacheArray<Line>,
     /// Open misses by line. Bounded by the core's outstanding accesses,
@@ -468,7 +465,6 @@ impl L1Controller {
         L1Controller {
             array: CacheArray::new(cfg.sets, cfg.ways),
             steps: L1Steps::compile(spec),
-            dir_policy: spec.dir,
             cfg,
             name: name.into(),
             mshrs: FxHashMap::default(),
@@ -901,7 +897,7 @@ impl L1Controller {
     /// no ownership (RCC).
     fn prefetch(&mut self, req: CoreReq, addr: Addr, ctx: &mut Ctx<'_, SysMsg>) {
         self.respond(req.tag, 0, ctx);
-        if !self.dir_policy.eager_invalidation || self.mshrs.contains_key(&addr.0) {
+        if !self.cfg.family.enforces_swmr() || self.mshrs.contains_key(&addr.0) {
             return;
         }
         let line = self.array.get_mut(addr).copied();
@@ -1052,7 +1048,9 @@ impl L1Controller {
             L1Event::FwdGetM => &[MI_A, EI_A, OI_A],
             _ => &[SI_A],
         };
-        let writes_back = self.dir_policy.owner_writes_back_on_fwd_gets;
+        // An evicting supplier writes back where a stable M one does.
+        let m_supplies = self.steps.get(StableState::M, L1Event::FwdGetS);
+        let writes_back = m_supplies.is_some_and(|s| s.data_to_dir);
         let Some(mshr) = self.expect_mshr(addr, event.name(), allowed, ctx) else {
             return;
         };
@@ -1383,7 +1381,7 @@ pub fn l1_table_from_spec(spec: &SspSpec) -> TransitionTable {
     if swmr {
         grant_acts.push(Action::send("Unblock", Vnet::Resp, "bridge"));
     }
-    for g in spec.dir.read_grants() {
+    for g in spec.read_grants() {
         rows.push(R::next(
             "IS_D",
             "Data",
@@ -1470,8 +1468,8 @@ pub fn l1_table_from_spec(spec: &SspSpec) -> TransitionTable {
         initial: vec!["I"],
         forbidden: vec![],
         // Core traffic and evictions originate outside the message system;
-        // the directory engine (not table-modelled — it is exhaustively
-        // unit-tested and has no blocking states) produces the rest.
+        // the directory engine (its `direngine` table has no stalls)
+        // produces the rest.
         assumed_available: events,
         rows,
     }
@@ -1495,7 +1493,7 @@ fn swmr_transient_rows(spec: &SspSpec, transients: &[&'static str]) -> Vec<Trans
         .into_iter()
         .filter(|t| transients.contains(t))
         .collect();
-    let owner_stays = spec.dir.owner_after_fwd_gets == StableState::O;
+    let owner_stays = spec.owner_stays_on_fwd_gets();
     let mut rows = Vec::new();
     let mut next = |s, e, to, acts: &[Action], why| {
         let why = format!("l1.rs:handle_host/{why}");

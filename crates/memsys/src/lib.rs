@@ -21,7 +21,7 @@ pub mod l1;
 pub mod seqcore;
 
 pub use cache::CacheArray;
-pub use direngine::{BackendPerms, DirEffect, DirEngine, Holders, RecallKind};
+pub use direngine::{BackendPerms, DirEffect, DirEngine, Holders, HostClass, RecallKind};
 pub use global_dir::GlobalMesiDir;
 pub use l1::{AccessKind, L1Config, L1Controller};
 pub use seqcore::SeqCore;

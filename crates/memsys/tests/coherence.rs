@@ -19,12 +19,10 @@ fn flat_system(
     l1_ways: usize,
 ) -> (Simulator<SysMsg>, Vec<ComponentId>, ComponentId) {
     let mut sim: Simulator<SysMsg> = Simulator::new(0xC3);
-    // Directory policy: for RCC clusters the directory itself follows the
-    // RCC policy; SWMR families use their own spec policy.
-    let policy = SspSpec::for_family(family).dir;
+    // The directory runs the caches' own SSP.
     let dir = sim.add_component(Box::new(GlobalMesiDir::new(
         "dir",
-        policy,
+        &SspSpec::for_family(family),
         Delay::from_ns(10),
     )));
     let mut cores = Vec::new();

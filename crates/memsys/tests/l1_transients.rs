@@ -8,10 +8,13 @@
 //! reach the stable steps the controller compiles from its SSP: an RCC
 //! store heals a poisoned line, an RCC atomic on a dirty line writes it
 //! through first, and one mutated SSP transition changes the compiled
-//! step, the table row and the running controller together.
+//! steps, the table rows and the running L1 and directory together.
 
 use std::any::Any;
 
+use c3_memsys::direngine::{
+    BackendPerms, DirEffect, DirEngine, DirRequest, DirSteps, Holders, HostClass, Role,
+};
 use c3_memsys::l1::{l1_table_from_spec, L1Config, L1Controller, L1Event, L1Steps};
 use c3_protocol::msg::{CoreReq, CoreResp, Grant, HostMsg, SysMsg};
 use c3_protocol::ops::{AccessOrder, Addr, Instr, Reg};
@@ -898,12 +901,13 @@ fn rcc_store_heals_a_poisoned_line() {
 
 #[test]
 fn one_ssp_mutation_changes_step_row_and_run() {
-    use StableState::{E, O, S};
-    // MOESI says `E x FwdGetS -> O`; the mutant says `-> S`.
+    use StableState::{E, M, O, S};
+    // MOESI says `E x FwdGetS -> O` and `M x FwdGetS -> O`; the mutant
+    // says `-> S` for both (the directory needs the two to agree).
     let canonical = SspSpec::moesi();
     let mut mutant = SspSpec::moesi();
     for tr in &mut mutant.transitions {
-        if (tr.from, tr.event) == (E, SspEvent::FwdGetS) {
+        if matches!(tr.from, E | M) && tr.event == SspEvent::FwdGetS {
             tr.to = SspNext::Fixed(S);
         }
     }
@@ -948,5 +952,57 @@ fn one_ssp_mutation_changes_step_row_and_run() {
                 ..
             }
         )));
+
+        // The directory: a GetS to an exclusive line forwards to the owner,
+        // who stays owner (O) or becomes a sharer (S).
+        let class = if to == O {
+            HostClass::Owned
+        } else {
+            HostClass::Shared
+        };
+        let steps = DirSteps::compile(spec);
+        let step = steps.get(HostClass::Exclusive, Role::None, DirRequest::GetS);
+        assert_eq!(step.unwrap().next(), class);
+        let table = steps.table();
+        let rows: Vec<_> = table
+            .rows
+            .iter()
+            .filter(|r| (r.state, r.event) == ("Exclusive", "GetS"))
+            .collect();
+        assert!(!rows.is_empty());
+        for r in rows {
+            let RowOutcome::Next(next) = r.outcome else {
+                panic!("{}", r.label("direngine"));
+            };
+            assert_eq!(next.split('/').next(), Some(format!("{class:?}").as_str()));
+        }
+        let (a, b) = (ComponentId(1), ComponentId(2));
+        let mut dir = DirEngine::new(spec, ComponentId(100));
+        let mut out: Vec<DirEffect> = Vec::new();
+        for msg in [
+            HostMsg::GetS { addr: X },
+            HostMsg::Unblock {
+                addr: X,
+                to_state: E,
+            },
+        ] {
+            dir.handle_host(a, msg, BackendPerms::ALL, &mut out);
+        }
+        dir.handle_host(b, HostMsg::GetS { addr: X }, BackendPerms::ALL, &mut out);
+        let fwd = DirEffect::Send {
+            dst: a,
+            msg: HostMsg::FwdGetS {
+                addr: X,
+                requestor: b,
+                grant: Grant::S,
+            },
+        };
+        assert_eq!(out.last(), Some(&fwd));
+        let holders = if to == O {
+            Holders::Owned(a, dir.peers().set_of([b]))
+        } else {
+            Holders::Shared(dir.peers().set_of([a, b]))
+        };
+        assert_eq!(dir.holders(X), holders);
     }
 }

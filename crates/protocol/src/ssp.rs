@@ -4,9 +4,11 @@
 //! atomic-transaction view of a protocol, with transient states omitted —
 //! for both the host protocol and CXL, and synthesizes the C³ compound FSM.
 //! This module is our equivalent input format: each protocol family is
-//! described as a table of `(stable state, event) → (actions, next state)`
-//! plus a directory-side policy. `c3::generator` consumes two of these and
-//! `c3-verif` checks them.
+//! described as a table of `(stable state, event) → (actions, next state)`.
+//! The spec has no directory-side settings: what the directory grants and
+//! records follows from the rows and the family ([`SspSpec::read_grants`],
+//! [`SspSpec::owner_stays_on_fwd_gets`]). `c3::generator` consumes two of
+//! these and `c3-verif` checks them.
 
 use crate::msg::Grant;
 use crate::states::{ProtocolFamily, StableState};
@@ -33,21 +35,17 @@ pub enum SspEvent {
 }
 
 impl SspEvent {
-    /// Events originating from the local core.
-    pub const CORE: [SspEvent; 5] = [
+    /// Every event.
+    pub const ALL: [SspEvent; 8] = [
         SspEvent::Load,
         SspEvent::Store,
         SspEvent::Evict,
+        SspEvent::FwdGetS,
+        SspEvent::FwdGetM,
+        SspEvent::Inv,
         SspEvent::Acquire,
         SspEvent::Release,
     ];
-    /// Events arriving from the directory / remote domain.
-    pub const REMOTE: [SspEvent; 3] = [SspEvent::FwdGetS, SspEvent::FwdGetM, SspEvent::Inv];
-
-    /// Whether this is a core-initiated event.
-    pub fn is_core(self) -> bool {
-        Self::CORE.contains(&self)
-    }
 
     /// The event's name in SSP text.
     pub fn name(self) -> &'static str {
@@ -109,42 +107,6 @@ pub struct SspTransition {
     pub to: SspNext,
 }
 
-/// Directory-side policy parameters that differ between families.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DirPolicy {
-    /// Grant E (instead of S) to a `GetS` when the line is unshared.
-    pub exclusive_grant_when_unshared: bool,
-    /// State granted to a `GetS` when sharers already exist
-    /// (S normally; F for MESIF — the newest reader becomes the forwarder).
-    pub gets_grant_with_sharers: Grant,
-    /// Owner's state after servicing a `Fwd-GetS`
-    /// (S for MESI/MESIF — with writeback; O for MOESI — data stays dirty).
-    pub owner_after_fwd_gets: StableState,
-    /// Whether the owner also sends data to the directory on `Fwd-GetS`
-    /// (true for MESI/MESIF: the directory's copy must be made current).
-    pub owner_writes_back_on_fwd_gets: bool,
-    /// Whether writes must invalidate sharers eagerly (SWMR). RCC instead
-    /// lets sharers self-invalidate at acquire points.
-    pub eager_invalidation: bool,
-}
-
-impl DirPolicy {
-    /// Every state the directory may grant a `GetS`: S, E when it grants
-    /// unshared lines exclusively, and the with-sharers grant (F for
-    /// MESIF).
-    pub fn read_grants(&self) -> Vec<StableState> {
-        let mut grants = vec![StableState::S];
-        if self.exclusive_grant_when_unshared {
-            grants.push(StableState::E);
-        }
-        let shared = self.gets_grant_with_sharers.state();
-        if !grants.contains(&shared) {
-            grants.push(shared);
-        }
-        grants
-    }
-}
-
 /// A complete stable-state protocol specification.
 #[derive(Clone, Debug)]
 pub struct SspSpec {
@@ -152,8 +114,6 @@ pub struct SspSpec {
     pub family: ProtocolFamily,
     /// Cache-side transitions.
     pub transitions: Vec<SspTransition>,
-    /// Directory-side policy.
-    pub dir: DirPolicy,
 }
 
 /// Errors produced by [`SspSpec::validate`].
@@ -168,6 +128,10 @@ pub enum SspError {
     /// A transition grants write permission without requesting ownership
     /// in an eager-invalidation (SWMR) protocol.
     SilentOwnership(StableState),
+    /// The `E × FwdGetS` and `M × FwdGetS` rows disagree on whether the
+    /// supplier stays owner. The directory cannot tell E from a silently
+    /// upgraded M, so it needs one answer for both.
+    SupplierDisagrees,
 }
 
 impl std::fmt::Display for SspError {
@@ -181,6 +145,10 @@ impl std::fmt::Display for SspError {
             SspError::SilentOwnership(s) => {
                 write!(f, "state {s} gains write permission without GetM")
             }
+            SspError::SupplierDisagrees => write!(
+                f,
+                "E and M disagree on whether a FwdGetS supplier stays owner"
+            ),
         }
     }
 }
@@ -205,8 +173,9 @@ impl SspSpec {
     /// # Errors
     ///
     /// Returns every violation found: ambiguous rows, states outside the
-    /// family, missing Load/Store rows, or silent ownership acquisition in
-    /// SWMR protocols.
+    /// family, missing Load/Store rows, silent ownership acquisition in
+    /// SWMR protocols, or E and M suppliers that disagree on keeping
+    /// ownership across a `FwdGetS`.
     pub fn validate(&self) -> Result<(), Vec<SspError>> {
         let mut errs = Vec::new();
         let states = self.states();
@@ -236,7 +205,7 @@ impl SspSpec {
         }
         // SWMR: entering a writable state from a non-writable one requires
         // IssueGetM (eager invalidation families only).
-        if self.dir.eager_invalidation {
+        if self.family.enforces_swmr() {
             for t in &self.transitions {
                 if t.event == SspEvent::Store && !t.from.can_write() {
                     let gains_write = matches!(t.to, SspNext::Fixed(s) if s.can_write());
@@ -247,11 +216,56 @@ impl SspSpec {
                 }
             }
         }
+        let stays = |from| {
+            self.transition(from, SspEvent::FwdGetS)
+                .map(|t| t.to == SspNext::Fixed(StableState::O))
+        };
+        if let (Some(e), Some(m)) = (stays(StableState::E), stays(StableState::M)) {
+            if e != m {
+                errs.push(SspError::SupplierDisagrees);
+            }
+        }
         if errs.is_empty() {
             Ok(())
         } else {
             Err(errs)
         }
+    }
+
+    /// Whether a `GetS` to an unshared line may be granted E: the spec
+    /// leaves `I × Load`'s next state to the grant and the family has E.
+    pub fn exclusive_read_grant(&self) -> bool {
+        self.family.has_state(StableState::E)
+            && self
+                .transition(StableState::I, SspEvent::Load)
+                .is_some_and(|t| t.to == SspNext::FromGrant)
+    }
+
+    /// The grant a `GetS` gets once the line has sharers: F where the
+    /// family has the Forward state (the newest reader becomes the
+    /// forwarder), else S.
+    pub fn shared_read_grant(&self) -> Grant {
+        if self.family.has_state(StableState::F) {
+            Grant::F
+        } else {
+            Grant::S
+        }
+    }
+
+    /// Whether the owner that supplies a `FwdGetS` stays owner, as MOESI's
+    /// `M × FwdGetS → O` does, instead of dropping to a sharer.
+    pub fn owner_stays_on_fwd_gets(&self) -> bool {
+        self.transition(StableState::M, SspEvent::FwdGetS)
+            .is_some_and(|t| t.to == SspNext::Fixed(StableState::O))
+    }
+
+    /// Every state the directory may grant a `GetS`: S, E where
+    /// [`SspSpec::exclusive_read_grant`] holds, and F for MESIF.
+    pub fn read_grants(&self) -> Vec<StableState> {
+        let mut grants = vec![StableState::S];
+        grants.extend(self.exclusive_read_grant().then_some(StableState::E));
+        grants.extend((self.shared_read_grant() == Grant::F).then_some(StableState::F));
+        grants
     }
 
     /// The MESI host protocol (the paper's default cluster protocol).
@@ -262,13 +276,6 @@ impl SspSpec {
         use StableState::*;
         SspSpec {
             family: ProtocolFamily::Mesi,
-            dir: DirPolicy {
-                exclusive_grant_when_unshared: true,
-                gets_grant_with_sharers: Grant::S,
-                owner_after_fwd_gets: S,
-                owner_writes_back_on_fwd_gets: true,
-                eager_invalidation: true,
-            },
             transitions: vec![
                 t(I, Load, vec![IssueGetS], FromGrant),
                 t(I, Store, vec![IssueGetM], Fixed(M)),
@@ -300,7 +307,6 @@ impl SspSpec {
         use StableState::*;
         let mut spec = SspSpec::mesi();
         spec.family = ProtocolFamily::Mesif;
-        spec.dir.gets_grant_with_sharers = Grant::F;
         spec.transitions.extend([
             t(F, Load, vec![], Fixed(F)),
             t(F, Store, vec![IssueGetM], Fixed(M)),
@@ -321,8 +327,6 @@ impl SspSpec {
         use StableState::*;
         let mut spec = SspSpec::mesi();
         spec.family = ProtocolFamily::Moesi;
-        spec.dir.owner_after_fwd_gets = O;
-        spec.dir.owner_writes_back_on_fwd_gets = false;
         // Every supplier becomes the owner on Fwd-GetS instead of writing
         // back — clean E included: the directory cannot tell E from a
         // silently upgraded M, so it keeps treating the supplier as owner.
@@ -351,13 +355,6 @@ impl SspSpec {
         use StableState::*;
         SspSpec {
             family: ProtocolFamily::Rcc,
-            dir: DirPolicy {
-                exclusive_grant_when_unshared: false,
-                gets_grant_with_sharers: Grant::S,
-                owner_after_fwd_gets: S,
-                owner_writes_back_on_fwd_gets: true,
-                eager_invalidation: false,
-            },
             transitions: vec![
                 t(I, Load, vec![IssueGetS], Fixed(S)),
                 t(I, Store, vec![LocalWrite], Fixed(M)),
@@ -387,13 +384,6 @@ impl SspSpec {
         use StableState::*;
         SspSpec {
             family: ProtocolFamily::CxlMem,
-            dir: DirPolicy {
-                exclusive_grant_when_unshared: true,
-                gets_grant_with_sharers: Grant::S,
-                owner_after_fwd_gets: S,
-                owner_writes_back_on_fwd_gets: true,
-                eager_invalidation: true,
-            },
             transitions: vec![
                 t(I, Load, vec![IssueGetS], FromGrant), // MemRd,S
                 t(I, Store, vec![IssueGetM], Fixed(M)), // MemRd,A
@@ -513,16 +503,54 @@ mod tests {
     }
 
     #[test]
-    fn read_grants_follow_the_dir_policy() {
-        assert_eq!(SspSpec::mesi().dir.read_grants(), vec![S, E]);
-        assert_eq!(SspSpec::mesif().dir.read_grants(), vec![S, E, F]);
-        assert_eq!(SspSpec::rcc().dir.read_grants(), vec![S]);
+    fn read_grants_follow_the_rows_and_family() {
+        assert_eq!(SspSpec::mesi().read_grants(), vec![S, E]);
+        assert_eq!(SspSpec::mesif().read_grants(), vec![S, E, F]);
+        assert_eq!(SspSpec::moesi().read_grants(), vec![S, E]);
+        assert_eq!(SspSpec::rcc().read_grants(), vec![S]);
+        assert_eq!(SspSpec::cxl_mem().read_grants(), vec![S, E]);
+    }
+
+    #[test]
+    fn only_moesi_suppliers_stay_owner() {
+        for fam in [
+            ProtocolFamily::Mesi,
+            ProtocolFamily::Mesif,
+            ProtocolFamily::Moesi,
+            ProtocolFamily::Rcc,
+            ProtocolFamily::CxlMem,
+        ] {
+            let stays = SspSpec::for_family(fam).owner_stays_on_fwd_gets();
+            assert_eq!(stays, fam == ProtocolFamily::Moesi, "{fam}");
+        }
+    }
+
+    #[test]
+    fn validation_detects_e_and_m_suppliers_disagreeing() {
+        // MOESI with only `E x FwdGetS` flipped to S: the directory could
+        // not know whether a forwarded E/M line keeps an owner.
+        let mut spec = SspSpec::moesi();
+        for tr in &mut spec.transitions {
+            if (tr.from, tr.event) == (E, SspEvent::FwdGetS) {
+                tr.to = SspNext::Fixed(S);
+            }
+        }
+        let errs = spec.validate().unwrap_err();
+        assert_eq!(errs, vec![SspError::SupplierDisagrees]);
+        // Flipping M as well makes the two agree again.
+        for tr in &mut spec.transitions {
+            if (tr.from, tr.event) == (M, SspEvent::FwdGetS) {
+                tr.to = SspNext::Fixed(S);
+            }
+        }
+        assert_eq!(spec.validate(), Ok(()));
+        assert!(!spec.owner_stays_on_fwd_gets());
     }
 
     #[test]
     fn mesif_grants_f_to_new_readers() {
         let spec = SspSpec::mesif();
-        assert_eq!(spec.dir.gets_grant_with_sharers, Grant::F);
+        assert_eq!(spec.shared_read_grant(), Grant::F);
         let tr = spec.transition(F, SspEvent::FwdGetS).unwrap();
         assert_eq!(tr.to, SspNext::Fixed(S));
     }
@@ -533,7 +561,7 @@ mod tests {
         let tr = spec.transition(S, SspEvent::Store).unwrap();
         assert!(tr.actions.contains(&SspAction::LocalWrite));
         assert!(!tr.actions.contains(&SspAction::IssueGetM));
-        assert!(!spec.dir.eager_invalidation);
+        assert!(!spec.family.enforces_swmr());
     }
 
     #[test]

@@ -10,11 +10,6 @@
 //!
 //! ```text
 //! protocol MOESI
-//! policy exclusive_grant_when_unshared = true
-//! policy gets_grant_with_sharers      = S
-//! policy owner_after_fwd_gets         = O
-//! policy owner_writes_back_on_fwd_gets = false
-//! policy eager_invalidation           = true
 //!
 //! # from  event    actions            -> next
 //! I  Load     GetS               -> grant
@@ -24,12 +19,14 @@
 //! ```
 //!
 //! Comments start with `#`; blank lines are ignored. `grant` as the next
-//! state means "determined by the directory's grant".
+//! state means "determined by the directory's grant". The format has no
+//! directory settings: what the directory grants and records follows from
+//! the rows and the family (`M FwdGetS DataToReq -> O` above is what makes
+//! a MOESI directory keep its suppliers as owners).
 
 use std::fmt::Write as _;
 
-use crate::msg::Grant;
-use crate::ssp::{DirPolicy, SspAction, SspEvent, SspNext, SspSpec, SspTransition};
+use crate::ssp::{SspAction, SspError, SspEvent, SspNext, SspSpec, SspTransition};
 use crate::states::{ProtocolFamily, StableState};
 
 /// Parse error with line information.
@@ -56,139 +53,57 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Each action with its name in the text.
+const ACTIONS: [(SspAction, &str); 9] = [
+    (SspAction::IssueGetS, "GetS"),
+    (SspAction::IssueGetM, "GetM"),
+    (SspAction::IssuePutClean, "PutClean"),
+    (SspAction::WritebackDirty, "WbDirty"),
+    (SspAction::WritebackRetain, "WbRetain"),
+    (SspAction::SendDataToReq, "DataToReq"),
+    (SspAction::SendDataToDir, "DataToDir"),
+    (SspAction::SendInvAck, "InvAck"),
+    (SspAction::LocalWrite, "LocalWrite"),
+];
+
+/// The item of `named` called `tok`, or an error calling it an unknown
+/// `what`.
+fn parse<T>(
+    named: impl IntoIterator<Item = (T, &'static str)>,
+    what: &str,
+    tok: &str,
+    line: usize,
+) -> Result<T, ParseError> {
+    let found = named.into_iter().find(|(_, name)| *name == tok);
+    found
+        .map(|(item, _)| item)
+        .ok_or_else(|| err(line, format!("unknown {what} '{tok}'")))
+}
+
 fn parse_state(tok: &str, line: usize) -> Result<StableState, ParseError> {
-    Ok(match tok {
-        "I" => StableState::I,
-        "S" => StableState::S,
-        "E" => StableState::E,
-        "O" => StableState::O,
-        "F" => StableState::F,
-        "M" => StableState::M,
-        other => return Err(err(line, format!("unknown state '{other}'"))),
-    })
-}
-
-fn parse_event(tok: &str, line: usize) -> Result<SspEvent, ParseError> {
-    Ok(match tok {
-        "Load" => SspEvent::Load,
-        "Store" => SspEvent::Store,
-        "Evict" => SspEvent::Evict,
-        "FwdGetS" => SspEvent::FwdGetS,
-        "FwdGetM" => SspEvent::FwdGetM,
-        "Inv" => SspEvent::Inv,
-        "Acquire" => SspEvent::Acquire,
-        "Release" => SspEvent::Release,
-        other => return Err(err(line, format!("unknown event '{other}'"))),
-    })
-}
-
-fn action_name(a: SspAction) -> &'static str {
-    match a {
-        SspAction::IssueGetS => "GetS",
-        SspAction::IssueGetM => "GetM",
-        SspAction::IssuePutClean => "PutClean",
-        SspAction::WritebackDirty => "WbDirty",
-        SspAction::WritebackRetain => "WbRetain",
-        SspAction::SendDataToReq => "DataToReq",
-        SspAction::SendDataToDir => "DataToDir",
-        SspAction::SendInvAck => "InvAck",
-        SspAction::LocalWrite => "LocalWrite",
-    }
-}
-
-fn parse_action(tok: &str, line: usize) -> Result<SspAction, ParseError> {
-    Ok(match tok {
-        "GetS" => SspAction::IssueGetS,
-        "GetM" => SspAction::IssueGetM,
-        "PutClean" => SspAction::IssuePutClean,
-        "WbDirty" => SspAction::WritebackDirty,
-        "WbRetain" => SspAction::WritebackRetain,
-        "DataToReq" => SspAction::SendDataToReq,
-        "DataToDir" => SspAction::SendDataToDir,
-        "InvAck" => SspAction::SendInvAck,
-        "LocalWrite" => SspAction::LocalWrite,
-        other => return Err(err(line, format!("unknown action '{other}'"))),
-    })
-}
-
-fn grant_name(g: Grant) -> &'static str {
-    match g {
-        Grant::S => "S",
-        Grant::E => "E",
-        Grant::M => "M",
-        Grant::F => "F",
-    }
-}
-
-fn parse_grant(tok: &str, line: usize) -> Result<Grant, ParseError> {
-    Ok(match tok {
-        "S" => Grant::S,
-        "E" => Grant::E,
-        "M" => Grant::M,
-        "F" => Grant::F,
-        other => return Err(err(line, format!("unknown grant '{other}'"))),
-    })
+    parse(StableState::ALL.map(|s| (s, s.name())), "state", tok, line)
 }
 
 /// Serialize a spec to the textual format.
 pub fn to_text(spec: &SspSpec) -> String {
-    let mut out = String::new();
-    writeln!(out, "protocol {}", spec.family.label()).unwrap();
-    writeln!(
-        out,
-        "policy exclusive_grant_when_unshared = {}",
-        spec.dir.exclusive_grant_when_unshared
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "policy gets_grant_with_sharers = {}",
-        grant_name(spec.dir.gets_grant_with_sharers)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "policy owner_after_fwd_gets = {}",
-        spec.dir.owner_after_fwd_gets.name()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "policy owner_writes_back_on_fwd_gets = {}",
-        spec.dir.owner_writes_back_on_fwd_gets
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "policy eager_invalidation = {}",
-        spec.dir.eager_invalidation
-    )
-    .unwrap();
-    writeln!(out).unwrap();
-    writeln!(out, "# from  event  actions  -> next").unwrap();
+    let mut out = format!(
+        "protocol {}\n\n# from  event  actions  -> next\n",
+        spec.family
+    );
+    let name = |a: &SspAction| {
+        ACTIONS
+            .iter()
+            .find(|(x, _)| x == a)
+            .map_or("?", |(_, n)| *n)
+    };
     for t in &spec.transitions {
-        let actions = if t.actions.is_empty() {
-            "-".to_string()
-        } else {
-            t.actions
-                .iter()
-                .map(|a| action_name(*a))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let actions = t.actions.iter().map(name).collect::<Vec<_>>().join(",");
+        let actions = if actions.is_empty() { "-" } else { &actions };
         let next = match t.to {
-            SspNext::Fixed(s) => s.name().to_string(),
-            SspNext::FromGrant => "grant".to_string(),
+            SspNext::Fixed(s) => s.name(),
+            SspNext::FromGrant => "grant",
         };
-        writeln!(
-            out,
-            "{} {} {} -> {}",
-            t.from.name(),
-            t.event.name(),
-            actions,
-            next
-        )
-        .unwrap();
+        writeln!(out, "{} {} {actions} -> {next}", t.from, t.event.name()).unwrap();
     }
     out
 }
@@ -197,18 +112,15 @@ pub fn to_text(spec: &SspSpec) -> String {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] pointing at the offending line. The parsed
-/// spec is additionally validated with [`SspSpec::validate`].
+/// Returns a [`ParseError`] pointing at the offending line (1-based). The
+/// parsed spec is additionally validated with [`SspSpec::validate`]; a
+/// failure points at the first transition it names, or at the `protocol`
+/// header when it names none (a missing row). A text without a header
+/// fails at line 1.
 pub fn from_text(text: &str) -> Result<SspSpec, ParseError> {
-    let mut family: Option<ProtocolFamily> = None;
-    let mut dir = DirPolicy {
-        exclusive_grant_when_unshared: true,
-        gets_grant_with_sharers: Grant::S,
-        owner_after_fwd_gets: StableState::S,
-        owner_writes_back_on_fwd_gets: true,
-        eager_invalidation: true,
-    };
+    let mut family: Option<(ProtocolFamily, usize)> = None;
     let mut transitions: Vec<SspTransition> = Vec::new();
+    let mut lines: Vec<usize> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -222,37 +134,22 @@ pub fn from_text(text: &str) -> Result<SspSpec, ParseError> {
                 let name = toks
                     .get(1)
                     .ok_or_else(|| err(lineno, "missing protocol name"))?;
-                family = Some(match name.to_uppercase().as_str() {
+                let fam = match name.to_uppercase().as_str() {
                     "MESI" => ProtocolFamily::Mesi,
                     "MESIF" => ProtocolFamily::Mesif,
                     "MOESI" => ProtocolFamily::Moesi,
                     "RCC" => ProtocolFamily::Rcc,
                     "CXL" | "CXLMEM" | "CXL.MEM" => ProtocolFamily::CxlMem,
                     other => return Err(err(lineno, format!("unknown protocol '{other}'"))),
-                });
+                };
+                family = Some((fam, lineno));
             }
             "policy" => {
-                // policy <name> = <value>
-                if toks.len() < 4 || toks[2] != "=" {
-                    return Err(err(lineno, "expected 'policy <name> = <value>'"));
-                }
-                let value = toks[3];
-                match toks[1] {
-                    "exclusive_grant_when_unshared" => {
-                        dir.exclusive_grant_when_unshared = parse_bool(value, lineno)?
-                    }
-                    "gets_grant_with_sharers" => {
-                        dir.gets_grant_with_sharers = parse_grant(value, lineno)?
-                    }
-                    "owner_after_fwd_gets" => {
-                        dir.owner_after_fwd_gets = parse_state(value, lineno)?
-                    }
-                    "owner_writes_back_on_fwd_gets" => {
-                        dir.owner_writes_back_on_fwd_gets = parse_bool(value, lineno)?
-                    }
-                    "eager_invalidation" => dir.eager_invalidation = parse_bool(value, lineno)?,
-                    other => return Err(err(lineno, format!("unknown policy '{other}'"))),
-                }
+                return Err(err(
+                    lineno,
+                    "'policy' lines are not accepted: the directory's behaviour \
+                     follows from the transition rows",
+                ));
             }
             _ => {
                 // transition: <from> <event> <actions> -> <next>
@@ -263,13 +160,14 @@ pub fn from_text(text: &str) -> Result<SspSpec, ParseError> {
                     ));
                 }
                 let from = parse_state(toks[0], lineno)?;
-                let event = parse_event(toks[1], lineno)?;
+                let events = SspEvent::ALL.map(|e| (e, e.name()));
+                let event = parse(events, "event", toks[1], lineno)?;
                 let actions = if toks[2] == "-" {
                     Vec::new()
                 } else {
                     toks[2]
                         .split(',')
-                        .map(|a| parse_action(a, lineno))
+                        .map(|a| parse(ACTIONS, "action", a, lineno))
                         .collect::<Result<Vec<_>, _>>()?
                 };
                 let to = if toks[4] == "grant" {
@@ -283,27 +181,49 @@ pub fn from_text(text: &str) -> Result<SspSpec, ParseError> {
                     actions,
                     to,
                 });
+                lines.push(lineno);
             }
         }
     }
 
-    let family = family.ok_or_else(|| err(0, "missing 'protocol' header"))?;
+    let (family, header) = family.ok_or_else(|| err(1, "missing 'protocol' header"))?;
     let spec = SspSpec {
         family,
         transitions,
-        dir,
     };
     if let Err(errors) = spec.validate() {
-        return Err(err(0, format!("spec fails validation: {errors:?}")));
+        let line = errors
+            .iter()
+            .map(|e| offending_row(&spec, e).map_or(header, |i| lines[i]))
+            .min()
+            .unwrap_or(header);
+        return Err(err(line, format!("spec fails validation: {errors:?}")));
     }
     Ok(spec)
 }
 
-fn parse_bool(tok: &str, line: usize) -> Result<bool, ParseError> {
-    match tok {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(err(line, format!("expected true/false, got '{other}'"))),
+/// The index of the transition a validation error names, if any: the
+/// second of two ambiguous rows, the first row naming a foreign state,
+/// the silent store, or the later of two disagreeing suppliers. A missing
+/// row names none.
+fn offending_row(spec: &SspSpec, e: &SspError) -> Option<usize> {
+    let rows = &spec.transitions;
+    let at = |from: StableState, event: SspEvent| {
+        rows.iter()
+            .enumerate()
+            .filter(move |(_, t)| t.from == from && t.event == event)
+            .map(|(i, _)| i)
+    };
+    match *e {
+        SspError::Ambiguous(from, event) => at(from, event).nth(1),
+        SspError::ForeignState(s) => rows
+            .iter()
+            .position(|t| t.from == s || t.to == SspNext::Fixed(s)),
+        SspError::IncompleteCore(..) => None,
+        SspError::SilentOwnership(from) => at(from, SspEvent::Store).next(),
+        SspError::SupplierDisagrees => at(StableState::E, SspEvent::FwdGetS)
+            .chain(at(StableState::M, SspEvent::FwdGetS))
+            .max(),
     }
 }
 
@@ -311,21 +231,24 @@ fn parse_bool(tok: &str, line: usize) -> Result<bool, ParseError> {
 mod tests {
     use super::*;
 
+    use c3_sim::rng::SimRng;
+
+    const FAMILIES: [ProtocolFamily; 5] = [
+        ProtocolFamily::Mesi,
+        ProtocolFamily::Mesif,
+        ProtocolFamily::Moesi,
+        ProtocolFamily::Rcc,
+        ProtocolFamily::CxlMem,
+    ];
+
     fn spec_equal(a: &SspSpec, b: &SspSpec) {
         assert_eq!(a.family, b.family);
-        assert_eq!(a.dir, b.dir);
         assert_eq!(a.transitions, b.transitions);
     }
 
     #[test]
     fn roundtrip_all_builtin_specs() {
-        for fam in [
-            ProtocolFamily::Mesi,
-            ProtocolFamily::Mesif,
-            ProtocolFamily::Moesi,
-            ProtocolFamily::Rcc,
-            ProtocolFamily::CxlMem,
-        ] {
+        for fam in FAMILIES {
             let spec = SspSpec::for_family(fam);
             let text = to_text(&spec);
             let parsed = from_text(&text).unwrap_or_else(|e| panic!("{fam}: {e}"));
@@ -361,6 +284,120 @@ protocol MESI
         assert!(e.message.contains("expected"));
         let e = from_text("protocol MESI\npolicy eager_invalidation true\n").unwrap_err();
         assert!(e.message.contains("policy"));
+    }
+
+    #[test]
+    fn policy_lines_are_rejected_at_their_line() {
+        let text =
+            to_text(&SspSpec::moesi()).replacen("\n", "\npolicy owner_after_fwd_gets = O\n", 1);
+        let e = from_text(&text).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("policy"), "{e}");
+    }
+
+    #[test]
+    fn every_error_names_a_line() {
+        // No header: line 1.
+        let e = from_text("I Load GetS -> grant\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert_eq!(from_text("").unwrap_err().line, 1);
+        // A missing row names no transition: the header's line.
+        let e = from_text("# MESI, almost\n\nprotocol MESI\nI Load GetS -> grant\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // A duplicate row: the second occurrence.
+        let text = to_text(&SspSpec::mesi());
+        let dup = text.lines().find(|l| l.starts_with("S Load")).unwrap();
+        let text = format!("{text}{dup}\n");
+        let e = from_text(&text).unwrap_err();
+        assert_eq!(e.line, text.lines().count(), "{e}");
+        // E and M suppliers that disagree: the later of the two rows.
+        let text = to_text(&SspSpec::moesi())
+            .replace("E FwdGetS DataToReq -> O", "E FwdGetS DataToReq -> S");
+        let e = from_text(&text).unwrap_err();
+        let m = 1 + text
+            .lines()
+            .position(|l| l.starts_with("M FwdGetS"))
+            .unwrap();
+        let e_row = 1 + text
+            .lines()
+            .position(|l| l.starts_with("E FwdGetS"))
+            .unwrap();
+        assert_eq!(e.line, m.max(e_row), "{e}");
+        assert!(e.message.contains("SupplierDisagrees"), "{e}");
+    }
+
+    /// The rows alone decide what the directory grants and records, so a
+    /// parsed spec has its family's directory behaviour.
+    #[test]
+    fn rows_alone_decide_the_directory_facts() {
+        for fam in FAMILIES {
+            let builtin = SspSpec::for_family(fam);
+            let parsed = from_text(&to_text(&builtin)).unwrap();
+            assert_eq!(parsed.read_grants(), builtin.read_grants(), "{fam}");
+            assert_eq!(
+                parsed.owner_stays_on_fwd_gets(),
+                builtin.owner_stays_on_fwd_gets(),
+                "{fam}"
+            );
+        }
+        // MOESI: the directory keeps suppliers as owners.
+        let moesi = from_text(&to_text(&SspSpec::moesi())).unwrap();
+        assert!(moesi.owner_stays_on_fwd_gets());
+        // RCC: local stores validate; RCC does not invalidate eagerly.
+        let rcc = from_text(&to_text(&SspSpec::rcc())).unwrap();
+        assert_eq!(rcc.validate(), Ok(()));
+        assert!(!rcc.family.enforces_swmr());
+    }
+
+    /// Seeded mutations of every family's text — dropped, duplicated and
+    /// swapped tokens, truncated lines, unknown words — never panic the
+    /// parser, and every rejection names a real line.
+    #[test]
+    fn mutated_texts_fail_with_a_line() {
+        const WORDS: [&str; 8] = ["policy", "Wibble", "->", "-", "grant", "protocol", "#", "="];
+        let mut rng = SimRng::seed_from(0x55_70_7e_47);
+        let mut rejected = 0;
+        for round in 0..2_000 {
+            let fam = FAMILIES[round % FAMILIES.len()];
+            let mut lines: Vec<Vec<String>> = to_text(&SspSpec::for_family(fam))
+                .lines()
+                .map(|l| l.split_whitespace().map(str::to_string).collect())
+                .collect();
+            for _ in 0..1 + rng.below(3) {
+                let li = rng.below(lines.len() as u64) as usize;
+                let toks = &mut lines[li];
+                let ti = rng.below(toks.len().max(1) as u64) as usize;
+                match rng.below(6) {
+                    0 if !toks.is_empty() => {
+                        toks.remove(ti);
+                    }
+                    1 if !toks.is_empty() => {
+                        let t = toks[ti].clone();
+                        toks.insert(ti, t);
+                    }
+                    2 if toks.len() > 1 => {
+                        let tj = rng.below(toks.len() as u64) as usize;
+                        toks.swap(ti, tj);
+                    }
+                    3 => toks.truncate(ti),
+                    4 => {
+                        let w = WORDS[rng.below(WORDS.len() as u64) as usize];
+                        toks.insert(ti.min(toks.len()), w.to_string());
+                    }
+                    _ => {
+                        lines.remove(li);
+                    }
+                }
+            }
+            let text: Vec<String> = lines.iter().map(|t| t.join(" ")).collect();
+            let text = text.join("\n");
+            let n = text.lines().count().max(1);
+            if let Err(e) = from_text(&text) {
+                rejected += 1;
+                assert!((1..=n).contains(&e.line), "{e} for\n{text}");
+            }
+        }
+        assert!(rejected > 1_000, "only {rejected} mutants rejected");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! level of the paper's verification: the product construction must be
 //! closed, complete and free of forbidden states).
 
-use c3::generator::{CompoundFsm, HostClass, Incoming};
+use c3::generator::{CompoundFsm, Incoming};
 use c3_protocol::states::StableState;
 
 /// A defect found in a generated compound FSM.
@@ -80,14 +80,13 @@ pub fn check_fsm(fsm: &CompoundFsm) -> Vec<FsmDefect> {
         }
     }
 
-    let _ = HostClass::None; // re-exported for callers
     defects
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c3::generator::{baseline_fsm, bridge_fsm, CompoundState};
+    use c3::generator::{baseline_fsm, bridge_fsm, CompoundState, HostClass};
     use c3_protocol::states::ProtocolFamily;
 
     #[test]
