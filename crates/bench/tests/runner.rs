@@ -311,3 +311,58 @@ fn oltp_seed_sweep_completes() {
         failed.join("\n")
     );
 }
+
+/// The timing cores' issue work on perfbench's measured `stream` and
+/// `oltp` cases at seed 1, summed over every core: issue passes run,
+/// completions parked at an incomplete `Work` (no pass), and window
+/// entries the passes visited. The counts are exact for a seed, so unlike
+/// a wall-clock floor they cannot flake: a change that makes the core do
+/// more work per event trips this test on any host. Re-pin deliberately
+/// when the issue logic changes on purpose, with the reason in
+/// CHANGES.md. Release-only like the sweep, since the two full-size runs
+/// are slow unoptimized.
+#[cfg(not(debug_assertions))]
+#[test]
+fn core_issue_cost_is_pinned() {
+    use c3_bench::run_workload_with;
+    use c3_mcm::core_model::{IssueCost, TimingCore};
+    use ProtocolFamily::{Mesi, Moesi};
+    let stream = (
+        "vips",
+        RunConfig::scaled((Mesi, Moesi), GlobalProtocol::Cxl, (Mcm::Tso, Mcm::Weak)),
+        12_000,
+        IssueCost {
+            passes: 130_851,
+            parked: 61_157,
+            visited: 1_833_586,
+        },
+    );
+    let oltp = (
+        "oltp-zipf",
+        RunConfig::scaled((Mesi, Mesi), GlobalProtocol::Cxl, (Mcm::Weak, Mcm::Weak))
+            .with_clusters(4),
+        6_000,
+        IssueCost {
+            passes: 110_877,
+            parked: 1,
+            visited: 5_255_203,
+        },
+    );
+    for (name, cfg, ops, pinned) in [stream, oltp] {
+        let spec = WorkloadSpec::by_name(name).expect("workload");
+        let mut cfg = cfg.with_state_metrics();
+        (cfg.seed, cfg.ops_per_core) = (1, ops);
+        let (_, cost) = run_workload_with(&spec, &cfg, |sim, handles| {
+            let mut cost = IssueCost::default();
+            for &c in handles.cores.iter().flatten() {
+                cost.merge(
+                    sim.component_as::<TimingCore>(c)
+                        .expect("core")
+                        .issue_cost(),
+                );
+            }
+            cost
+        });
+        assert_eq!(cost, pinned, "{name} issue cost changed");
+    }
+}

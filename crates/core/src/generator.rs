@@ -27,6 +27,7 @@ use c3_protocol::ssp::{SspAction, SspEvent, SspSpec};
 use c3_protocol::states::{ProtocolFamily, StableState};
 
 pub use c3_memsys::direngine::HostClass;
+use c3_memsys::direngine::{DirRequest, DirSteps, Role};
 
 /// A stable compound state `(host, cxl)` — §IV-B "state compounding".
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -217,9 +218,10 @@ impl Generator {
             }
         }
         // 3. Translation rows.
+        let steps = DirSteps::compile(&self.host);
         for &s in &fsm.states.clone() {
             fsm.push_snoop_rows(s);
-            fsm.push_host_rows(s);
+            fsm.push_host_rows(s, &steps);
             fsm.push_evict_row(s);
         }
         fsm
@@ -399,7 +401,7 @@ impl CompoundFsm {
         }
     }
 
-    fn push_host_rows(&mut self, s: CompoundState) {
+    fn push_host_rows(&mut self, s: CompoundState, steps: &DirSteps) {
         for (incoming, write) in [(Incoming::HostRead, false), (Incoming::HostWrite, true)] {
             let x = self.delegation(write, s.cxl);
             let (action, transient, next_cxl) = match x {
@@ -415,17 +417,20 @@ impl CompoundFsm {
                 ),
                 None => ("serve locally".to_string(), "-".to_string(), s.cxl),
             };
-            let next_host = if write {
-                HostClass::Exclusive
-            } else if s.host == HostClass::None {
-                if self.host.exclusive_read_grant() && next_cxl.can_write() {
-                    HostClass::Exclusive
-                } else {
-                    HostClass::Shared
-                }
+            // The host half is the directory's own step for a request
+            // from a non-holder, under the CXL permission the row ends
+            // with. Where the directory has no such step (a
+            // self-invalidating host sends no GetM) it tracks no holders.
+            let req = if write {
+                DirRequest::GetM
             } else {
-                s.host
+                DirRequest::GetS
             };
+            let next_host = steps
+                .get(s.host, Role::None, req)
+                .map_or(HostClass::None, |step| {
+                    step.under(next_cxl.can_write()).next()
+                });
             self.rows.push(TranslationRow {
                 incoming,
                 state: s,
@@ -433,11 +438,7 @@ impl CompoundFsm {
                 action,
                 transient,
                 next: CompoundState {
-                    host: if self.host_family.enforces_swmr() {
-                        next_host
-                    } else {
-                        HostClass::None
-                    },
+                    host: next_host,
                     cxl: next_cxl,
                 },
             });
@@ -697,6 +698,43 @@ mod tests {
         assert!(table.contains("BISnpInv"));
         assert!(table.contains("(M, M)"));
         assert!(table.contains("Fwd-GetM to Host $"));
+    }
+
+    /// The host half of every `GetS`/`GetM` row is where the directory the
+    /// bridge runs moves the holders on that request from a non-holder,
+    /// under the CXL permission the row ends with. A local read of an
+    /// exclusively held line demotes the owner to S, or keeps it owner as
+    /// O where the family does (MOESI).
+    #[test]
+    fn host_request_rows_agree_with_the_directory_steps() {
+        use ProtocolFamily::{Mesi, Mesif, Moesi, Rcc};
+        for fam in [Mesi, Mesif, Moesi, Rcc] {
+            for fsm in [bridge_fsm(fam), baseline_fsm(fam, Mesi)] {
+                let steps = DirSteps::compile(&SspSpec::for_family(fam));
+                for r in &fsm.rows {
+                    let req = match r.incoming {
+                        Incoming::HostRead => DirRequest::GetS,
+                        Incoming::HostWrite => DirRequest::GetM,
+                        _ => continue,
+                    };
+                    let dir = steps
+                        .get(r.state.host, Role::None, req)
+                        .map_or(HostClass::None, |st| {
+                            st.under(r.next.cxl.can_write()).next()
+                        });
+                    assert_eq!(r.next.host, dir, "{fam}: {} in {}", r.incoming, r.state);
+                }
+            }
+            let read = bridge_fsm(fam)
+                .row(Incoming::HostRead, HostClass::Exclusive, StableState::M)
+                .map(|r| r.next.host);
+            let demoted = match fam {
+                Moesi => Some(HostClass::Owned),
+                Rcc => None, // no exclusive holders to read from
+                _ => Some(HostClass::Shared),
+            };
+            assert_eq!(read, demoted, "{fam}");
+        }
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //!
 //! Once the frontier blocks every access, the pass steps over the rest of
 //! the accesses and decides only the work and fences the frontier never
-//! orders. Debug builds check after every pass that a full sweep of the
-//! window, run dry, finds nothing left to issue.
+//! orders. A pass that stops at an issued `Work` with nothing before it
+//! left waiting (a stepped-over access counts as waiting) parks the core:
+//! completing an instruction before that `Work` cannot issue anything, so
+//! it only moves the retirement pointer. Debug builds check after every
+//! pass and every parked completion that a full sweep of the window, run
+//! dry, finds nothing left to issue.
 
 use std::any::Any;
 
@@ -136,6 +140,28 @@ impl IssueGate {
     }
 }
 
+/// Exact work counts of a core's issue logic. They depend only on the
+/// seed, so a test can pin them where a wall-clock floor would flake.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IssueCost {
+    /// Issue passes run.
+    pub passes: u64,
+    /// Completions that ran no pass, the core being parked at an
+    /// incomplete `Work` with nothing waiting before it.
+    pub parked: u64,
+    /// Window entries the passes visited.
+    pub visited: u64,
+}
+
+impl IssueCost {
+    /// Accumulate another core's counts.
+    pub fn merge(&mut self, other: IssueCost) {
+        self.passes += other.passes;
+        self.parked += other.parked;
+        self.visited += other.visited;
+    }
+}
+
 /// The timing core component.
 #[derive(Debug)]
 pub struct TimingCore {
@@ -157,9 +183,14 @@ pub struct TimingCore {
     rng: SimRng,
     /// Reused across issue passes so a pass allocates nothing.
     gate: IssueGate,
+    /// Where the last pass stopped at an issued, incomplete `Work` with
+    /// nothing before it left waiting, if it did: until that `Work`
+    /// completes, completions before it run no pass.
+    parked: Option<usize>,
     finished_at: Option<Time>,
     retired: u64,
     squashes: u64,
+    cost: IssueCost,
 }
 
 impl TimingCore {
@@ -189,15 +220,22 @@ impl TimingCore {
                 order: OrderFrontier::with_capacity(ROB_LOOKAHEAD),
                 barrier: false,
             },
+            parked: None,
             finished_at: None,
             retired: 0,
             squashes: 0,
+            cost: IssueCost::default(),
         }
     }
 
     /// Register value (litmus observation).
     pub fn reg(&self, reg: Reg) -> u64 {
         self.regs[reg.0 as usize]
+    }
+
+    /// The issue logic's work so far.
+    pub fn issue_cost(&self) -> IssueCost {
+        self.cost
     }
 
     /// Completion time, if the program has finished.
@@ -255,17 +293,25 @@ impl TimingCore {
         let mut gate = std::mem::take(&mut self.gate);
         gate.clear();
         self.retire();
+        self.cost.passes += 1;
+        self.parked = None;
+        // Whether an instruction the pass left behind may still issue.
+        let mut left_waiting = false;
         // Each instruction is folded into the gate after its own decision,
         // so later ones see the states that decision left.
         let mut j = self.oldest;
         while j < (self.oldest + ROB_LOOKAHEAD).min(n) {
+            self.cost.visited += 1;
             let instr = self.program.instrs[j];
             let waiting = self.state[j] == OpState::Waiting;
             if waiting && self.inflight >= self.cfg.window {
                 break;
             }
             if gate.order.blocks_every_access() && classify(&instr).is_some() {
-                j += 1; // stepped over: blocked, and folding it decides nothing
+                // Stepped over: blocked, and folding it decides nothing. It
+                // may issue once its blocker completes.
+                left_waiting = true;
+                j += 1;
                 continue;
             }
             if waiting && gate.admits(self.cfg.mcm, &instr) && !self.hazard(&instr) {
@@ -281,8 +327,13 @@ impl TimingCore {
             }
             gate.push(&instr, done, self.cfg.family);
             if gate.barrier {
+                let working = matches!(instr, Instr::Work(_)) && self.state[j] == OpState::Issued;
+                if working && !left_waiting {
+                    self.parked = Some(j);
+                }
                 break;
             }
+            left_waiting |= self.state[j] == OpState::Waiting;
             j += 1;
         }
         debug_assert_eq!(self.dry_sweep(&mut gate), None, "the pass stopped early");
@@ -458,6 +509,16 @@ impl TimingCore {
                 self.regs[reg.0 as usize] = value;
             }
             _ => {}
+        }
+        if self.parked.is_some_and(|b| j < b) {
+            // Nothing before the parked `Work` waits and nothing after it
+            // may pass it, so a pass would issue nothing.
+            self.retire();
+            self.cost.parked += 1;
+            let mut gate = std::mem::take(&mut self.gate);
+            debug_assert_eq!(self.dry_sweep(&mut gate), None, "a parked core could issue");
+            self.gate = gate;
+            return;
         }
         self.try_issue(ctx);
     }
@@ -711,6 +772,41 @@ mod tests {
             assert_eq!(sim.run(), RunOutcome::Deadlock);
             assert_eq!(states(&sim), [Issued, Waiting, Done, Done, Waiting]);
         }
+    }
+
+    #[test]
+    fn completions_before_an_issued_work_run_no_pass() {
+        let cost = |sim: &Simulator<SysMsg>| {
+            let c = sim.component_as::<TimingCore>(ComponentId(1)).unwrap();
+            c.issue_cost()
+        };
+        // The first pass issues both loads and the work, and stops at the
+        // work with nothing waiting: the loads' completions run no pass.
+        let p = ThreadProgram::new()
+            .load(Addr(1), Reg(0))
+            .load(Addr(2), Reg(1))
+            .work(1_000)
+            .load(Addr(3), Reg(2));
+        let mut sim = system(Mcm::Weak, p, |_| Some(1));
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let parked = IssueCost {
+            passes: 3,
+            parked: 2,
+            visited: 4,
+        };
+        assert_eq!(cost(&sim), parked);
+        // An acquire in front: the load behind it is stepped over, so it
+        // counts as waiting and the acquire's completion runs the pass
+        // that issues it. Only that load's completion is parked.
+        let acquire = ThreadProgram::new().load_acq(Addr(1), Reg(0));
+        let p = acquire
+            .load(Addr(2), Reg(1))
+            .work(1_000)
+            .load(Addr(3), Reg(2));
+        let mut sim = system(Mcm::Weak, p, |tag| Some(if tag == 0 { 100 } else { 1 }));
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(cost(&sim).parked, 1);
+        assert_eq!(states(&sim), [Done; 4]);
     }
 
     #[test]

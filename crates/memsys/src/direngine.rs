@@ -431,6 +431,16 @@ impl DirStep {
         self.next
     }
 
+    /// This step where the backend does (`write_ok`) or does not hold
+    /// global write permission. Rule I: a local E may silently become M,
+    /// so a cluster grants E only while it holds that permission.
+    pub fn under(mut self, write_ok: bool) -> DirStep {
+        if self.grant == Some(Grant::E) && !write_ok {
+            (self.grant, self.next) = (Some(Grant::S), HostClass::Shared);
+        }
+        self
+    }
+
     /// Push the rows this step decides from `state`, a view in `role`: a
     /// suspension that leaves the holders alone, then each way of supplying
     /// (a MESIF read goes to the forwarder, or the directory without one)
@@ -1167,11 +1177,7 @@ impl DirEngine {
             });
             return;
         }
-        if step.grant == Some(Grant::E) && !perms.write_ok {
-            // Rule I: a local E may silently become M, so a cluster grants
-            // E only while it holds global write permission.
-            (step.grant, step.next) = (Some(Grant::S), HostClass::Shared);
-        }
+        step = step.under(perms.write_ok);
         let (owner, sharers) = line.holders.parts();
         let others = slot.map_or(sharers, |s| sharers.without(s));
         let invs = if step.invalidates {

@@ -160,8 +160,10 @@ impl WorkloadSpec {
     }
 
     /// Generate the program of thread `thread` of `nthreads`, with `ops`
-    /// memory accesses, deterministically from `seed`. This rebuilds
-    /// per-spec state; use [`WorkloadSpec::programs`] for a whole system.
+    /// memory accesses, deterministically from `seed`. This rebuilds the
+    /// per-spec state, which is cheap (the Zipfian sampler's ζ(n, θ) has a
+    /// closed form); [`WorkloadSpec::programs`] builds it once for a whole
+    /// system.
     pub fn generate(&self, thread: usize, nthreads: usize, ops: usize, seed: u64) -> ThreadProgram {
         if self.pattern == Pattern::OltpKv {
             return oltp::Generator::new(self).thread(thread, ops, seed).0;
