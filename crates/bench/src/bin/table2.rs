@@ -29,6 +29,6 @@ fn main() {
     outln!(
         "{} consistent compound states, {} translation rows",
         fsm.states.len(),
-        fsm.rows.len()
+        fsm.rows().len()
     );
 }

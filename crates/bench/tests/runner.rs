@@ -186,23 +186,28 @@ fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
 /// event counts, RNG draws) trips this test. Re-pin deliberately when a
 /// behaviour change is intended (e.g. the inclusive-jitter fix).
 ///
-/// Five configurations, two cores per cluster unless noted: barnes on
+/// Seven configurations, two cores per cluster unless noted: barnes on
 /// weak cores; vips on the `stream` benchmark's pairing (MESI/TSO beside
 /// MOESI/weak), which drives the TSO store buffer, its store-to-load
 /// forwarding and the RFO prefetches; an RCC (GPU-style) cluster of weak
 /// cores beside a MESI cluster of TSO cores; the 2²⁰-key `oltp-zipf`
-/// engine on MESI weak cores, the only pin that reaches the OLTP
+/// engine on MESI weak cores, the only CXL pin that reaches the OLTP
 /// generator and its Zipfian sampler; and `oltp-zipf` on four-core
 /// MESIF/TSO beside MOESI/weak clusters, the only pin whose report
 /// differs from its MESI twin, so the F state's forwards, invalidations
-/// and evictions are exercised.
+/// and evictions are exercised; then barnes and `oltp-zipf` on the
+/// hierarchical-MESI baseline (fig10's, MESI/weak cores), the only pins
+/// through the bridge's passive forwarding path.
 #[test]
 fn report_dump_byte_identity() {
     use ProtocolFamily::{Mesi, Mesif, Moesi, Rcc};
-    for (name, protocols, mcms, cores, pinned) in [
+    let cxl = GlobalProtocol::Cxl;
+    let baseline = GlobalProtocol::Hierarchical(Mesi);
+    for (name, protocols, global, mcms, cores, pinned) in [
         (
             "barnes",
             (Mesi, Moesi),
+            cxl,
             (Mcm::Weak, Mcm::Weak),
             2,
             4_553_830_574_658_468_899u64,
@@ -210,6 +215,7 @@ fn report_dump_byte_identity() {
         (
             "vips",
             (Mesi, Moesi),
+            cxl,
             (Mcm::Tso, Mcm::Weak),
             2,
             152_484_082_630_253_032,
@@ -217,6 +223,7 @@ fn report_dump_byte_identity() {
         (
             "barnes",
             (Rcc, Mesi),
+            cxl,
             (Mcm::Weak, Mcm::Tso),
             2,
             11_670_868_887_311_467_392,
@@ -224,6 +231,7 @@ fn report_dump_byte_identity() {
         (
             "oltp-zipf",
             (Mesi, Mesi),
+            cxl,
             (Mcm::Weak, Mcm::Weak),
             2,
             15_559_684_961_206_078_623,
@@ -231,13 +239,30 @@ fn report_dump_byte_identity() {
         (
             "oltp-zipf",
             (Mesif, Moesi),
+            cxl,
             (Mcm::Tso, Mcm::Weak),
             4,
             14_500_999_957_875_614_501,
         ),
+        (
+            "barnes",
+            (Mesi, Mesi),
+            baseline,
+            (Mcm::Weak, Mcm::Weak),
+            2,
+            8_841_095_269_926_315_983,
+        ),
+        (
+            "oltp-zipf",
+            (Mesi, Mesi),
+            baseline,
+            (Mcm::Weak, Mcm::Weak),
+            2,
+            12_351_113_073_777_566_742,
+        ),
     ] {
         let spec = WorkloadSpec::by_name(name).expect("workload");
-        let mut cfg = RunConfig::scaled(protocols, GlobalProtocol::Cxl, mcms).quick();
+        let mut cfg = RunConfig::scaled(protocols, global, mcms).quick();
         cfg.cores_per_cluster = cores;
         cfg.ops_per_core = 200;
         let a = render(&spec, &cfg);
@@ -246,8 +271,41 @@ fn report_dump_byte_identity() {
         assert_eq!(
             fnv1a(&a),
             pinned,
-            "pinned {name} {protocols:?}/{mcms:?} report fingerprint changed — if \
+            "pinned {name} {protocols:?}/{global:?}/{mcms:?} report fingerprint changed — if \
              the behaviour change is intentional, re-pin this constant\nreport:\n{a}"
+        );
+    }
+}
+
+/// The `chaos` bin's two CI runs, pinned by the FNV-1a of their stdout:
+/// the default sweep at seed 42, and seed 7 at 5 % drop and 1 % poison.
+/// Each line reports a run's completion time, events, faults injected,
+/// recovery actions and exact or poisoned lines, so any change to the
+/// bridge's or the DCOH's retry, abandonment or poison handling under
+/// faults shows here.
+#[test]
+fn chaos_output_is_pinned() {
+    for (args, pinned) in [
+        (&["--seed", "42"][..], 7_136_826_604_318_035_552u64),
+        (
+            &["--seed", "7", "--drop", "0.05", "--poison", "0.01"][..],
+            763_242_225_988_833_037,
+        ),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_chaos"))
+            .args(args)
+            .output()
+            .expect("spawn chaos");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "chaos {args:?} failed:\n{stdout}{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert_eq!(
+            fnv1a(&stdout),
+            pinned,
+            "pinned chaos {args:?} output changed:\n{stdout}"
         );
     }
 }

@@ -18,7 +18,7 @@
 //!   local transaction and emits a backend fetch
 //!   ([`CompoundFsm::delegation`]). Incoming global snoops delegate into
 //!   the host domain as conceptual loads/stores
-//!   ([`CompoundFsm::snoop_plan`] → [`DirEngine::recall`]).
+//!   ([`CompoundFsm::row`] → [`DirEngine::recall`]).
 //! * **Rule II (atomicity):** forwarded transactions are nested — the
 //!   engine stalls same-line host requests until the global completion
 //!   arrives, and a snoop response is only sent after the nested host
@@ -39,12 +39,14 @@ use c3_protocol::ssp::SspSpec;
 use c3_protocol::states::{ProtocolFamily, StableState};
 use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet, ANY_STATE};
 use c3_sim::component::{Component, ComponentId, Ctx};
+use c3_sim::fault::ResilienceConfig;
 use c3_sim::stats::{LatencyHistogram, Report};
-use c3_sim::time::{Delay, Time};
+use c3_sim::time::Time;
 use c3_sim::trace::{InflightTxn, TxnId};
 
 use crate::generator::{
-    baseline_fsm, bridge_fsm, CompoundFsm, HostClass, Incoming, SnoopResponse, XAccess,
+    baseline_fsm, bridge_fsm, CompoundFsm, HostClass, Incoming, SnoopAnswer, SnoopResponse,
+    TranslationRow, XAccess,
 };
 
 /// Wake token for the resilience timer scan (see [`ResilienceConfig`]).
@@ -108,41 +110,6 @@ pub struct BridgeConfig {
     pub resilience: Option<ResilienceConfig>,
 }
 
-/// Timeout/retry/backoff policy for the bridge's global-side transactions
-/// (and, symmetrically, the DCOH's blocking snoops).
-///
-/// A transaction that sees no completion within `timeout` is re-issued
-/// under a fresh transaction id (Rule II: the retry is a new nested
-/// attempt, never a mutation of the old one), with the deadline doubling
-/// on each attempt (bounded exponential backoff). After `max_retries`
-/// re-issues the transaction is *abandoned*: it completes locally with an
-/// error status — poisoned data for fetches — rather than wedging the
-/// cluster.
-#[derive(Clone, Copy, Debug)]
-pub struct ResilienceConfig {
-    /// Deadline for the first attempt; doubles per retry.
-    pub timeout: Delay,
-    /// Re-issues after the original send (0 = timeout straight to abandon).
-    pub max_retries: u32,
-}
-
-impl ResilienceConfig {
-    /// A policy sized for the simulated fabric: first deadline `timeout_ns`
-    /// nanoseconds, then 2×, 4×, ... for `max_retries` attempts.
-    pub fn new(timeout_ns: u64, max_retries: u32) -> Self {
-        ResilienceConfig {
-            timeout: Delay::from_ns(timeout_ns),
-            max_retries,
-        }
-    }
-
-    /// Deadline for attempt `attempts` (0-based), with the backoff shift
-    /// capped so the doubling can never overflow.
-    pub fn deadline_after(&self, now: Time, attempts: u32) -> Time {
-        now + self.timeout.times(1u64 << attempts.min(16))
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct CxlLine {
     state: StableState,
@@ -174,7 +141,7 @@ enum AfterWb {
     Eviction,
     /// Snoop response: send the `BIRsp*` once the writeback completes
     /// (the 6-hop dirty chain of §VI-C1).
-    SnoopResponse { kind: Incoming },
+    SnoopResponse(Reply),
 }
 
 #[derive(Debug)]
@@ -220,8 +187,52 @@ struct StashedSnoop {
 #[derive(Debug)]
 struct ActiveSnoop {
     kind: Incoming,
+    reply: Reply,
     txn: TxnId,
     started: Time,
+}
+
+/// A snoop's continuation, read from its generated translation row: the
+/// answer once the line's data is known, and the CXL state it leaves.
+#[derive(Clone, Copy, Debug)]
+struct Reply {
+    answer: SnoopAnswer,
+    next: StableState,
+}
+
+impl Reply {
+    fn of(row: &TranslationRow) -> Reply {
+        Reply {
+            answer: row.answer.expect("snoop rows carry an answer"),
+            next: row.next.cxl,
+        }
+    }
+}
+
+/// The host recall that realizes a row's conceptual cross-domain access.
+fn recall_kind(x: XAccess) -> RecallKind {
+    match x {
+        XAccess::Store => RecallKind::Exclusive,
+        XAccess::Load => RecallKind::Shared,
+    }
+}
+
+/// The CXL message carrying a snoop response (writebacks carry `data`).
+fn snoop_msg(resp: SnoopResponse, addr: Addr, data: u64, poisoned: bool) -> CxlMsg {
+    match resp {
+        SnoopResponse::MemWrI => CxlMsg::MemWrI {
+            addr,
+            data,
+            poisoned,
+        },
+        SnoopResponse::MemWrS => CxlMsg::MemWrS {
+            addr,
+            data,
+            poisoned,
+        },
+        SnoopResponse::BiRspI => CxlMsg::BiRspI { addr },
+        SnoopResponse::BiRspS => CxlMsg::BiRspS { addr },
+    }
 }
 
 /// The C³ bridge component.
@@ -246,14 +257,13 @@ pub struct C3Bridge {
     /// CXL snoops that arrived while the line's eviction recall was in
     /// flight; answered when the eviction completes.
     pending_evict_snoop: FxHashMap<Addr, Incoming>,
-    /// Passive-mode global snoops awaiting a nested host recall.
-    passive_snoop_stash: FxHashMap<Addr, HostMsg>,
+    /// Passive-mode global snoops awaiting a nested host recall, with the
+    /// txn and start time of their open span.
+    passive_snoops: FxHashMap<Addr, (HostMsg, TxnId, Time)>,
     /// Fetches deferred until the line's in-flight writeback completes.
     deferred_fetches: FxHashMap<Addr, bool>,
     /// Open eviction spans (txn + start time), keyed by victim.
     evict_txns: FxHashMap<Addr, (TxnId, Time)>,
-    /// Open passive-snoop spans (txn + start time) for stashed snoops.
-    passive_snoop_txns: FxHashMap<Addr, (TxnId, Time)>,
     /// Lines whose cluster-level copy carries a CXL poison mark; local
     /// fills of these lines are delivered with `Data { poisoned: true }`.
     /// Cleared when dirty (freshly stored) data overwrites the line and on
@@ -287,6 +297,10 @@ impl C3Bridge {
             GlobalSide::Cxl { .. } => bridge_fsm(cfg.host_family),
             GlobalSide::Host { family, .. } => baseline_fsm(cfg.host_family, *family),
         };
+        Self::with_fsm(name, cfg, fsm)
+    }
+
+    fn with_fsm(name: impl Into<String>, cfg: BridgeConfig, fsm: CompoundFsm) -> Self {
         C3Bridge {
             name: name.into(),
             fsm,
@@ -301,10 +315,9 @@ impl C3Bridge {
             stash: FxHashMap::default(),
             evict_waiters: FxHashMap::default(),
             pending_evict_snoop: FxHashMap::default(),
-            passive_snoop_stash: FxHashMap::default(),
+            passive_snoops: FxHashMap::default(),
             deferred_fetches: FxHashMap::default(),
             evict_txns: FxHashMap::default(),
-            passive_snoop_txns: FxHashMap::default(),
             poisoned_lines: FxHashSet::default(),
             fetch_lat: LatencyHistogram::default(),
             wb_lat: LatencyHistogram::default(),
@@ -454,6 +467,23 @@ impl C3Bridge {
     fn host_class(&self, addr: Addr) -> HostClass {
         let holders = self.engine.as_ref().map(|e| e.holders(addr));
         holders.unwrap_or_default().class()
+    }
+
+    /// The generated row for `incoming` on `addr` with its CXL copy in
+    /// `cxl`. Rule I keeps a stable line in a consistent state, bar one.
+    fn row(&self, incoming: Incoming, addr: Addr, mut cxl: StableState) -> &TranslationRow {
+        let host = self.host_class(addr);
+        if (host, cxl) == (HostClass::Exclusive, StableState::S) {
+            // A MOESI directory grants M on an O-owned line without global
+            // write permission; its snoops and evictions are (M, E)'s.
+            cxl = StableState::E;
+        }
+        self.fsm.row(incoming, host, cxl).unwrap_or_else(|| {
+            panic!(
+                "{}: no {incoming} row for {addr} in ({host:?}, {cxl})",
+                self.name
+            )
+        })
     }
 
     fn line_busy(&self, addr: Addr) -> bool {
@@ -725,11 +755,11 @@ impl C3Bridge {
             }
             e.insert((txn, ctx.now));
         }
-        let host = self.host_class(victim);
-        if host.any() && self.cfg.host_family.enforces_swmr() {
+        let row = self.row(Incoming::CxlEvict, victim, self.cxl_state(victim));
+        if let Some(x) = row.x_access {
             // Conceptual store into the host domain reclaims all copies.
             self.recalls_delegated += 1;
-            self.queue_engine(|e, out| e.recall(victim, RecallKind::Exclusive, out));
+            self.queue_engine(|e, out| e.recall(victim, recall_kind(x), out));
             // continues in on_recall_done
         } else {
             let data = self.engine.as_ref().map(|e| e.data(victim)).unwrap_or(0);
@@ -840,7 +870,7 @@ impl C3Bridge {
         if let Some(kind) = self.pending_evict_snoop.remove(&victim) {
             // A snoop raced the eviction; the line is gone (dirty data, if
             // any, already travelled in the eviction's MemWr).
-            self.respond_snoop_clean_miss(victim, kind, ctx);
+            self.process_global_snoop(victim, kind, ctx);
         }
         if let Some(waiters) = self.evict_waiters.remove(&victim) {
             for (addr, exclusive) in waiters {
@@ -870,24 +900,13 @@ impl C3Bridge {
                 if let Some(kind) = wb.snoop_after {
                     // A snoop raced our eviction: the MemWr carried
                     // the data; complete the handshake now.
-                    let msg = match kind {
-                        Incoming::BiSnpInv => CxlMsg::BiRspI { addr },
-                        _ => CxlMsg::BiRspI { addr },
-                    };
-                    ctx.send(dir, SysMsg::Cxl(msg));
+                    self.process_global_snoop(addr, kind, ctx);
                 }
             }
-            AfterWb::SnoopResponse { kind } => {
-                let (msg, next) = match kind {
-                    Incoming::BiSnpInv => (CxlMsg::BiRspI { addr }, StableState::I),
-                    _ => (CxlMsg::BiRspS { addr }, StableState::S),
-                };
+            AfterWb::SnoopResponse(reply) => {
+                let msg = snoop_msg(reply.answer.clean, addr, wb.data, false);
                 ctx.send(dir, SysMsg::Cxl(msg));
-                if next == StableState::I {
-                    self.cxl.remove(addr);
-                } else if let Some(l) = self.cxl.get_mut(addr) {
-                    l.state = next;
-                }
+                self.settle_snoop(addr, reply.next, ctx);
             }
         }
         self.resume_deferred(addr, ctx);
@@ -920,62 +939,62 @@ impl C3Bridge {
     // ---- global snoops (Rule I downward delegation) ----
 
     /// Handle a global snoop against a *stable* line (no outstanding
-    /// request of our own).
+    /// request of our own), as its generated row says: recall host copies
+    /// first, or answer at once.
     fn process_global_snoop(&mut self, addr: Addr, kind: Incoming, ctx: &mut Ctx<'_, SysMsg>) {
         let cxl = self.cxl_state(addr);
-        if cxl == StableState::I {
-            // Silently dropped (or never held): snoop miss.
-            self.respond_snoop_clean_miss(addr, kind, ctx);
-            return;
-        }
-        let host = self.host_class(addr);
-        let plan = self.fsm.snoop_plan(kind, host, cxl);
-        match plan.x_access {
-            Some(x) => {
-                self.recalls_delegated += 1;
-                let txn = ctx.next_txn();
-                if ctx.tracing() {
-                    ctx.trace_begin(txn, "bridge", format!("snoop {kind:?} {addr}"));
-                }
-                self.snoops.insert(
-                    addr,
-                    ActiveSnoop {
-                        kind,
-                        txn,
-                        started: ctx.now,
-                    },
-                );
-                let rk = match x {
-                    XAccess::Store => RecallKind::Exclusive,
-                    XAccess::Load => RecallKind::Shared,
-                };
-                self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
-            }
+        let row = self.row(kind, addr, cxl);
+        let (x_access, reply) = (row.x_access, Reply::of(row));
+        match x_access {
+            Some(x) => self.delegate_snoop(addr, kind, recall_kind(x), reply, ctx),
             None => {
                 let data = self.engine.as_ref().map(|e| e.data(addr)).unwrap_or(0);
                 let dirty = cxl == StableState::M;
-                self.respond_snoop(addr, kind, data, dirty, None, ctx);
+                self.respond_snoop(addr, reply, data, dirty, None, ctx);
             }
         }
     }
 
-    fn respond_snoop_clean_miss(&mut self, addr: Addr, kind: Incoming, ctx: &mut Ctx<'_, SysMsg>) {
-        if matches!(self.cfg.global, GlobalSide::Cxl { .. }) {
-            let dir = self.cfg.global.dir_for(addr);
-            let msg = match kind {
-                Incoming::BiSnpInv => CxlMsg::BiRspI { addr },
-                _ => CxlMsg::BiRspI { addr },
-            };
-            ctx.send(dir, SysMsg::Cxl(msg));
-        }
-    }
-
-    /// Send the snoop response, performing the CXL writeback first when
-    /// dirty data must funnel through the device (the 6-hop chain).
-    fn respond_snoop(
+    /// Nest a host recall under a global snoop (Rule II); `on_recall_done`
+    /// sends the reply.
+    fn delegate_snoop(
         &mut self,
         addr: Addr,
         kind: Incoming,
+        recall: RecallKind,
+        reply: Reply,
+        ctx: &mut Ctx<'_, SysMsg>,
+    ) {
+        self.recalls_delegated += 1;
+        let txn = ctx.next_txn();
+        if ctx.tracing() {
+            ctx.trace_begin(txn, "bridge", format!("snoop {kind:?} {addr}"));
+        }
+        self.snoops.insert(
+            addr,
+            ActiveSnoop {
+                kind,
+                reply,
+                txn,
+                started: ctx.now,
+            },
+        );
+        self.run_engine(ctx, |e, out| e.recall(addr, recall, out));
+    }
+
+    /// The row of a snoop that lost the Fig. 2 race to our pending fetch:
+    /// the line holds at most the clean S copy an upgrade starts from.
+    fn loser_row(&self, kind: Incoming, addr: Addr) -> &TranslationRow {
+        self.row(kind, addr, StableState::S)
+    }
+
+    /// Send a snoop's answer. Dirty data funnels through a nested CXL
+    /// writeback first (the 6-hop chain); the clean answer follows its
+    /// `Cmp`.
+    fn respond_snoop(
+        &mut self,
+        addr: Addr,
+        reply: Reply,
         data: u64,
         dirty: bool,
         snoop_txn: Option<TxnId>,
@@ -983,71 +1002,58 @@ impl C3Bridge {
     ) {
         debug_assert!(matches!(self.cfg.global, GlobalSide::Cxl { .. }));
         let dir = self.cfg.global.dir_for(addr);
-        let response = self.fsm.snoop_response(kind, dirty);
-        if matches!(response, SnoopResponse::MemWrI | SnoopResponse::MemWrS) {
-            // Nested writeback (the 6-hop dirty chain): reuse the snoop's
-            // txn so the wb span nests inside the snoop span (Rule II).
-            let (txn, closes_snoop) = match snoop_txn {
-                Some(t) => (t, true),
-                None => (ctx.next_txn(), false),
-            };
-            let poisoned = self.poisoned_lines.contains(&addr);
-            let msg = if matches!(response, SnoopResponse::MemWrI) {
-                CxlMsg::MemWrI {
-                    addr,
-                    data,
-                    poisoned,
-                }
-            } else {
-                CxlMsg::MemWrS {
-                    addr,
-                    data,
-                    poisoned,
-                }
-            };
+        if !dirty {
+            let msg = snoop_msg(reply.answer.clean, addr, data, false);
             ctx.send(dir, SysMsg::Cxl(msg));
-            if ctx.tracing() {
-                ctx.trace_begin(txn, "bridge", format!("wb {addr}"));
+            self.settle_snoop(addr, reply.next, ctx);
+            if let Some(t) = snoop_txn {
+                ctx.trace_end(t);
             }
-            let deadline = self.arm_timer(ctx, 0);
-            self.writebacks.insert(
-                addr,
-                PendingWb {
-                    data,
-                    after: AfterWb::SnoopResponse { kind },
-                    superseded: false,
-                    snoop_after: None,
-                    txn,
-                    started: ctx.now,
-                    closes_snoop,
-                    resend: Some(msg),
-                    attempts: 0,
-                    deadline,
-                },
-            );
             return;
         }
-        match response {
-            SnoopResponse::BiRspI => {
-                ctx.send(dir, SysMsg::Cxl(CxlMsg::BiRspI { addr }));
-                if ctx.tracing() && self.cxl.peek(addr).is_some() {
-                    ctx.trace_state(Some(addr.0), &self.cxl_state(addr), &StableState::I);
-                }
-                self.cxl.remove(addr);
-            }
-            SnoopResponse::BiRspS => {
-                ctx.send(dir, SysMsg::Cxl(CxlMsg::BiRspS { addr }));
-                if let Some(l) = self.cxl.get_mut(addr) {
-                    if ctx.tracing() {
-                        ctx.trace_state(Some(addr.0), &l.state, &StableState::S);
-                    }
-                    l.state = StableState::S;
-                }
-            }
-            SnoopResponse::MemWrI | SnoopResponse::MemWrS => unreachable!("handled above"),
+        // Nested writeback (the 6-hop dirty chain): reuse the snoop's txn
+        // so the wb span nests inside the snoop span (Rule II).
+        let (txn, closes_snoop) = match snoop_txn {
+            Some(t) => (t, true),
+            None => (ctx.next_txn(), false),
+        };
+        let poisoned = self.poisoned_lines.contains(&addr);
+        let msg = snoop_msg(reply.answer.dirty, addr, data, poisoned);
+        ctx.send(dir, SysMsg::Cxl(msg));
+        if ctx.tracing() {
+            ctx.trace_begin(txn, "bridge", format!("wb {addr}"));
         }
-        if let Some(t) = snoop_txn {
-            ctx.trace_end(t);
+        let deadline = self.arm_timer(ctx, 0);
+        self.writebacks.insert(
+            addr,
+            PendingWb {
+                data,
+                after: AfterWb::SnoopResponse(reply),
+                superseded: false,
+                snoop_after: None,
+                txn,
+                started: ctx.now,
+                closes_snoop,
+                resend: Some(msg),
+                attempts: 0,
+                deadline,
+            },
+        );
+    }
+
+    /// Leave `addr` in the CXL state its snoop answer named (I frees the
+    /// slot).
+    fn settle_snoop(&mut self, addr: Addr, next: StableState, ctx: &mut Ctx<'_, SysMsg>) {
+        if next == StableState::I {
+            if ctx.tracing() && self.cxl.peek(addr).is_some() {
+                ctx.trace_state(Some(addr.0), &self.cxl_state(addr), &next);
+            }
+            self.cxl.remove(addr);
+        } else if let Some(l) = self.cxl.get_mut(addr) {
+            if ctx.tracing() {
+                ctx.trace_state(Some(addr.0), &l.state, &next);
+            }
+            l.state = next;
         }
     }
 
@@ -1065,14 +1071,12 @@ impl C3Bridge {
         if let Some(snoop) = self.snoops.remove(&addr) {
             let dirty = was_dirty || self.cxl_state(addr) == StableState::M;
             self.recall_lat.record(ctx.now.since(snoop.started));
-            self.respond_snoop(addr, snoop.kind, data, dirty, Some(snoop.txn), ctx);
-        } else if let Some(msg) = self.passive_snoop_stash.remove(&addr) {
+            self.respond_snoop(addr, snoop.reply, data, dirty, Some(snoop.txn), ctx);
+        } else if let Some((msg, txn, started)) = self.passive_snoops.remove(&addr) {
             let dirty = was_dirty || self.cxl_state(addr) == StableState::M;
             self.respond_host_snoop(addr, msg, data, dirty, ctx);
-            if let Some((txn, started)) = self.passive_snoop_txns.remove(&addr) {
-                self.recall_lat.record(ctx.now.since(started));
-                ctx.trace_end(txn);
-            }
+            self.recall_lat.record(ctx.now.since(started));
+            ctx.trace_end(txn);
             if self.evict_waiters.contains_key(&addr) {
                 // The eviction that shared this recall continues; its Put
                 // will be stale at the directory and simply acknowledged.
@@ -1208,33 +1212,16 @@ impl C3Bridge {
                     // Fig. 2 right: the snoop was serialized first — honour
                     // it now; our request completes afterwards.
                     let s = self.stash.remove(&addr).expect("checked");
+                    let row = self.loser_row(s.kind, addr);
+                    let (x_access, reply) = (row.x_access, Reply::of(row));
+                    if let Some(x) = x_access {
+                        self.delegate_snoop(addr, s.kind, recall_kind(x), reply, ctx);
+                    } else {
+                        let msg = snoop_msg(reply.answer.clean, addr, 0, false);
+                        ctx.send(self.cfg.global.dir_for(addr), SysMsg::Cxl(msg));
+                    }
                     // Our readable copy (if any) is gone; keep the slot
                     // reserved for the pending fill.
-                    let kind = s.kind;
-                    let host = self.host_class(addr);
-                    if host.any() && self.cfg.host_family.enforces_swmr() {
-                        self.recalls_delegated += 1;
-                        let txn = ctx.next_txn();
-                        if ctx.tracing() {
-                            ctx.trace_begin(txn, "bridge", format!("snoop {kind:?} {addr}"));
-                        }
-                        self.snoops.insert(
-                            addr,
-                            ActiveSnoop {
-                                kind,
-                                txn,
-                                started: ctx.now,
-                            },
-                        );
-                        let rk = if kind == Incoming::BiSnpInv {
-                            RecallKind::Exclusive
-                        } else {
-                            RecallKind::Shared
-                        };
-                        self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
-                    } else {
-                        self.respond_snoop_conflict_loser(addr, kind, ctx);
-                    }
                     if let Some(l) = self.cxl.get_mut(addr) {
                         l.state = StableState::I;
                     }
@@ -1242,22 +1229,6 @@ impl C3Bridge {
             }
             other => panic!("bridge received host-bound CXL message {other:?}"),
         }
-    }
-
-    /// Respond to a snoop we lost the conflict on: we held at most a clean
-    /// shared copy (an upgrade in flight), so the response is clean.
-    fn respond_snoop_conflict_loser(
-        &mut self,
-        addr: Addr,
-        kind: Incoming,
-        ctx: &mut Ctx<'_, SysMsg>,
-    ) {
-        let dir = self.cfg.global.dir_for(addr);
-        let msg = match kind {
-            Incoming::BiSnpInv => CxlMsg::BiRspI { addr },
-            _ => CxlMsg::BiRspS { addr },
-        };
-        ctx.send(dir, SysMsg::Cxl(msg));
     }
 
     /// Snoop responses when a delegated recall finishes in *passive* mode
@@ -1383,24 +1354,17 @@ impl C3Bridge {
                     if ctx.tracing() {
                         ctx.trace_begin(txn, "bridge", format!("passive-snoop {addr}"));
                     }
-                    self.passive_snoop_txns.insert(addr, (txn, ctx.now));
-                    self.passive_snoop_stash.insert(addr, msg);
+                    self.passive_snoops.insert(addr, (msg, txn, ctx.now));
                     return;
                 }
-                // Delegate into the host domain if local copies exist.
-                let host = self.host_class(addr);
-                let needs_recall = match msg {
-                    HostMsg::FwdGetM { .. } | HostMsg::Inv { .. } => {
-                        host.any() && self.cfg.host_family.enforces_swmr()
-                    }
-                    _ => host.maybe_dirty(),
+                // Delegate into the host domain as the generated row for
+                // the equivalent CXL snoop says.
+                let incoming = match msg {
+                    HostMsg::FwdGetS { .. } => Incoming::BiSnpData,
+                    _ => Incoming::BiSnpInv,
                 };
-                if needs_recall {
+                if let Some(x) = self.row(incoming, addr, self.cxl_state(addr)).x_access {
                     self.recalls_delegated += 1;
-                    let rk = match msg {
-                        HostMsg::FwdGetS { .. } => RecallKind::Shared,
-                        _ => RecallKind::Exclusive,
-                    };
                     // Stash the pending passive snoop so RecallDone can
                     // answer it (keyed by line; one at a time since the
                     // global directory blocks).
@@ -1408,9 +1372,8 @@ impl C3Bridge {
                     if ctx.tracing() {
                         ctx.trace_begin(txn, "bridge", format!("passive-snoop {addr}"));
                     }
-                    self.passive_snoop_txns.insert(addr, (txn, ctx.now));
-                    self.passive_snoop_stash.insert(addr, msg);
-                    self.run_engine(ctx, |e, out| e.recall(addr, rk, out));
+                    self.passive_snoops.insert(addr, (msg, txn, ctx.now));
+                    self.run_engine(ctx, |e, out| e.recall(addr, recall_kind(x), out));
                 } else {
                     let data = self.engine.as_ref().map(|e| e.data(addr)).unwrap_or(0);
                     let dirty = self.cxl_state(addr) == StableState::M;
@@ -1423,7 +1386,7 @@ impl C3Bridge {
                 ctx.trace_end(wb.txn);
                 match wb.after {
                     AfterWb::Eviction => self.finish_eviction(addr, ctx),
-                    AfterWb::SnoopResponse { .. } => unreachable!("CXL-mode only"),
+                    AfterWb::SnoopResponse(_) => unreachable!("CXL-mode only"),
                 }
                 self.resume_deferred(addr, ctx);
             }
@@ -1562,7 +1525,9 @@ impl C3Bridge {
                 if ctx.tracing() {
                     ctx.trace_instant("fault", format!("abandon conflict {addr}"));
                 }
-                self.respond_snoop_conflict_loser(addr, s.kind, ctx);
+                let clean = Reply::of(self.loser_row(s.kind, addr)).answer.clean;
+                let msg = snoop_msg(clean, addr, 0, false);
+                ctx.send(self.cfg.global.dir_for(addr), SysMsg::Cxl(msg));
                 if let Some(l) = self.cxl.get_mut(addr) {
                     l.state = StableState::I;
                 }
@@ -1638,7 +1603,7 @@ impl Component<SysMsg> for C3Bridge {
             && self.writebacks.is_empty()
             && self.snoops.is_empty()
             && self.stash.is_empty()
-            && self.passive_snoop_stash.is_empty()
+            && self.passive_snoops.is_empty()
             && self.pending_evict_snoop.is_empty()
             && self.evict_waiters.is_empty()
             && self.deferred_fetches.is_empty()
@@ -1756,12 +1721,12 @@ impl Component<SysMsg> for C3Bridge {
                 detail: format!("BIConflict handshake: {:?}", s.phase),
             });
         }
-        for (a, msg) in sorted(&self.passive_snoop_stash) {
+        for (a, (msg, _, since)) in sorted(&self.passive_snoops) {
             out.push(InflightTxn {
                 component: self_id,
                 addr: Some(a.0),
                 kind: "passive snoop".into(),
-                since: self.passive_snoop_txns.get(a).map(|(_, t)| *t),
+                since: Some(*since),
                 waiting_on: None,
                 detail: format!("awaiting nested recall to answer {msg:?}"),
             });
@@ -1843,10 +1808,11 @@ impl Component<SysMsg> for C3Bridge {
 /// global transactions (`FetchS`/`FetchX`/`Evict`) and the host-recall
 /// completion callback (`RecallDone`).
 ///
-/// The rows the compound FSM decides come from `generated_rows`; the
-/// ones written out here are the conflict handshake, writeback
-/// completions, stalls, wildcard-forbidden rows and the few stable-state
-/// rows the generator does not decide, each with its reason.
+/// Every stable-state row — snoops (misses included), evictions and
+/// delegated fetches — comes from the compound FSM (`generated_rows`);
+/// the ones written out here are the conflict handshake, writeback
+/// completions, stalls, wildcard-forbidden rows and one restarted fetch
+/// (`S × FetchS`), each with its reason.
 ///
 /// For `Rcc` host clusters (no SWMR enforcement, §II-C) the recall
 /// machinery never engages: the `SnoopRecall` state and `RecallDone`
@@ -1989,17 +1955,8 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
         "bridge.rs:handle_cxl/Cmp",
     ));
 
-    // ---- back-invalidation snoops the generator does not decide ----
+    // ---- back-invalidation snoops racing the bridge's own transactions ----
     for ev in ["BiSnpInv", "BiSnpData"] {
-        // The generator never snoops a non-holder, but the DCOH's holder
-        // tracking goes stale after a silent clean drop: a snoop miss.
-        rows.push(TransitionRow::next(
-            "I",
-            ev,
-            "I",
-            vec![rsp_i.clone()],
-            "bridge.rs:respond_snoop_clean_miss",
-        ));
         for s in ["S", "E", "M"] {
             // A BISnp can catch the line mid-eviction (recall in flight or
             // busy victim): answered when the eviction resolves.
@@ -2035,29 +1992,6 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
             "bridge.rs:handle_cxl/BiSnp",
         ));
     }
-    // The generator prunes data snoops to a sharer (the DCOH data-snoops
-    // exclusive holders only); the handler still answers one through
-    // `snoop_plan`.
-    rows.push(TransitionRow::next(
-        "S",
-        "BiSnpData",
-        "S",
-        vec![rsp_s.clone()],
-        "bridge.rs:process_global_snoop (clean, immediate)",
-    ));
-    if recalls {
-        rows.push(
-            TransitionRow::next(
-                "S",
-                "BiSnpData",
-                "SnoopRecall",
-                vec![recall.clone()],
-                "bridge.rs:process_global_snoop (delegated host recall)",
-            )
-            .nested(),
-        );
-    }
-
     // ---- conflict handshake resolution ----
     rows.push(
         TransitionRow::next(
@@ -2088,7 +2022,7 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
                 "BiConflictAck",
                 s,
                 vec![act.clone()],
-                "bridge.rs:respond_snoop_conflict_loser",
+                "bridge.rs:loser_row",
             ));
         }
     }
@@ -2185,8 +2119,8 @@ pub fn bridge_transition_table(host_family: ProtocolFamily) -> TransitionTable {
 /// * a host request the CXL state cannot serve delegates a global fetch
 ///   ([`CompoundFsm::delegation`]), whose fill grants what the global
 ///   directory may grant;
-/// * a snoop either recalls host copies first ([`CompoundFsm::snoop_plan`])
-///   or is answered at once ([`CompoundFsm::snoop_response`]);
+/// * a snoop either recalls host copies first (the row's `x_access`) or
+///   is answered at once (its `answer`);
 /// * an eviction recalls host copies first, then writes back or drops.
 ///
 /// After a recall the returned data, not the compound state, decides
@@ -2222,7 +2156,7 @@ fn generated_rows(fsm: &CompoundFsm) -> Vec<TransitionRow> {
         }
     };
     let mut rows: Vec<TransitionRow> = Vec::new();
-    for r in &fsm.rows {
+    for r in fsm.rows() {
         let cxl = r.state.cxl.name();
         let snoop = if r.incoming == Incoming::BiSnpInv {
             "BiSnpInv"
@@ -2251,17 +2185,18 @@ fn generated_rows(fsm: &CompoundFsm) -> Vec<TransitionRow> {
                 v
             }
             (Incoming::BiSnpInv | Incoming::BiSnpData, Some(_)) => {
-                let prov = "generator:snoop_plan";
+                let prov = "generator:snoop_recall";
                 let mut v =
                     vec![R::next(cxl, snoop, "SnoopRecall", vec![recall.clone()], prov).nested()];
                 for dirty in [false, true] {
-                    let resp = fsm.snoop_response(r.incoming, dirty);
+                    let resp = r.answer.expect("snoop rows answer").get(dirty);
                     v.push(respond("SnoopRecall", "RecallDone", resp, r.next.cxl));
                 }
                 v
             }
             (Incoming::BiSnpInv | Incoming::BiSnpData, None) => {
-                let resp = fsm.snoop_response(r.incoming, r.state.maybe_dirty());
+                let resp = r.answer.expect("snoop rows answer");
+                let resp = resp.get(r.state.maybe_dirty());
                 vec![respond(cxl, snoop, resp, r.next.cxl)]
             }
             (Incoming::CxlEvict, Some(_)) => vec![
@@ -2278,4 +2213,136 @@ fn generated_rows(fsm: &CompoundFsm) -> Vec<TransitionRow> {
         }
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generator::Generator;
+    use c3_protocol::ssp::{SspAction, SspEvent, SspNext};
+    use c3_protocol::table::RowOutcome;
+    use c3_sim::fabric::LinkConfig;
+    use c3_sim::kernel::{RunOutcome, Simulator};
+
+    const X: Addr = Addr(0x40);
+    const DCOH: ComponentId = ComponentId(0);
+    const BRIDGE: ComponentId = ComponentId(1);
+
+    /// A device that data-snoops the bridge once, completes every
+    /// writeback and logs what the bridge sends.
+    #[derive(Debug, Default)]
+    struct Device {
+        log: Vec<CxlMsg>,
+    }
+
+    impl Component<SysMsg> for Device {
+        fn name(&self) -> String {
+            "dcoh".into()
+        }
+        fn start(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
+            ctx.send(BRIDGE, SysMsg::Cxl(CxlMsg::BiSnpData { addr: X }));
+        }
+        fn handle(&mut self, msg: SysMsg, src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
+            let SysMsg::Cxl(m) = msg else {
+                panic!("{msg:?}")
+            };
+            if matches!(m, CxlMsg::MemWrI { .. } | CxlMsg::MemWrS { .. }) {
+                ctx.send(src, SysMsg::Cxl(CxlMsg::Cmp { addr: X }));
+            }
+            self.log.push(m);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A bridge running `fsm` holds `X` in M with no host copy and takes
+    /// a data snoop: what it sends, and the CXL state it is left in.
+    fn snoop_dirty_line(fsm: CompoundFsm) -> (Vec<CxlMsg>, StableState) {
+        let mut sim: Simulator<SysMsg> = Simulator::new(1);
+        let cfg = BridgeConfig {
+            host_family: ProtocolFamily::Mesi,
+            global: GlobalSide::cxl(DCOH),
+            cxl_sets: 4,
+            cxl_ways: 2,
+            global_peers: vec![DCOH],
+            resilience: None,
+        };
+        let mut bridge = C3Bridge::with_fsm("bridge", cfg, fsm);
+        bridge.cxl.insert(
+            X,
+            CxlLine {
+                state: StableState::M,
+            },
+        );
+        assert_eq!(sim.add_component(Box::new(Device::default())), DCOH);
+        assert_eq!(sim.add_component(Box::new(bridge)), BRIDGE);
+        sim.fabric_mut()
+            .wire_p2p(&[DCOH, BRIDGE], &LinkConfig::intra_cluster());
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let log = sim.component_as::<Device>(DCOH).unwrap().log.clone();
+        (
+            log,
+            sim.component_as::<C3Bridge>(BRIDGE).unwrap().cxl_state(X),
+        )
+    }
+
+    /// One CXL.mem spec mutation — `M × FwdGetS` writes back without
+    /// retaining — changes the generated `M × BiSnpData` table row and
+    /// what the running bridge answers, together.
+    #[test]
+    fn one_cxl_spec_mutation_changes_row_and_run() {
+        let canonical = SspSpec::cxl_mem();
+        let mut mutant = SspSpec::cxl_mem();
+        for tr in &mut mutant.transitions {
+            if (tr.from, tr.event) == (StableState::M, SspEvent::FwdGetS) {
+                tr.actions = vec![SspAction::WritebackDirty];
+                tr.to = SspNext::Fixed(StableState::I);
+            }
+        }
+        let data = 0;
+        let poisoned = false;
+        for (spec, wb, write, answer, keeps) in [
+            (
+                canonical,
+                "MemWrS",
+                CxlMsg::MemWrS {
+                    addr: X,
+                    data,
+                    poisoned,
+                },
+                CxlMsg::BiRspS { addr: X },
+                StableState::S,
+            ),
+            (
+                mutant,
+                "MemWrI",
+                CxlMsg::MemWrI {
+                    addr: X,
+                    data,
+                    poisoned,
+                },
+                CxlMsg::BiRspI { addr: X },
+                StableState::I,
+            ),
+        ] {
+            let fsm = Generator::new(SspSpec::mesi(), spec)
+                .expect("valid specs")
+                .generate();
+            // The table row rendered from the FSM (a host copy would be
+            // recalled first, another row)...
+            let rows: Vec<TransitionRow> = generated_rows(&fsm)
+                .into_iter()
+                .filter(|r| (r.state, r.event) == ("M", "BiSnpData"))
+                .filter(|r| r.outcome == RowOutcome::Next("Wb"))
+                .collect();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].actions[0].msg, wb);
+            // ...and the bridge running it.
+            assert_eq!(snoop_dirty_line(fsm), (vec![write, answer], keeps));
+        }
+    }
 }

@@ -13,9 +13,10 @@
 //!    message and compound state, the conceptual cross-domain access
 //!    ("X-Access"), the native flow used to realize it, and the resulting
 //!    compound transient/stable states,
-//! 4. exposes the decision procedures the runtime bridge interprets
-//!    ([`CompoundFsm::snoop_plan`], [`CompoundFsm::delegation`],
-//!    [`CompoundFsm::snoop_response`]).
+//! 4. indexes the rows by `(incoming, host class, CXL state)`, so the
+//!    runtime bridge reads every stable-state decision — the recall to
+//!    make, the snoop answer, the next CXL state — from one lookup
+//!    ([`CompoundFsm::row`]).
 //!
 //! Every decision is *derived from the input specs* — the generator never
 //! hardcodes per-protocol behaviour beyond the spec tables, which is what
@@ -23,7 +24,7 @@
 
 use std::fmt;
 
-use c3_protocol::ssp::{SspAction, SspEvent, SspSpec};
+use c3_protocol::ssp::{SspAction, SspEvent, SspNext, SspSpec};
 use c3_protocol::states::{ProtocolFamily, StableState};
 
 pub use c3_memsys::direngine::HostClass;
@@ -111,6 +112,30 @@ pub enum SnoopResponse {
     BiRspS,
 }
 
+/// How a snoop row answers the global directory once the line's data is
+/// known: after a nested host recall the returned data, not the compound
+/// state, decides which half applies.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct SnoopAnswer {
+    /// Clean data: `BIRspI` or `BIRspS`, naming the state the line keeps.
+    /// A dirty answer sends it too, once its writeback completes.
+    pub clean: SnoopResponse,
+    /// Dirty data: the `MemWr` the global spec writes a modified line
+    /// back with for the equivalent event.
+    pub dirty: SnoopResponse,
+}
+
+impl SnoopAnswer {
+    /// The response for clean or dirty data.
+    pub fn get(self, dirty: bool) -> SnoopResponse {
+        if dirty {
+            self.dirty
+        } else {
+            self.clean
+        }
+    }
+}
+
 impl fmt::Display for SnoopResponse {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -139,6 +164,8 @@ pub struct TranslationRow {
     pub transient: String,
     /// Resulting stable compound state.
     pub next: CompoundState,
+    /// Snoop rows: the answer to the global directory.
+    pub answer: Option<SnoopAnswer>,
 }
 
 /// Errors from [`Generator::new`].
@@ -198,6 +225,7 @@ impl Generator {
             global: self.global.clone(),
             states: Vec::new(),
             rows: Vec::new(),
+            index: [None; ROW_KEYS],
         };
         // 1–2. Cartesian product, pruned by the Rule-I inclusion invariant.
         let host_classes = [
@@ -224,6 +252,7 @@ impl Generator {
             fsm.push_host_rows(s, &steps);
             fsm.push_evict_row(s);
         }
+        fsm.reindex();
         fsm
     }
 }
@@ -240,16 +269,16 @@ pub struct CompoundFsm {
     /// Consistent stable compound states.
     pub states: Vec<CompoundState>,
     /// The generated translation table.
-    pub rows: Vec<TranslationRow>,
+    rows: Vec<TranslationRow>,
+    /// Position in `rows` of each `(incoming, host, cxl)` row.
+    index: [Option<u16>; ROW_KEYS],
 }
 
-/// The plan for handling a global snoop in a given compound state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnoopPlan {
-    /// Rule-I delegation into the host domain, if host copies require it.
-    pub x_access: Option<XAccess>,
-    /// CXL state after the snoop resolves.
-    pub next_cxl: StableState,
+/// Row keys: 5 incoming classes × 4 host classes × 6 stable states.
+const ROW_KEYS: usize = 5 * 4 * StableState::ALL.len();
+
+fn row_key(incoming: Incoming, host: HostClass, cxl: StableState) -> usize {
+    (incoming as usize * 4 + host as usize) * StableState::ALL.len() + cxl as usize
 }
 
 impl CompoundFsm {
@@ -274,70 +303,6 @@ impl CompoundFsm {
         }
     }
 
-    /// Decide how to handle a global snoop (Rule I: delegate to the host
-    /// domain when host copies are affected; Rule II is enforced by the
-    /// runtime, which nests the recall before responding).
-    pub fn snoop_plan(&self, snoop: Incoming, host: HostClass, cxl: StableState) -> SnoopPlan {
-        debug_assert!(matches!(snoop, Incoming::BiSnpInv | Incoming::BiSnpData));
-        let exclusive = snoop == Incoming::BiSnpInv;
-        let x_access = if !self.host_family.enforces_swmr() {
-            // RCC hosts self-invalidate; C³ answers directly (§IV-D2).
-            None
-        } else if exclusive && host.any() {
-            Some(XAccess::Store)
-        } else if !exclusive && host.maybe_dirty() {
-            Some(XAccess::Load)
-        } else {
-            None
-        };
-        // The resulting CXL state comes from the global spec's native
-        // transition for the equivalent event.
-        let event = if exclusive {
-            SspEvent::FwdGetM
-        } else {
-            SspEvent::FwdGetS
-        };
-        let next_cxl = self
-            .global
-            .transition(cxl, event)
-            .or_else(|| self.global.transition(cxl, SspEvent::Inv))
-            .map(|t| match t.to {
-                c3_protocol::ssp::SspNext::Fixed(s) => s,
-                c3_protocol::ssp::SspNext::FromGrant => StableState::I,
-            })
-            .unwrap_or(StableState::I);
-        SnoopPlan { x_access, next_cxl }
-    }
-
-    /// The CXL.mem response message for a resolved snoop, given whether
-    /// dirty data must be returned. Derived from the global spec's
-    /// actions for the equivalent event.
-    pub fn snoop_response(&self, snoop: Incoming, dirty: bool) -> SnoopResponse {
-        let exclusive = snoop == Incoming::BiSnpInv;
-        if dirty {
-            // Global spec: M + FwdGetM -> WritebackDirty; M + FwdGetS ->
-            // WritebackRetain.
-            let ev = if exclusive {
-                SspEvent::FwdGetM
-            } else {
-                SspEvent::FwdGetS
-            };
-            let tr = self
-                .global
-                .transition(StableState::M, ev)
-                .expect("global spec handles dirty snoops");
-            if tr.actions.contains(&SspAction::WritebackRetain) {
-                SnoopResponse::MemWrS
-            } else {
-                SnoopResponse::MemWrI
-            }
-        } else if exclusive {
-            SnoopResponse::BiRspI
-        } else {
-            SnoopResponse::BiRspS
-        }
-    }
-
     /// Rule-I delegation decision for a host-side request class: `None`
     /// when the CXL cache state already satisfies it locally, otherwise
     /// the conceptual global access to perform first.
@@ -355,17 +320,59 @@ impl CompoundFsm {
         }
     }
 
+    /// The two snoop rows of `s`. Rule I delegates a snoop into the host
+    /// domain when host copies are affected; Rule II is the runtime's,
+    /// which nests the recall before it answers.
     fn push_snoop_rows(&mut self, s: CompoundState) {
         for snoop in [Incoming::BiSnpInv, Incoming::BiSnpData] {
-            if s.cxl == StableState::I {
-                continue; // the directory never snoops a non-holder
-            }
-            if snoop == Incoming::BiSnpData && s.cxl == StableState::S {
-                continue; // data snoops only target exclusive holders
-            }
-            let plan = self.snoop_plan(snoop, s.host, s.cxl);
-            let dirty = s.maybe_dirty();
-            let resp = self.snoop_response(snoop, dirty);
+            let exclusive = snoop == Incoming::BiSnpInv;
+            let x_access = if !self.host_family.enforces_swmr() {
+                // RCC hosts self-invalidate; C³ answers directly (§IV-D2).
+                None
+            } else if exclusive && s.host.any() {
+                Some(XAccess::Store)
+            } else if !exclusive && s.host.maybe_dirty() {
+                Some(XAccess::Load)
+            } else {
+                None
+            };
+            // The CXL state follows the global spec's native transition
+            // for the equivalent event. A line the spec does not move — a
+            // non-holder, or a sharer under a data snoop — keeps its state
+            // and answers clean.
+            let event = if exclusive {
+                SspEvent::FwdGetM
+            } else {
+                SspEvent::FwdGetS
+            };
+            let tr = self.global.transition(s.cxl, event).or_else(|| {
+                exclusive
+                    .then(|| self.global.transition(s.cxl, SspEvent::Inv))
+                    .flatten()
+            });
+            let next_cxl = tr.map_or(s.cxl, |t| match t.to {
+                SspNext::Fixed(to) => to,
+                SspNext::FromGrant => StableState::I,
+            });
+            let retains = self
+                .global
+                .transition(StableState::M, event)
+                .expect("global spec handles dirty snoops")
+                .actions
+                .contains(&SspAction::WritebackRetain);
+            let answer = SnoopAnswer {
+                clean: if next_cxl == StableState::I {
+                    SnoopResponse::BiRspI
+                } else {
+                    SnoopResponse::BiRspS
+                },
+                dirty: if retains {
+                    SnoopResponse::MemWrS
+                } else {
+                    SnoopResponse::MemWrI
+                },
+            };
+            let resp = answer.get(s.maybe_dirty());
             let next_host = match (snoop, s.host) {
                 (Incoming::BiSnpInv, _) => HostClass::None,
                 (Incoming::BiSnpData, HostClass::Exclusive) => {
@@ -377,12 +384,12 @@ impl CompoundFsm {
                 }
                 (_, h) => h,
             };
-            let action = match plan.x_access {
+            let action = match x_access {
                 Some(XAccess::Store) => format!("Fwd-GetM to Host $; then {resp}"),
                 Some(XAccess::Load) => format!("Fwd-GetS to Host $; then {resp}"),
                 None => format!("{resp} to CXL Dir"),
             };
-            let transient = match plan.x_access {
+            let transient = match x_access {
                 Some(XAccess::Store) => "MI^A, MI^A".to_string(),
                 Some(XAccess::Load) => "MS^AD, MS^AD".to_string(),
                 None => "-".to_string(),
@@ -390,13 +397,14 @@ impl CompoundFsm {
             self.rows.push(TranslationRow {
                 incoming: snoop,
                 state: s,
-                x_access: plan.x_access,
+                x_access,
                 action,
                 transient,
                 next: CompoundState {
                     host: next_host,
-                    cxl: plan.next_cxl,
+                    cxl: next_cxl,
                 },
+                answer: Some(answer),
             });
         }
     }
@@ -441,6 +449,7 @@ impl CompoundFsm {
                     host: next_host,
                     cxl: next_cxl,
                 },
+                answer: None,
             });
         }
     }
@@ -477,6 +486,7 @@ impl CompoundFsm {
                 host: HostClass::None,
                 cxl: StableState::I,
             },
+            answer: None,
         });
     }
 
@@ -510,16 +520,37 @@ impl CompoundFsm {
         out
     }
 
-    /// Find a translation row.
+    /// The translation row for `incoming` in the compound state
+    /// `(host, cxl)`, if that state is consistent.
     pub fn row(
         &self,
         incoming: Incoming,
         host: HostClass,
         cxl: StableState,
     ) -> Option<&TranslationRow> {
-        self.rows
-            .iter()
-            .find(|r| r.incoming == incoming && r.state.host == host && r.state.cxl == cxl)
+        let i = self.index[row_key(incoming, host, cxl)]?;
+        Some(&self.rows[usize::from(i)])
+    }
+
+    /// The generated translation table, in generation order.
+    pub fn rows(&self) -> &[TranslationRow] {
+        &self.rows
+    }
+
+    /// Edit the translation table in place (the checker's tests seed
+    /// defects this way); the row index is rebuilt afterwards.
+    pub fn edit_rows(&mut self, edit: impl FnOnce(&mut Vec<TranslationRow>)) {
+        edit(&mut self.rows);
+        self.reindex();
+    }
+
+    fn reindex(&mut self) {
+        self.index = [None; ROW_KEYS];
+        for (i, r) in self.rows.iter().enumerate() {
+            let key = row_key(r.incoming, r.state.host, r.state.cxl);
+            let i = u16::try_from(i).expect("row count fits u16");
+            self.index[key].get_or_insert(i);
+        }
     }
 }
 
@@ -560,7 +591,7 @@ mod tests {
         ] {
             let fsm = bridge_fsm(fam);
             assert!(!fsm.states.is_empty(), "{fam}");
-            assert!(!fsm.rows.is_empty(), "{fam}");
+            assert!(!fsm.rows().is_empty(), "{fam}");
         }
     }
 
@@ -623,24 +654,28 @@ mod tests {
     }
 
     #[test]
-    fn snoop_responses_derive_from_cxl_spec() {
+    fn snoop_answers_derive_from_cxl_spec() {
+        use SnoopResponse::{BiRspI, BiRspS, MemWrI, MemWrS};
         let fsm = bridge_fsm(ProtocolFamily::Mesi);
-        assert_eq!(
-            fsm.snoop_response(Incoming::BiSnpInv, true),
-            SnoopResponse::MemWrI
-        );
-        assert_eq!(
-            fsm.snoop_response(Incoming::BiSnpData, true),
-            SnoopResponse::MemWrS
-        );
-        assert_eq!(
-            fsm.snoop_response(Incoming::BiSnpInv, false),
-            SnoopResponse::BiRspI
-        );
-        assert_eq!(
-            fsm.snoop_response(Incoming::BiSnpData, false),
-            SnoopResponse::BiRspS
-        );
+        let answer = |snoop, cxl| {
+            let r = fsm.row(snoop, HostClass::None, cxl).expect("row exists");
+            (r.answer.expect("snoop rows answer"), r.next.cxl)
+        };
+        let (inv, data) = (Incoming::BiSnpInv, Incoming::BiSnpData);
+        let answers = [
+            (inv, StableState::M, BiRspI, MemWrI, StableState::I),
+            (data, StableState::M, BiRspS, MemWrS, StableState::S),
+            (inv, StableState::S, BiRspI, MemWrI, StableState::I),
+            // A data snoop leaves a sharer shared, and a snoop miss on an
+            // invalid line answers BIRspI whatever it asked for.
+            (data, StableState::S, BiRspS, MemWrS, StableState::S),
+            (inv, StableState::I, BiRspI, MemWrI, StableState::I),
+            (data, StableState::I, BiRspI, MemWrS, StableState::I),
+        ];
+        for (snoop, cxl, clean, dirty, next) in answers {
+            let want = (SnoopAnswer { clean, dirty }, next);
+            assert_eq!(answer(snoop, cxl), want, "{snoop} in {cxl}");
+        }
     }
 
     #[test]
@@ -656,9 +691,15 @@ mod tests {
     #[test]
     fn rcc_snoops_never_delegate() {
         let fsm = bridge_fsm(ProtocolFamily::Rcc);
-        let plan = fsm.snoop_plan(Incoming::BiSnpInv, HostClass::None, StableState::M);
-        assert_eq!(plan.x_access, None);
-        assert_eq!(plan.next_cxl, StableState::I);
+        for snoop in [Incoming::BiSnpInv, Incoming::BiSnpData] {
+            for r in fsm.rows().iter().filter(|r| r.incoming == snoop) {
+                assert_eq!(r.x_access, None, "{snoop} in {}", r.state);
+            }
+        }
+        let r = fsm
+            .row(Incoming::BiSnpInv, HostClass::None, StableState::M)
+            .expect("row");
+        assert_eq!(r.next.cxl, StableState::I);
     }
 
     #[test]
@@ -711,7 +752,7 @@ mod tests {
         for fam in [Mesi, Mesif, Moesi, Rcc] {
             for fsm in [bridge_fsm(fam), baseline_fsm(fam, Mesi)] {
                 let steps = DirSteps::compile(&SspSpec::for_family(fam));
-                for r in &fsm.rows {
+                for r in fsm.rows() {
                     let req = match r.incoming {
                         Incoming::HostRead => DirRequest::GetS,
                         Incoming::HostWrite => DirRequest::GetM,

@@ -30,6 +30,7 @@ pub mod bridge;
 pub mod generator;
 pub mod system;
 
-pub use bridge::{BridgeConfig, C3Bridge, GlobalSide, ResilienceConfig};
+pub use bridge::{BridgeConfig, C3Bridge, GlobalSide};
+pub use c3_sim::fault::ResilienceConfig;
 pub use generator::{baseline_fsm, bridge_fsm, CompoundFsm, Generator};
 pub use system::{ClusterSpec, GlobalProtocol, SystemBuilder, SystemHandles};

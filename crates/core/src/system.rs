@@ -21,7 +21,7 @@
 //! reorders device-to-host messages, which is why CXL needs the
 //! `BIConflict` handshake (§III-A).
 
-use c3_cxl::directory::{CxlDirectory, SnoopRetryPolicy};
+use c3_cxl::directory::CxlDirectory;
 use c3_memsys::global_dir::GlobalMesiDir;
 use c3_memsys::l1::{L1Config, L1Controller};
 use c3_memsys::seqcore::SeqCore;
@@ -34,7 +34,12 @@ use c3_sim::fabric::LinkConfig;
 use c3_sim::kernel::Simulator;
 use c3_sim::time::Delay;
 
-use crate::bridge::{BridgeConfig, C3Bridge, GlobalSide, ResilienceConfig};
+use c3_sim::fault::ResilienceConfig;
+
+use crate::bridge::{BridgeConfig, C3Bridge, GlobalSide};
+
+/// The global directories' DDR access time (Table III: 10 ns).
+const MEM_LATENCY: Delay = Delay::from_ns(10);
 
 /// The protocol joining the clusters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,7 +110,6 @@ pub struct SystemBuilder {
     global: GlobalProtocol,
     cxl_sets: usize,
     cxl_ways: usize,
-    mem_latency: Delay,
     seed: u64,
     ordered_s2m: bool,
     cxl_devices: usize,
@@ -145,7 +149,6 @@ impl SystemBuilder {
             // Table III LLC: 4 MiB, 8-way → 8192 sets of 64 B lines.
             cxl_sets: 8192,
             cxl_ways: 8,
-            mem_latency: Delay::from_ns(10),
             seed: 0xC3C3,
             ordered_s2m: false,
             cxl_devices: 1,
@@ -202,12 +205,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Override the device memory latency.
-    pub fn mem_latency(mut self, d: Delay) -> Self {
-        self.mem_latency = d;
-        self
-    }
-
     /// Assemble the system, creating one core per `(cluster, index)` via
     /// `core_factory(cluster, index, l1_id)`.
     pub fn build<F>(&self, mut core_factory: F) -> (Simulator<SysMsg>, SystemHandles)
@@ -252,12 +249,9 @@ impl SystemBuilder {
                     } else {
                         format!("cxl.dcoh.{i}")
                     };
-                    let mut dcoh = CxlDirectory::new(name, self.mem_latency);
+                    let mut dcoh = CxlDirectory::new(name, MEM_LATENCY);
                     if let Some(r) = self.resilience {
-                        dcoh = dcoh.with_resilience(SnoopRetryPolicy {
-                            timeout: r.timeout,
-                            max_retries: r.max_retries,
-                        });
+                        dcoh = dcoh.with_resilience(r);
                     }
                     let got = sim.add_component(Box::new(dcoh));
                     assert_eq!(got, expect);
@@ -267,7 +261,7 @@ impl SystemBuilder {
                 let got = sim.add_component(Box::new(GlobalMesiDir::new(
                     "global.dir",
                     &SspSpec::for_family(family),
-                    self.mem_latency,
+                    MEM_LATENCY,
                 )));
                 assert_eq!(got, dir_id);
             }

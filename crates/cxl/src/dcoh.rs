@@ -35,9 +35,10 @@ use c3_protocol::msg::{CxlGrant, CxlMsg};
 use c3_protocol::ops::Addr;
 use c3_protocol::table::{Action, TransitionRow, TransitionTable, Vnet};
 use c3_sim::component::ComponentId;
+use c3_sim::fault::ResilienceConfig;
 use c3_sim::lines::{Footprint, LineEntry, LineMap};
 use c3_sim::peers::{PeerSet, PeerSlots};
-use c3_sim::time::{Delay, Time};
+use c3_sim::time::Time;
 use c3_sim::trace::InflightTxn;
 
 /// Which hosts hold a line, from the device's point of view. Sharer
@@ -664,17 +665,16 @@ impl DcohEngine {
         !holders.is_none() && !holders.set.contains(src_slot)
     }
 
-    /// Re-issue `BISnp*` for blocking snoops whose response deadline has
-    /// passed (doubling the deadline each retry) and force-complete snoops
-    /// that exhausted `max_retries` — the blocked requester is granted the
+    /// Re-issue `BISnp*` for blocking snoops whose response deadline
+    /// ([`ResilienceConfig::deadline_after`] their last send) has passed
+    /// and force-complete snoops that exhausted `policy.max_retries` — the blocked requester is granted the
     /// device's current copy **marked poisoned**, since a dirty owner that
     /// never responded may hold newer data. Called periodically by the
     /// component wrapper when a retry policy is configured.
     pub fn expire_snoops(
         &mut self,
         now: Time,
-        timeout: Delay,
-        max_retries: u32,
+        policy: ResilienceConfig,
         out: &mut Vec<DcohEffect>,
     ) {
         // Sorted: FxHashMap iteration order is run-stable but an
@@ -685,7 +685,7 @@ impl DcohEngine {
             .filter(|(_, l)| {
                 l.snoop.as_ref().is_some_and(|s| {
                     s.since
-                        .is_some_and(|t| t + timeout.times(1u64 << s.retries.min(16)) <= now)
+                        .is_some_and(|t| policy.deadline_after(t, s.retries) <= now)
                 })
             })
             .map(|(a, _)| Addr(a))
@@ -694,7 +694,7 @@ impl DcohEngine {
         for addr in expired {
             let line = self.lines.get_mut(addr.0).expect("collected above");
             let snoop = line.snoop.as_mut().expect("collected above");
-            if snoop.retries < max_retries {
+            if snoop.retries < policy.max_retries {
                 snoop.retries += 1;
                 snoop.since = Some(now);
                 let kind = snoop.kind;

@@ -4,6 +4,7 @@ use std::any::Any;
 
 use c3_protocol::msg::SysMsg;
 use c3_sim::component::{Component, ComponentId, Ctx};
+use c3_sim::fault::ResilienceConfig;
 use c3_sim::time::Delay;
 use c3_sim::trace::InflightTxn;
 
@@ -11,17 +12,6 @@ use crate::dcoh::{DcohEffect, DcohEngine};
 
 /// Wake token for the snoop-deadline scan.
 const TIMER_TOKEN: u64 = 1;
-
-/// Timeout/retry policy for the DCOH's blocking snoops (the device-side
-/// mirror of the bridge's resilience config; kept as its own type because
-/// the bridge crate depends on this one, not the other way round).
-#[derive(Clone, Copy, Debug)]
-pub struct SnoopRetryPolicy {
-    /// Deadline for the first `BISnp`; doubles per re-issue.
-    pub timeout: Delay,
-    /// Re-issues before the snoop is force-completed with poisoned data.
-    pub max_retries: u32,
-}
 
 /// The CXL memory device: DCOH directory + DDR5 back-end (Table III:
 /// 10 ns access latency).
@@ -32,7 +22,7 @@ pub struct CxlDirectory {
     /// The engine's effect buffer, cleared and reused for every call.
     effects: Vec<DcohEffect>,
     mem_latency: Delay,
-    retry: Option<SnoopRetryPolicy>,
+    retry: Option<ResilienceConfig>,
     /// Whether a deadline-scan wakeup is already scheduled.
     armed: bool,
     /// Emit line-store footprint gauges/report lines. Off by default:
@@ -64,7 +54,7 @@ impl CxlDirectory {
 
     /// Enable snoop timeout/retry and the engine's resilient mode
     /// (duplicate suppression, stale-writeback guard).
-    pub fn with_resilience(mut self, policy: SnoopRetryPolicy) -> Self {
+    pub fn with_resilience(mut self, policy: ResilienceConfig) -> Self {
         self.retry = Some(policy);
         self.engine.resilient = true;
         self
@@ -133,8 +123,7 @@ impl Component<SysMsg> for CxlDirectory {
         }
         self.armed = false;
         if let Some(p) = self.retry {
-            self.engine
-                .expire_snoops(ctx.now, p.timeout, p.max_retries, &mut self.effects);
+            self.engine.expire_snoops(ctx.now, p, &mut self.effects);
             self.dispatch(ctx);
         }
         self.rearm(ctx);

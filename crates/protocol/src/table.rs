@@ -133,7 +133,7 @@ pub struct TransitionRow {
     pub nested: bool,
     /// Where the row comes from: the handler code it mirrors
     /// (`"l1.rs:handle_host/Data"`) or, for a derived row, the source
-    /// that decides it (`"ssp:MOESI M FwdGetS"`, `"generator:snoop_plan"`).
+    /// that decides it (`"ssp:MOESI M FwdGetS"`, `"generator:snoop_recall"`).
     pub provenance: Cow<'static, str>,
 }
 

@@ -326,6 +326,42 @@ impl FaultPlan {
     }
 }
 
+/// Timeout/retry/backoff policy for transactions that must survive the
+/// faults a [`FaultPlan`] injects: the bridges' global-side transactions
+/// and the DCOH's blocking snoops.
+///
+/// A transaction that sees no completion within `timeout` is re-issued
+/// under a fresh transaction id (Rule II: the retry is a new nested
+/// attempt, never a mutation of the old one), with the deadline doubling
+/// on each attempt (bounded exponential backoff). After `max_retries`
+/// re-issues the transaction is *abandoned*: it completes locally with an
+/// error status — poisoned data for fetches — rather than wedging the
+/// cluster.
+#[derive(Clone, Copy, Debug)]
+pub struct ResilienceConfig {
+    /// Deadline for the first attempt; doubles per retry.
+    pub timeout: Delay,
+    /// Re-issues after the original send (0 = timeout straight to abandon).
+    pub max_retries: u32,
+}
+
+impl ResilienceConfig {
+    /// A policy sized for the simulated fabric: first deadline `timeout_ns`
+    /// nanoseconds, then 2×, 4×, ... for `max_retries` attempts.
+    pub fn new(timeout_ns: u64, max_retries: u32) -> Self {
+        ResilienceConfig {
+            timeout: Delay::from_ns(timeout_ns),
+            max_retries,
+        }
+    }
+
+    /// Deadline for attempt `attempts` (0-based) sent at `now`, with the
+    /// backoff shift capped so the doubling can never overflow.
+    pub fn deadline_after(&self, now: Time, attempts: u32) -> Time {
+        now + self.timeout.times(1u64 << attempts.min(16))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

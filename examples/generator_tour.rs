@@ -22,7 +22,7 @@ fn main() {
         println!(
             "-> {} consistent compound states, {} rows\n",
             fsm.states.len(),
-            fsm.rows.len()
+            fsm.rows().len()
         );
     }
 
